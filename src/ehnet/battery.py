@@ -189,23 +189,29 @@ def trajectory(
         actual = np.array(out)
         return (actual if single else actual[:, None]), np.array(levels)
 
-    want_rows = rows.tolist()
-    out_rows = [None] * n
+    # Zero requests draw nothing, so only the nonzero ones are walked.
+    # `np.nonzero` lists them slot by slot in link order, which is the
+    # service order; `ends[i]` is one past slot i's last entry.
+    slot_of, link_of = np.nonzero(rows)
+    want = rows[slot_of, link_of].tolist()
+    got = [0.0] * len(want)
+    ends = np.bincount(slot_of, minlength=n).cumsum().tolist()
+    k = 0
     for i in range(n):
-        row = want_rows[i]
-        out = [0.0] * len(row)
-        for j, d in enumerate(row):
-            if d == 0.0:
-                continue
+        end = ends[i]
+        while k < end:
+            d = want[k]
             a = d if d <= level else level
-            out[j] = a
+            got[k] = a
             level -= a
+            k += 1
         level += harv[i]
         if level > capacity:
             level = capacity
         levels[i] = level
-        out_rows[i] = out
-    return np.array(out_rows), np.array(levels)
+    actual = np.zeros(rows.shape)
+    actual[slot_of, link_of] = got
+    return actual, np.array(levels)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,18 @@
 """Command-line front end for the bundled sweep experiments.
 
 Exit codes: 0 on success, 1 for configuration problems (unreadable or
-invalid config, unknown experiment), 2 for numerical failures (quadrature
-that cannot certify its tolerance, an unreachable power budget, non-finite
-statistics).
+invalid config, unknown experiment, `--jobs` below 1, an output path that
+cannot be written), 2 for numerical failures (quadrature that cannot
+certify its tolerance, an unreachable power budget, non-finite
+statistics).  Both are reported in one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from dataclasses import replace
 
 from .experiments import (
@@ -56,12 +59,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path) -> None:
+    """Fail before the sweep, not after it, if `path` cannot be written."""
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        # Create a probe file: os.access() can report a directory writable
+        # where the write then fails (e.g. on network file systems).
+        with tempfile.TemporaryFile(dir=directory):
+            pass
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write to output directory {directory}: {exc.strerror}"
+        ) from exc
+
+
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     spec = load_spec(args.config)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     if args.trials is not None:
         spec = replace(spec, trials=args.trials)
+    _check_writable(args.out)
     rows = run_experiment(spec, jobs=args.jobs)
     write_csv(rows, args.out)
     print(f"{spec.experiment}: {len(rows)} rows -> {args.out}")

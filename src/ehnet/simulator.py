@@ -11,8 +11,10 @@ while it still points before the first slot.
 `run_eh` enforces the battery; `run_non_eh` is the reference system where
 every request is granted.  Both consume identical random draws for the same
 seed (each node's harvest and each link's fading has its own stream), so a
-seedwise pairing of the two isolates the effect of the battery alone:
-`paired_gap` reports the utility difference over a set of seeds.
+seedwise pairing of the two isolates the effect of the battery alone.
+`run_eh` evaluates that pairing itself: from one set of draws it reports
+both its own average utility and the reference system's, and
+`paired_gap` reports their difference over a set of seeds.
 
 Averages over slots use exact compensated summation, and run averages count
 *all* slots, including ones where the utility is structurally zero.
@@ -21,6 +23,7 @@ Averages over slots use exact compensated summation, and run averages count
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,20 +145,51 @@ class SimulationConfig:
             )
 
 
+class _NodeMeans(Mapping):
+    """Read-only map from node id to a slot average, each entry computed on
+    first read.  `values(node)` returns that node's per-slot array and
+    raises `KeyError` for a node the run does not have."""
+
+    def __init__(self, n: int, nodes: tuple[int, ...], values):
+        self._n = n
+        self._nodes = nodes
+        self._values = values
+        self._cache: dict[int, float] = {}
+
+    def __getitem__(self, node: int) -> float:
+        if node not in self._cache:
+            self._cache[node] = _mean(self._values(node), self._n)
+        return self._cache[node]
+
+    def __iter__(self):
+        return iter(self._nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class RunSummary:
     """Per-run averages.  Keys of the per-node maps are node ids.
 
-    `mismatch_fraction` counts slots where a node's granted power differed
-    from its requested power on any link; `mismatch_union` counts slots
-    where that happened anywhere in the network.
+    `non_eh_utility` is the average utility of the reference system, where
+    every request is granted, on the same draws; for `run_non_eh` it equals
+    `avg_utility`.  `avg_in`, `avg_desired` and `avg_out` compute each
+    node's average on first read.  `mismatch_fraction` counts slots where a
+    node's granted power differed from its requested power on any link;
+    `mismatch_union` counts slots where that happened anywhere in the
+    network.
     """
 
     n_slots: int
     avg_utility: float
-    avg_in: dict[int, float]
-    avg_desired: dict[int, float]
-    avg_out: dict[int, float]
+    non_eh_utility: float
+    avg_in: Mapping[int, float]
+    avg_desired: Mapping[int, float]
+    avg_out: Mapping[int, float]
     mismatch_fraction: dict[int, float]
     mismatch_union: float
     final_level: dict[int, float]
@@ -233,43 +267,78 @@ def _delayed(config: SimulationConfig, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finish(config, slots, harvest, gains, desired, actual, levels, finals,
-            return_trace):
+def _utility(config: SimulationConfig, slots, powers, delayed_gains):
     n = config.n_slots
-    delayed_p = _delayed(config, actual)
-    delayed_g = _delayed(config, gains)
     u = np.asarray(
-        config.utility.evaluate(slots, delayed_p, delayed_g), dtype=float
+        config.utility.evaluate(slots, _delayed(config, powers), delayed_gains),
+        dtype=float,
     )
     if u.shape != (n,):
         raise NumericsError(f"utility returned shape {u.shape}, expected ({n},)")
     if not np.all(np.isfinite(u)):
         raise NumericsError("utility produced non-finite values")
+    return u
 
+
+def _link_columns(config: SimulationConfig) -> dict[int, list[int]]:
+    columns: dict[int, list[int]] = {t.node: [] for t in config.transmitters}
+    for col, link in enumerate(config.links):
+        columns[link.tx].append(col)
+    return columns
+
+
+def _run(config: SimulationConfig, with_battery: bool, return_trace: bool):
+    config.validate()
+    n = config.n_slots
+    slots = np.arange(1, n + 1)
+    harvest, gains = _sample_inputs(config)
     columns = _link_columns(config)
-    avg_in, avg_desired, avg_out = {}, {}, {}
-    mismatch, final_level = {}, {}
+    desired = _desired_matrix(config, slots, gains, columns)
+    if with_battery:
+        actual = np.empty_like(desired)
+        levels, finals = {}, {}
+        for t in config.transmitters:
+            cols = columns[t.node]
+            got, lev = battery.trajectory(
+                desired[:, cols],
+                harvest[t.node],
+                capacity=t.capacity,
+                initial=t.initial_level,
+            )
+            actual[:, cols] = got
+            levels[t.node] = lev
+            finals[t.node] = float(lev[-1])
+    else:
+        actual, levels = desired, {}
+        finals = {t.node: t.initial_level for t in config.transmitters}
+
+    # min(level, request) grants the request exactly when it fits, so
+    # bitwise inequality is the mismatch test, and a run without mismatch
+    # granted the request matrix itself: its utility is the reference one.
+    miss = actual != desired
+    delayed_g = _delayed(config, gains)
+    u_ref = _utility(config, slots, desired, delayed_g)
+    u = _utility(config, slots, actual, delayed_g) if miss.any() else u_ref
+
+    mismatch = {}
     union = np.zeros(n, dtype=bool)
     for t in config.transmitters:
-        cols = columns[t.node]
-        avg_in[t.node] = _mean(harvest[t.node], n)
-        avg_desired[t.node] = _mean(desired[:, cols], n)
-        avg_out[t.node] = _mean(actual[:, cols], n)
-        # min(level, request) grants the request exactly when it fits, so
-        # bitwise inequality is the mismatch test.
-        miss = (actual[:, cols] != desired[:, cols]).any(axis=1)
-        mismatch[t.node] = miss.sum() / n
-        union |= miss
-        final_level[t.node] = finals[t.node]
+        node_miss = miss[:, columns[t.node]].any(axis=1)
+        mismatch[t.node] = node_miss.sum() / n
+        union |= node_miss
+    nodes = tuple(t.node for t in config.transmitters)
+    non_eh_utility = _mean(u_ref, n)
     summary = RunSummary(
         n_slots=n,
-        avg_utility=_mean(u, n),
-        avg_in=avg_in,
-        avg_desired=avg_desired,
-        avg_out=avg_out,
+        avg_utility=non_eh_utility if u is u_ref else _mean(u, n),
+        non_eh_utility=non_eh_utility,
+        avg_in=_NodeMeans(n, nodes, harvest.__getitem__),
+        avg_desired=_NodeMeans(n, nodes,
+                               lambda node: desired[:, columns[node]]),
+        avg_out=_NodeMeans(n, nodes, lambda node: actual[:, columns[node]]),
         mismatch_fraction=mismatch,
         mismatch_union=union.sum() / n,
-        final_level=final_level,
+        final_level=finals,
     )
     if not return_trace:
         return summary
@@ -285,51 +354,17 @@ def _finish(config, slots, harvest, gains, desired, actual, levels, finals,
     return summary, trace
 
 
-def _link_columns(config: SimulationConfig) -> dict[int, list[int]]:
-    columns: dict[int, list[int]] = {t.node: [] for t in config.transmitters}
-    for col, link in enumerate(config.links):
-        columns[link.tx].append(col)
-    return columns
-
-
 def run_eh(config: SimulationConfig, *, return_trace: bool = False):
     """Simulate with the battery in the loop.  Returns a `RunSummary`
-    (plus a `RunTrace` when `return_trace`)."""
-    config.validate()
-    n = config.n_slots
-    slots = np.arange(1, n + 1)
-    harvest, gains = _sample_inputs(config)
-    columns = _link_columns(config)
-    desired = _desired_matrix(config, slots, gains, columns)
-    actual = np.empty_like(desired)
-    levels, finals = {}, {}
-    for t in config.transmitters:
-        cols = columns[t.node]
-        got, lev = battery.trajectory(
-            desired[:, cols],
-            harvest[t.node],
-            capacity=t.capacity,
-            initial=t.initial_level,
-        )
-        actual[:, cols] = got
-        levels[t.node] = lev
-        finals[t.node] = float(lev[-1])
-    return _finish(config, slots, harvest, gains, desired, actual, levels,
-                   finals, return_trace)
+    (plus a `RunTrace` when `return_trace`) whose `non_eh_utility` is the
+    reference system's average on the same draws."""
+    return _run(config, with_battery=True, return_trace=return_trace)
 
 
 def run_non_eh(config: SimulationConfig, *, return_trace: bool = False):
     """Simulate the reference system: same draws, every request granted,
     battery untouched."""
-    config.validate()
-    n = config.n_slots
-    slots = np.arange(1, n + 1)
-    harvest, gains = _sample_inputs(config)
-    columns = _link_columns(config)
-    desired = _desired_matrix(config, slots, gains, columns)
-    finals = {t.node: t.initial_level for t in config.transmitters}
-    return _finish(config, slots, harvest, gains, desired, desired.copy(),
-                   {}, finals, return_trace)
+    return _run(config, with_battery=False, return_trace=return_trace)
 
 
 @dataclass(frozen=True)
@@ -344,15 +379,16 @@ class GapStatistics:
 
 
 def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
-    """Run both systems on each seed and summarize the paired utility gap."""
+    """Run both systems on each seed and summarize the paired utility gap.
+
+    One `run_eh` call per seed yields both averages."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     gaps, ehs, nons = [], [], []
     for seed in seeds:
-        cfg = replace(config, seed=int(seed))
-        eh = run_eh(cfg).avg_utility
-        non = run_non_eh(cfg).avg_utility
+        summary = run_eh(replace(config, seed=int(seed)))
+        eh, non = summary.avg_utility, summary.non_eh_utility
         ehs.append(eh)
         nons.append(non)
         gaps.append(eh - non)

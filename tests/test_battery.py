@@ -223,3 +223,38 @@ def test_regime_requires_positive_finite_intake():
         classify_regime(0.0, 1.0)
     with pytest.raises(ValueError):
         classify_regime(math.inf, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# trajectory: multi-link oracle
+
+# About half the requests are exact zeros, which the multi-link loop skips.
+sparse_power = st.one_of(st.just(0.0), finite_power)
+
+
+@st.composite
+def random_multilink_run(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    links = draw(st.integers(min_value=1, max_value=5))
+    flat = draw(st.lists(sparse_power, min_size=n * links, max_size=n * links))
+    harvested = np.array(draw(st.lists(finite_power, min_size=n, max_size=n)))
+    capacity = draw(st.one_of(st.just(math.inf),
+                              st.floats(min_value=0.5, max_value=1e7)))
+    initial = draw(st.floats(min_value=0.0, max_value=0.5))
+    return np.array(flat).reshape(n, links), harvested, capacity, initial
+
+
+@given(random_multilink_run())
+@settings(max_examples=200, deadline=None)
+def test_multilink_trajectory_matches_stepwise_primitives(run):
+    desired, harvested, capacity, initial = run
+    actual, levels = trajectory(desired, harvested, capacity=capacity,
+                                initial=initial)
+    assert actual.shape == desired.shape
+    state = BatteryState(level=initial, capacity=capacity)
+    for i in range(len(desired)):
+        got, state = extract_many(state, desired[i].tolist())
+        state = deposit(state, float(harvested[i]))
+        # bit for bit, so a sign of zero or a last-digit change shows
+        assert np.array(got).tobytes() == actual[i].tobytes()
+        assert np.float64(state.level).tobytes() == levels[i].tobytes()

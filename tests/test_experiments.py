@@ -1,5 +1,6 @@
 """Unit tests for sweep configs, grid runners, CSV output and the CLI."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -7,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ehnet.cli
+import ehnet.experiments
 from ehnet.cli import main
 from ehnet.experiments import (
     BASELINE_N,
@@ -249,6 +252,29 @@ def test_fig6_baseline_is_reference_run():
     assert BASELINE_N == 1_000_000
 
 
+def test_fig6_reference_runs_once_per_cell(tmp_path, monkeypatch):
+    spec = spec_from_dict({"experiment": "fig6", "p_in_db": [0.0, 5.0],
+                           "n_slots": [20, 40], "trials": 2})
+    calls = []
+    real = ehnet.experiments.run_non_eh
+
+    def counting(config, **kwargs):
+        calls.append(config.n_slots)
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(ehnet.experiments, "run_non_eh", counting)
+    ehnet.experiments._relay_reference.cache_clear()
+    rows = run_experiment(spec)
+    # two (power, hops) cells, each shared by both run lengths
+    assert calls == [BASELINE_N, BASELINE_N]
+    path = tmp_path / "fig6.csv"
+    write_csv(rows, path)
+    # SHA-256 of this sweep's CSV when every grid point runs its own
+    # reference run
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2f229af42ad0e169cd9bc10704dec6480594696d6d107641c7cf20df78dfe206")
+
+
 # ---------------------------------------------------------------------------
 # sweep runner and CSV
 
@@ -367,3 +393,31 @@ def test_cli_unreachable_budget_is_a_numerical_failure(tmp_path, capsys):
     assert main(["run", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_fails_before_the_sweep(tmp_path, capsys,
+                                                  monkeypatch):
+    cfg = write_config(tmp_path)
+    swept = []
+    monkeypatch.setattr(ehnet.cli, "run_experiment",
+                        lambda *args, **kwargs: swept.append(args))
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not swept
+
+
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    swept = []
+    monkeypatch.setattr(ehnet.cli, "run_experiment",
+                        lambda *args, **kwargs: swept.append(args))
+    for jobs in ("0", "-3"):
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "x.csv"), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert jobs in err
+    assert not swept
+    assert not (tmp_path / "x.csv").exists()

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ehnet.experiments import build_config, default_spec, grid_points
 from ehnet.policies import (
     AlternatingRelayPolicy,
     AmplifierModel,
@@ -248,6 +249,56 @@ def test_chain_half_duplex_no_simultaneous_hops():
 
 # ---------------------------------------------------------------------------
 # paired comparison
+
+# A short run of each bundled experiment, either starting from an empty
+# battery (requests go unmet) or from a huge full one (every request met).
+PAIRING_GROUP = {"fig4": 3, "fig5": 2, "fig6": 2}
+
+
+def sweep_config(experiment, starved):
+    spec = replace(
+        default_spec(experiment),
+        p_in_db=(5.0,),
+        n_slots=(60,),
+        b_max_ratio=(200.0 if starved else 1e6,),
+        group_size=(PAIRING_GROUP.get(experiment, 1),),
+        initial_fill=0.0 if starved else 1.0,
+    )
+    return build_config(spec, grid_points(spec)[0], seed=31)
+
+
+def check_node_averages(cfg, summary, trace):
+    n = cfg.n_slots
+    nodes = [t.node for t in cfg.transmitters]
+    for avg in (summary.avg_in, summary.avg_desired, summary.avg_out):
+        assert list(avg) == nodes
+        with pytest.raises(KeyError):
+            avg[max(nodes) + 100]
+    for node in nodes:
+        cols = [c for c, link in enumerate(cfg.links) if link.tx == node]
+        assert summary.avg_in[node] == math.fsum(trace.harvest[node].tolist()) / n
+        assert summary.avg_desired[node] == math.fsum(
+            trace.desired[:, cols].ravel().tolist()) / n
+        assert summary.avg_out[node] == math.fsum(
+            trace.actual[:, cols].ravel().tolist()) / n
+
+
+@pytest.mark.parametrize("starved", [True, False], ids=["mismatch", "no_mismatch"])
+@pytest.mark.parametrize("experiment", [f"fig{k}" for k in range(1, 7)])
+def test_run_eh_pairs_with_reference_run(experiment, starved):
+    cfg = sweep_config(experiment, starved)
+    summary, trace = run_eh(cfg, return_trace=True)
+    ref_summary, ref_trace = run_non_eh(cfg, return_trace=True)
+    assert (summary.mismatch_union > 0.0) == starved
+    assert summary.non_eh_utility == ref_summary.avg_utility
+    assert ref_summary.non_eh_utility == ref_summary.avg_utility
+    n = cfg.n_slots
+    assert summary.avg_utility == math.fsum(trace.utility.tolist()) / n
+    if not starved:
+        assert np.array_equal(trace.utility, ref_trace.utility)
+    check_node_averages(cfg, summary, trace)
+    check_node_averages(cfg, ref_summary, ref_trace)
+
 
 
 def test_paired_gap_zero_for_abundant_battery():
