@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -51,6 +52,7 @@ from .simulator import (
     TransmitterSpec,
     run_eh,
     run_non_eh,
+    trials_per_call,
 )
 from .stochastic import (
     ExponentialProcess,
@@ -183,6 +185,17 @@ def _as_tuple(value, *, none_ok: bool = False) -> tuple:
     return items
 
 
+def _as_int(value, name: str) -> int:
+    """`value` as an int.  Integers are taken, and floats with a finite
+    integral value (JSON ``100.0``); booleans, fractions, infinities and
+    strings are not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def spec_from_dict(data: dict) -> SweepSpec:
     """Build and validate a `SweepSpec` from a parsed config mapping."""
     if not isinstance(data, dict):
@@ -200,14 +213,18 @@ def spec_from_dict(data: dict) -> SweepSpec:
         spec = SweepSpec(
             experiment=str(merged["experiment"]),
             p_in_db=tuple(float(p) for p in _as_tuple(merged["p_in_db"])),
-            n_slots=tuple(int(n) for n in _as_tuple(merged["n_slots"])),
+            n_slots=tuple(
+                _as_int(n, "n_slots") for n in _as_tuple(merged["n_slots"])
+            ),
             b_max_ratio=tuple(
                 None if r is None else float(r)
                 for r in _as_tuple(merged["b_max_ratio"], none_ok=True)
             ),
-            group_size=tuple(int(m) for m in _as_tuple(merged["group_size"])),
-            trials=int(merged["trials"]),
-            seed=int(merged["seed"]),
+            group_size=tuple(
+                _as_int(m, "group_size") for m in _as_tuple(merged["group_size"])
+            ),
+            trials=_as_int(merged["trials"], "trials"),
+            seed=_as_int(merged["seed"], "seed"),
             initial_fill=float(merged["initial_fill"]),
             rate_threshold=float(merged["rate_threshold"]),
             amplifier_epsilon=float(merged["amplifier_epsilon"]),
@@ -216,6 +233,8 @@ def spec_from_dict(data: dict) -> SweepSpec:
                 else float(merged["circuit_power_db"])
             ),
         )
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     validate_spec(spec)
@@ -560,13 +579,16 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 
 
 def _point_rows(spec: SweepSpec, point: GridPoint) -> list[CsvRow]:
+    seeds = [trial_seed(spec.seed, point.index, t) for t in range(spec.trials)]
+    # The trials differ only in their seed: one network, run in batches.
+    config = build_config(spec, point, seeds[0])
+    step = trials_per_call(config)
     u_eh, u_non, miss = [], [], []
-    for t in range(spec.trials):
-        seed = trial_seed(spec.seed, point.index, t)
-        summary = run_eh(build_config(spec, point, seed))
-        u_eh.append(summary.avg_utility)
-        u_non.append(summary.non_eh_utility)
-        miss.append(summary.mismatch_union)
+    for start in range(0, len(seeds), step):
+        for summary in run_eh(config, seeds=seeds[start:start + step]):
+            u_eh.append(summary.avg_utility)
+            u_non.append(summary.non_eh_utility)
+            miss.append(summary.mismatch_union)
     ratio = math.inf if point.ratio is None else point.ratio
     eh_mean, eh_se = _mean_se(u_eh)
     non_mean, non_se = _mean_se(u_non)

@@ -16,6 +16,12 @@ seedwise pairing of the two isolates the effect of the battery alone.
 both its own average utility and the reference system's, and
 `paired_gap` reports their difference over a set of seeds.
 
+Given several seeds, `run_eh` runs them as one batch of trials on the same
+network: each trial draws from its own streams, the policies and the
+utility see all trials' slots stacked, and single-link batteries step all
+trials at once.  Each trial's summary equals that of a run on its seed
+alone, bit for bit.
+
 Averages over slots use exact compensated summation, and run averages count
 *all* slots, including ones where the utility is structurally zero.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +49,20 @@ __all__ = [
     "paired_gap",
     "run_eh",
     "run_non_eh",
+    "trials_per_call",
 ]
 
 # Stream key prefixes: one stream per (purpose, identity), so adding a node
 # or link never disturbs the draws of the existing ones.
 _HARVEST_KEY = 0
 _FADING_KEY = 1
+
+# Slot-links (slots times links, summed over trials) one batched `run_eh`
+# call may hold.  Short runs then share their policy, utility and battery
+# calls across many trials, while runs of 10^4 slots stay one trial per
+# call; a budget of 2^16 was faster on short runs but raised the peak
+# memory of long multi-trial sweeps.
+BATCH_SLOT_LINKS = 2 ** 13
 
 
 class ConfigError(ValueError):
@@ -213,41 +227,45 @@ def _mean(values: np.ndarray, n: int) -> float:
     return math.fsum(values.ravel().tolist()) / n
 
 
-def _sample_inputs(config: SimulationConfig):
+def _sample_inputs(config: SimulationConfig, seeds: list[int]):
+    """Each trial's draws from its own streams: per node a (trials, n)
+    harvest array, and the gains of all trials stacked trial-major into
+    one (trials * n, links) array."""
     n = config.n_slots
-    harvest = {}
-    for t in config.transmitters:
-        stream = Stream(config.seed, (_HARVEST_KEY, t.node, 0))
-        draws = np.asarray(t.harvest.sample(stream, n), dtype=float)
-        if draws.shape != (n,):
-            raise NumericsError(f"harvest process for node {t.node} returned "
-                                f"shape {draws.shape}")
-        harvest[t.node] = draws
-    gains = np.empty((n, len(config.links)))
-    for col, link in enumerate(config.links):
-        stream = Stream(config.seed, (_FADING_KEY, link.tx, link.rx))
-        draws = np.asarray(link.fading.sample(stream, n), dtype=float)
-        if draws.shape != (n,):
-            raise NumericsError(f"fading process for link {link.tx}->{link.rx} "
-                                f"returned shape {draws.shape}")
-        gains[:, col] = draws
+    harvest = {t.node: np.empty((len(seeds), n)) for t in config.transmitters}
+    gains = np.empty((len(seeds) * n, len(config.links)))
+    for j, seed in enumerate(seeds):
+        for t in config.transmitters:
+            stream = Stream(seed, (_HARVEST_KEY, t.node, 0))
+            draws = np.asarray(t.harvest.sample(stream, n), dtype=float)
+            if draws.shape != (n,):
+                raise NumericsError(f"harvest process for node {t.node} "
+                                    f"returned shape {draws.shape}")
+            harvest[t.node][j] = draws
+        for col, link in enumerate(config.links):
+            stream = Stream(seed, (_FADING_KEY, link.tx, link.rx))
+            draws = np.asarray(link.fading.sample(stream, n), dtype=float)
+            if draws.shape != (n,):
+                raise NumericsError(f"fading process for link {link.tx}->"
+                                    f"{link.rx} returned shape {draws.shape}")
+            gains[j * n:(j + 1) * n, col] = draws
     if np.any(gains < 0.0) or not np.all(np.isfinite(gains)):
         raise NumericsError("channel gains must be finite and >= 0")
     return harvest, gains
 
 
 def _desired_matrix(config: SimulationConfig, slots, gains, columns):
-    n = config.n_slots
+    rows = len(slots)
     desired = np.empty_like(gains)
     for t in config.transmitters:
         cols = columns[t.node]
         req = np.asarray(
             t.policy.desired_powers(slots, gains[:, cols]), dtype=float
         )
-        if req.shape != (n, len(cols)):
+        if req.shape != (rows, len(cols)):
             raise NumericsError(
                 f"policy of node {t.node} returned shape {req.shape}, "
-                f"expected {(n, len(cols))}"
+                f"expected {(rows, len(cols))}"
             )
         if np.any(req < 0.0) or not np.all(np.isfinite(req)):
             raise NumericsError(f"policy of node {t.node} requested negative "
@@ -257,24 +275,30 @@ def _desired_matrix(config: SimulationConfig, slots, gains, columns):
 
 
 def _delayed(config: SimulationConfig, values: np.ndarray) -> np.ndarray:
+    """Shift each link's column by its delay, within each trial's slots."""
     out = np.zeros_like(values)
+    n = config.n_slots
+    src = values.reshape(-1, n, values.shape[1])
+    dst = out.reshape(src.shape)
     for col, link in enumerate(config.links):
         d = link.delay
         if d == 0:
-            out[:, col] = values[:, col]
+            dst[:, :, col] = src[:, :, col]
         else:
-            out[d:, col] = values[:-d, col]
+            dst[:, d:, col] = src[:, :-d, col]
     return out
 
 
 def _utility(config: SimulationConfig, slots, powers, delayed_gains):
-    n = config.n_slots
+    rows = len(slots)
     u = np.asarray(
         config.utility.evaluate(slots, _delayed(config, powers), delayed_gains),
         dtype=float,
     )
-    if u.shape != (n,):
-        raise NumericsError(f"utility returned shape {u.shape}, expected ({n},)")
+    if u.shape != (rows,):
+        raise NumericsError(
+            f"utility returned shape {u.shape}, expected ({rows},)"
+        )
     if not np.all(np.isfinite(u)):
         raise NumericsError("utility produced non-finite values")
     return u
@@ -287,84 +311,145 @@ def _link_columns(config: SimulationConfig) -> dict[int, list[int]]:
     return columns
 
 
-def _run(config: SimulationConfig, with_battery: bool, return_trace: bool):
-    config.validate()
+def _battery(config: SimulationConfig, desired, harvest, columns):
+    """Granted powers (like `desired`) and per-node (n, trials) levels.
+
+    A single-link node runs all trials in one `trajectory` call, one lane
+    per trial; a multi-link node runs one call per trial."""
     n = config.n_slots
-    slots = np.arange(1, n + 1)
-    harvest, gains = _sample_inputs(config)
-    columns = _link_columns(config)
-    desired = _desired_matrix(config, slots, gains, columns)
-    if with_battery:
-        actual = np.empty_like(desired)
-        levels, finals = {}, {}
-        for t in config.transmitters:
-            cols = columns[t.node]
+    k = len(desired) // n
+    actual = np.empty_like(desired)
+    levels = {}
+    for t in config.transmitters:
+        cols = columns[t.node]
+        if len(cols) == 1:
             got, lev = battery.trajectory(
-                desired[:, cols],
-                harvest[t.node],
+                desired[:, cols[0]].reshape(k, n).T,
+                harvest[t.node].T,
                 capacity=t.capacity,
                 initial=t.initial_level,
             )
-            actual[:, cols] = got
-            levels[t.node] = lev
-            finals[t.node] = float(lev[-1])
+            actual[:, cols[0]] = got.T.ravel()
+        else:
+            lev = np.empty((n, k))
+            for j in range(k):
+                rows = slice(j * n, (j + 1) * n)
+                got, lev[:, j] = battery.trajectory(
+                    desired[rows, cols],
+                    harvest[t.node][j],
+                    capacity=t.capacity,
+                    initial=t.initial_level,
+                )
+                actual[rows, cols] = got
+        levels[t.node] = lev
+    return actual, levels
+
+
+def _run(config: SimulationConfig, seeds: list[int], with_battery: bool,
+         return_trace: bool) -> list:
+    """One batch of trials on `config`'s network, one per seed.  Each
+    trial's results equal those of a batch holding only that trial."""
+    config.validate()
+    if not seeds:
+        raise ValueError("need at least one seed")
+    n, k = config.n_slots, len(seeds)
+    slots = np.arange(1, n + 1)
+    batch_slots = np.tile(slots, k)
+    harvest, gains = _sample_inputs(config, seeds)
+    columns = _link_columns(config)
+    desired = _desired_matrix(config, batch_slots, gains, columns)
+    if with_battery:
+        actual, levels = _battery(config, desired, harvest, columns)
+        finals = [{node: float(lev[-1, j]) for node, lev in levels.items()}
+                  for j in range(k)]
     else:
         actual, levels = desired, {}
-        finals = {t.node: t.initial_level for t in config.transmitters}
+        finals = [{t.node: t.initial_level for t in config.transmitters}
+                  for _ in range(k)]
 
     # min(level, request) grants the request exactly when it fits, so
     # bitwise inequality is the mismatch test, and a run without mismatch
     # granted the request matrix itself: its utility is the reference one.
+    # Utilities act slot by slot, so a trial's slots give the same values
+    # whatever else is in the batch.
     miss = actual != desired
     delayed_g = _delayed(config, gains)
-    u_ref = _utility(config, slots, desired, delayed_g)
-    u = _utility(config, slots, actual, delayed_g) if miss.any() else u_ref
+    u_ref = _utility(config, batch_slots, desired, delayed_g)
+    u = _utility(config, batch_slots, actual, delayed_g) if miss.any() else u_ref
 
     mismatch = {}
-    union = np.zeros(n, dtype=bool)
+    union = np.zeros((k, n), dtype=bool)
     for t in config.transmitters:
-        node_miss = miss[:, columns[t.node]].any(axis=1)
-        mismatch[t.node] = node_miss.sum() / n
+        node_miss = miss[:, columns[t.node]].any(axis=1).reshape(k, n)
+        mismatch[t.node] = node_miss.sum(axis=1) / n
         union |= node_miss
+    union_frac = union.sum(axis=1) / n
     nodes = tuple(t.node for t in config.transmitters)
-    non_eh_utility = _mean(u_ref, n)
-    summary = RunSummary(
-        n_slots=n,
-        avg_utility=non_eh_utility if u is u_ref else _mean(u, n),
-        non_eh_utility=non_eh_utility,
-        avg_in=_NodeMeans(n, nodes, harvest.__getitem__),
-        avg_desired=_NodeMeans(n, nodes,
-                               lambda node: desired[:, columns[node]]),
-        avg_out=_NodeMeans(n, nodes, lambda node: actual[:, columns[node]]),
-        mismatch_fraction=mismatch,
-        mismatch_union=union.sum() / n,
-        final_level=finals,
-    )
-    if not return_trace:
-        return summary
-    trace = RunTrace(
-        slots=slots,
-        harvest=harvest,
-        gains=gains,
-        desired=desired,
-        actual=actual,
-        levels=levels,
-        utility=u,
-    )
-    return summary, trace
+    u_ref_rows = u_ref.reshape(k, n).tolist()
+    u_rows = u_ref_rows if u is u_ref else u.reshape(k, n).tolist()
+
+    results = []
+    for j in range(k):
+        rows = slice(j * n, (j + 1) * n)
+        non_eh_utility = math.fsum(u_ref_rows[j]) / n
+        summary = RunSummary(
+            n_slots=n,
+            avg_utility=(non_eh_utility if u is u_ref
+                         else math.fsum(u_rows[j]) / n),
+            non_eh_utility=non_eh_utility,
+            avg_in=_NodeMeans(n, nodes,
+                              lambda node, j=j: harvest[node][j]),
+            avg_desired=_NodeMeans(
+                n, nodes, lambda node, rows=rows: desired[rows, columns[node]]
+            ),
+            avg_out=_NodeMeans(
+                n, nodes, lambda node, rows=rows: actual[rows, columns[node]]
+            ),
+            mismatch_fraction={node: frac[j]
+                               for node, frac in mismatch.items()},
+            mismatch_union=union_frac[j],
+            final_level=finals[j],
+        )
+        if not return_trace:
+            results.append(summary)
+            continue
+        trace = RunTrace(
+            slots=slots,
+            harvest={node: h[j] for node, h in harvest.items()},
+            gains=gains[rows],
+            desired=desired[rows],
+            actual=actual[rows],
+            levels={node: lev[:, j] for node, lev in levels.items()},
+            utility=u[rows],
+        )
+        results.append((summary, trace))
+    return results
 
 
-def run_eh(config: SimulationConfig, *, return_trace: bool = False):
+def trials_per_call(config: SimulationConfig) -> int:
+    """How many trials of `config` one batched `run_eh` call should take:
+    as many as fit in `BATCH_SLOT_LINKS` slot-links, at least one."""
+    return max(1, BATCH_SLOT_LINKS // (config.n_slots * len(config.links)))
+
+
+def run_eh(config: SimulationConfig, *, seeds=None,
+           return_trace: bool = False):
     """Simulate with the battery in the loop.  Returns a `RunSummary`
     (plus a `RunTrace` when `return_trace`) whose `non_eh_utility` is the
-    reference system's average on the same draws."""
-    return _run(config, with_battery=True, return_trace=return_trace)
+    reference system's average on the same draws.
+
+    With `seeds`, runs one trial per seed on `config`'s network as one
+    batch and returns a list with one result per seed, each equal to
+    ``run_eh(replace(config, seed=s))`` bit for bit."""
+    if seeds is None:
+        return _run(config, [config.seed], True, return_trace)[0]
+    return _run(config, [int(s) for s in seeds], True, return_trace)
 
 
 def run_non_eh(config: SimulationConfig, *, return_trace: bool = False):
     """Simulate the reference system: same draws, every request granted,
     battery untouched."""
-    return _run(config, with_battery=False, return_trace=return_trace)
+    return _run(config, [config.seed], False, return_trace)[0]
 
 
 @dataclass(frozen=True)
@@ -381,17 +466,19 @@ class GapStatistics:
 def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
     """Run both systems on each seed and summarize the paired utility gap.
 
-    One `run_eh` call per seed yields both averages."""
+    `run_eh` yields both averages, for `trials_per_call(config)` seeds
+    per call."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     gaps, ehs, nons = [], [], []
-    for seed in seeds:
-        summary = run_eh(replace(config, seed=int(seed)))
-        eh, non = summary.avg_utility, summary.non_eh_utility
-        ehs.append(eh)
-        nons.append(non)
-        gaps.append(eh - non)
+    step = trials_per_call(config)
+    for start in range(0, len(seeds), step):
+        for summary in run_eh(config, seeds=seeds[start:start + step]):
+            eh, non = summary.avg_utility, summary.non_eh_utility
+            ehs.append(eh)
+            nons.append(non)
+            gaps.append(eh - non)
     k = len(seeds)
     mean = math.fsum(gaps) / k
     if k > 1:

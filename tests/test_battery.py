@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ehnet.battery import (
+    VECTOR_LANES,
     BatteryState,
     Regime,
     classify_regime,
@@ -258,3 +260,49 @@ def test_multilink_trajectory_matches_stepwise_primitives(run):
         # bit for bit, so a sign of zero or a last-digit change shows
         assert np.array(got).tobytes() == actual[i].tobytes()
         assert np.float64(state.level).tobytes() == levels[i].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# trajectory: lanes (independent single-link buffers side by side)
+
+# Both signs of zero, so a tie between a zero request and an empty buffer
+# must keep the scalar loop's sign of the grant.
+zero_or_power = st.one_of(st.sampled_from([0.0, -0.0]), finite_power)
+
+
+@st.composite
+def random_lanes(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    # lane counts on both sides of the switch to the vectorised loop
+    k = draw(st.one_of(st.integers(min_value=1, max_value=VECTOR_LANES - 1),
+                       st.integers(min_value=VECTOR_LANES,
+                                   max_value=2 * VECTOR_LANES + 2)))
+    desired = draw(hnp.arrays(np.float64, (n, k), elements=zero_or_power))
+    harvested = draw(hnp.arrays(np.float64, (n, k), elements=zero_or_power))
+    capacity = draw(st.one_of(st.just(math.inf),
+                              st.floats(min_value=0.5, max_value=1e7)))
+    initial = draw(st.floats(min_value=0.0, max_value=0.5))
+    return desired, harvested, capacity, initial
+
+
+@given(random_lanes())
+@settings(max_examples=200, deadline=None)
+def test_lanes_match_one_call_per_lane(run):
+    desired, harvested, capacity, initial = run
+    actual, levels = trajectory(desired, harvested, capacity=capacity,
+                                initial=initial)
+    assert actual.shape == levels.shape == desired.shape
+    for j in range(desired.shape[1]):
+        got, lev = trajectory(desired[:, j], harvested[:, j],
+                              capacity=capacity, initial=initial)
+        assert got.tobytes() == actual[:, j].copy().tobytes()
+        assert lev.tobytes() == levels[:, j].copy().tobytes()
+
+
+def test_lanes_need_matching_shapes():
+    with pytest.raises(ValueError):
+        trajectory(np.zeros(3), np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        trajectory(np.zeros((3, 2)), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        trajectory(np.zeros((3, 2)), np.full((3, 2), -1.0))

@@ -315,6 +315,47 @@ def test_csv_layout_and_roundtrip(tmp_path):
     assert float(first[6]) == rows[0].u_mean
 
 
+# SHA-256 of small sweeps of every experiment (3 trials, n_slots 100 and
+# 1000, one power for fig6), pinned from the code before trials ran in
+# batches.  Any change to the numbers a sweep writes changes one of them.
+SMALL_SWEEP_SHA256 = {
+    "fig1": "c9e242498acf33e5cff45a69115710a38a664cfee0c5c776295479c19d5cdf7c",
+    "fig2": "9c0275a218fd2aaf7a4712e9e1f7fd515aaadf8f174805a70963964a5f20c5a9",
+    "fig3": "1f58c5f23d07aa3769dfdfc3c7fed186baf07488cbfe3e3105c516b55a79daf9",
+    "fig4": "e38d270ed607ffbf45b4b338c5356e7985d0d0a0da11d3d18b9a0072378ff437",
+    "fig5": "a8aec36ba573ff5ce649b0b538c139d92700eeff0d5cd9fe50756545599eb8f4",
+    "fig6": "2689e22f6303de3ff51c2c0e2208f883f895335fd0b149bd13a8b352fe16d537",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL_SWEEP_SHA256))
+def test_small_sweep_csv_is_byte_identical(experiment, tmp_path):
+    spec = replace(default_spec(experiment), trials=3, n_slots=(100, 1000))
+    if experiment == "fig6":
+        spec = replace(spec, p_in_db=spec.p_in_db[:1])
+    path = tmp_path / f"{experiment}.csv"
+    write_csv(run_experiment(spec), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == SMALL_SWEEP_SHA256[experiment]
+
+
+def test_point_rows_batch_trials_by_slot_links(monkeypatch):
+    batches = []
+    real_run_eh = ehnet.experiments.run_eh
+
+    def counting_run_eh(config, *, seeds):
+        batches.append((config.n_slots, len(seeds)))
+        return real_run_eh(config, seeds=seeds)
+
+    monkeypatch.setattr(ehnet.experiments, "run_eh", counting_run_eh)
+    spec = spec_from_dict({"experiment": "fig5", "p_in_db": [0.0],
+                           "n_slots": [100, 5000], "group_size": [5],
+                           "trials": 40})
+    run_experiment(spec)
+    # 2^13 slot-links: 16 trials of 100 slots x 5 links; one of 5000
+    assert batches == [(100, 16), (100, 16), (100, 8)] + [(5000, 1)] * 40
+
+
 def test_seed_changes_results():
     rows1 = run_experiment(tiny_spec())
     rows2 = run_experiment(replace(tiny_spec(), seed=99))
@@ -357,6 +398,31 @@ def test_cli_validate_ok_and_bad(tmp_path, capsys):
     assert main(["validate", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "bogus_key" in err
+
+
+@pytest.mark.parametrize("entry", [
+    '"n_slots": 10.7',
+    '"n_slots": true',
+    '"trials": 2.9',
+    '"trials": Infinity',
+    '"group_size": [1e400]',
+], ids=["fraction", "boolean", "fractional_trials", "infinite_trials",
+        "overflowing_group"])
+def test_cli_validate_rejects_non_integer_counts(tmp_path, capsys, entry):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"experiment": "fig5", ' + entry + '}')
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "must be an integer" in err
+
+
+def test_integral_floats_are_accepted_as_counts():
+    spec = spec_from_dict({"experiment": "fig5", "n_slots": [100.0],
+                           "group_size": 2.0, "trials": 3.0, "seed": 4.0})
+    assert (spec.n_slots, spec.group_size, spec.trials, spec.seed) == (
+        (100,), (2,), 3, 4)
+    assert all(type(v) is int for v in (*spec.n_slots, spec.trials))
 
 
 def test_cli_run_writes_csv(tmp_path):

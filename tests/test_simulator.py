@@ -13,6 +13,7 @@ from ehnet.policies import (
     ConstantPolicy,
     WaterfillPolicy,
 )
+from ehnet.battery import VECTOR_LANES
 from ehnet.simulator import (
     ConfigError,
     LinkSpec,
@@ -21,6 +22,7 @@ from ehnet.simulator import (
     paired_gap,
     run_eh,
     run_non_eh,
+    trials_per_call,
 )
 from ehnet.stochastic import ConstantProcess, ExponentialProcess
 from ehnet.utilities import ChainRateUtility, OutageUtility
@@ -299,6 +301,96 @@ def test_run_eh_pairs_with_reference_run(experiment, starved):
     check_node_averages(cfg, summary, trace)
     check_node_averages(cfg, ref_summary, ref_trace)
 
+
+# ---------------------------------------------------------------------------
+# trial batches
+
+
+def summary_bits(summary):
+    """Every number of a summary as bytes, lazy per-node averages included,
+    so a sign of zero or a last-digit change shows."""
+    fields = [summary.n_slots, summary.avg_utility, summary.non_eh_utility,
+              summary.mismatch_union]
+    for per_node in (summary.avg_in, summary.avg_desired, summary.avg_out,
+                     summary.mismatch_fraction, summary.final_level):
+        fields += [(node, value) for node, value in per_node.items()]
+    return np.array([v for f in fields for v in np.ravel(f)],
+                    dtype=float).tobytes()
+
+
+def trace_bits(trace):
+    arrays = [trace.slots, trace.gains, trace.desired, trace.actual,
+              trace.utility]
+    for per_node in (trace.harvest, trace.levels):
+        arrays += [per_node[node] for node in sorted(per_node)]
+    return [np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def batched_runs(cfg, seeds):
+    """`run_eh` over `seeds` in batches of `trials_per_call(cfg)`, as the
+    sweep and `paired_gap` call it."""
+    step = trials_per_call(cfg)
+    return [result for start in range(0, len(seeds), step)
+            for result in run_eh(cfg, seeds=seeds[start:start + step],
+                                 return_trace=True)]
+
+
+@pytest.mark.parametrize("starved", [True, False], ids=["mismatch", "no_mismatch"])
+@pytest.mark.parametrize("experiment", [f"fig{k}" for k in range(1, 7)])
+def test_batched_trials_equal_separate_runs(experiment, starved):
+    cfg = sweep_config(experiment, starved)
+    step = trials_per_call(cfg)
+    # one trial, two, just past the switch to the vectorised battery
+    # loop, and enough seeds for three batches
+    for size in (1, 2, VECTOR_LANES + 1, 2 * step + 1):
+        seeds = list(range(100, 100 + size))
+        results = batched_runs(cfg, seeds)
+        assert len(results) == size
+        for seed, (summary, trace) in zip(seeds, results):
+            alone, alone_trace = run_eh(replace(cfg, seed=seed),
+                                        return_trace=True)
+            assert summary == alone
+            assert summary_bits(summary) == summary_bits(alone)
+            assert trace_bits(trace) == trace_bits(alone_trace)
+        assert any(s.mismatch_union > 0.0 for s, _ in results) == starved
+
+
+def test_batch_mixing_trials_with_and_without_mismatch():
+    # A small battery that starts full: some trials run dry, some do not,
+    # so the batch evaluates the granted powers for trials that had no
+    # mismatch too.
+    cfg = single_link_config(n=40, power=1.0, capacity=4.0, initial_level=4.0)
+    seeds = list(range(2 * VECTOR_LANES))
+    summaries = run_eh(cfg, seeds=seeds)
+    assert 0 < sum(s.mismatch_union > 0.0 for s in summaries) < len(seeds)
+    for seed, summary in zip(seeds, summaries):
+        alone = run_eh(replace(cfg, seed=seed))
+        assert summary_bits(summary) == summary_bits(alone)
+
+
+def test_batch_delay_lines_restart_at_each_trial():
+    # The chain utility never reads a delay line before its first slot, so
+    # a delayed link under a utility that does: each trial's first slots
+    # must see zero power, not the previous trial's last slots.
+    cfg = replace(single_link_config(n=30, power=4.0, initial_level=1e3),
+                  links=(LinkSpec(0, 1, ExponentialProcess(1.0), delay=3),))
+    seeds = list(range(VECTOR_LANES + 1))
+    for seed, summary in zip(seeds, run_eh(cfg, seeds=seeds)):
+        assert summary_bits(summary) == summary_bits(
+            run_eh(replace(cfg, seed=seed)))
+
+
+def test_batch_without_seeds_is_the_config_seed():
+    cfg = single_link_config(seed=7)
+    assert run_eh(cfg, seeds=[7]) == [run_eh(cfg)]
+    with pytest.raises(ValueError):
+        run_eh(cfg, seeds=[])
+
+
+def test_trials_per_call_fills_the_slot_link_budget():
+    assert trials_per_call(single_link_config(n=100)) == 81
+    assert trials_per_call(single_link_config(n=10_000)) == 1
+    assert trials_per_call(single_link_config(n=10**6)) == 1
 
 
 def test_paired_gap_zero_for_abundant_battery():
