@@ -12,6 +12,9 @@ the next slot.  Overflow past the capacity is discarded silently.
 
 Slots have unit length, so per-slot energy and average power coincide and
 the two words are used interchangeably.
+
+A single-link buffer runs as a walk over running sums, exact bit for bit
+(see `_single_link`).
 """
 
 from __future__ import annotations
@@ -132,10 +135,28 @@ def classify_regime(p_in_avg: float, p_lim_avg: float) -> Regime:
     return Regime.ABSORBING if p_lim_avg < p_in_avg else Regime.NON_ABSORBING
 
 
-# Below this many lanes, `trajectory` runs each lane through the scalar
-# loop; from it on, one pass over the slots with numpy calls across the
-# lanes is faster (measured break-even: 12 to 16 lanes, at 100 slots).
+# Below this many lanes, `trajectory` runs each lane on its own; from it
+# on, one pass over the slots with numpy calls across the lanes is faster.
+# On the fig5 benchmark's 100-slot batches (median of 11) the pass across
+# the lanes took 375-384 us per batch for 8 to 20 lanes, against 355, 438,
+# 524 and 612 us one lane at a time (each by the walk) for 8, 10, 12 and
+# 14 lanes: the break-even is 8 to 10 lanes.  The shipped configs and the
+# benchmark make batches of 4, 8, 16, 19, 20, 38, 40 or 81 lanes, so any
+# value from 9 to 16 routes them alike.
 VECTOR_LANES = 14
+
+# The single-link walk (`_single_link`) accumulates a window of WALK_FIRST
+# slots, doubles it after each clip-free window up to WALK_MAX, and steps
+# WALK_STEPS slots with the scalar loop from each clip on.  On the fig2
+# benchmark's battery inputs (280 runs of 10^4 slots, 1% of slots clip,
+# mostly in clusters), first windows of 64 to 512, caps of 1024 to 8192
+# and 16 to 64 steps all took 103-115 ms (best of 9) against 570 ms for
+# the scalar loop; 8 steps took 127 ms and 128 steps 121 ms.  A fixed
+# window of 256, 512 or 1024 slots took 132-149 ms against 117-124 ms for
+# the growing one (best of 9 and of 15, interleaved, on a busier host).
+WALK_FIRST = 128
+WALK_MAX = 4096
+WALK_STEPS = 32
 
 
 def trajectory(
@@ -163,8 +184,9 @@ def trajectory(
     levels : (n,) buffer level after each slot's deposit; (n, k) for lanes.
 
     Slot i of this function is exactly ``extract_many`` followed by
-    ``deposit`` on scalars; the loop is just the array form of the two.
-    Each lane gets the result of its own 1-D call, bit for bit.
+    ``deposit`` on scalars, bit for bit, and each lane gets the result of
+    its own 1-D call; a single-link buffer takes clip-free stretches
+    whole (see `_single_link`).
     """
     desired = np.asarray(desired, dtype=float)
     harvested = np.asarray(harvested, dtype=float)
@@ -188,10 +210,8 @@ def trajectory(
     if lanes:
         return _lanes(rows, harvested, capacity, initial)
     if rows.shape[1] == 1:
-        out, levels = _single_link(rows[:, 0].tolist(), harvested.tolist(),
-                                   capacity, initial)
-        actual = np.array(out)
-        return (actual if single else actual[:, None]), np.array(levels)
+        actual, levels = _single_link(rows[:, 0], harvested, capacity, initial)
+        return (actual if single else actual[:, None]), levels
 
     # Zero requests draw nothing, so only the nonzero ones are walked.
     # `np.nonzero` lists them slot by slot in link order, which is the
@@ -221,19 +241,67 @@ def trajectory(
     return actual, np.array(levels)
 
 
-def _single_link(want: list, harv: list, capacity: float, level: float):
-    """The slot loop of one single-link buffer, on lists."""
-    n = len(want)
-    out = [0.0] * n
-    levels = [0.0] * n
-    for i in range(n):
-        d = want[i]
+def _single_link(want: np.ndarray, harv: np.ndarray, capacity: float,
+                 level: float):
+    """One single-link buffer: the scalar loop's results, by a walk.
+
+    Between clips, slot i sets ``level = (level - d_i) + h_i``, and IEEE
+    754 defines ``x - d`` as ``x + (-d)``.  So the running sums of
+    ``[level, -d_i, h_i, -d_{i+1}, h_{i+1}, ...]``, added left to right by
+    `np.add.accumulate`, are that stretch's levels bit for bit, and its
+    grants are the requests themselves.  A slot clips when its post-draw
+    sum is negative (``d_i > level``, the grant is the level) or its
+    post-deposit sum exceeds the capacity.  The walk accumulates a window
+    of slots, commits those before its first clip, steps the clip and a
+    few slots after it with the scalar loop, and accumulates again from
+    the level that left, written over the slot's spent harvest.
+    """
+    n = want.shape[0]
+    out = want.copy()
+    events = np.empty(2 * n + 1)
+    np.negative(want, out=events[1::2])
+    events[2::2] = harv
+    sums = np.empty(2 * n + 1)
+    bounded = not math.isinf(capacity)
+    i = 0
+    size = WALK_FIRST
+    while i < n:
+        end = min(n, i + size)
+        events[2 * i] = level
+        window = sums[2 * i:2 * end + 1]
+        np.add.accumulate(events[2 * i:2 * end + 1], out=window)
+        clips = window[1::2] < 0.0
+        if bounded:
+            clips |= window[2::2] > capacity
+        j = int(clips.argmax())
+        if not clips[j]:
+            level = float(window[-1])
+            i = end
+            size = min(2 * size, WALK_MAX)
+            continue
+        i += j
+        stop = min(n, i + WALK_STEPS)
+        got, levels = _steps(want[i:stop].tolist(), harv[i:stop].tolist(),
+                             capacity, float(window[2 * j]))
+        out[i:stop] = got
+        sums[2 * i + 2:2 * stop + 1:2] = levels
+        level = levels[-1]
+        i = stop
+        size = WALK_FIRST
+    return out, sums[2::2].copy()
+
+
+def _steps(want: list, harv: list, capacity: float, level: float):
+    """The scalar slot loop over lists: grants and post-deposit levels."""
+    out = []
+    levels = []
+    for d, h in zip(want, harv):
         a = d if d <= level else level
-        out[i] = a
-        level = level - a + harv[i]
+        out.append(a)
+        level = level - a + h
         if level > capacity:
             level = capacity
-        levels[i] = level
+        levels.append(level)
     return out, levels
 
 
@@ -245,10 +313,8 @@ def _lanes(want: np.ndarray, harv: np.ndarray, capacity: float,
     levels = np.empty((n, k))
     if k < VECTOR_LANES:
         for j in range(k):
-            out, lev = _single_link(want[:, j].tolist(), harv[:, j].tolist(),
-                                    capacity, initial)
-            actual[:, j] = out
-            levels[:, j] = lev
+            actual[:, j], levels[:, j] = _single_link(want[:, j], harv[:, j],
+                                                      capacity, initial)
         return actual, levels
     # The scalar loop's operations in its order, applied across the lanes.
     # `minimum(level, d)` returns d on a tie, as `d if d <= level` does,

@@ -203,7 +203,8 @@ def spec_from_dict(data: dict) -> SweepSpec:
     known = {f.name for f in fields(SweepSpec)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        names = ", ".join(sorted(map(repr, unknown)))  # a key may hold a newline
+        raise ConfigError(f"unknown config keys: {names}")
     if "experiment" not in data:
         raise ConfigError("config needs an 'experiment' key")
     base = default_spec(str(data["experiment"]))
@@ -235,7 +236,7 @@ def spec_from_dict(data: dict) -> SweepSpec:
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
     validate_spec(spec)
     return spec

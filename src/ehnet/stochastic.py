@@ -149,12 +149,11 @@ def expectation_quadrature(
         full_output=1,
     )
     value, abserr = result[0], result[1]
-    if len(result) > 3:
-        message = result[3]
-        if abserr > max(abs_tol, rel_tol * abs(value)):
-            raise QuadratureError(f"quadrature did not converge: {message}")
     if abserr > max(abs_tol, rel_tol * abs(value)):
+        # quad adds a fourth item, its warning, when it flagged a problem;
+        # its lines are joined so the CLI still reports one line
+        detail = ": " + " ".join(result[3].split()) if len(result) > 3 else ""
         raise QuadratureError(
-            f"quadrature error estimate {abserr:.2e} exceeds tolerance"
+            f"quadrature error estimate {abserr:.2e} exceeds tolerance{detail}"
         )
     return value

@@ -10,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from ehnet.battery import (
     VECTOR_LANES,
+    WALK_FIRST,
+    WALK_MAX,
     BatteryState,
     Regime,
     classify_regime,
@@ -198,6 +200,60 @@ def test_trajectory_matches_stepwise_primitives(run):
         state = deposit(state, float(harvested[i]))
         assert got == actual[i]
         assert state.level == levels[i]
+
+
+# ---------------------------------------------------------------------------
+# trajectory: long single-link runs (the walk over running sums)
+
+@st.composite
+def random_long_run(draw):
+    """Runs of 1 up to more than twice WALK_MAX slots, so the walk's
+    windows restart and grow to WALK_MAX, a share of them no longer than
+    two first windows (like the 100-slot lanes of the fig5 sweeps), drawn
+    from a seeded generator: clip-dense (a battery a few harvests deep
+    that starts full), clip-free (no capacity, harvest above the requests)
+    or between; a share of the requests and harvests are exact +0.0 or
+    -0.0."""
+    longest = 2 * WALK_MAX + WALK_FIRST
+    n = draw(st.one_of(st.integers(min_value=1, max_value=2 * WALK_FIRST),
+                       st.integers(min_value=1, max_value=longest),
+                       st.just(longest)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(min_value=1e-3, max_value=1e3))
+    free = draw(st.booleans())
+    surplus = 3.0 if free else draw(st.floats(0.5, 2.0))
+    desired = rng.exponential(scale, n)
+    harvested = rng.exponential(scale * surplus, n)
+    zero_share = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    for arr in (desired, harvested):
+        hit = rng.random(n) < zero_share
+        arr[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+    if free:
+        capacity = math.inf
+        initial = draw(st.floats(min_value=0.0, max_value=scale))
+    else:
+        capacity = scale * draw(st.one_of(st.floats(0.5, 4.0), st.just(200.0)))
+        initial = capacity
+    return desired, harvested, capacity, initial
+
+
+@given(random_long_run())
+@settings(max_examples=80, deadline=None)
+def test_long_trajectory_matches_stepwise_primitives(run):
+    desired, harvested, capacity, initial = run
+    actual, levels = trajectory(desired, harvested, capacity=capacity,
+                                initial=initial)
+    state = BatteryState(level=initial, capacity=capacity)
+    got = []
+    after = []
+    for d, h in zip(desired.tolist(), harvested.tolist()):
+        a, state = extract(state, d)
+        state = deposit(state, h)
+        got.append(a)
+        after.append(state.level)
+    # bit for bit, so a sign of zero or a last-digit change shows
+    assert np.array(got).tobytes() == actual.tobytes()
+    assert np.array(after).tobytes() == levels.tobytes()
 
 
 @given(random_run())

@@ -1,12 +1,18 @@
 """Unit tests for sweep configs, grid runners, CSV output and the CLI."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
-from dataclasses import replace
+import os
+import tempfile
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ehnet.cli
 import ehnet.experiments
@@ -415,6 +421,66 @@ def test_cli_validate_rejects_non_integer_counts(tmp_path, capsys, entry):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "must be an integer" in err
+
+
+# JSON values where a config expects a number, a list or a name: wrong
+# types, nested lists, NaN, +-Infinity and integers too large for a float.
+_fuzz_scalars = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 10**400, -10**400, math.nan,
+                     math.inf, -math.inf, 1e308, -0.0, "", "10", "a\nb"]),
+    st.integers(min_value=-1000, max_value=1000),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(sorted(EXPERIMENT_TITLES)),
+)
+_fuzz_values = st.recursive(
+    _fuzz_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=2)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def fuzzed_config(draw):
+    """A valid config with some keys replaced, dropped or added, or now and
+    then a root that is not an object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_fuzz_values)
+    spec = default_spec(draw(st.sampled_from(sorted(EXPERIMENT_TITLES))))
+    cfg = {**asdict(spec), "trials": 2}
+    keys = sorted(cfg)
+    for key in draw(st.lists(st.sampled_from(keys), unique=True,
+                             min_size=1, max_size=3)):
+        cfg[key] = draw(_fuzz_values)
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=2)):
+        cfg.pop(key, None)
+    if draw(st.integers(0, 3)) == 0:
+        extra = st.one_of(st.text(max_size=6), st.just("a\nb"))
+        cfg.update(draw(st.dictionaries(extra, _fuzz_values, min_size=1,
+                                        max_size=2)))
+    return cfg
+
+
+@given(fuzzed_config())
+@example({"experiment": "fig1", "p_in_db": [10**400]})  # OverflowError
+@example({"experiment": "fig1", "a\nb": 1})  # a newline in the message
+@settings(max_examples=300, deadline=None)
+def test_cli_validate_fuzzed_configs(cfg):
+    # main() must turn every bad config into an exit code and at most one
+    # line on stderr; an exception escaping it would be a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--config", path])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    assert (code == 0) == (err == "")
 
 
 def test_integral_floats_are_accepted_as_counts():

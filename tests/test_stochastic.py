@@ -154,3 +154,14 @@ def test_quadrature_error_on_unresolvable_integrand():
     with pytest.raises(QuadratureError):
         expectation_quadrature(lambda g: math.cos(1e6 * g), exponential_pdf(1.0),
                                abs_tol=1e-14, rel_tol=1e-14)
+
+
+def test_quadrature_error_names_the_quad_warning_in_one_line():
+    # the CLI prints the message as its one stderr line
+    with pytest.raises(QuadratureError) as info:
+        expectation_quadrature(lambda g: math.cos(1e6 * g), exponential_pdf(1.0),
+                               abs_tol=1e-14, rel_tol=1e-14)
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith("quadrature error estimate ")
+    assert "subdivisions" in message
