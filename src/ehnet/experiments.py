@@ -34,8 +34,6 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
 from .policies import (
     AlternatingRelayPolicy,
     AmplifierModel,
@@ -59,6 +57,7 @@ from .stochastic import (
     expectation_quadrature,
     exponential_pdf,
     max_exponential_pdf,
+    seed_states,
 )
 from .utilities import (
     AmplifierRateUtility,
@@ -196,6 +195,14 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+def _as_float(value, name: str) -> float:
+    """`value` as a float.  Integers and floats are taken; booleans and
+    strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def spec_from_dict(data: dict) -> SweepSpec:
     """Build and validate a `SweepSpec` from a parsed config mapping."""
     if not isinstance(data, dict):
@@ -213,12 +220,14 @@ def spec_from_dict(data: dict) -> SweepSpec:
     try:
         spec = SweepSpec(
             experiment=str(merged["experiment"]),
-            p_in_db=tuple(float(p) for p in _as_tuple(merged["p_in_db"])),
+            p_in_db=tuple(
+                _as_float(p, "p_in_db") for p in _as_tuple(merged["p_in_db"])
+            ),
             n_slots=tuple(
                 _as_int(n, "n_slots") for n in _as_tuple(merged["n_slots"])
             ),
             b_max_ratio=tuple(
-                None if r is None else float(r)
+                None if r is None else _as_float(r, "b_max_ratio")
                 for r in _as_tuple(merged["b_max_ratio"], none_ok=True)
             ),
             group_size=tuple(
@@ -226,12 +235,14 @@ def spec_from_dict(data: dict) -> SweepSpec:
             ),
             trials=_as_int(merged["trials"], "trials"),
             seed=_as_int(merged["seed"], "seed"),
-            initial_fill=float(merged["initial_fill"]),
-            rate_threshold=float(merged["rate_threshold"]),
-            amplifier_epsilon=float(merged["amplifier_epsilon"]),
+            initial_fill=_as_float(merged["initial_fill"], "initial_fill"),
+            rate_threshold=_as_float(merged["rate_threshold"],
+                                     "rate_threshold"),
+            amplifier_epsilon=_as_float(merged["amplifier_epsilon"],
+                                        "amplifier_epsilon"),
             circuit_power_db=(
                 None if merged["circuit_power_db"] is None
-                else float(merged["circuit_power_db"])
+                else _as_float(merged["circuit_power_db"], "circuit_power_db")
             ),
         )
     except ConfigError:
@@ -312,8 +323,14 @@ def grid_points(spec: SweepSpec) -> list[GridPoint]:
 
 def trial_seed(master_seed: int, point_index: int, trial: int) -> int:
     """Deterministic per-trial run seed; independent of execution order."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(point_index, trial))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return _trial_seeds(master_seed, point_index, [trial])[0]
+
+
+def _trial_seeds(master_seed: int, point_index: int, trials) -> list[int]:
+    """`trial_seed` of each of `trials`, hashed in one pass: the first
+    word of ``SeedSequence(master_seed, spawn_key=(point_index, trial))``."""
+    keys = [(point_index, t) for t in trials]
+    return seed_states([master_seed], keys, 1)[:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +557,8 @@ def _relay_reference(spec: SweepSpec, p_db: float, hops: int) -> float:
     an unbounded one."""
     p_idx = spec.p_in_db.index(p_db)
     m_idx = spec.group_size.index(hops)
-    ss = np.random.SeedSequence(
-        spec.seed, spawn_key=(_BASELINE_TRIAL, p_idx, m_idx)
-    )
-    seed = int(ss.generate_state(1, np.uint64)[0])
+    key = (_BASELINE_TRIAL, p_idx, m_idx)
+    seed = seed_states([spec.seed], [key], 1)[0, 0].item()
     ref_point = GridPoint(index=-1, p_db=p_db, n=BASELINE_N, ratio=None,
                           m=hops)
     return run_non_eh(build_config(spec, ref_point, seed)).avg_utility
@@ -580,7 +595,7 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 
 
 def _point_rows(spec: SweepSpec, point: GridPoint) -> list[CsvRow]:
-    seeds = [trial_seed(spec.seed, point.index, t) for t in range(spec.trials)]
+    seeds = _trial_seeds(spec.seed, point.index, range(spec.trials))
     # The trials differ only in their seed: one network, run in batches.
     config = build_config(spec, point, seeds[0])
     step = trials_per_call(config)

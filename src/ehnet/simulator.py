@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import battery
-from .stochastic import Stream
+from .stochastic import Stream, seed_states
 
 __all__ = [
     "ConfigError",
@@ -230,20 +230,24 @@ def _mean(values: np.ndarray, n: int) -> float:
 def _sample_inputs(config: SimulationConfig, seeds: list[int]):
     """Each trial's draws from its own streams: per node a (trials, n)
     harvest array, and the gains of all trials stacked trial-major into
-    one (trials * n, links) array."""
+    one (trials * n, links) array.  The seed words of all the streams are
+    computed in one `seed_states` call."""
     n = config.n_slots
     harvest = {t.node: np.empty((len(seeds), n)) for t in config.transmitters}
     gains = np.empty((len(seeds) * n, len(config.links)))
+    harvest_keys = [(_HARVEST_KEY, t.node, 0) for t in config.transmitters]
+    fading_keys = [(_FADING_KEY, link.tx, link.rx) for link in config.links]
+    states = iter(seed_states(seeds, harvest_keys + fading_keys))
     for j, seed in enumerate(seeds):
-        for t in config.transmitters:
-            stream = Stream(seed, (_HARVEST_KEY, t.node, 0))
+        for t, key in zip(config.transmitters, harvest_keys):
+            stream = Stream(seed, key, next(states))
             draws = np.asarray(t.harvest.sample(stream, n), dtype=float)
             if draws.shape != (n,):
                 raise NumericsError(f"harvest process for node {t.node} "
                                     f"returned shape {draws.shape}")
             harvest[t.node][j] = draws
-        for col, link in enumerate(config.links):
-            stream = Stream(seed, (_FADING_KEY, link.tx, link.rx))
+        for col, (link, key) in enumerate(zip(config.links, fading_keys)):
+            stream = Stream(seed, key, next(states))
             draws = np.asarray(link.fading.sample(stream, n), dtype=float)
             if draws.shape != (n,):
                 raise NumericsError(f"fading process for link {link.tx}->"

@@ -12,15 +12,34 @@ a PCG64 generator seeded through `numpy.random.SeedSequence(seed, spawn_key)`
 produces 53-bit uniform doubles, and exponential variates are obtained by
 inverting the CDF (``-mean * log1p(-u)``) rather than through any library
 sampler whose algorithm might change.
+
+`seed_states` gives the PCG64 seed words of many streams at once.  From
+`SEED_LANES` streams on it runs SeedSequence's own algorithm once, with one
+`uint32` lane per stream: the seed's words are padded with zeros to the
+pool size of 4 before the key's words, the pool is hashed in with
+`hashmix`, every pool word is
+mixed into every other one, the remaining words are mixed in one at a
+time, and `generate_state` hashes the pool out.  Each lane applies the
+same wrapping `uint32` operations with the same constants in the same
+order as `SeedSequence` does for that stream alone: the hash constants
+advance one step per `hashmix` call whatever the data, so they are shared
+by all lanes, and a lane whose words run out earlier keeps its pool.  A
+PCG64 reads nothing from its seed source but `generate_state(4, uint64)`,
+so a `Stream` built from its precomputed row draws exactly what the
+`SeedSequence` would have given it.  NumPy's stream-compatibility policy
+(NEP 19) fixes the SeedSequence algorithm, which is what makes this exact.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import integrate
 
 __all__ = [
@@ -31,17 +50,174 @@ __all__ = [
     "expectation_quadrature",
     "exponential_pdf",
     "max_exponential_pdf",
+    "seed_states",
 ]
+
+# From this many streams on, `seed_states` hashes them as one batch of
+# lanes.  Measured with timeit on 64-bit seeds and 3-part keys (Python
+# 3.11, numpy 2.4, shared 2-vCPU VM): the batch costs about 145 us per
+# call plus 1.5 us per stream, one `SeedSequence` about 25 us per stream,
+# and the batch was the faster from 7-8 streams on (174 against 210 us at
+# 8 streams, 168 against 148 us at 6).
+SEED_LANES = 8
+
+# SeedSequence's pool size and hash constants (numpy.random.bit_generator).
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(n) -> list[int]:
+    """`n` as little-endian uint32 words, as `SeedSequence` reads an int."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seeds and key parts must be >= 0, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+@lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first `count` values of a hash constant: init, init * mult, ...
+    modulo 2^32.  Hash call k xors with value k and multiplies by value
+    k + 1.  The array is cached, so it is read-only."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    out = np.array(out, dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+def _mixing_constants() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per pool word `src`, the xor and multiply constants that mix it into
+    the others: hashmix calls 4 + 3 src + i for the i-th other word, in
+    order.  Column `src` gets zeros; its result is discarded."""
+    a = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL + 1)
+    table = []
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        xor, mul = np.zeros(_POOL, np.uint32), np.zeros(_POOL, np.uint32)
+        xor[dst] = a[4 + 3 * src:7 + 3 * src]
+        mul[dst] = a[5 + 3 * src:8 + 3 * src]
+        table.append((xor, mul))
+    return table
+
+
+_MIX_IN = _mixing_constants()
+_16 = np.uint32(16)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray):
+    v = (values ^ xor) * mul
+    return v ^ (v >> _16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> _16)
+
+
+def _hash_lanes(entropy: np.ndarray, lengths: np.ndarray,
+                n_words: int) -> np.ndarray:
+    """`SeedSequence.generate_state(n_words, uint64)` of every row of
+    `entropy`, a zero-padded (rows, width >= pool size) uint32 array of
+    assembled entropy words, of which row r holds `lengths[r]`."""
+    width = entropy.shape[1]
+    # Calls 0-3 take the entropy into the pool, calls 4-15 mix the pool,
+    # and each later word takes four more.
+    a = _hash_constants(_INIT_A, _MULT_A, 4 * width + 1)
+    # Entropy in: pool word i is hashmix call i (zero past a short row).
+    pool = _hashmix(entropy[:, :_POOL], a[:_POOL], a[1:_POOL + 1])
+    # Each pool word, in turn, into each other one.
+    for src, (xor, mul) in enumerate(_MIX_IN):
+        mixed = _mix(pool, _hashmix(pool[:, src:src + 1], xor, mul))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    # Words past the pool, each into every pool word, while a row has them.
+    shortest = lengths.min()
+    for col in range(_POOL, width):
+        k = 4 * col
+        mixed = _mix(pool, _hashmix(entropy[:, col:col + 1],
+                                    a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
+        pool = mixed if col < shortest else np.where(
+            (lengths > col)[:, None], mixed, pool)
+    # Pool out: state word i hashes pool word i % 4.
+    m = 2 * n_words
+    b = _hash_constants(_INIT_B, _MULT_B, m + 1)
+    out = _hashmix(pool[:, np.arange(m) % _POOL], b[:m], b[1:m + 1])
+    # Word 2i is the low half of uint64 word i, as in generate_state.
+    out = np.ascontiguousarray(out, dtype="<u4")
+    return out.view("<u8").astype(np.uint64)
+
+
+def seed_states(seeds, keys, n_words: int = 4) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=key).generate_state(n_words,
+    np.uint64)`` for every seed and key, seed-major: a uint64 array of
+    shape (len(seeds) * len(keys), n_words).
+
+    Seeds and key parts are non-negative integers of any width; a negative
+    one raises `ValueError`.  From `SEED_LANES` rows on, the rows are
+    hashed as one batch of lanes (see the module docstring); fewer go
+    through `SeedSequence` one at a time."""
+    seeds = list(seeds)
+    keys = [tuple(key) for key in keys]
+    rows = len(seeds) * len(keys)
+    if rows < SEED_LANES:
+        states = [np.random.SeedSequence(s, spawn_key=key)
+                  .generate_state(n_words, np.uint64)
+                  for s in seeds for key in keys]
+        return np.array(states, dtype=np.uint64).reshape(rows, n_words)
+    seed_words = [_words(s) for s in seeds]
+    key_words = [[w for part in key for w in _words(part)] for key in keys]
+    # A key's words start after the seed's, padded to the pool size.  With
+    # an empty key the pad changes nothing: hashmix reads zeros there.
+    starts = np.array([max(len(w), _POOL) for w in seed_words])
+    key_lengths = np.array([len(w) for w in key_words])
+    width = int(starts.max() + key_lengths.max())
+    head = np.array([w + [0] * (width - len(w)) for w in seed_words],
+                    dtype=np.uint32)
+    # One zero column past the widest key, for the columns before a start.
+    tail = np.array([w + [0] * (width + 1 - len(w)) for w in key_words],
+                    dtype=np.uint32)
+    cols = np.arange(width) - starts[:, None]
+    cols[cols < 0] = width
+    entropy = head[:, None, :] | tail[:, cols].transpose(1, 0, 2)
+    lengths = starts[:, None] + key_lengths
+    return _hash_lanes(entropy.reshape(rows, width), lengths.ravel(), n_words)
+
+
+class _SeedWords(ISeedSequence):
+    """Seed source handing a bit generator its precomputed state words."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self._words) or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words do not match the request")
+        return self._words
 
 
 class Stream:
-    """Deterministic uniform source for one purpose within a seeded run."""
+    """Deterministic uniform source for one purpose within a seeded run.
 
-    def __init__(self, seed: int, key: tuple[int, ...]):
+    `state`, when given, is this stream's row of
+    ``seed_states([seed], [key])``, computed beforehand with other
+    streams' rows."""
+
+    def __init__(self, seed: int, key: tuple[int, ...], state=None):
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        if state is None:
+            state = seed_states([self.seed], [self.key])[0]
+        self._gen = np.random.Generator(np.random.PCG64(_SeedWords(state)))
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next `n` uniform doubles in [0, 1); consecutive calls continue."""

@@ -345,6 +345,33 @@ def test_small_sweep_csv_is_byte_identical(experiment, tmp_path):
     assert digest == SMALL_SWEEP_SHA256[experiment]
 
 
+# SHA-256 of fig1 sweeps at 100 slots under master seeds of three and five
+# uint32 words, pinned with one SeedSequence per stream and trial seed.
+# Ten trials take the batch hash for both; three take SeedSequence alone.
+LARGE_SEED_SHA256 = {
+    (2**128 + 1, 3):
+        "94572203e9a2956830146df188a9185cc9d786c59dff290b703a0f5f8f4dbc7f",
+    (2**128 + 1, 10):
+        "5b6ded766bb25067694da4c1d5594c528c4fa0d7190bd06789bfc227cba36419",
+    (2**64, 3):
+        "afc44a5392c5d9c13775ecda803d1a35e7cf8bcb54c958353efa44fa7e8d48fc",
+    (2**64, 10):
+        "86a7b315c9b92c3c457409f6990a8658885b885851bc8178535a7e3ab7882039",
+}
+
+
+@pytest.mark.parametrize("seed, trials", sorted(LARGE_SEED_SHA256),
+                         ids=["2^64-3trials", "2^64-10trials",
+                              "2^128+1-3trials", "2^128+1-10trials"])
+def test_large_master_seed_csv_is_byte_identical(seed, trials, tmp_path):
+    spec = replace(default_spec("fig1"), trials=trials, n_slots=(100,),
+                   seed=seed)
+    path = tmp_path / "fig1.csv"
+    write_csv(run_experiment(spec), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == LARGE_SEED_SHA256[(seed, trials)]
+
+
 def test_point_rows_batch_trials_by_slot_links(monkeypatch):
     batches = []
     real_run_eh = ehnet.experiments.run_eh
@@ -421,6 +448,34 @@ def test_cli_validate_rejects_non_integer_counts(tmp_path, capsys, entry):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("entry", [
+    '"p_in_db": ["10"]',
+    '"initial_fill": "0.5"',
+    '"b_max_ratio": ["2e2"]',
+    '"b_max_ratio": [null, "20"]',
+    '"rate_threshold": true',
+    '"circuit_power_db": "-25"',
+], ids=["power_string", "fill_string", "ratio_string", "ratio_after_null",
+        "boolean_threshold", "circuit_string"])
+def test_cli_validate_rejects_non_numeric_floats(tmp_path, capsys, entry):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"experiment": "fig3", ' + entry + '}')
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "must be a number" in err
+
+
+def test_float_fields_take_numbers_and_null_where_allowed():
+    spec = spec_from_dict({"experiment": "fig3", "p_in_db": [10, -2.5],
+                           "b_max_ratio": [None, 20], "initial_fill": 1,
+                           "circuit_power_db": None})
+    assert spec.p_in_db == (10.0, -2.5)
+    assert spec.b_max_ratio == (None, 20.0)
+    assert spec.initial_fill == 1.0 and spec.circuit_power_db is None
+    assert all(type(v) is float for v in (*spec.p_in_db, spec.initial_fill))
 
 
 # JSON values where a config expects a number, a list or a name: wrong

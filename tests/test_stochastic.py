@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ehnet.stochastic import (
+    SEED_LANES,
     ConstantProcess,
     ExponentialProcess,
     QuadratureError,
@@ -13,6 +16,7 @@ from ehnet.stochastic import (
     expectation_quadrature,
     exponential_pdf,
     max_exponential_pdf,
+    seed_states,
 )
 
 
@@ -60,6 +64,79 @@ def test_stream_key_independence_is_plausible():
     b = Stream(5, (0, 2, 0)).uniforms(100000)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# seed words: `seed_states` against SeedSequence itself
+
+# Seeds at the edges of one, two and three uint32 words.
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 1]
+_seeds = st.one_of(st.sampled_from(_EDGE_SEEDS), st.integers(0, 2**160))
+_key_parts = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32]),
+                       st.integers(0, 2**70))
+_keys = st.lists(_key_parts, max_size=4).map(tuple)
+
+
+def _seed_sequence_states(seeds, keys, n_words):
+    return np.array(
+        [np.random.SeedSequence(s, spawn_key=k).generate_state(n_words,
+                                                                np.uint64)
+         for s in seeds for k in keys],
+        dtype=np.uint64,
+    ).reshape(len(seeds) * len(keys), n_words)
+
+
+@given(seeds=st.lists(_seeds, min_size=1, max_size=5),
+       keys=st.lists(_keys, min_size=1, max_size=9),
+       n_words=st.sampled_from([1, 4]))
+@example(seeds=[5], keys=[(0, 1, 0)], n_words=4)
+@example(seeds=[5], keys=[(0, k, 0) for k in range(SEED_LANES - 1)], n_words=4)
+@example(seeds=[5], keys=[(0, k, 0) for k in range(SEED_LANES)], n_words=4)
+@example(seeds=_EDGE_SEEDS, keys=[(), (0,), (2**32,), (1, 2**32 - 1, 2**33, 7)],
+         n_words=4)
+@example(seeds=_EDGE_SEEDS + [3, 2**200], keys=[()], n_words=1)
+@settings(max_examples=300, deadline=None)
+def test_seed_states_equal_seed_sequence(seeds, keys, n_words):
+    # rows run from 1 to 45, so both the per-row SeedSequence branch and
+    # the batch hash (from SEED_LANES rows on) are compared
+    got = seed_states(seeds, keys, n_words)
+    assert got.dtype == np.uint64
+    assert got.shape == (len(seeds) * len(keys), n_words)
+    assert np.array_equal(got, _seed_sequence_states(seeds, keys, n_words))
+
+
+def test_streams_draw_what_their_seed_sequence_gives():
+    seeds = [0, 2**32, 2**64 - 1, 2**128 + 1]
+    keys = [(0, 1, 0), (1, 1, 2), ()]
+    states = seed_states(seeds, keys)
+    assert len(states) >= SEED_LANES
+    rows = iter(states)
+    for seed in seeds:
+        for key in keys:
+            ss = np.random.SeedSequence(seed, spawn_key=key)
+            want = np.random.Generator(np.random.PCG64(ss)).random(257)
+            alone = Stream(seed, key).uniforms(257)
+            batched = Stream(seed, key, next(rows)).uniforms(257)
+            assert alone.tobytes() == want.tobytes()
+            assert batched.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seeds, keys", [
+    ([-1], [(0,)]),
+    ([1], [(0, -1)]),
+    ([-1] + list(range(SEED_LANES)), [(0,)]),
+    (list(range(SEED_LANES)), [(0,), (3, -2)]),
+], ids=["seed", "key_part", "batched_seed", "batched_key_part"])
+def test_negative_seeds_and_key_parts_raise(seeds, keys):
+    with pytest.raises(ValueError):
+        seed_states(seeds, keys)
+
+
+def test_negative_stream_seed_raises():
+    with pytest.raises(ValueError):
+        Stream(-1, (0, 1, 0))
+    with pytest.raises(ValueError):
+        Stream(1, (0, -1, 0))
 
 
 # ---------------------------------------------------------------------------
