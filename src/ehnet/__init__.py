@@ -11,7 +11,7 @@ quadrature), `policies` (power schedules and the budget solver),
 `experiments` (bundled sweeps and CSV output), `cli` (command line).
 """
 
-from .battery import BatteryState, Regime, classify_regime
+from .battery import BatteryState
 from .policies import (
     AlternatingRelayPolicy,
     AmplifierModel,
@@ -33,7 +33,6 @@ from .utilities import (
     AmplifierRateUtility,
     BroadcastSumRateUtility,
     ChainRateUtility,
-    Direction,
     MacBpskBerUtility,
     OutageUtility,
 )
@@ -49,17 +48,14 @@ __all__ = [
     "ChainRateUtility",
     "ConstantPolicy",
     "ConstantProcess",
-    "Direction",
     "ExponentialProcess",
     "LinkSpec",
     "MacBpskBerUtility",
     "MaxGainBroadcastPolicy",
     "OutageUtility",
-    "Regime",
     "SimulationConfig",
     "TransmitterSpec",
     "WaterfillPolicy",
-    "classify_regime",
     "paired_gap",
     "run_eh",
     "run_non_eh",

@@ -21,14 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "BatteryState",
-    "Regime",
-    "classify_regime",
     "deposit",
     "extract",
     "extract_many",
@@ -108,31 +105,6 @@ def deposit(state: BatteryState, harvested: float) -> BatteryState:
     if level > state.capacity:
         level = state.capacity
     return BatteryState(level, state.capacity)
-
-
-class Regime(Enum):
-    """Long-run behaviour of the buffer under an average outflow limit.
-
-    ABSORBING: the outflow limit sits strictly below the average inflow, so
-    surplus energy accumulates and the level grows without bound (until a
-    finite capacity clips it).  NON_ABSORBING: the limit is at or above the
-    inflow and the buffer keeps returning to low levels; the long-run output
-    average then equals the inflow average.
-    """
-
-    ABSORBING = "absorbing"
-    NON_ABSORBING = "non_absorbing"
-
-
-def classify_regime(p_in_avg: float, p_lim_avg: float) -> Regime:
-    """Classify the buffer regime from average inflow and outflow limit."""
-    p_in_avg = float(p_in_avg)
-    if not (p_in_avg > 0.0 and math.isfinite(p_in_avg)):
-        raise ValueError(f"average inflow must be finite and > 0, got {p_in_avg}")
-    p_lim_avg = float(p_lim_avg)
-    if not p_lim_avg >= 0.0:
-        raise ValueError(f"average outflow limit must be >= 0, got {p_lim_avg}")
-    return Regime.ABSORBING if p_lim_avg < p_in_avg else Regime.NON_ABSORBING
 
 
 # Below this many lanes, `trajectory` runs each lane on its own; from it
@@ -333,14 +305,3 @@ def _lanes(want: np.ndarray, harv: np.ndarray, capacity: float,
         level = lev
     return actual, levels
 
-
-if __name__ == "__main__":
-    # Quick self-check of the slot cycle.
-    s = BatteryState(0.0, 10.0)
-    s = deposit(s, 5.0)
-    drawn, s = extract_many(s, [3.0, 4.0])
-    print("drawn", drawn, "level", s.level)
-    assert drawn == [3.0, 2.0] and s.level == 0.0
-    s = deposit(s, 20.0)
-    assert s.level == 10.0
-    print("battery self-check ok")

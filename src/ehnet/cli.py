@@ -16,8 +16,8 @@ import tempfile
 from dataclasses import replace
 
 from .experiments import (
-    EXPERIMENT_TITLES,
-    GROUP_AXIS,
+    EXPERIMENTS,
+    _experiment,
     default_spec,
     grid_points,
     load_spec,
@@ -91,13 +91,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list() -> int:
-    for name in sorted(EXPERIMENT_TITLES):
-        spec = default_spec(name)
-        print(f"{name}  {EXPERIMENT_TITLES[name]}")
+    for name in sorted(EXPERIMENTS):
+        experiment, spec = _experiment(name), default_spec(name)
+        print(f"{name}  {experiment.title}")
         print(
             f"      grid: {len(spec.p_in_db)} power points x "
             f"n={list(spec.n_slots)} x ratio={list(spec.b_max_ratio)} x "
-            f"group={list(spec.group_size)} ({GROUP_AXIS[name]}), "
+            f"group={list(spec.group_size)} ({experiment.group_axis}), "
             f"{spec.trials} trials"
         )
     return 0

@@ -8,9 +8,11 @@ system (``eh``), the unconstrained reference (``non_eh``), and an
 independent baseline (``closed_form``) computed without Monte Carlo
 wherever one exists.
 
-The meaning of the group-size axis depends on the experiment: receivers for
-the broadcast sweep, transmitters for the multi-access sweep, hops for the
-relay chain, unused (1) elsewhere.
+Each experiment is one `EXPERIMENTS` entry: its title, what its group-size
+axis counts (receivers for the broadcast sweep, transmitters for the
+multi-access sweep, hops for the relay chain, unused elsewhere), its
+default grid, and functions that build its network and its baseline at a
+grid point.
 
 Shipped defaults start every battery full.  A battery at a knife-edge
 operating point (request average equal to harvest average) empties itself
@@ -32,7 +34,7 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .policies import (
     AlternatingRelayPolicy,
@@ -48,6 +50,7 @@ from .simulator import (
     NumericsError,
     SimulationConfig,
     TransmitterSpec,
+    mean_stderr,
     run_eh,
     run_non_eh,
     trials_per_call,
@@ -71,7 +74,8 @@ from .utilities import (
 __all__ = [
     "CSV_FIELDS",
     "CsvRow",
-    "EXPERIMENT_TITLES",
+    "EXPERIMENTS",
+    "Experiment",
     "GridPoint",
     "SweepSpec",
     "build_config",
@@ -84,24 +88,6 @@ __all__ = [
     "trial_seed",
     "write_csv",
 ]
-
-EXPERIMENT_TITLES = {
-    "fig1": "point-to-point outage probability vs harvested budget",
-    "fig2": "point-to-point water-filling rate, ideal amplifier",
-    "fig3": "water-filling rate with amplifier slope and circuit draw",
-    "fig4": "opportunistic broadcast sum rate vs receiver count",
-    "fig5": "multi-access BPSK error rate vs transmitter count",
-    "fig6": "half-duplex amplify-and-forward chain rate",
-}
-
-GROUP_AXIS = {
-    "fig1": "unused",
-    "fig2": "unused",
-    "fig3": "unused",
-    "fig4": "receivers",
-    "fig5": "transmitters",
-    "fig6": "hops (even)",
-}
 
 # Reference run length for baselines that need a simulation (relay chain).
 BASELINE_N = 1_000_000
@@ -123,53 +109,6 @@ class SweepSpec:
     rate_threshold: float = 1.0
     amplifier_epsilon: float = 1.0
     circuit_power_db: float | None = None
-
-
-_DEFAULTS: dict[str, SweepSpec] = {
-    "fig1": SweepSpec(
-        experiment="fig1",
-        p_in_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-        n_slots=(100, 10_000),
-    ),
-    "fig2": SweepSpec(
-        experiment="fig2",
-        p_in_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-        n_slots=(100, 10_000),
-    ),
-    "fig3": SweepSpec(
-        experiment="fig3",
-        p_in_db=(-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0),
-        n_slots=(10_000,),
-        b_max_ratio=(20.0, 200.0),
-        amplifier_epsilon=5.0,
-        circuit_power_db=-25.0,
-    ),
-    "fig4": SweepSpec(
-        experiment="fig4",
-        p_in_db=(0.0, 5.0, 10.0, 15.0, 20.0),
-        n_slots=(100, 10_000),
-        group_size=(2, 25),
-    ),
-    "fig5": SweepSpec(
-        experiment="fig5",
-        p_in_db=(0.0, 5.0, 10.0, 15.0),
-        n_slots=(100, 10_000),
-        group_size=(1, 2, 5),
-    ),
-    "fig6": SweepSpec(
-        experiment="fig6",
-        p_in_db=(0.0, 5.0, 10.0, 15.0),
-        n_slots=(100, 10_000),
-        group_size=(2,),
-    ),
-}
-
-
-def default_spec(experiment: str) -> SweepSpec:
-    if experiment not in _DEFAULTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; "
-                          f"known: {', '.join(sorted(_DEFAULTS))}")
-    return _DEFAULTS[experiment]
 
 
 def _as_tuple(value, *, none_ok: bool = False) -> tuple:
@@ -254,15 +193,20 @@ def spec_from_dict(data: dict) -> SweepSpec:
 
 
 def validate_spec(spec: SweepSpec) -> None:
-    if spec.experiment not in _DEFAULTS:
-        raise ConfigError(f"unknown experiment {spec.experiment!r}")
-    if any(not math.isfinite(p) for p in spec.p_in_db):
-        raise ConfigError("p_in_db values must be finite")
+    _experiment(spec.experiment)
     if any(n < 1 for n in spec.n_slots):
         raise ConfigError("n_slots values must be >= 1")
     for r in spec.b_max_ratio:
         if r is not None and not (r > 0.0 and math.isfinite(r)):
             raise ConfigError("b_max_ratio values must be > 0 or null")
+    for p_db in spec.p_in_db:
+        p = _linear_power(p_db, "p_in_db")
+        for r in spec.b_max_ratio:
+            if r is not None and not 0.0 < r * p < math.inf:
+                raise ConfigError(
+                    f"battery capacity b_max_ratio x power = {r!r} x {p!r} "
+                    "is not positive and finite"
+                )
     if any(m < 1 for m in spec.group_size):
         raise ConfigError("group_size values must be >= 1")
     if spec.experiment == "fig6":
@@ -283,10 +227,8 @@ def validate_spec(spec: SweepSpec) -> None:
         raise ConfigError("rate_threshold must be > 0")
     if not spec.amplifier_epsilon >= 1.0:
         raise ConfigError("amplifier_epsilon must be >= 1")
-    if spec.circuit_power_db is not None and not math.isfinite(
-        spec.circuit_power_db
-    ):
-        raise ConfigError("circuit_power_db must be finite or null")
+    if spec.circuit_power_db is not None:
+        _linear_power(spec.circuit_power_db, "circuit_power_db")
 
 
 def load_spec(path) -> SweepSpec:
@@ -334,7 +276,7 @@ def _trial_seeds(master_seed: int, point_index: int, trials) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Per-experiment network builders
+# The experiments: one registry entry each
 # ---------------------------------------------------------------------------
 
 
@@ -342,11 +284,15 @@ def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _battery_geometry(spec: SweepSpec, p: float, ratio: float | None):
-    if ratio is None:
-        return math.inf, 0.0
-    capacity = ratio * p
-    return capacity, spec.initial_fill * capacity
+def _linear_power(db: float, name: str) -> float:
+    """`db` in linear units, which every model needs positive and finite."""
+    try:
+        p = _db_to_linear(db)
+    except OverflowError:
+        p = math.inf
+    if not 0.0 < p < math.inf:
+        raise ConfigError(f"{name} {db!r} dB is not a positive finite power")
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -360,149 +306,216 @@ def _broadcast_threshold(target: float, receivers: int) -> float:
     return solve_lambda(target, "broadcast", num_receivers=receivers)
 
 
-def _circuit_power(spec: SweepSpec) -> float:
-    if spec.circuit_power_db is None:
+def _waterfill(spec: SweepSpec, p: float):
+    """The amplifier and the water-filling threshold at budget `p`.
+
+    The threshold is None when `p` cannot even cover the static draw: the
+    node then stays silent, which pins the rate to exactly zero instead of
+    the vanishing but positive value a threshold solution would give.
+    """
+    db = spec.circuit_power_db
+    pc = 0.0 if db is None else _db_to_linear(db)
+    amp = AmplifierModel(epsilon=spec.amplifier_epsilon, circuit_power=pc)
+    if p <= pc:
+        return amp, None
+    return amp, _waterfill_threshold(p, amp.epsilon, amp.circuit_power)
+
+
+def _one_link():
+    return (LinkSpec(1, 2, ExponentialProcess(1.0)),)
+
+
+def _outage_network(spec, point, p, node):
+    utility = OutageUtility(spec.rate_threshold)
+    return (node(1, ConstantPolicy(p)),), _one_link(), utility
+
+
+def _outage_baseline(spec, point, p):
+    return -math.expm1(-(2.0 ** spec.rate_threshold - 1.0) / p)
+
+
+def _waterfill_network(spec, point, p, node):
+    amp, lam = _waterfill(spec, p)
+    policy = (ConstantPolicy(0.0) if lam is None
+              else WaterfillPolicy(amplifier=amp, lam=lam))
+    return (node(1, policy),), _one_link(), AmplifierRateUtility(amp)
+
+
+def _waterfill_baseline(spec, point, p):
+    amp, lam = _waterfill(spec, p)
+    if lam is None:
         return 0.0
-    return _db_to_linear(spec.circuit_power_db)
+    eps = amp.epsilon
+
+    def rate(g: float) -> float:
+        return math.log2(1.0 + (1.0 / lam - 1.0 / g) * g / (eps * eps))
+
+    return expectation_quadrature(rate, exponential_pdf(1.0), lower=lam)
+
+
+def _broadcast_network(spec, point, p, node):
+    receivers = point.m
+    policy = MaxGainBroadcastPolicy(lam=_broadcast_threshold(p, receivers),
+                                    num_links=receivers)
+    links = tuple(
+        LinkSpec(1, 1 + j, ExponentialProcess(1.0))
+        for j in range(1, receivers + 1)
+    )
+    return (node(1, policy),), links, BroadcastSumRateUtility(receivers)
+
+
+def _broadcast_baseline(spec, point, p):
+    lam = _broadcast_threshold(p, point.m)
+
+    def rate(g: float) -> float:
+        return math.log2(g / lam)
+
+    return expectation_quadrature(
+        rate, max_exponential_pdf(1.0, point.m), lower=lam
+    )
+
+
+def _mac_network(spec, point, p, node):
+    senders = range(1, point.m + 1)
+    sink = point.m + 1
+    txs = tuple(node(k, ConstantPolicy(p)) for k in senders)
+    links = tuple(LinkSpec(k, sink, ExponentialProcess(1.0)) for k in senders)
+    return txs, links, MacBpskBerUtility(point.m)
+
+
+def _mac_baseline(spec, point, p):
+    return rayleigh_bpsk_ber(p, branches=point.m)
+
+
+def _relay_network(spec, point, p, node):
+    hops = point.m
+    hop_gain = float(hops * hops)
+    # Front half: twice the harvest average every other slot, so the
+    # request average equals the harvest average.  Back half: half that,
+    # so its buffers accumulate.
+    txs = tuple(
+        node(k, AlternatingRelayPolicy(
+            node_parity=k % 2,
+            active_power=2.0 * p if k <= hops // 2 else p,
+        ))
+        for k in range(1, hops + 1)
+    )
+    links = tuple(
+        LinkSpec(k, k + 1, ExponentialProcess(hop_gain), delay=hops - k)
+        for k in range(1, hops + 1)
+    )
+    return txs, links, ChainRateUtility(hops)
+
+
+def _relay_baseline(spec, point, p):
+    return _relay_reference(spec, point.p_db, point.m)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One bundled sweep.
+
+    `defaults` are its default `SweepSpec` fields.  At a grid point of
+    linear power p, `network(spec, point, p, node)` returns the
+    ``(transmitters, links, utility)`` of the network, with `node(k,
+    policy)` making transmitter k, and `baseline(spec, point, p)` the
+    Monte-Carlo-free value of the unconstrained system.
+    """
+
+    title: str
+    group_axis: str
+    defaults: dict
+    network: Callable
+    baseline: Callable
+
+
+EXPERIMENTS = {
+    "fig1": Experiment(
+        title="point-to-point outage probability vs harvested budget",
+        group_axis="unused",
+        defaults=dict(p_in_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+                      n_slots=(100, 10_000)),
+        network=_outage_network,
+        baseline=_outage_baseline,
+    ),
+    "fig2": Experiment(
+        title="point-to-point water-filling rate, ideal amplifier",
+        group_axis="unused",
+        defaults=dict(p_in_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+                      n_slots=(100, 10_000)),
+        network=_waterfill_network,
+        baseline=_waterfill_baseline,
+    ),
+    "fig3": Experiment(
+        title="water-filling rate with amplifier slope and circuit draw",
+        group_axis="unused",
+        defaults=dict(
+            p_in_db=(-30.0, -25.0, -20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0),
+            n_slots=(10_000,),
+            b_max_ratio=(20.0, 200.0),
+            amplifier_epsilon=5.0,
+            circuit_power_db=-25.0,
+        ),
+        network=_waterfill_network,
+        baseline=_waterfill_baseline,
+    ),
+    "fig4": Experiment(
+        title="opportunistic broadcast sum rate vs receiver count",
+        group_axis="receivers",
+        defaults=dict(p_in_db=(0.0, 5.0, 10.0, 15.0, 20.0),
+                      n_slots=(100, 10_000), group_size=(2, 25)),
+        network=_broadcast_network,
+        baseline=_broadcast_baseline,
+    ),
+    "fig5": Experiment(
+        title="multi-access BPSK error rate vs transmitter count",
+        group_axis="transmitters",
+        defaults=dict(p_in_db=(0.0, 5.0, 10.0, 15.0), n_slots=(100, 10_000),
+                      group_size=(1, 2, 5)),
+        network=_mac_network,
+        baseline=_mac_baseline,
+    ),
+    "fig6": Experiment(
+        title="half-duplex amplify-and-forward chain rate",
+        group_axis="hops (even)",
+        defaults=dict(p_in_db=(0.0, 5.0, 10.0, 15.0), n_slots=(100, 10_000),
+                      group_size=(2,)),
+        network=_relay_network,
+        baseline=_relay_baseline,
+    ),
+}
+
+
+def _experiment(name: str) -> Experiment:
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; "
+                          f"known: {', '.join(sorted(EXPERIMENTS))}")
+    return EXPERIMENTS[name]
+
+
+def default_spec(experiment: str) -> SweepSpec:
+    return SweepSpec(experiment=experiment,
+                     **_experiment(experiment).defaults)
 
 
 def build_config(spec: SweepSpec, point: GridPoint, seed: int) -> SimulationConfig:
     """Materialize the network for one grid point and one run seed."""
     p = _db_to_linear(point.p_db)
-    capacity, initial = _battery_geometry(spec, p, point.ratio)
-    kind = spec.experiment
+    if point.ratio is None:
+        capacity, initial = math.inf, 0.0
+    else:
+        capacity = point.ratio * p
+        initial = spec.initial_fill * capacity
 
-    if kind == "fig1":
-        tx = TransmitterSpec(
-            node=1,
-            harvest=ExponentialProcess(p),
-            policy=ConstantPolicy(p),
-            capacity=capacity,
-            initial_level=initial,
-        )
-        return SimulationConfig(
-            n_slots=point.n,
-            transmitters=(tx,),
-            links=(LinkSpec(1, 2, ExponentialProcess(1.0)),),
-            utility=OutageUtility(spec.rate_threshold),
-            seed=seed,
-        )
+    def node(k: int, policy) -> TransmitterSpec:
+        return TransmitterSpec(node=k, harvest=ExponentialProcess(p),
+                               policy=policy, capacity=capacity,
+                               initial_level=initial)
 
-    if kind in ("fig2", "fig3"):
-        pc = _circuit_power(spec)
-        amp = AmplifierModel(epsilon=spec.amplifier_epsilon, circuit_power=pc)
-        if p <= pc:
-            # Budget cannot even cover the static draw: stay silent.  This
-            # pins the rate to exactly zero instead of the vanishing but
-            # positive value a threshold solution would give.
-            policy = ConstantPolicy(0.0)
-        else:
-            lam = _waterfill_threshold(p, amp.epsilon, amp.circuit_power)
-            policy = WaterfillPolicy(amplifier=amp, lam=lam)
-        tx = TransmitterSpec(
-            node=1,
-            harvest=ExponentialProcess(p),
-            policy=policy,
-            capacity=capacity,
-            initial_level=initial,
-        )
-        return SimulationConfig(
-            n_slots=point.n,
-            transmitters=(tx,),
-            links=(LinkSpec(1, 2, ExponentialProcess(1.0)),),
-            utility=AmplifierRateUtility(amp),
-            seed=seed,
-        )
-
-    if kind == "fig4":
-        receivers = point.m
-        lam = _broadcast_threshold(p, receivers)
-        tx = TransmitterSpec(
-            node=1,
-            harvest=ExponentialProcess(p),
-            policy=MaxGainBroadcastPolicy(lam=lam, num_links=receivers),
-            capacity=capacity,
-            initial_level=initial,
-        )
-        links = tuple(
-            LinkSpec(1, 1 + j, ExponentialProcess(1.0))
-            for j in range(1, receivers + 1)
-        )
-        return SimulationConfig(
-            n_slots=point.n,
-            transmitters=(tx,),
-            links=links,
-            utility=BroadcastSumRateUtility(receivers),
-            seed=seed,
-        )
-
-    if kind == "fig5":
-        senders = point.m
-        sink = senders + 1
-        txs = tuple(
-            TransmitterSpec(
-                node=k,
-                harvest=ExponentialProcess(p),
-                policy=ConstantPolicy(p),
-                capacity=capacity,
-                initial_level=initial,
-            )
-            for k in range(1, senders + 1)
-        )
-        links = tuple(
-            LinkSpec(k, sink, ExponentialProcess(1.0))
-            for k in range(1, senders + 1)
-        )
-        return SimulationConfig(
-            n_slots=point.n,
-            transmitters=txs,
-            links=links,
-            utility=MacBpskBerUtility(senders),
-            seed=seed,
-        )
-
-    if kind == "fig6":
-        hops = point.m
-        hop_gain = float(hops * hops)
-        txs = []
-        links = []
-        for k in range(1, hops + 1):
-            if k <= hops // 2:
-                # Front half: request average equals harvest average.
-                active, p_lim = 2.0 * p, math.inf
-            else:
-                # Back half: limited to half the harvest average, so the
-                # buffer accumulates (absorbing regime).
-                active, p_lim = p, p / 2.0
-            txs.append(
-                TransmitterSpec(
-                    node=k,
-                    harvest=ExponentialProcess(p),
-                    policy=AlternatingRelayPolicy(
-                        node_parity=k % 2, active_power=active
-                    ),
-                    capacity=capacity,
-                    initial_level=initial,
-                    p_lim_avg=p_lim,
-                )
-            )
-            links.append(
-                LinkSpec(k, k + 1, ExponentialProcess(hop_gain), delay=hops - k)
-            )
-        return SimulationConfig(
-            n_slots=point.n,
-            transmitters=tuple(txs),
-            links=tuple(links),
-            utility=ChainRateUtility(hops),
-            seed=seed,
-        )
-
-    raise ConfigError(f"unknown experiment {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Closed-form / reference baselines
-# ---------------------------------------------------------------------------
+    transmitters, links, utility = _experiment(spec.experiment).network(
+        spec, point, p, node)
+    return SimulationConfig(n_slots=point.n, transmitters=transmitters,
+                            links=links, utility=utility, seed=seed)
 
 
 def closed_form_baseline(spec: SweepSpec, point: GridPoint) -> float:
@@ -512,41 +525,8 @@ def closed_form_baseline(spec: SweepSpec, point: GridPoint) -> float:
     simulation at `BASELINE_N` slots with a seed derived from the master
     seed and the (power, hops) cell, so all rows of one cell agree.
     """
-    p = _db_to_linear(point.p_db)
-    kind = spec.experiment
-
-    if kind == "fig1":
-        return -math.expm1(-(2.0 ** spec.rate_threshold - 1.0) / p)
-
-    if kind in ("fig2", "fig3"):
-        pc = _circuit_power(spec)
-        if p <= pc:
-            return 0.0
-        eps = spec.amplifier_epsilon
-        lam = _waterfill_threshold(p, eps, pc)
-
-        def rate(g: float) -> float:
-            return math.log2(1.0 + (1.0 / lam - 1.0 / g) * g / (eps * eps))
-
-        return expectation_quadrature(rate, exponential_pdf(1.0), lower=lam)
-
-    if kind == "fig4":
-        lam = _broadcast_threshold(p, point.m)
-
-        def rate(g: float) -> float:
-            return math.log2(g / lam)
-
-        return expectation_quadrature(
-            rate, max_exponential_pdf(1.0, point.m), lower=lam
-        )
-
-    if kind == "fig5":
-        return rayleigh_bpsk_ber(p, branches=point.m)
-
-    if kind == "fig6":
-        return _relay_reference(spec, point.p_db, point.m)
-
-    raise ConfigError(f"unknown experiment {kind!r}")
+    return _experiment(spec.experiment).baseline(
+        spec, point, _db_to_linear(point.p_db))
 
 
 @lru_cache(maxsize=None)
@@ -585,15 +565,6 @@ class CsvRow:
 CSV_FIELDS = tuple(f.name for f in fields(CsvRow))
 
 
-def _mean_se(values: list[float]) -> tuple[float, float]:
-    k = len(values)
-    mean = math.fsum(values) / k
-    if k < 2:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (k - 1)
-    return mean, math.sqrt(var / k)
-
-
 def _point_rows(spec: SweepSpec, point: GridPoint) -> list[CsvRow]:
     seeds = _trial_seeds(spec.seed, point.index, range(spec.trials))
     # The trials differ only in their seed: one network, run in batches.
@@ -606,8 +577,8 @@ def _point_rows(spec: SweepSpec, point: GridPoint) -> list[CsvRow]:
             u_non.append(summary.non_eh_utility)
             miss.append(summary.mismatch_union)
     ratio = math.inf if point.ratio is None else point.ratio
-    eh_mean, eh_se = _mean_se(u_eh)
-    non_mean, non_se = _mean_se(u_non)
+    eh_mean, eh_se = mean_stderr(u_eh)
+    non_mean, non_se = mean_stderr(u_non)
     mis_mean = math.fsum(miss) / len(miss)
     baseline = closed_form_baseline(spec, point)
     common = dict(

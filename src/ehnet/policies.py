@@ -217,16 +217,14 @@ def solve_lambda(
     amplifier: AmplifierModel | None = None,
     fading_mean: float = 1.0,
     num_receivers: int = 1,
-    bracket: tuple[float, float] = LAMBDA_BRACKET,
-    max_iter: int = LAMBDA_MAX_ITER,
-    rel_tol: float = LAMBDA_REL_TOL,
 ) -> float:
     """Find the threshold whose expected request equals `target_avg`.
 
     The expected request decreases in the threshold, so plain bisection on
-    the fixed bracket is enough.  Raises `InfeasibleTargetError` when the
-    bracket does not straddle the target and `ThresholdSolverError` when
-    the iteration budget runs out before the relative tolerance is met.
+    the fixed `LAMBDA_BRACKET` is enough.  Raises `InfeasibleTargetError`
+    when the bracket does not straddle the target and
+    `ThresholdSolverError` when `LAMBDA_MAX_ITER` bisections do not reach
+    the relative tolerance `LAMBDA_REL_TOL`.
     """
     if not (target_avg > 0.0 and math.isfinite(target_avg)):
         raise ValueError(f"target_avg must be finite and > 0, got {target_avg}")
@@ -243,15 +241,15 @@ def solve_lambda(
             - target_avg
         )
 
-    lo, hi = bracket
+    lo, hi = LAMBDA_BRACKET
     r_lo, r_hi = residual(lo), residual(hi)
     if r_lo < 0.0 or r_hi > 0.0:
         raise InfeasibleTargetError(
             f"average budget {target_avg} not reachable for thresholds in "
             f"[{lo:g}, {hi:g}] (endpoint residuals {r_lo:g}, {r_hi:g})"
         )
-    tol = rel_tol * target_avg
-    for _ in range(max_iter):
+    tol = LAMBDA_REL_TOL * target_avg
+    for _ in range(LAMBDA_MAX_ITER):
         mid = math.sqrt(lo * hi) if hi / lo > 4.0 else 0.5 * (lo + hi)
         r_mid = residual(mid)
         if abs(r_mid) <= tol:
@@ -261,5 +259,5 @@ def solve_lambda(
         else:
             hi = mid
     raise ThresholdSolverError(
-        f"no threshold within tolerance after {max_iter} bisections"
+        f"no threshold within tolerance after {LAMBDA_MAX_ITER} bisections"
     )

@@ -46,6 +46,7 @@ __all__ = [
     "RunTrace",
     "SimulationConfig",
     "TransmitterSpec",
+    "mean_stderr",
     "paired_gap",
     "run_eh",
     "run_non_eh",
@@ -89,20 +90,13 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class TransmitterSpec:
-    """A transmitting node: harvest process, policy and battery geometry.
-
-    `p_lim_avg` is the node's average transmit-power limit.  It does not
-    constrain individual slots here (policies already respect it by
-    construction); it is carried so runs can report the buffer regime:
-    a limit below the harvest average makes the buffer absorbing.
-    """
+    """A transmitting node: harvest process, policy and battery geometry."""
 
     node: int
     harvest: object
     policy: object
     capacity: float = math.inf
     initial_level: float = 0.0
-    p_lim_avg: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -467,6 +461,16 @@ class GapStatistics:
     n_pairs: int
 
 
+def mean_stderr(values: list[float]) -> tuple[float, float]:
+    """Mean of `values` and its standard error (0 for a single value)."""
+    k = len(values)
+    mean = math.fsum(values) / k
+    if k < 2:
+        return mean, 0.0
+    var = math.fsum((v - mean) ** 2 for v in values) / (k - 1)
+    return mean, math.sqrt(var / k)
+
+
 def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
     """Run both systems on each seed and summarize the paired utility gap.
 
@@ -484,12 +488,7 @@ def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
             nons.append(non)
             gaps.append(eh - non)
     k = len(seeds)
-    mean = math.fsum(gaps) / k
-    if k > 1:
-        var = math.fsum((g - mean) ** 2 for g in gaps) / (k - 1)
-        stderr = math.sqrt(var / k)
-    else:
-        stderr = 0.0
+    mean, stderr = mean_stderr(gaps)
     return GapStatistics(
         gap_mean=mean,
         gap_stderr=stderr,

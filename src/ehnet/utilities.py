@@ -3,8 +3,7 @@
 Free functions compute the per-slot value from realized transmit powers and
 channel gains; they are vectorized over slots.  The small wrapper classes at
 the bottom bind parameters and present the uniform interface the simulator
-consumes: ``evaluate(slots, powers, gains)`` over ``(n, links)`` arrays plus
-a `direction` telling whether larger values are better or worse.
+consumes: ``evaluate(slots, powers, gains)`` over ``(n, links)`` arrays.
 
 Convention: a slot's value is averaged over *all* slots of a run, including
 slots where a utility is structurally zero (for example the odd slots and
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy import special
@@ -26,7 +24,6 @@ __all__ = [
     "AmplifierRateUtility",
     "BroadcastSumRateUtility",
     "ChainRateUtility",
-    "Direction",
     "MacBpskBerUtility",
     "OutageUtility",
     "amplifier_rate",
@@ -39,13 +36,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-class Direction(Enum):
-    """Whether a utility improves as it grows (rate) or shrinks (outage, error)."""
-
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
 
 
 def qfunc(x):
@@ -125,7 +115,7 @@ def rayleigh_bpsk_ber(power: float, branches: int = 1) -> float:
     mu = math.sqrt(power / (1.0 + power))
     acc = 0.0
     for k in range(branches):
-        acc += special.comb(branches - 1 + k, k, exact=True) * ((1.0 + mu) / 2.0) ** k
+        acc += math.comb(branches - 1 + k, k) * ((1.0 + mu) / 2.0) ** k
     return ((1.0 - mu) / 2.0) ** branches * acc
 
 
@@ -137,7 +127,6 @@ def rayleigh_bpsk_ber(power: float, branches: int = 1) -> float:
 @dataclass(frozen=True)
 class OutageUtility:
     rate_threshold: float
-    direction = Direction.DECREASING
     num_links = 1
 
     def evaluate(self, slots, powers, gains):
@@ -147,7 +136,6 @@ class OutageUtility:
 @dataclass(frozen=True)
 class AmplifierRateUtility:
     amplifier: "object"
-    direction = Direction.INCREASING
     num_links = 1
 
     def evaluate(self, slots, powers, gains):
@@ -157,7 +145,6 @@ class AmplifierRateUtility:
 @dataclass(frozen=True)
 class BroadcastSumRateUtility:
     num_links: int
-    direction = Direction.INCREASING
 
     def evaluate(self, slots, powers, gains):
         return broadcast_sum_rate(powers, gains)
@@ -166,7 +153,6 @@ class BroadcastSumRateUtility:
 @dataclass(frozen=True)
 class MacBpskBerUtility:
     num_links: int
-    direction = Direction.DECREASING
 
     def evaluate(self, slots, powers, gains):
         return mac_bpsk_ber(powers, gains)
@@ -177,7 +163,6 @@ class ChainRateUtility:
     """Rate of a relay chain with `num_links` hops (`num_links + 1` nodes)."""
 
     num_links: int
-    direction = Direction.INCREASING
 
     def evaluate(self, slots, powers, gains):
         return chain_rate(powers, gains, slots, self.num_links + 1)

@@ -1,4 +1,4 @@
-"""Unit tests for the battery queue: single steps, trajectories, regimes."""
+"""Unit tests for the battery queue: single steps and trajectories."""
 
 import math
 
@@ -13,8 +13,6 @@ from ehnet.battery import (
     WALK_FIRST,
     WALK_MAX,
     BatteryState,
-    Regime,
-    classify_regime,
     deposit,
     extract,
     extract_many,
@@ -263,24 +261,6 @@ def test_bounded_battery_never_outperforms_unbounded(run):
     bounded, _ = trajectory(desired, harvested, capacity=capacity, initial=initial)
     unbounded, _ = trajectory(desired, harvested, initial=initial)
     assert math.fsum(bounded.tolist()) <= math.fsum(unbounded.tolist()) + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# regime classification
-
-
-def test_regime_boundary_counts_as_non_absorbing():
-    assert classify_regime(2.0, 2.0) is Regime.NON_ABSORBING
-    assert classify_regime(2.0, 2.5) is Regime.NON_ABSORBING
-    assert classify_regime(2.0, 1.9) is Regime.ABSORBING
-    assert classify_regime(2.0, math.inf) is Regime.NON_ABSORBING
-
-
-def test_regime_requires_positive_finite_intake():
-    with pytest.raises(ValueError):
-        classify_regime(0.0, 1.0)
-    with pytest.raises(ValueError):
-        classify_regime(math.inf, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 import ehnet.cli
 import ehnet.experiments
+import ehnet.policies
 from ehnet.cli import main
 from ehnet.experiments import (
     BASELINE_N,
     CSV_FIELDS,
-    EXPERIMENT_TITLES,
+    EXPERIMENTS,
     GridPoint,
     build_config,
     closed_form_baseline,
@@ -45,7 +46,7 @@ TINY = {"n_slots": [50], "trials": 2, "p_in_db": [0.0, 10.0]}
 
 
 def test_all_bundled_experiments_have_defaults():
-    for name in EXPERIMENT_TITLES:
+    for name in EXPERIMENTS:
         spec = default_spec(name)
         validate_spec(spec)
         assert grid_points(spec)
@@ -216,8 +217,6 @@ def test_build_fig6_chain_schedule_and_delays():
     # front half runs at twice the intake, back half at the intake
     assert [t.policy.active_power for t in cfg.transmitters] == pytest.approx(
         [2.0, 2.0, 1.0, 1.0])
-    assert [t.p_lim_avg for t in cfg.transmitters] == pytest.approx(
-        [math.inf, math.inf, 0.5, 0.5])
     # per-hop mean gain grows with the hop count squared
     assert all(l.fading.mean == pytest.approx(16.0) for l in cfg.links)
     cfg.validate()
@@ -417,11 +416,18 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+# SHA-256 of the `list-experiments` output, pinned before the experiments
+# moved into one registry.
+LISTING_SHA256 = (
+    "1b0addc953d3ae5889f26905e519cb5d52aa70291b887b61b4fe7cd78ea23940")
+
+
 def test_cli_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENT_TITLES:
+    for name in EXPERIMENTS:
         assert name in out
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_SHA256
 
 
 def test_cli_validate_ok_and_bad(tmp_path, capsys):
@@ -468,6 +474,25 @@ def test_cli_validate_rejects_non_numeric_floats(tmp_path, capsys, entry):
     assert "must be a number" in err
 
 
+@pytest.mark.parametrize("config", [
+    {"experiment": "fig1", "p_in_db": [4000]},
+    {"experiment": "fig3", "circuit_power_db": 4000},
+    {"experiment": "fig1", "p_in_db": [-4000]},
+    {"experiment": "fig1", "p_in_db": [3080], "b_max_ratio": [200]},
+], ids=["power_overflows", "circuit_power_overflows", "power_underflows",
+        "capacity_overflows"])
+def test_cli_rejects_powers_that_are_not_positive_and_finite(tmp_path, capsys,
+                                                            config):
+    path = write_config(tmp_path, **config)
+    out = tmp_path / "x.csv"
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_float_fields_take_numbers_and_null_where_allowed():
     spec = spec_from_dict({"experiment": "fig3", "p_in_db": [10, -2.5],
                            "b_max_ratio": [None, 20], "initial_fill": 1,
@@ -486,7 +511,7 @@ _fuzz_scalars = st.one_of(
     st.integers(min_value=-1000, max_value=1000),
     st.floats(),
     st.text(max_size=6),
-    st.sampled_from(sorted(EXPERIMENT_TITLES)),
+    st.sampled_from(sorted(EXPERIMENTS)),
 )
 _fuzz_values = st.recursive(
     _fuzz_scalars,
@@ -503,7 +528,7 @@ def fuzzed_config(draw):
     then a root that is not an object at all."""
     if draw(st.integers(0, 9)) == 0:
         return draw(_fuzz_values)
-    spec = default_spec(draw(st.sampled_from(sorted(EXPERIMENT_TITLES))))
+    spec = default_spec(draw(st.sampled_from(sorted(EXPERIMENTS))))
     cfg = {**asdict(spec), "trials": 2}
     keys = sorted(cfg)
     for key in draw(st.lists(st.sampled_from(keys), unique=True,
@@ -580,6 +605,19 @@ def test_cli_unreachable_budget_is_a_numerical_failure(tmp_path, capsys):
     assert main(["run", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_threshold_solver_failure_is_a_numerical_failure(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ehnet.policies, "LAMBDA_MAX_ITER", 1)
+    ehnet.experiments._waterfill_threshold.cache_clear()
+    cfg = write_config(tmp_path, experiment="fig2")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "bisections" in err
+    assert not out.exists()
 
 
 def test_cli_unwritable_out_fails_before_the_sweep(tmp_path, capsys,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import comb, exp1
 
+import ehnet.policies
 from ehnet.policies import (
     LAMBDA_REL_TOL,
     AlternatingRelayPolicy,
@@ -13,6 +14,7 @@ from ehnet.policies import (
     ConstantPolicy,
     InfeasibleTargetError,
     MaxGainBroadcastPolicy,
+    ThresholdSolverError,
     WaterfillPolicy,
     expected_desired_power,
     solve_lambda,
@@ -194,6 +196,12 @@ def test_solver_monotone_in_target():
 def test_unreachable_budget_raises():
     with pytest.raises(InfeasibleTargetError):
         solve_lambda(1e10, "waterfill")
+
+
+def test_solver_gives_up_after_its_bisection_budget(monkeypatch):
+    monkeypatch.setattr(ehnet.policies, "LAMBDA_MAX_ITER", 1)
+    with pytest.raises(ThresholdSolverError, match="after 1 bisections"):
+        solve_lambda(1.0, "waterfill")
 
 
 def test_rejects_nonpositive_target():

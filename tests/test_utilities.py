@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from ehnet.policies import AmplifierModel
 from ehnet.stochastic import expectation_quadrature
 from ehnet.utilities import (
-    AmplifierRateUtility,
     BroadcastSumRateUtility,
     ChainRateUtility,
-    Direction,
-    MacBpskBerUtility,
     OutageUtility,
     amplifier_rate,
     broadcast_sum_rate,
@@ -172,11 +169,8 @@ def test_rayleigh_ber_validation():
 # simulator-facing wrappers
 
 
-def test_wrapper_directions_and_arity():
-    assert OutageUtility(1.0).direction is Direction.DECREASING
-    assert AmplifierRateUtility(AmplifierModel()).direction is Direction.INCREASING
+def test_wrapper_arity():
     assert BroadcastSumRateUtility(4).num_links == 4
-    assert MacBpskBerUtility(2).direction is Direction.DECREASING
     assert ChainRateUtility(2).num_links == 2
 
 
