@@ -1,10 +1,11 @@
 """Command-line front end for the bundled sweep experiments.
 
-Exit codes: 0 on success, 1 for configuration problems (unreadable or
-invalid config, unknown experiment, `--jobs` below 1, an output path that
-cannot be written), 2 for numerical failures (quadrature that cannot
-certify its tolerance, an unreachable power budget, non-finite
-statistics).  Both are reported in one line on stderr.
+Exit codes: 0 on success (and for `-h`), 1 for configuration problems
+(an argument list the parser rejects, unreadable or invalid config,
+unknown experiment, `--jobs` below 1, an output path that cannot be
+written), 2 for numerical failures (quadrature that cannot certify its
+tolerance, an unreachable power budget, non-finite statistics).  Each
+failure is reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -36,8 +37,20 @@ _NUMERICAL_FAILURES = (
 )
 
 
+class _UsageError(Exception):
+    """An argument list that the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises `_UsageError` where argparse would print its usage block and
+    exit 2, the exit code of numerical failures."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ehnet",
         description="Sweep experiments for battery-powered links fed by "
                     "harvested energy.",
@@ -85,7 +98,12 @@ def _cmd_run(args) -> int:
         spec = replace(spec, trials=args.trials)
     _check_writable(args.out)
     rows = run_experiment(spec, jobs=args.jobs)
-    write_csv(rows, args.out)
+    try:
+        write_csv(rows, args.out)
+    except (OSError, ValueError) as exc:
+        # What the probe cannot see: an empty file name, a NUL byte in
+        # the path, a name too long for the file system
+        raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     print(f"{spec.experiment}: {len(rows)} rows -> {args.out}")
     return 0
 
@@ -113,8 +131,18 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _report(kind: str, exc: Exception) -> None:
+    """`kind: exc` as one line on stderr, even where the message echoes an
+    argument or a path that holds a line break."""
+    print(f"{kind}: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _report("usage error", exc)
+        return 1
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -124,10 +152,10 @@ def main(argv=None) -> int:
             return _cmd_validate(args)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _report("config error", exc)
         return 1
     except _NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _report("numerical failure", exc)
         return 2
 
 

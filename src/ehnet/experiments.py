@@ -11,8 +11,8 @@ wherever one exists.
 Each experiment is one `EXPERIMENTS` entry: its title, what its group-size
 axis counts (receivers for the broadcast sweep, transmitters for the
 multi-access sweep, hops for the relay chain, unused elsewhere), its
-default grid, and functions that build its network and its baseline at a
-grid point.
+default grid, functions that build its network and its baseline at a
+grid point, and the scipy modules its sweep uses.
 
 Shipped defaults start every battery full.  A battery at a knife-edge
 operating point (request average equal to harvest average) empties itself
@@ -28,10 +28,10 @@ serial or parallel -- produce byte-identical CSV files.
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -56,6 +56,7 @@ from .simulator import (
     trials_per_call,
 )
 from .stochastic import (
+    LARGEST_EXPONENTIAL_DRAW,
     ExponentialProcess,
     expectation_quadrature,
     exponential_pdf,
@@ -193,7 +194,10 @@ def spec_from_dict(data: dict) -> SweepSpec:
 
 
 def validate_spec(spec: SweepSpec) -> None:
-    _experiment(spec.experiment)
+    """Raise `ConfigError` unless every grid point of `spec` can run, then
+    import the modules its experiment's sweep uses (`Experiment.modules`),
+    so that their import time falls before the sweep."""
+    experiment = _experiment(spec.experiment)
     if any(n < 1 for n in spec.n_slots):
         raise ConfigError("n_slots values must be >= 1")
     for r in spec.b_max_ratio:
@@ -201,6 +205,13 @@ def validate_spec(spec: SweepSpec) -> None:
             raise ConfigError("b_max_ratio values must be > 0 or null")
     for p_db in spec.p_in_db:
         p = _linear_power(p_db, "p_in_db")
+        # The harvest is the largest power of every network: the constant
+        # requests are at most 2p (fig6's front half).
+        if not p * LARGEST_EXPONENTIAL_DRAW < math.inf:
+            raise ConfigError(
+                f"p_in_db {p_db!r} dB: harvest draws of mean {p!r} reach "
+                f"{LARGEST_EXPONENTIAL_DRAW:.1f} times that, which overflows"
+            )
         for r in spec.b_max_ratio:
             if r is not None and not 0.0 < r * p < math.inf:
                 raise ConfigError(
@@ -229,16 +240,20 @@ def validate_spec(spec: SweepSpec) -> None:
         raise ConfigError("amplifier_epsilon must be >= 1")
     if spec.circuit_power_db is not None:
         _linear_power(spec.circuit_power_db, "circuit_power_db")
+    for name in experiment.modules:
+        importlib.import_module(name)
 
 
 def load_spec(path) -> SweepSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep to decode
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte in the path, or bytes that are not UTF-8
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return spec_from_dict(data)
 
 
@@ -419,7 +434,9 @@ class Experiment:
     linear power p, `network(spec, point, p, node)` returns the
     ``(transmitters, links, utility)`` of the network, with `node(k,
     policy)` making transmitter k, and `baseline(spec, point, p)` the
-    Monte-Carlo-free value of the unconstrained system.
+    Monte-Carlo-free value of the unconstrained system.  `modules` names
+    the scipy modules its sweep uses; `validate_spec` imports them, as
+    `import ehnet` loads none.
     """
 
     title: str
@@ -427,6 +444,7 @@ class Experiment:
     defaults: dict
     network: Callable
     baseline: Callable
+    modules: tuple[str, ...]
 
 
 EXPERIMENTS = {
@@ -437,6 +455,7 @@ EXPERIMENTS = {
                       n_slots=(100, 10_000)),
         network=_outage_network,
         baseline=_outage_baseline,
+        modules=(),
     ),
     "fig2": Experiment(
         title="point-to-point water-filling rate, ideal amplifier",
@@ -445,6 +464,7 @@ EXPERIMENTS = {
                       n_slots=(100, 10_000)),
         network=_waterfill_network,
         baseline=_waterfill_baseline,
+        modules=("scipy.integrate",),
     ),
     "fig3": Experiment(
         title="water-filling rate with amplifier slope and circuit draw",
@@ -458,6 +478,7 @@ EXPERIMENTS = {
         ),
         network=_waterfill_network,
         baseline=_waterfill_baseline,
+        modules=("scipy.integrate",),
     ),
     "fig4": Experiment(
         title="opportunistic broadcast sum rate vs receiver count",
@@ -466,6 +487,7 @@ EXPERIMENTS = {
                       n_slots=(100, 10_000), group_size=(2, 25)),
         network=_broadcast_network,
         baseline=_broadcast_baseline,
+        modules=("scipy.integrate",),
     ),
     "fig5": Experiment(
         title="multi-access BPSK error rate vs transmitter count",
@@ -474,6 +496,7 @@ EXPERIMENTS = {
                       group_size=(1, 2, 5)),
         network=_mac_network,
         baseline=_mac_baseline,
+        modules=("scipy.special",),
     ),
     "fig6": Experiment(
         title="half-duplex amplify-and-forward chain rate",
@@ -482,6 +505,7 @@ EXPERIMENTS = {
                       group_size=(2,)),
         network=_relay_network,
         baseline=_relay_baseline,
+        modules=(),
     ),
 }
 
@@ -608,6 +632,8 @@ def run_experiment(spec: SweepSpec, *, jobs: int = 1) -> list[CsvRow]:
     validate_spec(spec)
     points = grid_points(spec)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = dict(
                 pool.map(_point_rows_job, [(spec, pt) for pt in points])

@@ -40,11 +40,11 @@ from typing import Callable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import integrate
 
 __all__ = [
     "ConstantProcess",
     "ExponentialProcess",
+    "LARGEST_EXPONENTIAL_DRAW",
     "QuadratureError",
     "Stream",
     "expectation_quadrature",
@@ -227,6 +227,11 @@ class Stream:
         return f"Stream(seed={self.seed}, key={self.key})"
 
 
+# The largest draw of an `ExponentialProcess` of mean 1.  `Stream.uniforms`
+# gives multiples of 2**-53 below 1, so -log1p(-u) stops at 53 ln 2.
+LARGEST_EXPONENTIAL_DRAW = -math.log1p(-(1.0 - 2.0**-53))
+
+
 @dataclass(frozen=True)
 class ExponentialProcess:
     """I.i.d. exponential draws with the given mean, one per slot.
@@ -315,6 +320,11 @@ def expectation_quadrature(
     (or, for large integrals where that would exceed double precision,
     below ``rel_tol * |value|``).
     """
+    # Imported here, not at module level: it costs about 0.3 s, and only
+    # the experiments that integrate import it when their config is
+    # validated (`Experiment.modules`).
+    from scipy import integrate
+
     result = integrate.quad(
         lambda g: f(g) * pdf(g),
         lower,

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "AmplifierRateUtility",
@@ -40,6 +39,9 @@ _SQRT2 = math.sqrt(2.0)
 
 def qfunc(x):
     """Gaussian tail probability Q(x), via the complementary error function."""
+    # Imported on first use, like `scipy.integrate` in `stochastic`.
+    from scipy import special
+
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 

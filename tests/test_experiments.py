@@ -8,6 +8,7 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from ehnet.experiments import (
 )
 from ehnet.policies import ConstantPolicy, MaxGainBroadcastPolicy, WaterfillPolicy
 from ehnet.simulator import ConfigError
+from ehnet.stochastic import LARGEST_EXPONENTIAL_DRAW, ExponentialProcess
 from ehnet.utilities import rayleigh_bpsk_ber
 
 TINY = {"n_slots": [50], "trials": 2, "p_in_db": [0.0, 10.0]}
@@ -493,6 +495,44 @@ def test_cli_rejects_powers_that_are_not_positive_and_finite(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("ratio", [None, 1.0], ids=["unbounded", "ratio_1"])
+def test_cli_rejects_powers_whose_harvest_draws_overflow(tmp_path, capsys,
+                                                         name, ratio):
+    # p = 1e308 is finite, and so is the capacity at ratio 1, but an
+    # exponential draw reaches 36.7 p; fig6's relays request 2p.
+    path = write_config(tmp_path, experiment=name, p_in_db=[3080],
+                        b_max_ratio=[ratio], group_size=[2])
+    out = tmp_path / "x.csv"
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "overflows" in err
+    assert not out.exists()
+
+
+def test_largest_harvest_draw_bounds_the_accepted_powers():
+    class Top:  # the largest double that `Stream.uniforms` can return
+        def uniforms(self, n):
+            return np.full(n, 1.0 - 2.0**-53)
+
+    assert ExponentialProcess(1.0).sample(Top(), 1)[0] == \
+        LARGEST_EXPONENTIAL_DRAW == 53 * math.log(2.0)
+    # The powers either side of the bound, about 3066.9 dB.
+    for p_db, ok in ((3066.8, True), (3066.9, False)):
+        p = 10.0 ** (p_db / 10.0)
+        assert math.isfinite(p * LARGEST_EXPONENTIAL_DRAW) == ok
+        config = {"experiment": "fig1", "p_in_db": [p_db],
+                  "b_max_ratio": [None]}
+        if ok:
+            spec_from_dict(config)
+        else:
+            with pytest.raises(ConfigError, match="overflows"):
+                spec_from_dict(config)
+
+
 def test_float_fields_take_numbers_and_null_where_allowed():
     spec = spec_from_dict({"experiment": "fig3", "p_in_db": [10, -2.5],
                            "b_max_ratio": [None, 20], "initial_fill": 1,
@@ -599,6 +639,18 @@ def test_cli_missing_config_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"experiment": "fig1", "seed": \xff}',
+], ids=["nested_too_deep", "not_utf8"])
+def test_cli_undecodable_config_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_cli_unreachable_budget_is_a_numerical_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, name="hot.json", experiment="fig2",
                        p_in_db=[120.0])
@@ -646,3 +698,90 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
         assert jobs in err
     assert not swept
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "x.json"],
+    ["run", "--config", "x.json", "--out", "x.csv", "--jobs", "abc"],
+    ["run", "--config", "x.json", "--out", "x.csv", "--trials", "1.5"],
+    ["validate"],
+    ["validate", "--config", "x.json", "extra"],
+    ["bogus"],
+    [],
+], ids=["no_out", "jobs_not_int", "trials_not_int", "no_config",
+        "extra_argument", "unknown_command", "empty"])
+def test_cli_usage_errors_are_one_line_and_exit_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ehnet")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["-h"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: ehnet" in capsys.readouterr().out
+
+
+# Argument tokens: commands and options, small numbers, free text, and
+# placeholders for paths made fresh for each example.
+_PATHS = ("<config>", "<bad-config>", "<missing>", "<dir>", "<out>")
+_fuzz_tokens = st.one_of(
+    st.sampled_from(["run", "validate", "list-experiments", "--config",
+                     "--out", "--seed", "--trials", "--jobs", "-h", "--",
+                     "--conf", "--jobs=2", "-", ""]),
+    st.sampled_from(_PATHS),
+    st.integers(min_value=-3, max_value=3).map(str),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """An argument list, now and then starting from a valid `run` or
+    `validate` call."""
+    head = draw(st.sampled_from([
+        [], ["run", "--config", "<config>", "--out", "<out>"],
+        ["validate", "--config", "<config>"],
+    ]))
+    return head + draw(st.lists(_fuzz_tokens, max_size=6))
+
+
+def _capped_run(spec, *, jobs=1):
+    # The fuzzed arguments may ask for any trial or worker count: check
+    # them as `run_experiment` does, then run at most 2 trials serially.
+    validate_spec(spec)
+    return run_experiment(replace(spec, trials=min(spec.trials, 2)))
+
+
+@given(fuzzed_argv())
+@example(["run", "--config", "<config>", "--out", ""])
+@example(["run", "--config", "<config>", "--out", "a\x00b"])
+@example(["validate", "--config", "a\nb"])
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzzed_arguments(argv):
+    # main() must end every argument list in an exit code and at most one
+    # line on stderr; an exception escaping it would be a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        good = os.path.join(tmp, "cfg.json")
+        with open(good, "w", encoding="utf-8") as fh:
+            json.dump({"experiment": "fig1", **TINY, "p_in_db": [0.0]}, fh)
+        bad = os.path.join(tmp, "bad.json")
+        with open(bad, "wb") as fh:
+            fh.write(b'{"experiment": "fig1", "seed": \xff}')
+        paths = dict(zip(_PATHS, (good, bad, os.path.join(tmp, "nope.json"),
+                                  tmp, os.path.join(tmp, "out.csv"))))
+        argv = [paths.get(token, token) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(ehnet.cli, "run_experiment", _capped_run):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # -h and --help
+                code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    assert (code == 0) == (err == "")
