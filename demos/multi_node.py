@@ -5,8 +5,12 @@ Run:  python3 demos/multi_node.py
 
 from dataclasses import replace
 
-from ehnet.experiments import build_config, default_spec, grid_points
-from ehnet.simulator import paired_gap
+from ehnet.experiments import (
+    build_config,
+    default_spec,
+    grid_points,
+    paired_gap,
+)
 
 
 def broadcast_receiver_invariance():

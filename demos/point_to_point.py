@@ -6,9 +6,13 @@ Run:  python3 demos/point_to_point.py
 import math
 from dataclasses import replace
 
-from ehnet.experiments import build_config, default_spec, grid_points
+from ehnet.experiments import (
+    build_config,
+    default_spec,
+    grid_points,
+    paired_gap,
+)
 from ehnet.policies import solve_lambda
-from ehnet.simulator import paired_gap
 from ehnet.stochastic import expectation_quadrature, exponential_pdf
 
 

@@ -5,8 +5,13 @@ Run:  python3 demos/relay_chain.py
 
 import numpy as np
 
-from ehnet.experiments import build_config, default_spec, grid_points
-from ehnet.simulator import paired_gap, run_eh
+from ehnet.experiments import (
+    build_config,
+    default_spec,
+    grid_points,
+    paired_gap,
+)
+from ehnet.simulator import run_eh
 
 
 def schedule_picture():

@@ -8,10 +8,11 @@ battery-limited performance approaches the unconstrained one.
 Modules: `battery` (the energy buffer), `stochastic` (seeded draws and
 quadrature), `policies` (power schedules and the budget solver),
 `utilities` (per-slot link qualities), `simulator` (the slot loop),
-`experiments` (bundled sweeps and CSV output), `cli` (command line).
+`experiments` (paired trials, sweeps and CSV output), `cli` (command line).
 """
 
 from .battery import BatteryState
+from .experiments import paired_gap
 from .policies import (
     AlternatingRelayPolicy,
     AmplifierModel,
@@ -24,7 +25,6 @@ from .simulator import (
     LinkSpec,
     SimulationConfig,
     TransmitterSpec,
-    paired_gap,
     run_eh,
     run_non_eh,
 )

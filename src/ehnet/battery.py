@@ -179,11 +179,15 @@ def trajectory(
     BatteryState(float(initial), capacity)
     initial = float(initial)
 
-    if lanes:
-        return _lanes(rows, harvested, capacity, initial)
-    if rows.shape[1] == 1:
-        actual, levels = _single_link(rows[:, 0], harvested, capacity, initial)
-        return (actual if single else actual[:, None]), levels
+    # Levels near the float maximum overflow to inf, as the scalar loop's
+    # Python floats do silently; the walk's sums past a clip are discarded.
+    with np.errstate(over="ignore"):
+        if lanes:
+            return _lanes(rows, harvested, capacity, initial)
+        if rows.shape[1] == 1:
+            actual, levels = _single_link(rows[:, 0], harvested, capacity,
+                                          initial)
+            return (actual if single else actual[:, None]), levels
 
     # Zero requests draw nothing, so only the nonzero ones are walked.
     # `np.nonzero` lists them slot by slot in link order, which is the

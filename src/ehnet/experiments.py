@@ -1,9 +1,10 @@
 """Bundled sweep experiments and their reference baselines.
 
 Each experiment sweeps a grid of (average harvested power in dB, run length,
-battery-to-budget ratio, group size) points.  Per grid point it runs a batch
-of seeded trials, each evaluating the system with the battery enforced and
-without it on identical random draws, and emits three CSV rows: the battery
+battery-to-budget ratio, group size) points.  Per grid point `paired_gap`
+runs a batch of seeded trials, each evaluating the system with the battery
+enforced and without it on identical random draws, and the sweep emits
+three CSV rows from its statistics and the baseline: the battery
 system (``eh``), the unconstrained reference (``non_eh``), and an
 independent baseline (``closed_form``) computed without Monte Carlo
 wherever one exists.
@@ -50,10 +51,8 @@ from .simulator import (
     NumericsError,
     SimulationConfig,
     TransmitterSpec,
-    mean_stderr,
     run_eh,
     run_non_eh,
-    trials_per_call,
 )
 from .stochastic import (
     LARGEST_EXPONENTIAL_DRAW,
@@ -77,6 +76,7 @@ __all__ = [
     "CsvRow",
     "EXPERIMENTS",
     "Experiment",
+    "GapStatistics",
     "GridPoint",
     "SweepSpec",
     "build_config",
@@ -84,6 +84,7 @@ __all__ = [
     "default_spec",
     "grid_points",
     "load_spec",
+    "paired_gap",
     "run_experiment",
     "spec_from_dict",
     "trial_seed",
@@ -573,6 +574,75 @@ def _relay_reference(spec: SweepSpec, p_db: float, hops: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Slot-links (slots times links, summed over trials) one batched `run_eh`
+# call may hold.  Short runs then share their policy, utility and battery
+# calls across many trials, while runs of 10^4 slots stay one trial per
+# call; a budget of 2^16 was faster on short runs but raised the peak
+# memory of long multi-trial sweeps.
+BATCH_SLOT_LINKS = 2 ** 13
+
+
+@dataclass(frozen=True)
+class GapStatistics:
+    """Means and standard errors over paired `eh` and `non_eh` runs.
+
+    `gap_*` describe the seedwise difference `eh - non_eh` of the average
+    utility, `eh_*` and `non_eh_*` each system's own averages, and
+    `mismatch_mean` is the mean of the `eh` runs' `mismatch_union`.
+    """
+
+    gap_mean: float
+    gap_stderr: float
+    eh_mean: float
+    eh_stderr: float
+    non_eh_mean: float
+    non_eh_stderr: float
+    mismatch_mean: float
+    n_pairs: int
+
+
+def _mean_stderr(values: list[float]) -> tuple[float, float]:
+    """Mean of `values` and its standard error (0 for a single value)."""
+    k = len(values)
+    mean = math.fsum(values) / k
+    if k < 2:
+        return mean, 0.0
+    var = math.fsum((v - mean) ** 2 for v in values) / (k - 1)
+    return mean, math.sqrt(var / k)
+
+
+def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
+    """Run both systems on each seed of `seeds` and summarize them.
+
+    `config`'s own seed is not used.  `run_eh` yields both averages of a
+    seed, for as many seeds per call as fit in `BATCH_SLOT_LINKS`
+    slot-links, at least one."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    step = max(1, BATCH_SLOT_LINKS // (config.n_slots * len(config.links)))
+    ehs, nons, miss = [], [], []
+    for start in range(0, len(seeds), step):
+        # Only the floats are kept: a summary holds its batch's arrays.
+        for summary in run_eh(config, seeds=seeds[start:start + step]):
+            ehs.append(summary.avg_utility)
+            nons.append(summary.non_eh_utility)
+            miss.append(summary.mismatch_union)
+    gap_mean, gap_stderr = _mean_stderr([e - n for e, n in zip(ehs, nons)])
+    eh_mean, eh_stderr = _mean_stderr(ehs)
+    non_eh_mean, non_eh_stderr = _mean_stderr(nons)
+    return GapStatistics(
+        gap_mean=gap_mean,
+        gap_stderr=gap_stderr,
+        eh_mean=eh_mean,
+        eh_stderr=eh_stderr,
+        non_eh_mean=non_eh_mean,
+        non_eh_stderr=non_eh_stderr,
+        mismatch_mean=math.fsum(miss) / len(miss),
+        n_pairs=len(seeds),
+    )
+
+
 @dataclass(frozen=True)
 class CsvRow:
     experiment_id: str
@@ -591,40 +661,24 @@ CSV_FIELDS = tuple(f.name for f in fields(CsvRow))
 
 def _point_rows(spec: SweepSpec, point: GridPoint) -> list[CsvRow]:
     seeds = _trial_seeds(spec.seed, point.index, range(spec.trials))
-    # The trials differ only in their seed: one network, run in batches.
-    config = build_config(spec, point, seeds[0])
-    step = trials_per_call(config)
-    u_eh, u_non, miss = [], [], []
-    for start in range(0, len(seeds), step):
-        for summary in run_eh(config, seeds=seeds[start:start + step]):
-            u_eh.append(summary.avg_utility)
-            u_non.append(summary.non_eh_utility)
-            miss.append(summary.mismatch_union)
-    ratio = math.inf if point.ratio is None else point.ratio
-    eh_mean, eh_se = mean_stderr(u_eh)
-    non_mean, non_se = mean_stderr(u_non)
-    mis_mean = math.fsum(miss) / len(miss)
+    # The trials differ only in their seed: one network for all of them.
+    stats = paired_gap(build_config(spec, point, seeds[0]), seeds)
     baseline = closed_form_baseline(spec, point)
     common = dict(
         experiment_id=spec.experiment,
         p_in_db=point.p_db,
         n_slots=point.n,
-        b_max_ratio=ratio,
+        b_max_ratio=math.inf if point.ratio is None else point.ratio,
         m=point.m,
     )
     return [
-        CsvRow(mode="eh", u_mean=eh_mean, u_stderr=eh_se,
-               mismatch_mean=mis_mean, **common),
-        CsvRow(mode="non_eh", u_mean=non_mean, u_stderr=non_se,
-               mismatch_mean=0.0, **common),
+        CsvRow(mode="eh", u_mean=stats.eh_mean, u_stderr=stats.eh_stderr,
+               mismatch_mean=stats.mismatch_mean, **common),
+        CsvRow(mode="non_eh", u_mean=stats.non_eh_mean,
+               u_stderr=stats.non_eh_stderr, mismatch_mean=0.0, **common),
         CsvRow(mode="closed_form", u_mean=baseline, u_stderr=0.0,
                mismatch_mean=0.0, **common),
     ]
-
-
-def _point_rows_job(args) -> tuple[int, list[CsvRow]]:
-    spec, point = args
-    return point.index, _point_rows(spec, point)
 
 
 def run_experiment(spec: SweepSpec, *, jobs: int = 1) -> list[CsvRow]:
@@ -634,11 +688,12 @@ def run_experiment(spec: SweepSpec, *, jobs: int = 1) -> list[CsvRow]:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(
-                pool.map(_point_rows_job, [(spec, pt) for pt in points])
+        # Under fork the pool starts all its workers at the first submit,
+        # so it gets no more of them than there are points.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
+            per_point = list(
+                pool.map(_point_rows, [spec] * len(points), points)
             )
-        per_point = [results[pt.index] for pt in points]
     else:
         per_point = [_point_rows(spec, pt) for pt in points]
     rows = [row for batch in per_point for row in batch]

@@ -13,8 +13,7 @@ every request is granted.  Both consume identical random draws for the same
 seed (each node's harvest and each link's fading has its own stream), so a
 seedwise pairing of the two isolates the effect of the battery alone.
 `run_eh` evaluates that pairing itself: from one set of draws it reports
-both its own average utility and the reference system's, and
-`paired_gap` reports their difference over a set of seeds.
+both its own average utility and the reference system's.
 
 Given several seeds, `run_eh` runs them as one batch of trials on the same
 network: each trial draws from its own streams, the policies and the
@@ -39,31 +38,20 @@ from .stochastic import Stream, seed_states
 
 __all__ = [
     "ConfigError",
-    "GapStatistics",
     "LinkSpec",
     "NumericsError",
     "RunSummary",
     "RunTrace",
     "SimulationConfig",
     "TransmitterSpec",
-    "mean_stderr",
-    "paired_gap",
     "run_eh",
     "run_non_eh",
-    "trials_per_call",
 ]
 
 # Stream key prefixes: one stream per (purpose, identity), so adding a node
 # or link never disturbs the draws of the existing ones.
 _HARVEST_KEY = 0
 _FADING_KEY = 1
-
-# Slot-links (slots times links, summed over trials) one batched `run_eh`
-# call may hold.  Short runs then share their policy, utility and battery
-# calls across many trials, while runs of 10^4 slots stay one trial per
-# call; a budget of 2^16 was faster on short runs but raised the peak
-# memory of long multi-trial sweeps.
-BATCH_SLOT_LINKS = 2 ** 13
 
 
 class ConfigError(ValueError):
@@ -424,12 +412,6 @@ def _run(config: SimulationConfig, seeds: list[int], with_battery: bool,
     return results
 
 
-def trials_per_call(config: SimulationConfig) -> int:
-    """How many trials of `config` one batched `run_eh` call should take:
-    as many as fit in `BATCH_SLOT_LINKS` slot-links, at least one."""
-    return max(1, BATCH_SLOT_LINKS // (config.n_slots * len(config.links)))
-
-
 def run_eh(config: SimulationConfig, *, seeds=None,
            return_trace: bool = False):
     """Simulate with the battery in the loop.  Returns a `RunSummary`
@@ -448,51 +430,3 @@ def run_non_eh(config: SimulationConfig, *, return_trace: bool = False):
     """Simulate the reference system: same draws, every request granted,
     battery untouched."""
     return _run(config, [config.seed], False, return_trace)[0]
-
-
-@dataclass(frozen=True)
-class GapStatistics:
-    """Seedwise paired difference `eh - non_eh` of the average utility."""
-
-    gap_mean: float
-    gap_stderr: float
-    eh_mean: float
-    non_eh_mean: float
-    n_pairs: int
-
-
-def mean_stderr(values: list[float]) -> tuple[float, float]:
-    """Mean of `values` and its standard error (0 for a single value)."""
-    k = len(values)
-    mean = math.fsum(values) / k
-    if k < 2:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (k - 1)
-    return mean, math.sqrt(var / k)
-
-
-def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
-    """Run both systems on each seed and summarize the paired utility gap.
-
-    `run_eh` yields both averages, for `trials_per_call(config)` seeds
-    per call."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    gaps, ehs, nons = [], [], []
-    step = trials_per_call(config)
-    for start in range(0, len(seeds), step):
-        for summary in run_eh(config, seeds=seeds[start:start + step]):
-            eh, non = summary.avg_utility, summary.non_eh_utility
-            ehs.append(eh)
-            nons.append(non)
-            gaps.append(eh - non)
-    k = len(seeds)
-    mean, stderr = mean_stderr(gaps)
-    return GapStatistics(
-        gap_mean=mean,
-        gap_stderr=stderr,
-        eh_mean=math.fsum(ehs) / k,
-        non_eh_mean=math.fsum(nons) / k,
-        n_pairs=k,
-    )

@@ -1,6 +1,7 @@
 """Unit tests for the battery queue: single steps and trajectories."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,12 +236,8 @@ def random_long_run(draw):
     return desired, harvested, capacity, initial
 
 
-@given(random_long_run())
-@settings(max_examples=80, deadline=None)
-def test_long_trajectory_matches_stepwise_primitives(run):
-    desired, harvested, capacity, initial = run
-    actual, levels = trajectory(desired, harvested, capacity=capacity,
-                                initial=initial)
+def stepwise(desired, harvested, capacity, initial):
+    """Grants and post-deposit levels of the extract/deposit loop."""
     state = BatteryState(level=initial, capacity=capacity)
     got = []
     after = []
@@ -249,9 +246,42 @@ def test_long_trajectory_matches_stepwise_primitives(run):
         state = deposit(state, h)
         got.append(a)
         after.append(state.level)
+    return np.array(got), np.array(after)
+
+
+@given(random_long_run())
+@settings(max_examples=80, deadline=None)
+def test_long_trajectory_matches_stepwise_primitives(run):
+    desired, harvested, capacity, initial = run
+    actual, levels = trajectory(desired, harvested, capacity=capacity,
+                                initial=initial)
+    got, after = stepwise(desired, harvested, capacity, initial)
     # bit for bit, so a sign of zero or a last-digit change shows
-    assert np.array(got).tobytes() == actual.tobytes()
-    assert np.array(after).tobytes() == levels.tobytes()
+    assert got.tobytes() == actual.tobytes()
+    assert after.tobytes() == levels.tobytes()
+
+
+def test_overflowing_levels_match_stepwise_primitives_silently():
+    # Near the float maximum a level plus a harvest overflows to inf
+    # before the clip to capacity, which the scalar loop's Python floats
+    # do without a word; so must the walk (one lane) and the pass across
+    # lanes, whose sums overflow too.
+    top = float(np.finfo(float).max)
+    rng = np.random.default_rng(3066)
+    n = 3 * WALK_FIRST
+    for shape in ((n,), (n, VECTOR_LANES)):
+        desired = rng.uniform(0.0, top / 8, shape).reshape(n, -1)
+        harvested = rng.uniform(0.0, top, shape).reshape(n, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            actual, levels = trajectory(desired.reshape(shape),
+                                        harvested.reshape(shape),
+                                        capacity=top, initial=top)
+        actual, levels = actual.reshape(n, -1), levels.reshape(n, -1)
+        for j in range(desired.shape[1]):
+            got, after = stepwise(desired[:, j], harvested[:, j], top, top)
+            assert got.tobytes() == actual[:, j].tobytes()
+            assert after.tobytes() == levels[:, j].tobytes()
 
 
 @given(random_run())

@@ -1,5 +1,6 @@
 """Unit tests for sweep configs, grid runners, CSV output and the CLI."""
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -7,7 +8,9 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -301,13 +304,42 @@ def test_run_experiment_row_layout():
 
 
 def test_run_experiment_worker_count_is_invisible(tmp_path):
-    rows_serial = run_experiment(tiny_spec())
-    rows_pool = run_experiment(tiny_spec(), jobs=2)
-    assert rows_serial == rows_pool
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(rows_serial, a)
-    write_csv(rows_pool, b)
-    assert a.read_bytes() == b.read_bytes()
+    # More points than workers, so a worker runs several of them.
+    spec = replace(tiny_spec(), p_in_db=(0.0, 5.0, 10.0, 15.0, 20.0))
+    rows_serial = run_experiment(spec)
+    serial = tmp_path / "serial.csv"
+    write_csv(rows_serial, serial)
+    for jobs in (2, 3):
+        rows_pool = run_experiment(spec, jobs=jobs)
+        assert rows_pool == rows_serial
+        pooled = tmp_path / f"jobs{jobs}.csv"
+        write_csv(rows_pool, pooled)
+        assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_run_experiment_starts_no_more_workers_than_points(monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        """Records the worker count it is asked for; maps in-process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    assert run_experiment(tiny_spec(), jobs=5000) == run_experiment(
+        tiny_spec())
+    assert asked == [2]
 
 
 def test_csv_layout_and_roundtrip(tmp_path):
@@ -375,19 +407,29 @@ def test_large_master_seed_csv_is_byte_identical(seed, trials, tmp_path):
 
 def test_point_rows_batch_trials_by_slot_links(monkeypatch):
     batches = []
-    real_run_eh = ehnet.experiments.run_eh
+    # Only the batch sizes are checked, so no trial is run.
+    summary = SimpleNamespace(avg_utility=0.5, non_eh_utility=0.5,
+                              mismatch_union=0.0)
 
     def counting_run_eh(config, *, seeds):
         batches.append((config.n_slots, len(seeds)))
-        return real_run_eh(config, seeds=seeds)
+        return [summary] * len(seeds)
 
     monkeypatch.setattr(ehnet.experiments, "run_eh", counting_run_eh)
-    spec = spec_from_dict({"experiment": "fig5", "p_in_db": [0.0],
-                           "n_slots": [100, 5000], "group_size": [5],
-                           "trials": 40})
-    run_experiment(spec)
-    # 2^13 slot-links: 16 trials of 100 slots x 5 links; one of 5000
-    assert batches == [(100, 16), (100, 16), (100, 8)] + [(5000, 1)] * 40
+    # 2^13 slot-links: 16 trials of 100 slots x 5 links, one of 5000;
+    # 81 trials of 100 slots x 1 link, one of 10^4 or 10^6.
+    cases = [
+        ({"experiment": "fig5", "n_slots": [100, 5000], "group_size": [5],
+          "trials": 40},
+         [(100, 16), (100, 16), (100, 8)] + [(5000, 1)] * 40),
+        ({"experiment": "fig1", "n_slots": [100, 10_000, 10**6],
+          "trials": 90},
+         [(100, 81), (100, 9)] + [(10_000, 1)] * 90 + [(10**6, 1)] * 90),
+    ]
+    for config, expected in cases:
+        batches.clear()
+        run_experiment(spec_from_dict({"p_in_db": [0.0], **config}))
+        assert batches == expected
 
 
 def test_seed_changes_results():
@@ -630,6 +672,20 @@ def test_cli_overrides_seed_and_trials(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out3),
                  "--trials", "3"]) == 0
     assert len(out3.read_text().splitlines()) == 7
+
+
+@pytest.mark.parametrize("trials", [2, 20], ids=["walk", "lanes"])
+def test_cli_run_near_the_largest_power_is_silent(tmp_path, capsys, trials):
+    # At 3066 dB a level plus a harvest overflows to inf before the clip
+    # to capacity, as the scalar loop's Python floats do without a word.
+    # Two trials take the single-link walk, 20 the pass across lanes.
+    cfg = write_config(tmp_path, p_in_db=[3066], b_max_ratio=[40],
+                       n_slots=[50], trials=trials)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_missing_config_is_a_config_error(tmp_path, capsys):

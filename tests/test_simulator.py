@@ -6,7 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ehnet.experiments import build_config, default_spec, grid_points
+from ehnet.experiments import (
+    BATCH_SLOT_LINKS,
+    build_config,
+    default_spec,
+    grid_points,
+    paired_gap,
+)
 from ehnet.policies import (
     AlternatingRelayPolicy,
     AmplifierModel,
@@ -19,10 +25,8 @@ from ehnet.simulator import (
     LinkSpec,
     SimulationConfig,
     TransmitterSpec,
-    paired_gap,
     run_eh,
     run_non_eh,
-    trials_per_call,
 )
 from ehnet.stochastic import ConstantProcess, ExponentialProcess
 from ehnet.utilities import ChainRateUtility, OutageUtility
@@ -326,10 +330,16 @@ def trace_bits(trace):
     return [np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays]
 
 
+def batch_size(cfg):
+    """Trials per `run_eh` call in `paired_gap`: as many as fit in
+    `BATCH_SLOT_LINKS` slot-links, at least one."""
+    return max(1, BATCH_SLOT_LINKS // (cfg.n_slots * len(cfg.links)))
+
+
 def batched_runs(cfg, seeds):
-    """`run_eh` over `seeds` in batches of `trials_per_call(cfg)`, as the
-    sweep and `paired_gap` call it."""
-    step = trials_per_call(cfg)
+    """`run_eh` over `seeds` in batches of `batch_size(cfg)`, as
+    `paired_gap` calls it."""
+    step = batch_size(cfg)
     return [result for start in range(0, len(seeds), step)
             for result in run_eh(cfg, seeds=seeds[start:start + step],
                                  return_trace=True)]
@@ -339,7 +349,7 @@ def batched_runs(cfg, seeds):
 @pytest.mark.parametrize("experiment", [f"fig{k}" for k in range(1, 7)])
 def test_batched_trials_equal_separate_runs(experiment, starved):
     cfg = sweep_config(experiment, starved)
-    step = trials_per_call(cfg)
+    step = batch_size(cfg)
     # one trial, two, just past the switch to the vectorised battery
     # loop, and enough seeds for three batches
     for size in (1, 2, VECTOR_LANES + 1, 2 * step + 1):
@@ -387,12 +397,6 @@ def test_batch_without_seeds_is_the_config_seed():
         run_eh(cfg, seeds=[])
 
 
-def test_trials_per_call_fills_the_slot_link_budget():
-    assert trials_per_call(single_link_config(n=100)) == 81
-    assert trials_per_call(single_link_config(n=10_000)) == 1
-    assert trials_per_call(single_link_config(n=10**6)) == 1
-
-
 def test_paired_gap_zero_for_abundant_battery():
     cfg = single_link_config(n=400, power=1.0, initial_level=1e6)
     stats = paired_gap(cfg, seeds=range(5))
@@ -410,6 +414,32 @@ def test_paired_gap_nonpositive_for_outage_rate():
     stats = paired_gap(cfg, seeds=range(8))
     assert stats.gap_mean >= 0.0  # more outages with the battery in the way
     assert stats.eh_mean >= stats.non_eh_mean
+
+
+def test_paired_gap_statistics_equal_those_of_separate_runs():
+    # A small battery that starts full runs dry in some trials only, and
+    # 100 seeds of 100 slots take two calls of `run_eh`.
+    cfg = single_link_config(n=100, power=1.0, capacity=4.0, initial_level=4.0)
+    seeds = list(range(100))
+    stats = paired_gap(cfg, seeds)
+    runs = [run_eh(replace(cfg, seed=seed)) for seed in seeds]
+
+    def mean_stderr(values):
+        k = len(values)
+        mean = math.fsum(values) / k
+        var = math.fsum((v - mean) ** 2 for v in values) / (k - 1)
+        return mean, math.sqrt(var / k)
+
+    ehs = [run.avg_utility for run in runs]
+    nons = [run.non_eh_utility for run in runs]
+    assert (stats.eh_mean, stats.eh_stderr) == mean_stderr(ehs)
+    assert (stats.non_eh_mean, stats.non_eh_stderr) == mean_stderr(nons)
+    assert (stats.gap_mean, stats.gap_stderr) == mean_stderr(
+        [eh - non for eh, non in zip(ehs, nons)])
+    assert stats.mismatch_mean == math.fsum(
+        run.mismatch_union for run in runs) / len(runs)
+    assert stats.n_pairs == len(seeds)
+    assert stats.mismatch_mean > 0.0 and stats.gap_stderr > 0.0
 
 
 def test_paired_gap_requires_seeds():
