@@ -12,7 +12,12 @@ from ehnet.experiments import (
     grid_points,
     paired_gap,
 )
-from ehnet.policies import solve_lambda
+from ehnet.policies import (
+    AmplifierModel,
+    WaterfillPolicy,
+    expected_desired_power,
+    solve_lambda,
+)
 from ehnet.stochastic import expectation_quadrature, exponential_pdf
 
 
@@ -57,9 +62,11 @@ def cold_start_penalty():
 def waterfilling():
     print("=== water-filling threshold and rate ===")
     budget = 1.0
-    lam = solve_lambda(budget, "waterfill")
-    spent = expectation_quadrature(
-        lambda g: 1.0 / lam - 1.0 / g, exponential_pdf(1.0), lower=lam)
+    def policy_at(lam):
+        return WaterfillPolicy(AmplifierModel(), lam)
+
+    lam = solve_lambda(budget, policy_at, exponential_pdf(1.0))
+    spent = expected_desired_power(policy_at(lam), exponential_pdf(1.0))
     rate = expectation_quadrature(
         lambda g: math.log2(g / lam), exponential_pdf(1.0), lower=lam)
     print(f"budget {budget}: threshold lam = {lam:.10f}")

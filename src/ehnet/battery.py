@@ -53,6 +53,10 @@ class BatteryState:
     capacity: float = math.inf
 
     def __post_init__(self) -> None:
+        # Python floats, so arithmetic on a numpy scalar given here
+        # overflows to inf silently instead of with a RuntimeWarning.
+        object.__setattr__(self, "level", float(self.level))
+        object.__setattr__(self, "capacity", float(self.capacity))
         if math.isnan(self.level) or self.level < 0.0:
             raise ValueError(f"battery level must be >= 0, got {self.level}")
         if math.isinf(self.level):

@@ -15,11 +15,11 @@ multi-access sweep, hops for the relay chain, unused elsewhere), its
 default grid, functions that build its network and its baseline at a
 grid point, and the scipy modules its sweep uses.
 
-Shipped defaults start every battery full.  A battery at a knife-edge
-operating point (request average equal to harvest average) empties itself
-on the scale of sqrt(run length) when started empty, and that start-up
-transient distorts short runs far from the asymptotic behaviour the sweeps
-are meant to expose; `initial_fill` is the config knob that controls it.
+Shipped defaults start every battery full (`initial_fill` 1.0).  At the
+default `b_max_ratio` of 200 that banks 200 slots of mean harvest, which a
+100-slot run never draws down: every shipped 100-slot `eh` row has mismatch
+0, so those rows measure no battery at all.  Set `initial_fill` to 0.0 to
+start empty and see the cold-start transient instead.
 
 Reproducibility contract: per-trial seeds derive deterministically from
 (master seed, grid index, trial index), so reruns of the same config --
@@ -314,12 +314,15 @@ def _linear_power(db: float, name: str) -> float:
 @lru_cache(maxsize=None)
 def _waterfill_threshold(target: float, epsilon: float, circuit_power: float):
     amp = AmplifierModel(epsilon=epsilon, circuit_power=circuit_power)
-    return solve_lambda(target, "waterfill", amplifier=amp)
+    return solve_lambda(target, lambda lam: WaterfillPolicy(amp, lam),
+                        exponential_pdf(1.0))
 
 
 @lru_cache(maxsize=None)
 def _broadcast_threshold(target: float, receivers: int) -> float:
-    return solve_lambda(target, "broadcast", num_receivers=receivers)
+    return solve_lambda(target,
+                        lambda lam: MaxGainBroadcastPolicy(lam, receivers),
+                        max_exponential_pdf(1.0, receivers))
 
 
 def _waterfill(spec: SweepSpec, p: float):
@@ -362,9 +365,12 @@ def _waterfill_baseline(spec, point, p):
     if lam is None:
         return 0.0
     eps = amp.epsilon
+    # The amplifier radiates (request - circuit_power) / eps, which is an
+    # ideal amplifier's request at the same threshold divided by eps**2.
+    ideal = WaterfillPolicy(AmplifierModel(), lam)
 
     def rate(g: float) -> float:
-        return math.log2(1.0 + (1.0 / lam - 1.0 / g) * g / (eps * eps))
+        return math.log2(1.0 + ideal.request(g) * g / (eps * eps))
 
     return expectation_quadrature(rate, exponential_pdf(1.0), lower=lam)
 

@@ -7,24 +7,24 @@ buffers, or the realized draws of the battery.  Feasibility against the
 battery is the simulator's job: the battery grants what it can and the
 difference shows up as mismatch.
 
-The fading-adaptive policies (`WaterfillPolicy`, `MaxGainBroadcastPolicy`)
-carry a gain threshold `lam`; `solve_lambda` picks it so that the expected
-requested power matches a prescribed average budget, evaluating the
-expectation by deterministic quadrature over the gain density.
+The threshold policies (`WaterfillPolicy`, `MaxGainBroadcastPolicy`) carry
+a gain threshold `lam`, and each states its request at a gain above the
+threshold once, in its `request` method; `desired_powers` and the budget
+both call it.  `solve_lambda(target_avg, policy_at, gain_pdf)` picks the
+threshold: it bisects on `lam` until the expected request of
+`policy_at(lam)`, a deterministic quadrature of `request` over the density
+`gain_pdf` of the gain the policy compares with `lam`, equals the budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .stochastic import (
-    expectation_quadrature,
-    exponential_pdf,
-    max_exponential_pdf,
-)
+from .stochastic import expectation_quadrature
 
 __all__ = [
     "AlternatingRelayPolicy",
@@ -82,27 +82,28 @@ class ConstantPolicy:
 class WaterfillPolicy:
     """Channel-adaptive single-link policy for a lossy amplifier.
 
-    Above the gain threshold `lam` the request is
-    ``circuit_power + (1/lam - 1/gain)/epsilon``; at or below the threshold
-    the node stays silent.  With `lam` from `solve_lambda` the long-run
-    request average equals the power budget.
+    Above the gain threshold `lam` the node requests `request(gain)`; at or
+    below the threshold it stays silent.  With `lam` from `solve_lambda`
+    the long-run request average equals the power budget.
     """
 
     amplifier: AmplifierModel
     lam: float
-    num_links: int = 1
+    num_links = 1
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if self.num_links != 1:
-            raise ValueError("waterfilling drives a single link")
+
+    def request(self, g):
+        """``circuit_power + (1/lam - 1/g)/epsilon``, for floats or arrays."""
+        amp = self.amplifier
+        return amp.circuit_power + (1.0 / self.lam - 1.0 / g) / amp.epsilon
 
     def desired_powers(self, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
         g = np.asarray(gains, dtype=float).reshape(len(slots), 1)
-        amp = self.amplifier
         with np.errstate(divide="ignore"):
-            fill = amp.circuit_power + (1.0 / self.lam - 1.0 / g) / amp.epsilon
+            fill = self.request(g)
         return np.where(g > self.lam, fill, 0.0)
 
 
@@ -111,7 +112,7 @@ class MaxGainBroadcastPolicy:
     """Serve only the strongest of several receivers, when strong enough.
 
     The receiver with the largest gain (lowest index on ties) gets
-    ``1/lam - 1/gain`` if its gain reaches the threshold `lam`; everyone
+    `request(gain)` if its gain reaches the threshold `lam`; everyone
     else, and every slot whose best gain falls short, gets zero.
     """
 
@@ -124,12 +125,16 @@ class MaxGainBroadcastPolicy:
         if self.num_links < 1:
             raise ValueError("need at least one receiver")
 
+    def request(self, g):
+        """``1/lam - 1/g``, for floats or arrays."""
+        return 1.0 / self.lam - 1.0 / g
+
     def desired_powers(self, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
         g = np.asarray(gains, dtype=float).reshape(len(slots), self.num_links)
         winner = np.argmax(g, axis=1)  # first maximum wins ties
         best = g[np.arange(len(slots)), winner]
         with np.errstate(divide="ignore"):
-            power = np.where(best >= self.lam, 1.0 / self.lam - 1.0 / best, 0.0)
+            power = np.where(best >= self.lam, self.request(best), 0.0)
         out = np.zeros_like(g)
         out[np.arange(len(slots)), winner] = power
         return out
@@ -147,7 +152,7 @@ class AlternatingRelayPolicy:
 
     node_parity: int
     active_power: float
-    num_links: int = 1
+    num_links = 1
 
     def __post_init__(self) -> None:
         if self.node_parity not in (0, 1):
@@ -156,8 +161,6 @@ class AlternatingRelayPolicy:
             raise ValueError(
                 f"active_power must be finite and >= 0, got {self.active_power}"
             )
-        if self.num_links != 1:
-            raise ValueError("relay schedule drives a single link")
 
     def desired_powers(self, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
         slots = np.asarray(slots)
@@ -178,48 +181,26 @@ class ThresholdSolverError(RuntimeError):
     """Bisection failed to reach the requested tolerance."""
 
 
-def expected_desired_power(
-    lam: float,
-    family: str,
-    *,
-    amplifier: AmplifierModel | None = None,
-    fading_mean: float = 1.0,
-    num_receivers: int = 1,
-) -> float:
+def expected_desired_power(policy, gain_pdf: Callable[[float], float]) -> float:
     """Expected per-slot request of a threshold policy, by quadrature.
 
-    `family` is ``"waterfill"`` (expectation over the link's exponential
-    gain) or ``"broadcast"`` (over the maximum gain among `num_receivers`
-    links, summed across receivers -- only the winner requests power).
+    `gain_pdf` is the density of the gain the policy compares with its
+    threshold: the link's gain for `WaterfillPolicy`, the largest of the
+    receivers' gains for `MaxGainBroadcastPolicy` (only the winner
+    requests power).
     """
-    if family == "waterfill":
-        amp = amplifier if amplifier is not None else AmplifierModel()
-        pdf = exponential_pdf(fading_mean)
-
-        def request(g: float) -> float:
-            return amp.circuit_power + (1.0 / lam - 1.0 / g) / amp.epsilon
-
-    elif family == "broadcast":
-        pdf = max_exponential_pdf(fading_mean, num_receivers)
-
-        def request(g: float) -> float:
-            return 1.0 / lam - 1.0 / g
-
-    else:
-        raise ValueError(f"unknown policy family {family!r}")
-    return expectation_quadrature(request, pdf, lower=lam)
+    return expectation_quadrature(policy.request, gain_pdf, lower=policy.lam)
 
 
 def solve_lambda(
     target_avg: float,
-    family: str,
-    *,
-    amplifier: AmplifierModel | None = None,
-    fading_mean: float = 1.0,
-    num_receivers: int = 1,
+    policy_at: Callable[[float], object],
+    gain_pdf: Callable[[float], float],
 ) -> float:
     """Find the threshold whose expected request equals `target_avg`.
 
+    `policy_at(lam)` builds the threshold policy at `lam`, and `gain_pdf`
+    is the density `expected_desired_power` integrates its request over.
     The expected request decreases in the threshold, so plain bisection on
     the fixed `LAMBDA_BRACKET` is enough.  Raises `InfeasibleTargetError`
     when the bracket does not straddle the target and
@@ -230,16 +211,7 @@ def solve_lambda(
         raise ValueError(f"target_avg must be finite and > 0, got {target_avg}")
 
     def residual(lam: float) -> float:
-        return (
-            expected_desired_power(
-                lam,
-                family,
-                amplifier=amplifier,
-                fading_mean=fading_mean,
-                num_receivers=num_receivers,
-            )
-            - target_avg
-        )
+        return expected_desired_power(policy_at(lam), gain_pdf) - target_avg
 
     lo, hi = LAMBDA_BRACKET
     r_lo, r_hi = residual(lo), residual(hi)

@@ -27,7 +27,9 @@ from ehnet.experiments import (
     write_csv,
 )
 from ehnet.policies import (
+    AmplifierModel,
     ConstantPolicy,
+    WaterfillPolicy,
     expected_desired_power,
     solve_lambda,
 )
@@ -240,15 +242,18 @@ def test_criterion_4_waterfilling_oracle(capsys, fig2_run):
     t0 = time.perf_counter()
 
     # threshold solver meets its relative budget at every grid power
+    def ideal(lam):
+        return WaterfillPolicy(AmplifierModel(), lam)
+
     worst_resid = 0.0
     for p_db in spec.p_in_db:
         p = 10.0 ** (p_db / 10.0)
-        lam = solve_lambda(p, "waterfill")
-        worst_resid = max(
-            worst_resid, abs(expected_desired_power(lam, "waterfill") - p) / p)
+        lam = solve_lambda(p, ideal, exponential_pdf(1.0))
+        spent = expected_desired_power(ideal(lam), exponential_pdf(1.0))
+        worst_resid = max(worst_resid, abs(spent - p) / p)
 
     # long-run reference simulation against the quadrature rate
-    lam1 = solve_lambda(1.0, "waterfill")
+    lam1 = solve_lambda(1.0, ideal, exponential_pdf(1.0))
     rate_q = expectation_quadrature(
         lambda g: math.log2(g / lam1), exponential_pdf(1.0), lower=lam1)
     point = one_point(spec, n=10_000, p_db=0.0)

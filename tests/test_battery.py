@@ -51,6 +51,15 @@ def test_deposit_clips_at_capacity():
     assert s3.level == 5.0
 
 
+def test_deposit_numpy_level_near_max_clips_silently():
+    top = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = deposit(BatteryState(top, top), top)
+    assert s.level == s.capacity
+    assert type(s.level) is float
+
+
 def test_deposit_unbounded_capacity_never_clips():
     s = deposit(BatteryState(level=1e300), 1e300)
     assert s.level == 2e300

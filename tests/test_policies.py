@@ -19,7 +19,12 @@ from ehnet.policies import (
     expected_desired_power,
     solve_lambda,
 )
-from ehnet.stochastic import ExponentialProcess, Stream
+from ehnet.stochastic import (
+    ExponentialProcess,
+    Stream,
+    exponential_pdf,
+    max_exponential_pdf,
+)
 
 # bisection on the fixed bracket for a unit budget, ideal amplifier,
 # unit-mean fading; re-derived offline with an independent root finder
@@ -28,6 +33,14 @@ LAMBDA_STAR_UNIT_BUDGET = 0.3937738450451183
 
 def slots(n):
     return np.arange(1, n + 1)
+
+
+def ideal_waterfill(lam):
+    return WaterfillPolicy(AmplifierModel(), lam)
+
+
+def solve_waterfill(target):
+    return solve_lambda(target, ideal_waterfill, exponential_pdf(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +96,23 @@ def test_broadcast_silent_when_best_gain_below_threshold():
     assert np.all(out == 0.0)
 
 
+@pytest.mark.parametrize("policy, gains", [
+    (WaterfillPolicy(AmplifierModel(epsilon=5.0, circuit_power=0.2), lam=0.8),
+     np.array([[3.0], [0.8], [0.5], [0.0], [0.8000001], [1e6]])),
+    (MaxGainBroadcastPolicy(lam=0.8, num_links=3),
+     np.array([[3.0, 3.0, 1.0], [0.2, 0.8, 0.5], [0.1, 0.3, 0.7],
+               [0.9, 2.5, 2.5], [1e6, 0.0, 7.0]])),
+], ids=["waterfill", "broadcast"])
+def test_desired_powers_apply_request_above_threshold(policy, gains):
+    out = policy.desired_powers(slots(len(gains)), gains)
+    winner = np.argmax(gains, axis=1)  # the only column that may request
+    for row, k in enumerate(winner):
+        g = float(gains[row, k])
+        want = policy.request(g) if g > policy.lam else 0.0
+        assert out[row, k].tobytes() == np.float64(want).tobytes()
+        assert np.all(np.delete(out[row], k) == 0.0)
+
+
 def test_relay_parity_schedule():
     even = AlternatingRelayPolicy(node_parity=0, active_power=2.0)
     odd = AlternatingRelayPolicy(node_parity=1, active_power=2.0)
@@ -98,8 +128,6 @@ def test_policy_validation():
         ConstantPolicy(-1.0)
     with pytest.raises(ValueError):
         WaterfillPolicy(AmplifierModel(), lam=0.0)
-    with pytest.raises(ValueError):
-        WaterfillPolicy(AmplifierModel(), lam=1.0, num_links=2)
     with pytest.raises(ValueError):
         MaxGainBroadcastPolicy(lam=1.0, num_links=0)
     with pytest.raises(ValueError):
@@ -136,14 +164,14 @@ def broadcast_mean_closed_form(lam, m_receivers):
 @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 3.0])
 def test_waterfill_expectation_matches_closed_form(lam):
     amp = AmplifierModel(epsilon=5.0, circuit_power=0.2)
-    got = expected_desired_power(lam, "waterfill", amplifier=amp)
+    got = expected_desired_power(WaterfillPolicy(amp, lam), exponential_pdf(1.0))
     assert got == pytest.approx(waterfill_mean_closed_form(lam, amp), rel=1e-9)
 
 
 @pytest.mark.parametrize("lam", [0.2, 1.0])
 def test_waterfill_expectation_nonunit_fading(lam):
     amp = AmplifierModel()
-    got = expected_desired_power(lam, "waterfill", amplifier=amp, fading_mean=4.0)
+    got = expected_desired_power(WaterfillPolicy(amp, lam), exponential_pdf(4.0))
     want = waterfill_mean_closed_form(lam, amp, fading_mean=4.0)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -151,13 +179,9 @@ def test_waterfill_expectation_nonunit_fading(lam):
 @pytest.mark.parametrize("m", [1, 2, 5, 25])
 def test_broadcast_expectation_matches_closed_form(m):
     lam = 0.7
-    got = expected_desired_power(lam, "broadcast", num_receivers=m)
+    got = expected_desired_power(MaxGainBroadcastPolicy(lam, m),
+                                 max_exponential_pdf(1.0, m))
     assert got == pytest.approx(broadcast_mean_closed_form(lam, m), rel=1e-8)
-
-
-def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        expected_desired_power(1.0, "beamforming")
 
 
 # ---------------------------------------------------------------------------
@@ -165,52 +189,53 @@ def test_unknown_family_rejected():
 
 
 def test_solver_meets_its_residual_budget():
-    lam = solve_lambda(1.0, "waterfill")
-    resid = expected_desired_power(lam, "waterfill") - 1.0
+    lam = solve_waterfill(1.0)
+    resid = expected_desired_power(ideal_waterfill(lam), exponential_pdf(1.0)) - 1.0
     assert abs(resid) <= LAMBDA_REL_TOL * 1.0
 
 
 def test_solver_regression_unit_budget():
-    lam = solve_lambda(1.0, "waterfill")
+    lam = solve_waterfill(1.0)
     assert lam == pytest.approx(LAMBDA_STAR_UNIT_BUDGET, rel=1e-6)
 
 
 def test_broadcast_single_receiver_reduces_to_waterfill():
-    a = solve_lambda(1.0, "waterfill")
-    b = solve_lambda(1.0, "broadcast", num_receivers=1)
+    a = solve_waterfill(1.0)
+    b = solve_lambda(1.0, lambda lam: MaxGainBroadcastPolicy(lam, 1),
+                     max_exponential_pdf(1.0, 1))
     assert a == pytest.approx(b, rel=1e-12)
 
 
 @pytest.mark.parametrize("target", [0.01, 0.5, 2.0, 100.0])
 def test_solver_closed_form_inversion(target):
-    lam = solve_lambda(target, "waterfill")
+    lam = solve_waterfill(target)
     want = waterfill_mean_closed_form(lam, AmplifierModel())
     assert want == pytest.approx(target, rel=1e-7)
 
 
 def test_solver_monotone_in_target():
-    lams = [solve_lambda(t, "waterfill") for t in (0.1, 1.0, 10.0)]
+    lams = [solve_waterfill(t) for t in (0.1, 1.0, 10.0)]
     assert lams[0] > lams[1] > lams[2]
 
 
 def test_unreachable_budget_raises():
     with pytest.raises(InfeasibleTargetError):
-        solve_lambda(1e10, "waterfill")
+        solve_waterfill(1e10)
 
 
 def test_solver_gives_up_after_its_bisection_budget(monkeypatch):
     monkeypatch.setattr(ehnet.policies, "LAMBDA_MAX_ITER", 1)
     with pytest.raises(ThresholdSolverError, match="after 1 bisections"):
-        solve_lambda(1.0, "waterfill")
+        solve_waterfill(1.0)
 
 
 def test_rejects_nonpositive_target():
     with pytest.raises(ValueError):
-        solve_lambda(0.0, "waterfill")
+        solve_waterfill(0.0)
 
 
 def test_monte_carlo_request_average_hits_budget():
-    lam = solve_lambda(1.0, "waterfill")
+    lam = solve_waterfill(1.0)
     stream = Stream(123, (0, 0, 0))
     gains = ExponentialProcess(1.0).sample(stream, 1_000_000)
     policy = WaterfillPolicy(AmplifierModel(), lam=lam)
@@ -220,7 +245,8 @@ def test_monte_carlo_request_average_hits_budget():
 
 def test_monte_carlo_broadcast_average_hits_budget():
     m = 3
-    lam = solve_lambda(2.0, "broadcast", num_receivers=m)
+    lam = solve_lambda(2.0, lambda lam: MaxGainBroadcastPolicy(lam, m),
+                       max_exponential_pdf(1.0, m))
     stream = Stream(456, (0, 0, 0))
     gains = ExponentialProcess(1.0).sample(stream, 3_000_000).reshape(-1, m)
     policy = MaxGainBroadcastPolicy(lam=lam, num_links=m)
