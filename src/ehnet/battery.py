@@ -116,9 +116,10 @@ def deposit(state: BatteryState, harvested: float) -> BatteryState:
 # On the fig5 benchmark's 100-slot batches (median of 11) the pass across
 # the lanes took 375-384 us per batch for 8 to 20 lanes, against 355, 438,
 # 524 and 612 us one lane at a time (each by the walk) for 8, 10, 12 and
-# 14 lanes: the break-even is 8 to 10 lanes.  The shipped configs and the
-# benchmark make batches of 4, 8, 16, 19, 20, 38, 40 or 81 lanes, so any
-# value from 9 to 16 routes them alike.
+# 14 lanes: the break-even is 8 to 10 lanes.  The simulator passes one
+# lane per trial it runs side by side (`simulator.CHUNK_SLOT_LINKS`): the
+# shipped configs and the benchmark make groups of 1, 3, 5, 35, 37, 65,
+# 100, 163 or 200 lanes, so any value from 6 to 35 routes them alike.
 VECTOR_LANES = 14
 
 # The single-link walk (`_single_link`) accumulates a window of WALK_FIRST
@@ -151,8 +152,13 @@ def trajectory(
         (n, k) for k independent single-link buffers ("lanes"): lane j
         serves ``desired[:, j]`` from ``harvested[:, j]``, and `desired`
         must then be (n, k) too.
-    capacity, initial : buffer size and level before the first slot,
-        shared by all lanes.
+    capacity : buffer size, shared by all lanes.
+    initial : level before the first slot: a scalar, or for lanes one
+        level per lane, a (k,) array.  Each must be a valid
+        `BatteryState` level, except that an unbounded buffer may start
+        at inf, where its level goes when a sum overflows; so a run split
+        at any slot and resumed from the levels its first part returned
+        gives the whole run's results.
 
     Returns
     -------
@@ -179,15 +185,19 @@ def trajectory(
         raise ValueError("desired powers must be finite and >= 0")
     if np.any(harvested < 0.0) or not np.all(np.isfinite(harvested)):
         raise ValueError("harvested powers must be finite and >= 0")
-    # Validate capacity/initial through the state type, then run on floats.
-    BatteryState(float(initial), capacity)
-    initial = float(initial)
+    start = np.asarray(initial, dtype=float)
+    if start.shape not in ((), rows.shape[1:] if lanes else ()):
+        raise ValueError(f"initial shape {start.shape} does not match "
+                         f"{rows.shape[1:] if lanes else ()}")
+    _check_levels(start.ravel(), capacity)
 
     # Levels near the float maximum overflow to inf, as the scalar loop's
     # Python floats do silently; the walk's sums past a clip are discarded.
     with np.errstate(over="ignore"):
         if lanes:
-            return _lanes(rows, harvested, capacity, initial)
+            return _lanes(rows, harvested, capacity,
+                          np.broadcast_to(start, rows.shape[1:]))
+        initial = float(start)
         if rows.shape[1] == 1:
             actual, levels = _single_link(rows[:, 0], harvested, capacity,
                                           initial)
@@ -221,6 +231,15 @@ def trajectory(
     return actual, np.array(levels)
 
 
+def _check_levels(levels: np.ndarray, capacity: float) -> None:
+    """Raise `BatteryState`'s error for the first of `levels` that cannot
+    start a buffer of `capacity`, or for the capacity itself.  A level of
+    inf passes in an unbounded buffer only: `BatteryState` takes no inf
+    level, but an unbounded level that overflowed stays there."""
+    bad = np.flatnonzero(~((levels >= 0.0) & (levels <= capacity)))
+    BatteryState(float(levels[bad[0]]) if len(bad) else 0.0, capacity)
+
+
 def _single_link(want: np.ndarray, harv: np.ndarray, capacity: float,
                  level: float):
     """One single-link buffer: the scalar loop's results, by a walk.
@@ -239,7 +258,10 @@ def _single_link(want: np.ndarray, harv: np.ndarray, capacity: float,
     n = want.shape[0]
     out = want.copy()
     events = np.empty(2 * n + 1)
-    np.negative(want, out=events[1::2])
+    # Negate the contiguous copy: numpy 2.4's `negative` writes wrong values
+    # into a strided output from an input with a stride of 64 bytes, the
+    # column of a lane among 8 links.
+    np.negative(out, out=events[1::2])
     events[2::2] = harv
     sums = np.empty(2 * n + 1)
     bounded = not math.isinf(capacity)
@@ -286,15 +308,16 @@ def _steps(want: list, harv: list, capacity: float, level: float):
 
 
 def _lanes(want: np.ndarray, harv: np.ndarray, capacity: float,
-           initial: float):
-    """k single-link buffers side by side: the columns of `want`/`harv`."""
+           initial: np.ndarray):
+    """k single-link buffers side by side: the columns of `want`/`harv`,
+    lane j starting from ``initial[j]``."""
     n, k = want.shape
     actual = np.empty((n, k))
     levels = np.empty((n, k))
     if k < VECTOR_LANES:
         for j in range(k):
-            actual[:, j], levels[:, j] = _single_link(want[:, j], harv[:, j],
-                                                      capacity, initial)
+            actual[:, j], levels[:, j] = _single_link(
+                want[:, j], harv[:, j], capacity, float(initial[j]))
         return actual, levels
     # The scalar loop's operations in its order, applied across the lanes.
     # `minimum(level, d)` returns d on a tie, as `d if d <= level` does,
@@ -303,7 +326,7 @@ def _lanes(want: np.ndarray, harv: np.ndarray, capacity: float,
     harv = np.ascontiguousarray(harv)
     bounded = not math.isinf(capacity)
     minimum, subtract, add = np.minimum, np.subtract, np.add
-    level = np.full(k, initial)
+    level = initial
     for d, h, a, lev in zip(want, harv, actual, levels):
         minimum(level, d, out=a)
         subtract(level, a, out=lev)

@@ -580,14 +580,6 @@ def _relay_reference(spec: SweepSpec, p_db: float, hops: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Slot-links (slots times links, summed over trials) one batched `run_eh`
-# call may hold.  Short runs then share their policy, utility and battery
-# calls across many trials, while runs of 10^4 slots stay one trial per
-# call; a budget of 2^16 was faster on short runs but raised the peak
-# memory of long multi-trial sweeps.
-BATCH_SLOT_LINKS = 2 ** 13
-
-
 @dataclass(frozen=True)
 class GapStatistics:
     """Means and standard errors over paired `eh` and `non_eh` runs.
@@ -620,20 +612,15 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
     """Run both systems on each seed of `seeds` and summarize them.
 
-    `config`'s own seed is not used.  `run_eh` yields both averages of a
-    seed, for as many seeds per call as fit in `BATCH_SLOT_LINKS`
-    slot-links, at least one."""
+    `config`'s own seed is not used.  One `run_eh` call yields both
+    averages of every seed."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    step = max(1, BATCH_SLOT_LINKS // (config.n_slots * len(config.links)))
-    ehs, nons, miss = [], [], []
-    for start in range(0, len(seeds), step):
-        # Only the floats are kept: a summary holds its batch's arrays.
-        for summary in run_eh(config, seeds=seeds[start:start + step]):
-            ehs.append(summary.avg_utility)
-            nons.append(summary.non_eh_utility)
-            miss.append(summary.mismatch_union)
+    runs = run_eh(config, seeds=seeds)
+    ehs = [run.avg_utility for run in runs]
+    nons = [run.non_eh_utility for run in runs]
+    miss = [run.mismatch_union for run in runs]
     gap_mean, gap_stderr = _mean_stderr([e - n for e, n in zip(ehs, nons)])
     eh_mean, eh_stderr = _mean_stderr(ehs)
     non_eh_mean, non_eh_stderr = _mean_stderr(nons)

@@ -15,11 +15,16 @@ seedwise pairing of the two isolates the effect of the battery alone.
 `run_eh` evaluates that pairing itself: from one set of draws it reports
 both its own average utility and the reference system's.
 
-Given several seeds, `run_eh` runs them as one batch of trials on the same
-network: each trial draws from its own streams, the policies and the
-utility see all trials' slots stacked, and single-link batteries step all
-trials at once.  Each trial's summary equals that of a run on its seed
-alone, bit for bit.
+Given several seeds, `run_eh` runs one trial per seed on the same network.
+Trials run side by side in groups: each trial draws from its own streams,
+the policies and the utility see all the group's slots stacked, and
+single-link batteries step the whole group at once.  A group walks through
+time in chunks, carrying battery levels, delay lines and running counts
+from one chunk to the next, so a call holds about `CHUNK_SLOT_LINKS`
+slot-links of per-slot arrays however long or wide its runs are.  Each
+trial's summary equals that of a run on its seed alone, bit for bit:
+streams continue across chunks, the battery resumes from the levels it
+returned, and policies and utilities act slot by slot.
 
 Averages over slots use exact compensated summation, and run averages count
 *all* slots, including ones where the utility is structurally zero.
@@ -27,6 +32,7 @@ Averages over slots use exact compensated summation, and run averages count
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -52,6 +58,12 @@ __all__ = [
 # or link never disturbs the draws of the existing ones.
 _HARVEST_KEY = 0
 _FADING_KEY = 1
+
+# Slot-links (slots times links, summed over the trials side by side) in
+# one chunk of a run.  A call runs CHUNK_SLOT_LINKS // (n_slots * links)
+# trials side by side, at least one, and walks them in chunks of
+# CHUNK_SLOT_LINKS // (trials * links) slots, at least one.
+CHUNK_SLOT_LINKS = 2 ** 15
 
 
 class ConfigError(ValueError):
@@ -141,21 +153,39 @@ class SimulationConfig:
             )
 
 
-class _NodeMeans(Mapping):
-    """Read-only map from node id to a slot average, each entry computed on
-    first read.  `values(node)` returns that node's per-slot array and
-    raises `KeyError` for a node the run does not have."""
+def _node_averages(config: SimulationConfig, seed: int, with_battery: bool,
+                   trace: "RunTrace | None") -> dict[str, dict[int, float]]:
+    """One trial's per-node averages of harvest ("in"), requests
+    ("desired") and grants ("out"), from its trace; without one, from a
+    re-run of the trial with its trace."""
+    if trace is None:
+        _, trace = _run(config, [seed], with_battery, True)[0]
+    n = config.n_slots
+    columns = _link_columns(config)
+    return {
+        "in": {node: _mean(h, n) for node, h in trace.harvest.items()},
+        "desired": {node: _mean(trace.desired[:, cols], n)
+                    for node, cols in columns.items()},
+        "out": {node: _mean(trace.actual[:, cols], n)
+                for node, cols in columns.items()},
+    }
 
-    def __init__(self, n: int, nodes: tuple[int, ...], values):
-        self._n = n
+
+class _NodeMeans(Mapping):
+    """Read-only map from node id to one `kind` of a trial's averages
+    ("in", "desired" or "out"), read from the cached call `averages` (see
+    `_node_averages`) on first use.  A node the run does not have raises
+    `KeyError` without computing anything."""
+
+    def __init__(self, nodes: tuple[int, ...], averages, kind: str):
         self._nodes = nodes
-        self._values = values
-        self._cache: dict[int, float] = {}
+        self._averages = averages
+        self._kind = kind
 
     def __getitem__(self, node: int) -> float:
-        if node not in self._cache:
-            self._cache[node] = _mean(self._values(node), self._n)
-        return self._cache[node]
+        if node not in self._nodes:
+            raise KeyError(node)
+        return self._averages()[self._kind][node]
 
     def __iter__(self):
         return iter(self._nodes)
@@ -173,8 +203,9 @@ class RunSummary:
 
     `non_eh_utility` is the average utility of the reference system, where
     every request is granted, on the same draws; for `run_non_eh` it equals
-    `avg_utility`.  `avg_in`, `avg_desired` and `avg_out` compute each
-    node's average on first read.  `mismatch_fraction` counts slots where a
+    `avg_utility`.  `avg_in`, `avg_desired` and `avg_out` are computed on
+    first read, by running the trial again with its trace, so a summary
+    holds no per-slot arrays.  `mismatch_fraction` counts slots where a
     node's granted power differed from its requested power on any link;
     `mismatch_union` counts slots where that happened anywhere in the
     network.
@@ -193,8 +224,9 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Full per-slot record, for tests and demos.  Arrays follow the config
-    link order; `slots` holds the 1-based slot numbers."""
+    """Full per-slot record, for tests and demos, and the only result that
+    holds whole-run arrays.  Arrays follow the config link order; `slots`
+    holds the 1-based slot numbers."""
 
     slots: np.ndarray
     harvest: dict[int, np.ndarray]
@@ -209,40 +241,56 @@ def _mean(values: np.ndarray, n: int) -> float:
     return math.fsum(values.ravel().tolist()) / n
 
 
-def _sample_inputs(config: SimulationConfig, seeds: list[int]):
-    """Each trial's draws from its own streams: per node a (trials, n)
-    harvest array, and the gains of all trials stacked trial-major into
-    one (trials * n, links) array.  The seed words of all the streams are
-    computed in one `seed_states` call."""
-    n = config.n_slots
-    harvest = {t.node: np.empty((len(seeds), n)) for t in config.transmitters}
-    gains = np.empty((len(seeds) * n, len(config.links)))
-    harvest_keys = [(_HARVEST_KEY, t.node, 0) for t in config.transmitters]
-    fading_keys = [(_FADING_KEY, link.tx, link.rx) for link in config.links]
-    states = iter(seed_states(seeds, harvest_keys + fading_keys))
-    for j, seed in enumerate(seeds):
-        for t, key in zip(config.transmitters, harvest_keys):
-            stream = Stream(seed, key, next(states))
-            draws = np.asarray(t.harvest.sample(stream, n), dtype=float)
-            if draws.shape != (n,):
+class _Scratch:
+    """Arrays one call reuses from chunk to chunk and from group to group,
+    so their pages stay mapped.  `take(name, shape)` returns an array of
+    `shape` with stale contents, a view of the previous one of that name
+    when it is large enough."""
+
+    def __init__(self):
+        self._flat: dict = {}
+
+    def take(self, name, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _sample_chunk(config: SimulationConfig, streams, m: int,
+                  scratch: _Scratch):
+    """The next `m` draws of each trial's streams (per trial, one per node
+    then one per link): per node a (trials, m) harvest array, and the
+    gains of all trials stacked trial-major into one (trials * m, links)
+    array."""
+    k = len(streams)
+    txs = config.transmitters
+    harvest = {t.node: scratch.take(("harvest", t.node), (k, m)) for t in txs}
+    gains = scratch.take("gains", (k * m, len(config.links)))
+    for j, trial in enumerate(streams):
+        for t, stream in zip(txs, trial[:len(txs)]):
+            draws = np.asarray(t.harvest.sample(stream, m), dtype=float)
+            if draws.shape != (m,):
                 raise NumericsError(f"harvest process for node {t.node} "
                                     f"returned shape {draws.shape}")
             harvest[t.node][j] = draws
-        for col, (link, key) in enumerate(zip(config.links, fading_keys)):
-            stream = Stream(seed, key, next(states))
-            draws = np.asarray(link.fading.sample(stream, n), dtype=float)
-            if draws.shape != (n,):
+        for col, (link, stream) in enumerate(zip(config.links,
+                                                 trial[len(txs):])):
+            draws = np.asarray(link.fading.sample(stream, m), dtype=float)
+            if draws.shape != (m,):
                 raise NumericsError(f"fading process for link {link.tx}->"
                                     f"{link.rx} returned shape {draws.shape}")
-            gains[j * n:(j + 1) * n, col] = draws
+            gains[j * m:(j + 1) * m, col] = draws
     if np.any(gains < 0.0) or not np.all(np.isfinite(gains)):
         raise NumericsError("channel gains must be finite and >= 0")
     return harvest, gains
 
 
-def _desired_matrix(config: SimulationConfig, slots, gains, columns):
+def _desired_matrix(config: SimulationConfig, slots, gains, columns,
+                    desired: np.ndarray):
+    """Each node's requests for `gains`, written into `desired`."""
     rows = len(slots)
-    desired = np.empty_like(gains)
     for t in config.transmitters:
         cols = columns[t.node]
         req = np.asarray(
@@ -260,27 +308,28 @@ def _desired_matrix(config: SimulationConfig, slots, gains, columns):
     return desired
 
 
-def _delayed(config: SimulationConfig, values: np.ndarray) -> np.ndarray:
-    """Shift each link's column by its delay, within each trial's slots."""
-    out = np.zeros_like(values)
-    n = config.n_slots
-    src = values.reshape(-1, n, values.shape[1])
-    dst = out.reshape(src.shape)
+def _delayed(config: SimulationConfig, past: np.ndarray, values: np.ndarray):
+    """Each link's column of `values` (a chunk, trials stacked trial-major)
+    shifted down by the link's delay, and the new `past`.
+
+    `past` is (trials, max delay, links): each trial's last slots before
+    the chunk, zeros before slot 1.  Without delays `values` itself is
+    returned."""
+    k, depth, width = past.shape
+    if depth == 0:
+        return values, past
+    m = len(values) // k
+    joined = np.concatenate([past, values.reshape(k, m, width)], axis=1)
+    out = np.empty((k, m, width))
     for col, link in enumerate(config.links):
-        d = link.delay
-        if d == 0:
-            dst[:, :, col] = src[:, :, col]
-        else:
-            dst[:, d:, col] = src[:, :-d, col]
-    return out
+        first = depth - link.delay
+        out[:, :, col] = joined[:, first:first + m, col]
+    return out.reshape(k * m, width), joined[:, m:]
 
 
-def _utility(config: SimulationConfig, slots, powers, delayed_gains):
+def _utility(config: SimulationConfig, slots, powers, gains):
     rows = len(slots)
-    u = np.asarray(
-        config.utility.evaluate(slots, _delayed(config, powers), delayed_gains),
-        dtype=float,
-    )
+    u = np.asarray(config.utility.evaluate(slots, powers, gains), dtype=float)
     if u.shape != (rows,):
         raise NumericsError(
             f"utility returned shape {u.shape}, expected ({rows},)"
@@ -297,118 +346,183 @@ def _link_columns(config: SimulationConfig) -> dict[int, list[int]]:
     return columns
 
 
-def _battery(config: SimulationConfig, desired, harvest, columns):
-    """Granted powers (like `desired`) and per-node (n, trials) levels.
+def _battery(config: SimulationConfig, desired, harvest, columns, levels,
+             actual: np.ndarray):
+    """Granted powers, written into `actual` (like `desired`), and per-node
+    (m, trials) levels after each slot of the chunk.  Each node's buffers
+    start from `levels[node]`, one level per trial, which this sets to
+    their levels after the chunk.
 
     A single-link node runs all trials in one `trajectory` call, one lane
     per trial; a multi-link node runs one call per trial."""
-    n = config.n_slots
-    k = len(desired) // n
-    actual = np.empty_like(desired)
-    levels = {}
+    k = len(next(iter(levels.values())))
+    m = len(desired) // k
+    after = {}
     for t in config.transmitters:
         cols = columns[t.node]
         if len(cols) == 1:
             got, lev = battery.trajectory(
-                desired[:, cols[0]].reshape(k, n).T,
+                desired[:, cols[0]].reshape(k, m).T,
                 harvest[t.node].T,
                 capacity=t.capacity,
-                initial=t.initial_level,
+                initial=levels[t.node],
             )
-            actual[:, cols[0]] = got.T.ravel()
+            actual.reshape(k, m, -1)[:, :, cols[0]] = got.T
         else:
-            lev = np.empty((n, k))
+            lev = np.empty((m, k))
             for j in range(k):
-                rows = slice(j * n, (j + 1) * n)
+                rows = slice(j * m, (j + 1) * m)
                 got, lev[:, j] = battery.trajectory(
                     desired[rows, cols],
                     harvest[t.node][j],
                     capacity=t.capacity,
-                    initial=t.initial_level,
+                    initial=levels[t.node][j],
                 )
                 actual[rows, cols] = got
-        levels[t.node] = lev
-    return actual, levels
+        levels[t.node] = lev[-1].copy()
+        after[t.node] = lev
+    return actual, after
 
 
 def _run(config: SimulationConfig, seeds: list[int], with_battery: bool,
          return_trace: bool) -> list:
-    """One batch of trials on `config`'s network, one per seed.  Each
-    trial's results equal those of a batch holding only that trial."""
+    """Trials of `config`'s network, one per seed, each equal to a run on
+    its seed alone.  `CHUNK_SLOT_LINKS // (n_slots * links)` trials, at
+    least one, run side by side at a time (see `_walk`)."""
     config.validate()
     if not seeds:
         raise ValueError("need at least one seed")
-    n, k = config.n_slots, len(seeds)
-    slots = np.arange(1, n + 1)
-    batch_slots = np.tile(slots, k)
-    harvest, gains = _sample_inputs(config, seeds)
-    columns = _link_columns(config)
-    desired = _desired_matrix(config, batch_slots, gains, columns)
-    if with_battery:
-        actual, levels = _battery(config, desired, harvest, columns)
-        finals = [{node: float(lev[-1, j]) for node, lev in levels.items()}
-                  for j in range(k)]
-    else:
-        actual, levels = desired, {}
-        finals = [{t.node: t.initial_level for t in config.transmitters}
-                  for _ in range(k)]
-
-    # min(level, request) grants the request exactly when it fits, so
-    # bitwise inequality is the mismatch test, and a run without mismatch
-    # granted the request matrix itself: its utility is the reference one.
-    # Utilities act slot by slot, so a trial's slots give the same values
-    # whatever else is in the batch.
-    miss = actual != desired
-    delayed_g = _delayed(config, gains)
-    u_ref = _utility(config, batch_slots, desired, delayed_g)
-    u = _utility(config, batch_slots, actual, delayed_g) if miss.any() else u_ref
-
-    mismatch = {}
-    union = np.zeros((k, n), dtype=bool)
-    for t in config.transmitters:
-        node_miss = miss[:, columns[t.node]].any(axis=1).reshape(k, n)
-        mismatch[t.node] = node_miss.sum(axis=1) / n
-        union |= node_miss
-    union_frac = union.sum(axis=1) / n
-    nodes = tuple(t.node for t in config.transmitters)
-    u_ref_rows = u_ref.reshape(k, n).tolist()
-    u_rows = u_ref_rows if u is u_ref else u.reshape(k, n).tolist()
-
+    step = max(1, CHUNK_SLOT_LINKS // (config.n_slots * len(config.links)))
+    keys = ([(_HARVEST_KEY, t.node, 0) for t in config.transmitters]
+            + [(_FADING_KEY, link.tx, link.rx) for link in config.links])
+    states = seed_states(seeds, keys).reshape(len(seeds), len(keys), -1)
+    scratch = _Scratch()
     results = []
-    for j in range(k):
-        rows = slice(j * n, (j + 1) * n)
-        non_eh_utility = math.fsum(u_ref_rows[j]) / n
+    for start in range(0, len(seeds), step):
+        group = seeds[start:start + step]
+        streams = [[Stream(seed, key, state) for key, state in zip(keys, row)]
+                   for seed, row in zip(group, states[start:start + step])]
+        results += _walk(config, group, streams, scratch, with_battery,
+                         return_trace)
+    return results
+
+
+def _walk(config: SimulationConfig, seeds: list[int], streams,
+          scratch: _Scratch, with_battery: bool, return_trace: bool) -> list:
+    """Trials side by side, walked through time in chunks of
+    `CHUNK_SLOT_LINKS // (trials * links)` slots, at least one.
+
+    Each chunk draws the next slots from the trials' streams and passes
+    absolute slot numbers to the policies and the utility.  From chunk to
+    chunk the walk carries each node's battery levels, the last slots of
+    gains and powers that the delay lines read, the mismatch counts, and
+    each trial's per-slot utilities, which are summed once at the end.
+    Only a trace keeps the other per-slot arrays."""
+    n, width, k = config.n_slots, len(config.links), len(seeds)
+    size = max(1, CHUNK_SLOT_LINKS // (k * width))
+    columns = _link_columns(config)
+    nodes = tuple(columns)
+    depth = max(link.delay for link in config.links)
+    past_gains, past_desired, past_actual = (
+        np.zeros((k, depth, width)) for _ in range(3))
+    levels = {t.node: np.full(k, t.initial_level) for t in config.transmitters}
+    misses = {node: np.zeros(k, dtype=np.int64) for node in nodes}
+    union = np.zeros(k, dtype=np.int64)
+    u_ref_rows = scratch.take("u_ref", (k, n))
+    u_rows = None
+    if return_trace:
+        kept = np.empty((3, k, n, width))  # gains, requests, grants
+        kept_harvest = {node: np.empty((k, n)) for node in nodes}
+        kept_levels = ({node: np.empty((k, n)) for node in nodes}
+                       if with_battery else {})
+
+    for start in range(0, n, size):
+        stop = min(n, start + size)
+        m = stop - start
+        slots = scratch.take("slots", (k, m), int)
+        slots[:] = np.arange(start + 1, stop + 1)
+        slots = slots.ravel()
+        harvest, gains = _sample_chunk(config, streams, m, scratch)
+        desired = _desired_matrix(config, slots, gains, columns,
+                                  scratch.take("desired", gains.shape))
+        delayed_g, past_gains = _delayed(config, past_gains, gains)
+        delayed_d, next_desired = _delayed(config, past_desired, desired)
+        u_ref_rows[:, start:stop] = _utility(
+            config, slots, delayed_d, delayed_g).reshape(k, m)
+        actual, after = desired, {}
+        if with_battery:
+            actual, after = _battery(config, desired, harvest, columns,
+                                     levels, scratch.take("actual", gains.shape))
+            # min(level, request) grants the request exactly when it
+            # fits, so bitwise inequality is the mismatch test.
+            miss = np.not_equal(actual, desired,
+                                out=scratch.take("miss", gains.shape, bool))
+            missed = bool(miss.any())
+            if missed:
+                hit = np.zeros((k, m), dtype=bool)
+                for node, cols in columns.items():
+                    node_miss = miss[:, cols].any(axis=1).reshape(k, m)
+                    misses[node] += node_miss.sum(axis=1)
+                    hit |= node_miss
+                union += hit.sum(axis=1)
+            # Where neither the chunk nor the slots its delay lines read
+            # hold a mismatch, the grants are the requests themselves, and
+            # utilities act slot by slot: the reference utility is the
+            # battery system's too.
+            differs = missed or not np.array_equal(past_actual, past_desired)
+            delayed_a, past_actual = _delayed(config, past_actual, actual)
+            if differs:
+                if u_rows is None:  # the slots so far had no mismatch
+                    u_rows = scratch.take("u", (k, n))
+                    u_rows[:, :start] = u_ref_rows[:, :start]
+                u_rows[:, start:stop] = _utility(
+                    config, slots, delayed_a, delayed_g).reshape(k, m)
+            elif u_rows is not None:
+                u_rows[:, start:stop] = u_ref_rows[:, start:stop]
+        past_desired = next_desired
+        if return_trace:
+            for i, values in enumerate((gains, desired, actual)):
+                kept[i, :, start:stop] = values.reshape(k, m, width)
+            for node in nodes:
+                kept_harvest[node][:, start:stop] = harvest[node]
+            for node, lev in after.items():
+                kept_levels[node][:, start:stop] = lev.T
+
+    non_eh = [_mean(row, n) for row in u_ref_rows]
+    eh = non_eh if u_rows is None else [_mean(row, n) for row in u_rows]
+    fractions = {node: count / n for node, count in misses.items()}
+    union_frac = union / n
+    results = []
+    for j, seed in enumerate(seeds):
+        trace = None
+        if return_trace:
+            trace = RunTrace(
+                slots=np.arange(1, n + 1),
+                harvest={node: h[j] for node, h in kept_harvest.items()},
+                gains=kept[0, j],
+                desired=kept[1, j],
+                actual=kept[2, j],
+                levels={node: lev[j] for node, lev in kept_levels.items()},
+                utility=(u_ref_rows if u_rows is None else u_rows)[j].copy(),
+            )
+        averages = functools.cache(functools.partial(
+            _node_averages, config, seed, with_battery, trace))
         summary = RunSummary(
             n_slots=n,
-            avg_utility=(non_eh_utility if u is u_ref
-                         else math.fsum(u_rows[j]) / n),
-            non_eh_utility=non_eh_utility,
-            avg_in=_NodeMeans(n, nodes,
-                              lambda node, j=j: harvest[node][j]),
-            avg_desired=_NodeMeans(
-                n, nodes, lambda node, rows=rows: desired[rows, columns[node]]
-            ),
-            avg_out=_NodeMeans(
-                n, nodes, lambda node, rows=rows: actual[rows, columns[node]]
-            ),
+            avg_utility=eh[j],
+            non_eh_utility=non_eh[j],
+            avg_in=_NodeMeans(nodes, averages, "in"),
+            avg_desired=_NodeMeans(nodes, averages, "desired"),
+            avg_out=_NodeMeans(nodes, averages, "out"),
             mismatch_fraction={node: frac[j]
-                               for node, frac in mismatch.items()},
+                               for node, frac in fractions.items()},
             mismatch_union=union_frac[j],
-            final_level=finals[j],
+            final_level=(
+                {node: float(lev[j]) for node, lev in levels.items()}
+                if with_battery else
+                {t.node: t.initial_level for t in config.transmitters}),
         )
-        if not return_trace:
-            results.append(summary)
-            continue
-        trace = RunTrace(
-            slots=slots,
-            harvest={node: h[j] for node, h in harvest.items()},
-            gains=gains[rows],
-            desired=desired[rows],
-            actual=actual[rows],
-            levels={node: lev[:, j] for node, lev in levels.items()},
-            utility=u[rows],
-        )
-        results.append((summary, trace))
+        results.append(summary if trace is None else (summary, trace))
     return results
 
 
@@ -418,8 +532,8 @@ def run_eh(config: SimulationConfig, *, seeds=None,
     (plus a `RunTrace` when `return_trace`) whose `non_eh_utility` is the
     reference system's average on the same draws.
 
-    With `seeds`, runs one trial per seed on `config`'s network as one
-    batch and returns a list with one result per seed, each equal to
+    With `seeds`, runs one trial per seed on `config`'s network and
+    returns a list with one result per seed, each equal to
     ``run_eh(replace(config, seed=s))`` bit for bit."""
     if seeds is None:
         return _run(config, [config.seed], True, return_trace)[0]

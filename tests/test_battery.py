@@ -149,6 +149,67 @@ def test_trajectory_shape_mismatch_rejected():
         trajectory(np.zeros(3), np.zeros(4))
 
 
+def state_error(level, capacity):
+    with pytest.raises(ValueError) as info:
+        BatteryState(level, capacity)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("level, capacity", [
+    (-1.0, 5.0), (math.nan, 5.0), (math.inf, 5.0), (6.0, 5.0),
+    (-1.0, math.inf), (math.nan, math.inf), (1.0, 0.0), (1.0, math.nan),
+], ids=["negative", "nan", "inf", "above", "negative_unbounded",
+        "nan_unbounded", "zero_capacity", "nan_capacity"])
+def test_trajectory_checks_each_initial_level_like_a_state(level, capacity):
+    # A scalar and any one lane of several give BatteryState's one line.
+    message = state_error(level, capacity)
+    assert "\n" not in message
+    desired = np.ones((4, 3))
+    with pytest.raises(ValueError) as info:
+        trajectory(desired[:, 0], desired[:, 0], capacity=capacity,
+                   initial=level)
+    assert str(info.value) == message
+    for lane in range(3):
+        initial = np.zeros(3)
+        initial[lane] = level
+        with pytest.raises(ValueError) as info:
+            trajectory(desired, desired, capacity=capacity, initial=initial)
+        assert str(info.value) == message
+
+
+def test_trajectory_initial_levels_need_one_per_lane():
+    desired = np.ones((4, 3))
+    for initial in (np.zeros(2), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="initial shape"):
+            trajectory(desired, desired, initial=initial)
+    # One buffer, single- or multi-link, takes a scalar only.
+    with pytest.raises(ValueError, match="initial shape"):
+        trajectory(desired[:, 0], desired[:, 0], initial=np.zeros(1))
+    with pytest.raises(ValueError, match="initial shape"):
+        trajectory(desired, desired[:, 0], initial=np.zeros(3))
+
+
+def test_trajectory_lanes_start_from_their_own_levels():
+    desired = np.full((2, 3), 1.0)
+    actual, levels = trajectory(desired, np.zeros((2, 3)),
+                                initial=np.array([0.0, 1.5, 4.0]))
+    assert actual.tolist() == [[0.0, 1.0, 1.0], [0.0, 0.5, 1.0]]
+    assert levels.tolist() == [[0.0, 0.5, 3.0], [0.0, 0.0, 2.0]]
+
+
+def test_unbounded_buffer_resumes_from_an_overflowed_level():
+    # An unbounded level that overflows stays inf and grants every request;
+    # it resumes from there, although BatteryState takes no inf level.
+    top = float(np.finfo(float).max)
+    desired = np.full(4, 1.0)
+    harvested = np.array([0.0, top, 0.0, 0.0])
+    whole, levels = trajectory(desired, harvested, initial=top)
+    assert levels.tolist() == [top, math.inf, math.inf, math.inf]
+    got, after = trajectory(desired[2:], harvested[2:], initial=levels[1])
+    assert got.tobytes() == whole[2:].tobytes()
+    assert after.tobytes() == levels[2:].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # trajectory: randomized properties
 
@@ -293,6 +354,23 @@ def test_overflowing_levels_match_stepwise_primitives_silently():
             assert after.tobytes() == levels[:, j].tobytes()
 
 
+@pytest.mark.parametrize("width", [2, 5, 8, 9, 16])
+def test_strided_single_link_columns_match_stepwise_primitives(width):
+    # A lane among `width` links reads a column with a stride of 8 * width
+    # bytes; numpy 2.4's `negative` misreads a stride of 64 bytes into a
+    # strided output, which once broke the walk on 8-link networks.
+    rng = np.random.default_rng(width)
+    desired = rng.exponential(1.0, (300, width))
+    desired[rng.random(desired.shape) < 0.2] = 0.0
+    harvested = rng.exponential(1.0, (300, width))
+    for j in range(width):
+        actual, levels = trajectory(desired[:, j], harvested[:, j],
+                                    capacity=4.0, initial=2.0)
+        got, after = stepwise(desired[:, j], harvested[:, j], 4.0, 2.0)
+        assert got.tobytes() == actual.tobytes()
+        assert after.tobytes() == levels.tobytes()
+
+
 @given(random_run())
 @settings(max_examples=100, deadline=None)
 def test_bounded_battery_never_outperforms_unbounded(run):
@@ -356,7 +434,10 @@ def random_lanes(draw):
     harvested = draw(hnp.arrays(np.float64, (n, k), elements=zero_or_power))
     capacity = draw(st.one_of(st.just(math.inf),
                               st.floats(min_value=0.5, max_value=1e7)))
-    initial = draw(st.floats(min_value=0.0, max_value=0.5))
+    # one level shared by all lanes, or one level per lane
+    level = st.floats(min_value=0.0, max_value=0.5)
+    initial = draw(st.one_of(
+        level, hnp.arrays(np.float64, (k,), elements=level)))
     return desired, harvested, capacity, initial
 
 
@@ -367,11 +448,31 @@ def test_lanes_match_one_call_per_lane(run):
     actual, levels = trajectory(desired, harvested, capacity=capacity,
                                 initial=initial)
     assert actual.shape == levels.shape == desired.shape
+    starts = np.broadcast_to(initial, desired.shape[1:])
     for j in range(desired.shape[1]):
-        got, lev = trajectory(desired[:, j], harvested[:, j],
-                              capacity=capacity, initial=initial)
+        got, lev = trajectory(desired[:, j].copy(), harvested[:, j].copy(),
+                              capacity=capacity, initial=starts[j])
         assert got.tobytes() == actual[:, j].copy().tobytes()
         assert lev.tobytes() == levels[:, j].copy().tobytes()
+
+
+@given(random_lanes(), st.integers(min_value=0, max_value=30))
+@settings(max_examples=200, deadline=None)
+def test_lanes_split_at_any_slot_resume_from_their_levels(run, split):
+    # The second part starts from the levels the first part returned, or
+    # from the initial levels when the first part is empty.
+    desired, harvested, capacity, initial = run
+    split = min(split, len(desired))
+    actual, levels = trajectory(desired, harvested, capacity=capacity,
+                                initial=initial)
+    head, head_levels = trajectory(desired[:split], harvested[:split],
+                                   capacity=capacity, initial=initial)
+    resume = head_levels[-1] if split else initial
+    tail, tail_levels = trajectory(desired[split:], harvested[split:],
+                                   capacity=capacity, initial=resume)
+    assert np.concatenate([head, tail]).tobytes() == actual.tobytes()
+    assert (np.concatenate([head_levels, tail_levels]).tobytes()
+            == levels.tobytes())
 
 
 def test_lanes_need_matching_shapes():

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import ehnet.cli
 import ehnet.experiments
 import ehnet.policies
+import ehnet.simulator
 from ehnet.cli import main
 from ehnet.experiments import (
     BASELINE_N,
@@ -406,30 +407,42 @@ def test_large_master_seed_csv_is_byte_identical(seed, trials, tmp_path):
 
 
 def test_point_rows_batch_trials_by_slot_links(monkeypatch):
-    batches = []
-    # Only the batch sizes are checked, so no trial is run.
+    # One `run_eh` call per grid point with all its seeds.  The simulator
+    # runs them side by side in groups of CHUNK_SLOT_LINKS = 2^15 slot-
+    # links: 65 trials of 100 slots x 5 links, one of 5000; 327 trials of
+    # 100 slots x 1 link, 3 of 10^4 and one of 10^6.  Only the sizes are
+    # checked, so the groups are not walked.
+    calls, groups = [], []
+    run_eh = ehnet.experiments.run_eh
     summary = SimpleNamespace(avg_utility=0.5, non_eh_utility=0.5,
                               mismatch_union=0.0)
 
     def counting_run_eh(config, *, seeds):
-        batches.append((config.n_slots, len(seeds)))
+        calls.append((config.n_slots, len(seeds)))
+        return run_eh(config, seeds=seeds)
+
+    def counting_walk(config, seeds, *args):
+        groups.append((config.n_slots, len(seeds)))
         return [summary] * len(seeds)
 
     monkeypatch.setattr(ehnet.experiments, "run_eh", counting_run_eh)
-    # 2^13 slot-links: 16 trials of 100 slots x 5 links, one of 5000;
-    # 81 trials of 100 slots x 1 link, one of 10^4 or 10^6.
+    monkeypatch.setattr(ehnet.simulator, "_walk", counting_walk)
     cases = [
         ({"experiment": "fig5", "n_slots": [100, 5000], "group_size": [5],
           "trials": 40},
-         [(100, 16), (100, 16), (100, 8)] + [(5000, 1)] * 40),
+         [(100, 40), (5000, 40)],
+         [(100, 40)] + [(5000, 1)] * 40),
         ({"experiment": "fig1", "n_slots": [100, 10_000, 10**6],
           "trials": 90},
-         [(100, 81), (100, 9)] + [(10_000, 1)] * 90 + [(10**6, 1)] * 90),
+         [(100, 90), (10_000, 90), (10**6, 90)],
+         [(100, 90)] + [(10_000, 3)] * 30 + [(10**6, 1)] * 90),
     ]
-    for config, expected in cases:
-        batches.clear()
+    for config, expected_calls, expected_groups in cases:
+        calls.clear()
+        groups.clear()
         run_experiment(spec_from_dict({"p_in_db": [0.0], **config}))
-        assert batches == expected
+        assert calls == expected_calls
+        assert groups == expected_groups
 
 
 def test_seed_changes_results():

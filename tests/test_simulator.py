@@ -1,13 +1,15 @@
 """Unit tests for the network simulator: validation, determinism, pairing."""
 
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ehnet import simulator
 from ehnet.experiments import (
-    BATCH_SLOT_LINKS,
     build_config,
     default_spec,
     grid_points,
@@ -19,7 +21,7 @@ from ehnet.policies import (
     ConstantPolicy,
     WaterfillPolicy,
 )
-from ehnet.battery import VECTOR_LANES
+from ehnet.battery import VECTOR_LANES, BatteryState, deposit, extract
 from ehnet.simulator import (
     ConfigError,
     LinkSpec,
@@ -261,13 +263,13 @@ def test_chain_half_duplex_no_simultaneous_hops():
 PAIRING_GROUP = {"fig4": 3, "fig5": 2, "fig6": 2}
 
 
-def sweep_config(experiment, starved):
+def sweep_config(experiment, starved, group=None):
     spec = replace(
         default_spec(experiment),
         p_in_db=(5.0,),
         n_slots=(60,),
         b_max_ratio=(200.0 if starved else 1e6,),
-        group_size=(PAIRING_GROUP.get(experiment, 1),),
+        group_size=(group or PAIRING_GROUP.get(experiment, 1),),
         initial_fill=0.0 if starved else 1.0,
     )
     return build_config(spec, grid_points(spec)[0], seed=31)
@@ -330,31 +332,25 @@ def trace_bits(trace):
     return [np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays]
 
 
-def batch_size(cfg):
-    """Trials per `run_eh` call in `paired_gap`: as many as fit in
-    `BATCH_SLOT_LINKS` slot-links, at least one."""
-    return max(1, BATCH_SLOT_LINKS // (cfg.n_slots * len(cfg.links)))
-
-
-def batched_runs(cfg, seeds):
-    """`run_eh` over `seeds` in batches of `batch_size(cfg)`, as
-    `paired_gap` calls it."""
-    step = batch_size(cfg)
-    return [result for start in range(0, len(seeds), step)
-            for result in run_eh(cfg, seeds=seeds[start:start + step],
-                                 return_trace=True)]
+def group_size(cfg):
+    """Trials `run_eh` runs side by side: as many as fit in
+    `CHUNK_SLOT_LINKS` slot-links, at least one."""
+    return max(1, simulator.CHUNK_SLOT_LINKS // (cfg.n_slots * len(cfg.links)))
 
 
 @pytest.mark.parametrize("starved", [True, False], ids=["mismatch", "no_mismatch"])
 @pytest.mark.parametrize("experiment", [f"fig{k}" for k in range(1, 7)])
-def test_batched_trials_equal_separate_runs(experiment, starved):
+def test_batched_trials_equal_separate_runs(experiment, starved, monkeypatch):
+    # A budget of 2^10 slot-links puts 17 of these 60-slot trials side by
+    # side on one link, so a few dozen seeds make several groups.
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 2 ** 10)
     cfg = sweep_config(experiment, starved)
-    step = batch_size(cfg)
+    step = group_size(cfg)
     # one trial, two, just past the switch to the vectorised battery
-    # loop, and enough seeds for three batches
+    # loop, and enough seeds for three groups
     for size in (1, 2, VECTOR_LANES + 1, 2 * step + 1):
         seeds = list(range(100, 100 + size))
-        results = batched_runs(cfg, seeds)
+        results = run_eh(cfg, seeds=seeds, return_trace=True)
         assert len(results) == size
         for seed, (summary, trace) in zip(seeds, results):
             alone, alone_trace = run_eh(replace(cfg, seed=seed),
@@ -395,6 +391,167 @@ def test_batch_without_seeds_is_the_config_seed():
     assert run_eh(cfg, seeds=[7]) == [run_eh(cfg)]
     with pytest.raises(ValueError):
         run_eh(cfg, seeds=[])
+
+
+# ---------------------------------------------------------------------------
+# time chunks
+
+# A budget under which every call is one group walked in one chunk.
+UNCHUNKED = 2 ** 40
+
+
+def assert_same_runs(got, want):
+    assert len(got) == len(want)
+    for (summary, trace), (summary0, trace0) in zip(got, want):
+        assert summary == summary0
+        assert summary_bits(summary) == summary_bits(summary0)
+        assert trace_bits(trace) == trace_bits(trace0)
+
+
+def eh_and_reference(cfg, seeds):
+    return run_eh(cfg, seeds=seeds, return_trace=True) + [
+        run_non_eh(replace(cfg, seed=seed), return_trace=True)
+        for seed in seeds]
+
+
+# Every bundled network, and a 4-hop chain whose delays of up to 3 slots
+# outlast the 1-slot chunks of budgets 1 and 7.
+CHUNKED_NETWORKS = [(f"fig{k}", None) for k in range(1, 7)] + [("fig6", 4)]
+
+
+@pytest.mark.parametrize("starved", [True, False], ids=["mismatch", "no_mismatch"])
+@pytest.mark.parametrize("experiment, group", CHUNKED_NETWORKS,
+                         ids=[f"{e}-{g or 'default'}" for e, g in CHUNKED_NETWORKS])
+def test_time_chunks_equal_unchunked_runs(experiment, group, starved,
+                                          monkeypatch):
+    cfg = sweep_config(experiment, starved, group)
+    seeds = [100, 101, 102]
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
+    want = eh_and_reference(cfg, seeds)
+    # 1-slot chunks, chunks of 7 // links slots, and 333 slot-links: one
+    # trial at a time, in 333 // links slots, or several side by side
+    for budget in (1, 7, 333):
+        monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", budget)
+        assert_same_runs(eh_and_reference(cfg, seeds), want)
+
+
+def test_lanes_resume_from_their_own_levels_across_chunks(monkeypatch):
+    # Trials side by side fit the budget whole, so a group of several
+    # never chunks in time.  Here the group is formed under an unchunked
+    # budget and walked under a small one: chunks of 1 and of 11 slots
+    # for 2 * VECTOR_LANES lanes, each lane resuming from its own level.
+    # A small battery that starts full runs dry in some trials only.
+    cfg = single_link_config(n=40, power=1.0, capacity=4.0, initial_level=4.0)
+    seeds = list(range(2 * VECTOR_LANES))
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
+    want = run_eh(cfg, seeds=seeds, return_trace=True)
+    assert 0 < sum(s.mismatch_union > 0.0 for s, _ in want) < len(seeds)
+    walk = simulator._walk
+    for budget in (7, 333):
+        def walk_in_chunks(*args):
+            monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", budget)
+            try:
+                return walk(*args)
+            finally:
+                monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
+
+        monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
+        assert_same_runs(run_eh(cfg, seeds=seeds, return_trace=True), want)
+
+
+def test_unbounded_level_that_overflows_resumes_in_the_next_chunk(
+        monkeypatch):
+    # A harvest of mean 1e306 overflows an unbounded level to inf within
+    # a few hundred slots; later chunks resume from inf.  The harvest
+    # average overflows too, so the lazy per-node averages are not read.
+    cfg = single_link_config(n=400, power=1.0, harvest_mean=1e306, seed=3)
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
+    want, want_trace = run_eh(cfg, return_trace=True)
+    assert math.isinf(want.final_level[0])
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 7)
+    got, got_trace = run_eh(cfg, return_trace=True)
+    for name in ("avg_utility", "non_eh_utility", "mismatch_fraction",
+                 "mismatch_union", "final_level"):
+        assert getattr(got, name) == getattr(want, name)
+    assert trace_bits(got_trace) == trace_bits(want_trace)
+
+
+def test_eight_hop_chain_grants_match_stepwise_primitives():
+    # Each node's column of an 8-link request matrix has a stride of 64
+    # bytes, which numpy 2.4's `negative` misread in the single-link walk.
+    spec = replace(default_spec("fig6"), p_in_db=(0.0,), n_slots=(300,),
+                   b_max_ratio=(5.0,), group_size=(8,), initial_fill=0.0)
+    cfg = build_config(spec, grid_points(spec)[0], seed=5)
+    summary, trace = run_eh(cfg, return_trace=True)
+    assert summary.mismatch_union > 0.0
+    for col, t in enumerate(cfg.transmitters):
+        state = BatteryState(t.initial_level, t.capacity)
+        for i in range(cfg.n_slots):
+            got, state = extract(state, float(trace.desired[i, col]))
+            state = deposit(state, float(trace.harvest[t.node][i]))
+            assert got == trace.actual[i, col]
+            assert state.level == trace.levels[t.node][i]
+
+
+def test_walk_chunk_sizes_follow_the_budget(monkeypatch):
+    # One 5000-slot trial on 25 links fills 2^15 slot-links in 1310 slots.
+    spec = replace(default_spec("fig4"), p_in_db=(10.0,), n_slots=(5000,),
+                   group_size=(25,))
+    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    sizes = []
+    sample = simulator._sample_chunk
+
+    def counting_sample(config, streams, m, *args):
+        sizes.append((len(streams), m))
+        return sample(config, streams, m, *args)
+
+    monkeypatch.setattr(simulator, "_sample_chunk", counting_sample)
+    run_eh(cfg, seeds=[1, 2])
+    assert simulator.CHUNK_SLOT_LINKS == 2 ** 15
+    assert sizes == [(1, 1310)] * 3 + [(1, 1070)] + [(1, 1310)] * 3 + [(1, 1070)]
+
+
+def test_long_wide_run_holds_bounded_memory():
+    # fig4's 25-link network for 10^5 slots: 2.5 million slot-links, whose
+    # per-slot arrays take 20 MB each.  The walk holds a chunk of them at
+    # a time, and the summary keeps only floats.
+    spec = replace(default_spec("fig4"), p_in_db=(10.0,), n_slots=(10**5,),
+                   group_size=(25,))
+    cfg = build_config(spec, grid_points(spec)[0], seed=7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = run_eh(cfg)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.mismatch_union >= 0.0
+    assert peak - before < 16 * 2**20
+    assert kept - before < 2**20
+
+
+def test_node_averages_rerun_the_trial_once_on_first_read(monkeypatch):
+    cfg = sweep_config("fig5", starved=True)
+    _, trace = run_eh(cfg, return_trace=True)
+    summary = run_eh(cfg, seeds=[cfg.seed, cfg.seed + 1])[0]
+    runs = []
+    run = simulator._run
+
+    def counting_run(*args):
+        runs.append(args[1:])
+        return run(*args)
+
+    monkeypatch.setattr(simulator, "_run", counting_run)
+    nodes = [t.node for t in cfg.transmitters]
+    for avg in (summary.avg_in, summary.avg_desired, summary.avg_out):
+        with pytest.raises(KeyError):
+            avg[max(nodes) + 100]
+        assert list(avg) == nodes
+    assert runs == []
+    check_node_averages(cfg, summary, trace)
+    assert runs == [([cfg.seed], True, True)]
 
 
 def test_paired_gap_zero_for_abundant_battery():
