@@ -3,6 +3,8 @@
 Run:  python3 demos/relay_chain.py
 """
 
+import math
+
 import numpy as np
 
 from ehnet.experiments import (
@@ -63,11 +65,15 @@ def absorbing_buffers_grow():
     spec = default_spec("fig6")
     pt = [q for q in grid_points(spec) if q.n == 10_000 and q.p_db == 10.0][0]
     cfg = build_config(spec, pt, seed=0)
-    summary = run_eh(cfg)
+    summary, trace = run_eh(cfg, return_trace=True)
+    n = cfg.n_slots
     for t in cfg.transmitters:
-        drift = summary.avg_in[t.node] - summary.avg_out[t.node]
-        print(f"  node {t.node}: avg in {summary.avg_in[t.node]:7.3f}, "
-              f"avg out {summary.avg_out[t.node]:7.3f}, "
+        cols = [c for c, link in enumerate(cfg.links) if link.tx == t.node]
+        avg_in = math.fsum(trace.harvest[t.node].tolist()) / n
+        avg_out = math.fsum(trace.actual[:, cols].ravel().tolist()) / n
+        drift = avg_in - avg_out
+        print(f"  node {t.node}: avg in {avg_in:7.3f}, "
+              f"avg out {avg_out:7.3f}, "
               f"drift {drift:+7.3f}/slot, final level "
               f"{summary.final_level[t.node]:12.1f}")
     print("front-half nodes break even; back-half nodes bank half their")

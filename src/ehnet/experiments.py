@@ -229,6 +229,12 @@ def validate_spec(spec: SweepSpec) -> None:
                     ">= 2: the chain forwards on alternating slot parity, so "
                     "an odd hop count never delivers in an even slot"
                 )
+        shortest, hops = min(spec.n_slots), max(spec.group_size)
+        if shortest < hops - 1:
+            raise ConfigError(
+                f"fig6 n_slots {shortest} is shorter than the first hop's "
+                f"delay {hops - 1} at group_size {hops}: n_slots must be "
+                ">= group_size - 1")
     if spec.trials < 1:
         raise ConfigError("trials must be >= 1")
     if spec.seed < 0:

@@ -32,9 +32,7 @@ Averages over slots use exact compensated summation, and run averages count
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,70 +151,23 @@ class SimulationConfig:
             )
 
 
-def _node_averages(config: SimulationConfig, seed: int, with_battery: bool,
-                   trace: "RunTrace | None") -> dict[str, dict[int, float]]:
-    """One trial's per-node averages of harvest ("in"), requests
-    ("desired") and grants ("out"), from its trace; without one, from a
-    re-run of the trial with its trace."""
-    if trace is None:
-        _, trace = _run(config, [seed], with_battery, True)[0]
-    n = config.n_slots
-    columns = _link_columns(config)
-    return {
-        "in": {node: _mean(h, n) for node, h in trace.harvest.items()},
-        "desired": {node: _mean(trace.desired[:, cols], n)
-                    for node, cols in columns.items()},
-        "out": {node: _mean(trace.actual[:, cols], n)
-                for node, cols in columns.items()},
-    }
-
-
-class _NodeMeans(Mapping):
-    """Read-only map from node id to one `kind` of a trial's averages
-    ("in", "desired" or "out"), read from the cached call `averages` (see
-    `_node_averages`) on first use.  A node the run does not have raises
-    `KeyError` without computing anything."""
-
-    def __init__(self, nodes: tuple[int, ...], averages, kind: str):
-        self._nodes = nodes
-        self._averages = averages
-        self._kind = kind
-
-    def __getitem__(self, node: int) -> float:
-        if node not in self._nodes:
-            raise KeyError(node)
-        return self._averages()[self._kind][node]
-
-    def __iter__(self):
-        return iter(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 @dataclass(frozen=True)
 class RunSummary:
-    """Per-run averages.  Keys of the per-node maps are node ids.
+    """What the walk computed for one run, and no per-slot arrays.  Keys of
+    the per-node maps are node ids.
 
     `non_eh_utility` is the average utility of the reference system, where
     every request is granted, on the same draws; for `run_non_eh` it equals
-    `avg_utility`.  `avg_in`, `avg_desired` and `avg_out` are computed on
-    first read, by running the trial again with its trace, so a summary
-    holds no per-slot arrays.  `mismatch_fraction` counts slots where a
-    node's granted power differed from its requested power on any link;
-    `mismatch_union` counts slots where that happened anywhere in the
-    network.
+    `avg_utility`.  `mismatch_fraction` counts slots where a node's granted
+    power differed from its requested power on any link; `mismatch_union`
+    counts slots where that happened anywhere in the network.  Per-node
+    averages of harvests, requests and grants are `math.fsum`s over the
+    `RunTrace` arrays.
     """
 
     n_slots: int
     avg_utility: float
     non_eh_utility: float
-    avg_in: Mapping[int, float]
-    avg_desired: Mapping[int, float]
-    avg_out: Mapping[int, float]
     mismatch_fraction: dict[int, float]
     mismatch_union: float
     final_level: dict[int, float]
@@ -238,7 +189,7 @@ class RunTrace:
 
 
 def _mean(values: np.ndarray, n: int) -> float:
-    return math.fsum(values.ravel().tolist()) / n
+    return math.fsum(values.tolist()) / n
 
 
 class _Scratch:
@@ -402,13 +353,13 @@ def _run(config: SimulationConfig, seeds: list[int], with_battery: bool,
         group = seeds[start:start + step]
         streams = [[Stream(seed, key, state) for key, state in zip(keys, row)]
                    for seed, row in zip(group, states[start:start + step])]
-        results += _walk(config, group, streams, scratch, with_battery,
+        results += _walk(config, streams, scratch, with_battery,
                          return_trace)
     return results
 
 
-def _walk(config: SimulationConfig, seeds: list[int], streams,
-          scratch: _Scratch, with_battery: bool, return_trace: bool) -> list:
+def _walk(config: SimulationConfig, streams, scratch: _Scratch,
+          with_battery: bool, return_trace: bool) -> list:
     """Trials side by side, walked through time in chunks of
     `CHUNK_SLOT_LINKS // (trials * links)` slots, at least one.
 
@@ -418,7 +369,7 @@ def _walk(config: SimulationConfig, seeds: list[int], streams,
     gains and powers that the delay lines read, the mismatch counts, and
     each trial's per-slot utilities, which are summed once at the end.
     Only a trace keeps the other per-slot arrays."""
-    n, width, k = config.n_slots, len(config.links), len(seeds)
+    n, width, k = config.n_slots, len(config.links), len(streams)
     size = max(1, CHUNK_SLOT_LINKS // (k * width))
     columns = _link_columns(config)
     nodes = tuple(columns)
@@ -493,7 +444,7 @@ def _walk(config: SimulationConfig, seeds: list[int], streams,
     fractions = {node: count / n for node, count in misses.items()}
     union_frac = union / n
     results = []
-    for j, seed in enumerate(seeds):
+    for j in range(k):
         trace = None
         if return_trace:
             trace = RunTrace(
@@ -505,15 +456,10 @@ def _walk(config: SimulationConfig, seeds: list[int], streams,
                 levels={node: lev[j] for node, lev in kept_levels.items()},
                 utility=(u_ref_rows if u_rows is None else u_rows)[j].copy(),
             )
-        averages = functools.cache(functools.partial(
-            _node_averages, config, seed, with_battery, trace))
         summary = RunSummary(
             n_slots=n,
             avg_utility=eh[j],
             non_eh_utility=non_eh[j],
-            avg_in=_NodeMeans(nodes, averages, "in"),
-            avg_desired=_NodeMeans(nodes, averages, "desired"),
-            avg_out=_NodeMeans(nodes, averages, "out"),
             mismatch_fraction={node: frac[j]
                                for node, frac in fractions.items()},
             mismatch_union=union_frac[j],

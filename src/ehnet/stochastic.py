@@ -13,21 +13,20 @@ produces 53-bit uniform doubles, and exponential variates are obtained by
 inverting the CDF (``-mean * log1p(-u)``) rather than through any library
 sampler whose algorithm might change.
 
-`seed_states` gives the PCG64 seed words of many streams at once.  From
-`SEED_LANES` streams on it runs SeedSequence's own algorithm once, with one
-`uint32` lane per stream: the seed's words are padded with zeros to the
-pool size of 4 before the key's words, the pool is hashed in with
-`hashmix`, every pool word is
-mixed into every other one, the remaining words are mixed in one at a
-time, and `generate_state` hashes the pool out.  Each lane applies the
-same wrapping `uint32` operations with the same constants in the same
-order as `SeedSequence` does for that stream alone: the hash constants
-advance one step per `hashmix` call whatever the data, so they are shared
-by all lanes, and a lane whose words run out earlier keeps its pool.  A
-PCG64 reads nothing from its seed source but `generate_state(4, uint64)`,
-so a `Stream` built from its precomputed row draws exactly what the
-`SeedSequence` would have given it.  NumPy's stream-compatibility policy
-(NEP 19) fixes the SeedSequence algorithm, which is what makes this exact.
+`seed_states` gives the PCG64 seed words of many streams at once.  It runs
+SeedSequence's own algorithm once, with one `uint32` lane per stream: the
+seed's words are padded with zeros to the pool size of 4 before the key's
+words, the pool is hashed in with `hashmix`, every pool word is mixed into
+every other one, the remaining words are mixed in one at a time, and
+`generate_state` hashes the pool out.  Each lane applies the same wrapping
+`uint32` operations with the same constants in the same order as
+`SeedSequence` does for that stream alone: the hash constants advance one
+step per `hashmix` call whatever the data, so they are shared by all lanes,
+and a lane whose words run out earlier keeps its pool.  A PCG64 reads
+nothing from its seed source but `generate_state(4, uint64)`, so a `Stream`
+built from its precomputed row draws exactly what the `SeedSequence` would
+have given it.  NumPy's stream-compatibility policy (NEP 19) fixes the
+SeedSequence algorithm, which is what makes this exact.
 """
 
 from __future__ import annotations
@@ -52,14 +51,6 @@ __all__ = [
     "max_exponential_pdf",
     "seed_states",
 ]
-
-# From this many streams on, `seed_states` hashes them as one batch of
-# lanes.  Measured with timeit on 64-bit seeds and 3-part keys (Python
-# 3.11, numpy 2.4, shared 2-vCPU VM): the batch costs about 145 us per
-# call plus 1.5 us per stream, one `SeedSequence` about 25 us per stream,
-# and the batch was the faster from 7-8 streams on (174 against 210 us at
-# 8 streams, 168 against 148 us at 6).
-SEED_LANES = 8
 
 # SeedSequence's pool size and hash constants (numpy.random.bit_generator).
 _POOL = 4
@@ -163,19 +154,13 @@ def seed_states(seeds, keys, n_words: int = 4) -> np.ndarray:
     shape (len(seeds) * len(keys), n_words).
 
     Seeds and key parts are non-negative integers of any width; a negative
-    one raises `ValueError`.  From `SEED_LANES` rows on, the rows are
-    hashed as one batch of lanes (see the module docstring); fewer go
-    through `SeedSequence` one at a time."""
-    seeds = list(seeds)
-    keys = [tuple(key) for key in keys]
-    rows = len(seeds) * len(keys)
-    if rows < SEED_LANES:
-        states = [np.random.SeedSequence(s, spawn_key=key)
-                  .generate_state(n_words, np.uint64)
-                  for s in seeds for key in keys]
-        return np.array(states, dtype=np.uint64).reshape(rows, n_words)
+    one raises `ValueError`.  The rows are hashed as one batch of lanes
+    (see the module docstring)."""
     seed_words = [_words(s) for s in seeds]
     key_words = [[w for part in key for w in _words(part)] for key in keys]
+    rows = len(seed_words) * len(key_words)
+    if rows == 0:
+        return np.empty((0, n_words), dtype=np.uint64)
     # A key's words start after the seed's, padded to the pool size.  With
     # an empty key the pad changes nothing: hashmix reads zeros there.
     starts = np.array([max(len(w), _POOL) for w in seed_words])

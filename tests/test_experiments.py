@@ -111,6 +111,23 @@ def test_fig6_odd_hop_counts_rejected():
     validate_spec(replace(base, group_size=(2, 4)))
 
 
+def test_cli_rejects_fig6_runs_shorter_than_the_first_hop_delay(tmp_path,
+                                                                capsys):
+    # Four hops delay the first one by 3 slots, which a 2-slot run cannot
+    # hold; the 100-slot points must not run first and be thrown away.
+    path = write_config(tmp_path, experiment="fig6", p_in_db=[0.0],
+                        n_slots=[100, 2], group_size=[4], trials=2)
+    out = tmp_path / "x.csv"
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: fig6 n_slots 2 ")
+        assert err.count("\n") == 1
+    assert not out.exists()
+    validate_spec(replace(default_spec("fig6"), n_slots=(3,), group_size=(4,)))
+
+
 def test_load_spec_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_spec(tmp_path / "missing.json")

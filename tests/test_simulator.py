@@ -158,7 +158,7 @@ def test_non_eh_grants_every_request():
     assert summary.mismatch_fraction == {0: 0.0}
     assert summary.mismatch_union == 0.0
     assert summary.final_level == {0: 0.0}
-    assert summary.avg_out[0] == summary.avg_desired[0] == 5.0
+    assert math.fsum(trace.actual[:, 0].tolist()) / cfg.n_slots == 5.0
 
 
 def test_non_eh_shares_draws_with_eh():
@@ -177,7 +177,6 @@ def test_eh_never_beats_requests_and_conserves_energy():
     banked = math.fsum(trace.harvest[0].tolist())
     spent = math.fsum(trace.actual.ravel().tolist())
     assert banked == pytest.approx(spent + summary.final_level[0], rel=1e-12)
-    assert summary.avg_out[0] <= summary.avg_desired[0] + 1e-12
 
 
 def test_zero_harvest_cold_start_never_transmits():
@@ -187,8 +186,8 @@ def test_zero_harvest_cold_start_never_transmits():
         transmitters=(replace(cfg.transmitters[0],
                               harvest=ConstantProcess(0.0)),),
     )
-    summary = run_eh(cfg)
-    assert summary.avg_out[0] == 0.0
+    summary, trace = run_eh(cfg, return_trace=True)
+    assert np.all(trace.actual == 0.0)
     assert summary.mismatch_fraction[0] == 1.0  # every slot wants power
 
 
@@ -275,22 +274,6 @@ def sweep_config(experiment, starved, group=None):
     return build_config(spec, grid_points(spec)[0], seed=31)
 
 
-def check_node_averages(cfg, summary, trace):
-    n = cfg.n_slots
-    nodes = [t.node for t in cfg.transmitters]
-    for avg in (summary.avg_in, summary.avg_desired, summary.avg_out):
-        assert list(avg) == nodes
-        with pytest.raises(KeyError):
-            avg[max(nodes) + 100]
-    for node in nodes:
-        cols = [c for c, link in enumerate(cfg.links) if link.tx == node]
-        assert summary.avg_in[node] == math.fsum(trace.harvest[node].tolist()) / n
-        assert summary.avg_desired[node] == math.fsum(
-            trace.desired[:, cols].ravel().tolist()) / n
-        assert summary.avg_out[node] == math.fsum(
-            trace.actual[:, cols].ravel().tolist()) / n
-
-
 @pytest.mark.parametrize("starved", [True, False], ids=["mismatch", "no_mismatch"])
 @pytest.mark.parametrize("experiment", [f"fig{k}" for k in range(1, 7)])
 def test_run_eh_pairs_with_reference_run(experiment, starved):
@@ -304,8 +287,6 @@ def test_run_eh_pairs_with_reference_run(experiment, starved):
     assert summary.avg_utility == math.fsum(trace.utility.tolist()) / n
     if not starved:
         assert np.array_equal(trace.utility, ref_trace.utility)
-    check_node_averages(cfg, summary, trace)
-    check_node_averages(cfg, ref_summary, ref_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +294,11 @@ def test_run_eh_pairs_with_reference_run(experiment, starved):
 
 
 def summary_bits(summary):
-    """Every number of a summary as bytes, lazy per-node averages included,
-    so a sign of zero or a last-digit change shows."""
+    """Every number of a summary as bytes, so a sign of zero or a
+    last-digit change shows."""
     fields = [summary.n_slots, summary.avg_utility, summary.non_eh_utility,
               summary.mismatch_union]
-    for per_node in (summary.avg_in, summary.avg_desired, summary.avg_out,
-                     summary.mismatch_fraction, summary.final_level):
+    for per_node in (summary.mismatch_fraction, summary.final_level):
         fields += [(node, value) for node, value in per_node.items()]
     return np.array([v for f in fields for v in np.ravel(f)],
                     dtype=float).tobytes()
@@ -459,21 +439,54 @@ def test_lanes_resume_from_their_own_levels_across_chunks(monkeypatch):
         assert_same_runs(run_eh(cfg, seeds=seeds, return_trace=True), want)
 
 
+# An unbounded single-link run whose harvest sum overflows a float.
+OVERFLOWING_RUN = single_link_config(n=400, power=1.0, harvest_mean=1e306,
+                                     seed=3)
+
+
 def test_unbounded_level_that_overflows_resumes_in_the_next_chunk(
         monkeypatch):
     # A harvest of mean 1e306 overflows an unbounded level to inf within
-    # a few hundred slots; later chunks resume from inf.  The harvest
-    # average overflows too, so the lazy per-node averages are not read.
-    cfg = single_link_config(n=400, power=1.0, harvest_mean=1e306, seed=3)
+    # a few hundred slots; later chunks resume from inf.
+    cfg = OVERFLOWING_RUN
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
-    want, want_trace = run_eh(cfg, return_trace=True)
-    assert math.isinf(want.final_level[0])
+    want = run_eh(cfg, return_trace=True)
+    assert math.isinf(want[0].final_level[0])
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 7)
-    got, got_trace = run_eh(cfg, return_trace=True)
-    for name in ("avg_utility", "non_eh_utility", "mismatch_fraction",
-                 "mismatch_union", "final_level"):
-        assert getattr(got, name) == getattr(want, name)
-    assert trace_bits(got_trace) == trace_bits(want_trace)
+    assert_same_runs([run_eh(cfg, return_trace=True)], [want])
+
+
+def test_summary_of_an_overflowing_run_prints_and_compares():
+    # The harvest of this run sums past the float range, and its summary
+    # holds only what the walk computed, so printing or comparing it runs
+    # nothing and sums nothing.
+    summary = run_eh(OVERFLOWING_RUN)
+    assert repr(summary).startswith("RunSummary(n_slots=400, ")
+    assert summary == run_eh(OVERFLOWING_RUN)
+
+
+def test_batch_equality_example_runs_each_trial_once(monkeypatch):
+    # The README's example: one batch of three, then three single runs.
+    cfg = SimulationConfig(
+        n_slots=10_000,
+        transmitters=(TransmitterSpec(node=0, harvest=ExponentialProcess(1.0),
+                                      policy=ConstantPolicy(1.0),
+                                      capacity=200.0),),
+        links=(LinkSpec(tx=0, rx=1, fading=ExponentialProcess(1.0)),),
+        utility=OutageUtility(1.0),
+        seed=42,
+    )
+    runs = []
+    run = simulator._run
+
+    def counting_run(*args):
+        runs.append(args[1])
+        return run(*args)
+
+    monkeypatch.setattr(simulator, "_run", counting_run)
+    trials = run_eh(cfg, seeds=[1, 2, 3])
+    assert trials == [run_eh(replace(cfg, seed=s)) for s in (1, 2, 3)]
+    assert runs == [[1, 2, 3], [1], [2], [3]]
 
 
 def test_eight_hop_chain_grants_match_stepwise_primitives():
@@ -530,28 +543,6 @@ def test_long_wide_run_holds_bounded_memory():
     assert summary.mismatch_union >= 0.0
     assert peak - before < 16 * 2**20
     assert kept - before < 2**20
-
-
-def test_node_averages_rerun_the_trial_once_on_first_read(monkeypatch):
-    cfg = sweep_config("fig5", starved=True)
-    _, trace = run_eh(cfg, return_trace=True)
-    summary = run_eh(cfg, seeds=[cfg.seed, cfg.seed + 1])[0]
-    runs = []
-    run = simulator._run
-
-    def counting_run(*args):
-        runs.append(args[1:])
-        return run(*args)
-
-    monkeypatch.setattr(simulator, "_run", counting_run)
-    nodes = [t.node for t in cfg.transmitters]
-    for avg in (summary.avg_in, summary.avg_desired, summary.avg_out):
-        with pytest.raises(KeyError):
-            avg[max(nodes) + 100]
-        assert list(avg) == nodes
-    assert runs == []
-    check_node_averages(cfg, summary, trace)
-    assert runs == [([cfg.seed], True, True)]
 
 
 def test_paired_gap_zero_for_abundant_battery():

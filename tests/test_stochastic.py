@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehnet.stochastic import (
-    SEED_LANES,
     ConstantProcess,
     ExponentialProcess,
     QuadratureError,
@@ -90,15 +89,14 @@ def _seed_sequence_states(seeds, keys, n_words):
        keys=st.lists(_keys, min_size=1, max_size=9),
        n_words=st.sampled_from([1, 4]))
 @example(seeds=[5], keys=[(0, 1, 0)], n_words=4)
-@example(seeds=[5], keys=[(0, k, 0) for k in range(SEED_LANES - 1)], n_words=4)
-@example(seeds=[5], keys=[(0, k, 0) for k in range(SEED_LANES)], n_words=4)
+@example(seeds=[5], keys=[(0, k, 0) for k in range(7)], n_words=4)
+@example(seeds=[5], keys=[(0, k, 0) for k in range(8)], n_words=4)
 @example(seeds=_EDGE_SEEDS, keys=[(), (0,), (2**32,), (1, 2**32 - 1, 2**33, 7)],
          n_words=4)
 @example(seeds=_EDGE_SEEDS + [3, 2**200], keys=[()], n_words=1)
 @settings(max_examples=300, deadline=None)
 def test_seed_states_equal_seed_sequence(seeds, keys, n_words):
-    # rows run from 1 to 45, so both the per-row SeedSequence branch and
-    # the batch hash (from SEED_LANES rows on) are compared
+    # rows run from 1 to 45, each hashed as one lane of the batch
     got = seed_states(seeds, keys, n_words)
     assert got.dtype == np.uint64
     assert got.shape == (len(seeds) * len(keys), n_words)
@@ -109,7 +107,6 @@ def test_streams_draw_what_their_seed_sequence_gives():
     seeds = [0, 2**32, 2**64 - 1, 2**128 + 1]
     keys = [(0, 1, 0), (1, 1, 2), ()]
     states = seed_states(seeds, keys)
-    assert len(states) >= SEED_LANES
     rows = iter(states)
     for seed in seeds:
         for key in keys:
@@ -121,11 +118,17 @@ def test_streams_draw_what_their_seed_sequence_gives():
             assert batched.tobytes() == want.tobytes()
 
 
+def test_no_seeds_or_no_keys_give_no_rows():
+    for seeds, keys in (([], [(0,)]), ([1], []), ([], [])):
+        states = seed_states(seeds, keys, 3)
+        assert states.shape == (0, 3) and states.dtype == np.uint64
+
+
 @pytest.mark.parametrize("seeds, keys", [
     ([-1], [(0,)]),
     ([1], [(0, -1)]),
-    ([-1] + list(range(SEED_LANES)), [(0,)]),
-    (list(range(SEED_LANES)), [(0,), (3, -2)]),
+    ([-1] + list(range(8)), [(0,)]),
+    (list(range(8)), [(0,), (3, -2)]),
 ], ids=["seed", "key_part", "batched_seed", "batched_key_part"])
 def test_negative_seeds_and_key_parts_raise(seeds, keys):
     with pytest.raises(ValueError):
