@@ -226,7 +226,8 @@ def trajectory(
         if level > capacity:
             level = capacity
         levels[i] = level
-    actual = np.zeros(rows.shape)
+    # A zero request is granted as itself, sign and all.
+    actual = rows.copy()
     actual[slot_of, link_of] = got
     return actual, np.array(levels)
 

@@ -19,15 +19,18 @@ Given several seeds, `run_eh` runs one trial per seed on the same network.
 Trials run side by side in groups: each trial draws from its own streams,
 the policies and the utility see all the group's slots stacked, and
 single-link batteries step the whole group at once.  A group walks through
-time in chunks, carrying battery levels, delay lines and running counts
-from one chunk to the next, so a call holds about `CHUNK_SLOT_LINKS`
-slot-links of per-slot arrays however long or wide its runs are.  Each
-trial's summary equals that of a run on its seed alone, bit for bit:
-streams continue across chunks, the battery resumes from the levels it
-returned, and policies and utilities act slot by slot.
+time in chunks, carrying battery levels, delay lines, running counts and
+exact partial sums of the utilities from one chunk to the next, so a call
+holds about `CHUNK_SLOT_LINKS` slot-links of per-slot arrays however long
+or wide its runs are.  Each trial's summary equals that of a run on its
+seed alone, bit for bit: streams continue across chunks, the battery
+resumes from the levels it returned, and policies and utilities act slot
+by slot.
 
-Averages over slots use exact compensated summation, and run averages count
-*all* slots, including ones where the utility is structurally zero.
+An average over slots is the exact sum of its values, rounded once, as
+`math.fsum` over the whole run would give it (see `_ExactSums`); a sum past
+the float range is a `NumericsError`.  Run averages count *all* slots,
+including ones where the utility is structurally zero.
 """
 
 from __future__ import annotations
@@ -188,8 +191,97 @@ class RunTrace:
     utility: np.ndarray
 
 
-def _mean(values: np.ndarray, n: int) -> float:
-    return math.fsum(values.tolist()) / n
+# Every finite float is an integer multiple of 2**-1074.
+_UNITS = 2 ** 1074
+
+
+def _units(x: float) -> int:
+    num, den = x.as_integer_ratio()
+    return num * (_UNITS // den)
+
+
+class _ExactSums:
+    """Each trial's exact running sum of per-slot values, kept as a few
+    floats per chunk instead of one per slot.
+
+    `add` splits each row of a chunk by error-free extraction (Rump, Ogita
+    and Oishi, "Accurate floating-point summation part I", 2008).  With
+    ``sigma = 2**(e + bits)``, where ``max|r| < 2**e`` and ``2**bits >=
+    m + 2`` for m values, ``q = (r + sigma) - sigma`` is exact, every `q`
+    is a multiple of ``2**-53 * sigma`` and their sum stays below `sigma`,
+    so ``q.sum()`` is exact in any order; ``r - q`` is the exact rest,
+    which the next level splits until nothing is left.  The partials of a
+    trial sum exactly to its values, so ``math.fsum`` over them gives the
+    correctly rounded sum that `fsum` over the values would.  A row whose
+    `sigma` would overflow is summed as a Python int of 2**-1074 units."""
+
+    def __init__(self, k: int):
+        self._k = k
+        self._parts: list[np.ndarray] = []  # (k,), -0.0 where nothing adds
+        self._big: dict[int, int] = {}
+
+    def copy(self) -> _ExactSums:
+        other = _ExactSums(self._k)
+        other._parts = list(self._parts)
+        other._big = dict(self._big)
+        return other
+
+    def _append(self, rows: np.ndarray, sums: np.ndarray) -> None:
+        part = np.full(self._k, -0.0)
+        part[rows] = sums
+        self._parts.append(part)
+
+    def add(self, values: np.ndarray) -> None:
+        """Add row j of the finite (k, m) `values` to trial j's sum."""
+        bits = (values.shape[1] + 1).bit_length()
+        top = np.abs(values).max(axis=1)
+        zero = top == 0.0
+        if zero.any():
+            # -0.0 only where every value is, as `fsum` may keep it.
+            rows = np.flatnonzero(zero)
+            self._append(rows, np.where(
+                np.signbit(values[rows]).all(axis=1), -0.0, 0.0))
+        exp = np.frexp(top)[1] + bits
+        big = exp > 1023
+        for j in np.flatnonzero(big).tolist():
+            self._big[j] = (self._big.get(j, 0)
+                            + sum(map(_units, values[j].tolist())))
+        rows = np.flatnonzero(~(zero | big))
+        rest = values if len(rows) == self._k else values[rows]
+        exp = exp[rows]
+        while len(rows):
+            sigma = np.ldexp(1.0, exp)[:, None]
+            q = rest + sigma
+            q -= sigma
+            rest = rest - q
+            self._append(rows, q.sum(axis=1))
+            top = np.abs(rest).max(axis=1)
+            live = top > 0.0
+            if not live.all():
+                rows, rest, top = rows[live], rest[live], top[live]
+            exp = np.frexp(top)[1] + bits
+
+    def means(self, n: int) -> list[float]:
+        """Each trial's sum, correctly rounded, divided by `n`."""
+        rows = (np.stack(self._parts, axis=1).tolist() if self._parts
+                else [[] for _ in range(self._k)])
+        out = []
+        for j, parts in enumerate(rows):
+            try:
+                total = (self._exact(j, parts, n) if j in self._big
+                         else math.fsum(parts))
+            except OverflowError:  # a partial sum left the float range
+                total = self._exact(j, parts, n)
+            out.append(total / n)
+        return out
+
+    def _exact(self, j: int, parts: list, n: int) -> float:
+        """Trial j's sum by integer arithmetic, correctly rounded."""
+        try:
+            return (sum(map(_units, parts)) + self._big.get(j, 0)) / _UNITS
+        except OverflowError:
+            raise NumericsError(f"utilities of a {n}-slot run sum past the "
+                                "float range") from None
 
 
 class _Scratch:
@@ -367,8 +459,8 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
     absolute slot numbers to the policies and the utility.  From chunk to
     chunk the walk carries each node's battery levels, the last slots of
     gains and powers that the delay lines read, the mismatch counts, and
-    each trial's per-slot utilities, which are summed once at the end.
-    Only a trace keeps the other per-slot arrays."""
+    the exact partial sums of each trial's utilities for both systems.
+    Only a trace keeps per-slot arrays."""
     n, width, k = config.n_slots, len(config.links), len(streams)
     size = max(1, CHUNK_SLOT_LINKS // (k * width))
     columns = _link_columns(config)
@@ -379,13 +471,14 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
     levels = {t.node: np.full(k, t.initial_level) for t in config.transmitters}
     misses = {node: np.zeros(k, dtype=np.int64) for node in nodes}
     union = np.zeros(k, dtype=np.int64)
-    u_ref_rows = scratch.take("u_ref", (k, n))
-    u_rows = None
+    non_eh_sums = _ExactSums(k)
+    eh_sums = None  # while no grant has differed, the reference sums
     if return_trace:
         kept = np.empty((3, k, n, width))  # gains, requests, grants
         kept_harvest = {node: np.empty((k, n)) for node in nodes}
         kept_levels = ({node: np.empty((k, n)) for node in nodes}
                        if with_battery else {})
+        kept_utility = np.empty((k, n))
 
     for start in range(0, n, size):
         stop = min(n, start + size)
@@ -398,8 +491,8 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
                                   scratch.take("desired", gains.shape))
         delayed_g, past_gains = _delayed(config, past_gains, gains)
         delayed_d, next_desired = _delayed(config, past_desired, desired)
-        u_ref_rows[:, start:stop] = _utility(
-            config, slots, delayed_d, delayed_g).reshape(k, m)
+        u_non_eh = u_eh = _utility(config, slots, delayed_d,
+                                   delayed_g).reshape(k, m)
         actual, after = desired, {}
         if with_battery:
             actual, after = _battery(config, desired, harvest, columns,
@@ -423,13 +516,13 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
             differs = missed or not np.array_equal(past_actual, past_desired)
             delayed_a, past_actual = _delayed(config, past_actual, actual)
             if differs:
-                if u_rows is None:  # the slots so far had no mismatch
-                    u_rows = scratch.take("u", (k, n))
-                    u_rows[:, :start] = u_ref_rows[:, :start]
-                u_rows[:, start:stop] = _utility(
-                    config, slots, delayed_a, delayed_g).reshape(k, m)
-            elif u_rows is not None:
-                u_rows[:, start:stop] = u_ref_rows[:, start:stop]
+                if eh_sums is None:  # the slots so far had no mismatch
+                    eh_sums = non_eh_sums.copy()
+                u_eh = _utility(config, slots, delayed_a,
+                                delayed_g).reshape(k, m)
+        non_eh_sums.add(u_non_eh)
+        if eh_sums is not None:
+            eh_sums.add(u_eh)
         past_desired = next_desired
         if return_trace:
             for i, values in enumerate((gains, desired, actual)):
@@ -438,11 +531,12 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
                 kept_harvest[node][:, start:stop] = harvest[node]
             for node, lev in after.items():
                 kept_levels[node][:, start:stop] = lev.T
+            kept_utility[:, start:stop] = u_eh
 
-    non_eh = [_mean(row, n) for row in u_ref_rows]
-    eh = non_eh if u_rows is None else [_mean(row, n) for row in u_rows]
-    fractions = {node: count / n for node, count in misses.items()}
-    union_frac = union / n
+    non_eh = non_eh_sums.means(n)
+    eh = non_eh if eh_sums is None else eh_sums.means(n)
+    fractions = {node: (count / n).tolist() for node, count in misses.items()}
+    union_frac = (union / n).tolist()
     results = []
     for j in range(k):
         trace = None
@@ -454,7 +548,7 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
                 desired=kept[1, j],
                 actual=kept[2, j],
                 levels={node: lev[j] for node, lev in kept_levels.items()},
-                utility=(u_ref_rows if u_rows is None else u_rows)[j].copy(),
+                utility=kept_utility[j],
             )
         summary = RunSummary(
             n_slots=n,

@@ -383,8 +383,9 @@ def test_bounded_battery_never_outperforms_unbounded(run):
 # ---------------------------------------------------------------------------
 # trajectory: multi-link oracle
 
-# About half the requests are exact zeros, which the multi-link loop skips.
-sparse_power = st.one_of(st.just(0.0), finite_power)
+# About half the requests are exact zeros of either sign, which the
+# multi-link loop skips.
+sparse_power = st.one_of(st.sampled_from([0.0, -0.0]), finite_power)
 
 
 @st.composite
@@ -413,6 +414,17 @@ def test_multilink_trajectory_matches_stepwise_primitives(run):
         # bit for bit, so a sign of zero or a last-digit change shows
         assert np.array(got).tobytes() == actual[i].tobytes()
         assert np.float64(state.level).tobytes() == levels[i].tobytes()
+
+
+def test_multilink_trajectory_grants_a_negative_zero_request_as_itself():
+    desired = np.array([[-0.0, 1.0], [0.5, -0.0]])
+    actual, _ = trajectory(desired, [0.2, 0.3], capacity=5.0, initial=2.0)
+    state = BatteryState(level=2.0, capacity=5.0)
+    for i, h in enumerate([0.2, 0.3]):
+        got, state = extract_many(state, desired[i].tolist())
+        state = deposit(state, h)
+        assert np.array(got).tobytes() == actual[i].tobytes()
+    assert np.signbit(actual).tolist() == [[True, False], [False, True]]
 
 
 # ---------------------------------------------------------------------------

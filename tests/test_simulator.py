@@ -4,9 +4,12 @@ import gc
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehnet import simulator
 from ehnet.experiments import (
@@ -25,6 +28,7 @@ from ehnet.battery import VECTOR_LANES, BatteryState, deposit, extract
 from ehnet.simulator import (
     ConfigError,
     LinkSpec,
+    NumericsError,
     SimulationConfig,
     TransmitterSpec,
     run_eh,
@@ -543,6 +547,108 @@ def test_long_wide_run_holds_bounded_memory():
     assert summary.mismatch_union >= 0.0
     assert peak - before < 16 * 2**20
     assert kept - before < 2**20
+
+
+def test_million_slot_run_holds_no_whole_run_rows():
+    # Each trial's utilities go into exact partial sums chunk by chunk.
+    # Summed by `math.fsum` over whole-run rows, this run held two 8 MB
+    # rows of utilities and their `tolist()`, and peaked at 47 MB.
+    cfg = single_link_config(n=10**6, power=1.0, harvest_mean=1.0, seed=4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = run_eh(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.mismatch_union > 0.0  # both systems' sums are kept
+    assert peak - before < 6 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# exact slot sums
+
+
+def fsum_or_exact(row):
+    """`math.fsum(row)`; where it overflows in between, the exact sum
+    correctly rounded; None where that sum is past the float range."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        try:
+            return float(sum(map(Fraction, row)))
+        except OverflowError:
+            return None
+
+
+summand_rows = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    st.lists(st.floats(min_value=-1e-300, max_value=1e-300)),
+    st.lists(st.sampled_from([0.0, 1.0])),
+    st.lists(st.just(-0.0)),
+    st.lists(st.sampled_from([0.0, -0.0, 1.5e308, -1.5e308])),
+)
+
+
+@given(st.integers(1, 60), st.lists(summand_rows, min_size=1, max_size=4),
+       st.lists(st.integers(0, 60)))
+@settings(max_examples=300, deadline=None)
+def test_exact_sums_over_any_chunk_split_match_fsum(n, drawn, cuts):
+    rows = np.array([(row * n)[:n] if row else [0.0] * n for row in drawn])
+    sums = simulator._ExactSums(len(rows))
+    bounds = sorted({0, n, *(c for c in cuts if c <= n)})
+    for start, stop in zip(bounds, bounds[1:]):
+        sums.add(rows[:, start:stop])
+    want = [fsum_or_exact(row.tolist()) for row in rows]
+    if None in want:
+        with pytest.raises(NumericsError):
+            sums.means(n)
+        return
+    got = sums.means(n)
+    assert (np.array(got).tobytes()
+            == np.array([total / n for total in want]).tobytes())
+
+
+class SlotUtility:
+    """A library utility whose value depends on the slot number only."""
+
+    def __init__(self, odd, even):
+        self.odd, self.even = odd, even
+
+    def evaluate(self, slots, powers, gains):
+        return np.where(np.asarray(slots) % 2 == 1, self.odd, self.even)
+
+
+def test_utilities_near_the_float_maximum_average_exactly(monkeypatch):
+    # Each chunk of these values is summed as integers, where the usual
+    # split would overflow; fsum takes the whole row in one go.
+    cfg = replace(single_link_config(n=401, power=1.0, harvest_mean=0.5),
+                  utility=SlotUtility(1.5e308, -1.5e308))
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 7)
+    summary, trace = run_eh(cfg, return_trace=True)
+    assert summary.mismatch_union > 0.0
+    assert summary.avg_utility == math.fsum(trace.utility.tolist()) / 401
+    assert summary.avg_utility == summary.non_eh_utility == 1.5e308 / 401
+
+
+def test_utilities_summed_past_the_float_range_raise_numerics_error():
+    cfg = replace(single_link_config(n=400), utility=SlotUtility(1e308, 1e308))
+    with pytest.raises(OverflowError):
+        math.fsum([1e308] * 400)
+    with pytest.raises(NumericsError) as err:
+        run_eh(cfg)
+    assert "\n" not in str(err.value)
+
+
+def test_summary_fields_are_python_floats():
+    summary = run_eh(chain_config(40))
+    assert summary.mismatch_union > 0.0
+    values = [summary.avg_utility, summary.non_eh_utility,
+              summary.mismatch_union, *summary.mismatch_fraction.values(),
+              *summary.final_level.values()]
+    assert all(type(v) is float for v in values)
+    assert "np.float64" not in repr(summary)
 
 
 def test_paired_gap_zero_for_abundant_battery():
