@@ -14,7 +14,9 @@ Slots have unit length, so per-slot energy and average power coincide and
 the two words are used interchangeably.
 
 A single-link buffer runs as a walk over running sums, exact bit for bit
-(see `_single_link`).
+(see `_single_link`).  So does a multi-link buffer that asks for power on
+at most one link per slot, such as a broadcast transmitter serving its
+strongest receiver: it walks that one request per slot.
 """
 
 from __future__ import annotations
@@ -167,8 +169,9 @@ def trajectory(
 
     Slot i of this function is exactly ``extract_many`` followed by
     ``deposit`` on scalars, bit for bit, and each lane gets the result of
-    its own 1-D call; a single-link buffer takes clip-free stretches
-    whole (see `_single_link`).
+    its own 1-D call; a single-link buffer, and a multi-link one with at
+    most one nonzero request per slot, take clip-free stretches whole (see
+    `_single_link`).
     """
     desired = np.asarray(desired, dtype=float)
     harvested = np.asarray(harvested, dtype=float)
@@ -203,7 +206,22 @@ def trajectory(
                                           initial)
             return (actual if single else actual[:, None]), levels
 
-    # Zero requests draw nothing, so only the nonzero ones are walked.
+    # Zero requests draw nothing.  When no slot asks on more than one
+    # link, each slot's largest request is its only one, and the walk over
+    # those is the loop below bit for bit: a slot without a request draws
+    # a zero from its first link, which leaves a level of +0.0 or more as
+    # it is.  Only an initial level of -0.0 would change sign, so it loops.
+    if rows.shape[1] and not math.copysign(1.0, initial) < 0.0:
+        slot = np.arange(n)
+        link_of = rows.argmax(axis=1)
+        want = rows[slot, link_of]
+        if np.count_nonzero(want) == np.count_nonzero(rows):
+            got, levels = _single_link(want, harvested, capacity, initial)
+            actual = rows.copy()
+            actual[slot, link_of] = got
+            return actual, levels
+
+    # Otherwise only the nonzero requests are walked, slot by slot.
     # `np.nonzero` lists them slot by slot in link order, which is the
     # service order; `ends[i]` is one past slot i's last entry.
     harv = harvested.tolist()

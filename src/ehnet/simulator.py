@@ -102,8 +102,9 @@ class TransmitterSpec:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything a run needs.  `links` are grouped by transmitter and their
-    order fixes both extraction priority and the utility's link order."""
+    """Everything a run needs.  `links` are grouped by transmitter, so a
+    node's links are one contiguous range of columns, and their order fixes
+    both extraction priority and the utility's link order."""
 
     n_slots: int
     transmitters: tuple[TransmitterSpec, ...]
@@ -119,8 +120,12 @@ class SimulationConfig:
             raise ConfigError(f"duplicate transmitter nodes in {nodes}")
         if not self.links:
             raise ConfigError("need at least one link")
-        seen = set()
-        for link in self.links:
+        seen, senders = set(), set()
+        for i, link in enumerate(self.links):
+            if link.tx in senders and link.tx != self.links[i - 1].tx:
+                raise ConfigError(f"links of transmitter {link.tx} are not "
+                                  "grouped together")
+            senders.add(link.tx)
             if link.tx == link.rx:
                 raise ConfigError(f"link {link.tx}->{link.rx} loops back")
             if (link.tx, link.rx) in seen:
@@ -339,10 +344,10 @@ def _desired_matrix(config: SimulationConfig, slots, gains, columns,
         req = np.asarray(
             t.policy.desired_powers(slots, gains[:, cols]), dtype=float
         )
-        if req.shape != (rows, len(cols)):
+        if req.shape != (rows, t.policy.num_links):
             raise NumericsError(
                 f"policy of node {t.node} returned shape {req.shape}, "
-                f"expected {(rows, len(cols))}"
+                f"expected {(rows, t.policy.num_links)}"
             )
         if np.any(req < 0.0) or not np.all(np.isfinite(req)):
             raise NumericsError(f"policy of node {t.node} requested negative "
@@ -382,11 +387,12 @@ def _utility(config: SimulationConfig, slots, powers, gains):
     return u
 
 
-def _link_columns(config: SimulationConfig) -> dict[int, list[int]]:
-    columns: dict[int, list[int]] = {t.node: [] for t in config.transmitters}
-    for col, link in enumerate(config.links):
-        columns[link.tx].append(col)
-    return columns
+def _link_columns(config: SimulationConfig) -> dict[int, slice]:
+    """Each node's range of link columns; `validate` keeps them grouped."""
+    txs = [link.tx for link in config.links]
+    return {t.node: slice(txs.index(t.node),
+                          txs.index(t.node) + txs.count(t.node))
+            for t in config.transmitters}
 
 
 def _battery(config: SimulationConfig, desired, harvest, columns, levels,
@@ -396,21 +402,24 @@ def _battery(config: SimulationConfig, desired, harvest, columns, levels,
     start from `levels[node]`, one level per trial, which this sets to
     their levels after the chunk.
 
-    A single-link node runs all trials in one `trajectory` call, one lane
-    per trial; a multi-link node runs one call per trial."""
+    A node's links are one range of columns, so each node reads views.  A
+    single-link node runs all trials in one `trajectory` call, one lane per
+    trial; a multi-link node runs one call per trial, which takes the
+    single-link walk when each slot asks for at most one link, as the
+    broadcast policy does."""
     k = len(next(iter(levels.values())))
     m = len(desired) // k
     after = {}
     for t in config.transmitters:
         cols = columns[t.node]
-        if len(cols) == 1:
+        if t.policy.num_links == 1:
             got, lev = battery.trajectory(
-                desired[:, cols[0]].reshape(k, m).T,
+                desired[:, cols.start].reshape(k, m).T,
                 harvest[t.node].T,
                 capacity=t.capacity,
                 initial=levels[t.node],
             )
-            actual.reshape(k, m, -1)[:, :, cols[0]] = got.T
+            actual.reshape(k, m, -1)[:, :, cols.start] = got.T
         else:
             lev = np.empty((m, k))
             for j in range(k):

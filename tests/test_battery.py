@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ehnet import battery
 from ehnet.battery import (
     VECTOR_LANES,
     WALK_FIRST,
@@ -142,6 +144,15 @@ def test_trajectory_empty_run():
     actual, levels = trajectory(np.zeros(0), np.zeros(0))
     assert actual.shape == (0,)
     assert levels.shape == (0,)
+
+
+@pytest.mark.parametrize("n", [3, 0])
+def test_trajectory_without_links_banks_the_harvest(n):
+    harvested = np.ones(n)
+    actual, levels = trajectory(np.zeros((n, 0)), harvested, capacity=5.0,
+                                initial=1.0)
+    assert actual.shape == (n, 0)
+    assert levels.tolist() == [2.0, 3.0, 4.0][:n]
 
 
 def test_trajectory_shape_mismatch_rejected():
@@ -425,6 +436,99 @@ def test_multilink_trajectory_grants_a_negative_zero_request_as_itself():
         state = deposit(state, h)
         assert np.array(got).tobytes() == actual[i].tobytes()
     assert np.signbit(actual).tolist() == [[True, False], [False, True]]
+
+
+def stepwise_many(desired, harvested, capacity, initial):
+    """Grants and post-deposit levels of the extract_many/deposit loop."""
+    state = BatteryState(level=initial, capacity=capacity)
+    got = []
+    after = []
+    for want, h in zip(desired.tolist(), harvested.tolist()):
+        a, state = extract_many(state, want)
+        state = deposit(state, h)
+        got.append(a)
+        after.append(state.level)
+    return np.array(got).reshape(desired.shape), np.array(after)
+
+
+@st.composite
+def random_broadcast_run(draw):
+    """A broadcast transmitter's buffer: at most one nonzero request per
+    slot, on a random link, exact zeros of either sign elsewhere.  Runs of
+    up to 600 slots, past the walk's first window and its doubled second,
+    in buffers a few requests deep that start empty or full, so the walk
+    clips and steps, or in unbounded ones."""
+    n = draw(st.integers(min_value=1, max_value=4 * WALK_FIRST + 88))
+    links = draw(st.integers(min_value=2, max_value=25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    desired = rng.choice([0.0, -0.0], size=(n, links))
+    asking = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+    desired[asking, rng.integers(0, links, n)[asking]] = rng.exponential(
+        1.0, int(asking.sum()))
+    harvested = rng.exponential(draw(st.floats(0.2, 2.0)), n)
+    capacity = draw(st.one_of(st.just(math.inf), st.floats(0.5, 8.0)))
+    initial = draw(st.sampled_from(
+        [0.0, capacity if math.isfinite(capacity) else 3.0]))
+    return desired, harvested, capacity, initial
+
+
+@given(random_broadcast_run())
+@settings(max_examples=150, deadline=None)
+def test_broadcast_trajectory_walks_and_matches_stepwise_primitives(run):
+    desired, harvested, capacity, initial = run
+    with mock.patch.object(battery, "_single_link",
+                           wraps=battery._single_link) as walk:
+        actual, levels = trajectory(desired, harvested, capacity=capacity,
+                                    initial=initial)
+    assert walk.call_count == 1
+    got, after = stepwise_many(desired, harvested, capacity, initial)
+    # bit for bit, so a sign of zero or a last-digit change shows
+    assert got.tobytes() == actual.tobytes()
+    assert after.tobytes() == levels.tobytes()
+
+
+def test_broadcast_walk_clips_and_steps():
+    # A buffer two requests deep, full at the start: the walk clips at
+    # both ends and steps WALK_STEPS slots from each clip, many times.
+    rng = np.random.default_rng(17)
+    n, links = 600, 25
+    desired = np.zeros((n, links))
+    desired[np.arange(n), rng.integers(0, links, n)] = rng.exponential(1.0, n)
+    harvested = rng.exponential(1.0, n)
+    with mock.patch.object(battery, "_steps", wraps=battery._steps) as steps:
+        actual, levels = trajectory(desired, harvested, capacity=2.0,
+                                    initial=2.0)
+    assert steps.call_count > 2
+    assert (levels == 2.0).any() and (actual < desired).any()
+    got, after = stepwise_many(desired, harvested, 2.0, 2.0)
+    assert got.tobytes() == actual.tobytes()
+    assert after.tobytes() == levels.tobytes()
+
+
+def test_two_requests_in_one_slot_take_the_slot_loop():
+    desired = np.zeros((5, 3))
+    desired[[0, 2, 2, 3, 4], [1, 0, 2, 2, 2]] = [0.5, 0.75, 0.5, 0.125, 0.5]
+    harvested = np.full(5, 0.25)
+    with mock.patch.object(battery, "_single_link",
+                           wraps=battery._single_link) as walk:
+        actual, levels = trajectory(desired, harvested, capacity=2.0,
+                                    initial=1.0)
+    assert walk.call_count == 0
+    # slot 2 grants 0.75 and what is left of the level, 0.25
+    assert actual[2].tolist() == [0.75, 0.0, 0.25]
+    assert levels.tolist() == [0.75, 1.0, 0.25, 0.375, 0.25]
+    got, after = stepwise_many(desired, harvested, 2.0, 1.0)
+    assert got.tobytes() == actual.tobytes()
+    assert after.tobytes() == levels.tobytes()
+
+
+def test_negative_zero_initial_level_keeps_its_sign_without_requests():
+    # Zero requests draw nothing, so a -0.0 start banks a -0.0 harvest as
+    # -0.0; drawing the first link's -0.0 would make it +0.0.
+    desired = np.array([[-0.0, 0.0], [0.0, -0.0]])
+    _, levels = trajectory(desired, np.array([-0.0, 1.0]), initial=-0.0)
+    assert levels.tolist() == [0.0, 1.0]
+    assert np.signbit(levels).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,14 @@ from ehnet.policies import (
     ConstantPolicy,
     WaterfillPolicy,
 )
-from ehnet.battery import VECTOR_LANES, BatteryState, deposit, extract
+from ehnet import battery
+from ehnet.battery import (
+    VECTOR_LANES,
+    BatteryState,
+    deposit,
+    extract,
+    extract_many,
+)
 from ehnet.simulator import (
     ConfigError,
     LinkSpec,
@@ -35,7 +43,11 @@ from ehnet.simulator import (
     run_non_eh,
 )
 from ehnet.stochastic import ConstantProcess, ExponentialProcess
-from ehnet.utilities import ChainRateUtility, OutageUtility
+from ehnet.utilities import (
+    BroadcastSumRateUtility,
+    ChainRateUtility,
+    OutageUtility,
+)
 
 
 def single_link_config(n=100, power=1.0, harvest_mean=1.0, seed=0, **tx_kwargs):
@@ -88,6 +100,26 @@ def test_validation_catches_bad_configs():
         replace(good, utility=ChainRateUtility(2)).validate()
     with pytest.raises(ConfigError):  # initial level above capacity
         single_link_config(capacity=1.0, initial_level=2.0).validate()
+
+
+def test_validation_wants_each_transmitters_links_together():
+    # Node 0's links 0->2 and 0->3 around node 1's would not be one range
+    # of columns.
+    def tx(node, links):
+        return TransmitterSpec(node, ConstantProcess(1.0),
+                               ConstantPolicy(1.0, num_links=links))
+
+    def link(a, b):
+        return LinkSpec(a, b, ExponentialProcess(1.0))
+
+    cfg = SimulationConfig(
+        n_slots=10, transmitters=(tx(0, 2), tx(1, 1)),
+        links=(link(0, 2), link(1, 2), link(0, 3)),
+        utility=BroadcastSumRateUtility(3))
+    with pytest.raises(ConfigError) as info:
+        cfg.validate()
+    assert str(info.value) == "links of transmitter 0 are not grouped together"
+    replace(cfg, links=(link(0, 2), link(0, 3), link(1, 2))).validate()
 
 
 def test_run_rejects_invalid_config_before_sampling():
@@ -508,6 +540,30 @@ def test_eight_hop_chain_grants_match_stepwise_primitives():
             state = deposit(state, float(trace.harvest[t.node][i]))
             assert got == trace.actual[i, col]
             assert state.level == trace.levels[t.node][i]
+
+
+def test_broadcast_grants_match_stepwise_primitives():
+    # fig4's transmitter asks one of its 25 receivers per slot, so its
+    # buffer takes the walk.  This one starts empty, holds five mean
+    # harvests and runs two chunks (1310 and 190 slots), so it runs dry,
+    # fills up and resumes across the chunk boundary.
+    spec = replace(default_spec("fig4"), p_in_db=(5.0,), n_slots=(1500,),
+                   b_max_ratio=(5.0,), group_size=(25,), initial_fill=0.0)
+    cfg = build_config(spec, grid_points(spec)[0], seed=9)
+    (t,) = cfg.transmitters
+    with mock.patch.object(battery, "_single_link",
+                           wraps=battery._single_link) as walk:
+        summary, trace = run_eh(cfg, return_trace=True)
+    assert walk.call_count == 2
+    assert summary.mismatch_union > 0.0
+    assert (trace.levels[t.node] == t.capacity).any()
+    state = BatteryState(t.initial_level, t.capacity)
+    for i in range(cfg.n_slots):
+        got, state = extract_many(state, trace.desired[i].tolist())
+        state = deposit(state, float(trace.harvest[t.node][i]))
+        assert np.array(got).tobytes() == trace.actual[i].tobytes()
+        assert (np.float64(state.level).tobytes()
+                == trace.levels[t.node][i].tobytes())
 
 
 def test_walk_chunk_sizes_follow_the_budget(monkeypatch):
