@@ -56,8 +56,9 @@ class BatteryState:
 
     def __post_init__(self) -> None:
         # Python floats, so arithmetic on a numpy scalar given here
-        # overflows to inf silently instead of with a RuntimeWarning.
-        object.__setattr__(self, "level", float(self.level))
+        # overflows to inf silently instead of with a RuntimeWarning; a
+        # level of -0.0 is stored as +0.0, as `trajectory` starts it.
+        object.__setattr__(self, "level", float(self.level) + 0.0)
         object.__setattr__(self, "capacity", float(self.capacity))
         if math.isnan(self.level) or self.level < 0.0:
             raise ValueError(f"battery level must be >= 0, got {self.level}")
@@ -160,7 +161,8 @@ def trajectory(
         `BatteryState` level, except that an unbounded buffer may start
         at inf, where its level goes when a sum overflows; so a run split
         at any slot and resumed from the levels its first part returned
-        gives the whole run's results.
+        gives the whole run's results.  A level of -0.0 starts as +0.0,
+        as in `BatteryState`.
 
     Returns
     -------
@@ -188,7 +190,7 @@ def trajectory(
         raise ValueError("desired powers must be finite and >= 0")
     if np.any(harvested < 0.0) or not np.all(np.isfinite(harvested)):
         raise ValueError("harvested powers must be finite and >= 0")
-    start = np.asarray(initial, dtype=float)
+    start = np.asarray(initial, dtype=float) + 0.0  # -0.0 becomes +0.0
     if start.shape not in ((), rows.shape[1:] if lanes else ()):
         raise ValueError(f"initial shape {start.shape} does not match "
                          f"{rows.shape[1:] if lanes else ()}")
@@ -210,8 +212,8 @@ def trajectory(
     # link, each slot's largest request is its only one, and the walk over
     # those is the loop below bit for bit: a slot without a request draws
     # a zero from its first link, which leaves a level of +0.0 or more as
-    # it is.  Only an initial level of -0.0 would change sign, so it loops.
-    if rows.shape[1] and not math.copysign(1.0, initial) < 0.0:
+    # it is, and no level starts or becomes -0.0.
+    if rows.shape[1]:
         slot = np.arange(n)
         link_of = rows.argmax(axis=1)
         want = rows[slot, link_of]

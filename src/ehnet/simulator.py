@@ -16,16 +16,17 @@ seedwise pairing of the two isolates the effect of the battery alone.
 both its own average utility and the reference system's.
 
 Given several seeds, `run_eh` runs one trial per seed on the same network.
-Trials run side by side in groups: each trial draws from its own streams,
-the policies and the utility see all the group's slots stacked, and
+Trials run side by side in groups: each stream key draws one block for all
+the group's trials at once, one lane per trial with that trial's seed, the
+policies and the utility see all the group's slots stacked, and
 single-link batteries step the whole group at once.  A group walks through
 time in chunks, carrying battery levels, delay lines, running counts and
 exact partial sums of the utilities from one chunk to the next, so a call
 holds about `CHUNK_SLOT_LINKS` slot-links of per-slot arrays however long
 or wide its runs are.  Each trial's summary equals that of a run on its
-seed alone, bit for bit: streams continue across chunks, the battery
-resumes from the levels it returned, and policies and utilities act slot
-by slot.
+seed alone, bit for bit: each lane draws what its seed's stream would
+alone, streams continue across chunks, the battery resumes from the levels
+it returned, and policies and utilities act slot by slot.
 
 An average over slots is the exact sum of its values, rounded once, as
 `math.fsum` over the whole run would give it (see `_ExactSums`); a sum past
@@ -308,28 +309,33 @@ class _Scratch:
 
 def _sample_chunk(config: SimulationConfig, streams, m: int,
                   scratch: _Scratch):
-    """The next `m` draws of each trial's streams (per trial, one per node
-    then one per link): per node a (trials, m) harvest array, and the
-    gains of all trials stacked trial-major into one (trials * m, links)
-    array."""
-    k = len(streams)
+    """The next `m` draws of every trial from `streams`, one `Stream` per
+    key (one per node, then one per link), each holding all the group's
+    trials: per node a (trials, m) harvest array, and the gains of all
+    trials stacked trial-major into one (trials * m, links) array.
+
+    Each key is drawn, transformed and stored before the next, so its
+    block stays in cache."""
+    k, width = streams[0].shape[0], len(config.links)
     txs = config.transmitters
-    harvest = {t.node: scratch.take(("harvest", t.node), (k, m)) for t in txs}
-    gains = scratch.take("gains", (k * m, len(config.links)))
-    for j, trial in enumerate(streams):
-        for t, stream in zip(txs, trial[:len(txs)]):
-            draws = np.asarray(t.harvest.sample(stream, m), dtype=float)
-            if draws.shape != (m,):
-                raise NumericsError(f"harvest process for node {t.node} "
-                                    f"returned shape {draws.shape}")
-            harvest[t.node][j] = draws
-        for col, (link, stream) in enumerate(zip(config.links,
-                                                 trial[len(txs):])):
-            draws = np.asarray(link.fading.sample(stream, m), dtype=float)
-            if draws.shape != (m,):
-                raise NumericsError(f"fading process for link {link.tx}->"
-                                    f"{link.rx} returned shape {draws.shape}")
-            gains[j * m:(j + 1) * m, col] = draws
+    harvest = {}
+    for t, stream in zip(txs, streams):
+        out = scratch.take(("harvest", t.node), (k, m))
+        draws = np.asarray(t.harvest.sample(stream, m, out=out), dtype=float)
+        if draws.shape != (k, m):
+            raise NumericsError(f"harvest process for node {t.node} "
+                                f"returned shape {draws.shape}")
+        harvest[t.node] = draws
+    gains = scratch.take("gains", (k * m, width))
+    columns = gains.reshape(k, m, width)
+    out = scratch.take("draws", (k, m))
+    fading = zip(config.links, streams[len(txs):])
+    for col, (link, stream) in enumerate(fading):
+        draws = np.asarray(link.fading.sample(stream, m, out=out), dtype=float)
+        if draws.shape != (k, m):
+            raise NumericsError(f"fading process for link {link.tx}->"
+                                f"{link.rx} returned shape {draws.shape}")
+        columns[:, :, col] = draws
     if np.any(gains < 0.0) or not np.all(np.isfinite(gains)):
         raise NumericsError("channel gains must be finite and >= 0")
     return harvest, gains
@@ -452,8 +458,9 @@ def _run(config: SimulationConfig, seeds: list[int], with_battery: bool,
     results = []
     for start in range(0, len(seeds), step):
         group = seeds[start:start + step]
-        streams = [[Stream(seed, key, state) for key, state in zip(keys, row)]
-                   for seed, row in zip(group, states[start:start + step])]
+        rows = states[start:start + step]
+        streams = [Stream(group, key, rows[:, i])
+                   for i, key in enumerate(keys)]
         results += _walk(config, streams, scratch, with_battery,
                          return_trace)
     return results
@@ -470,7 +477,7 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
     gains and powers that the delay lines read, the mismatch counts, and
     the exact partial sums of each trial's utilities for both systems.
     Only a trace keeps per-slot arrays."""
-    n, width, k = config.n_slots, len(config.links), len(streams)
+    n, width, k = config.n_slots, len(config.links), streams[0].shape[0]
     size = max(1, CHUNK_SLOT_LINKS // (k * width))
     columns = _link_columns(config)
     nodes = tuple(columns)

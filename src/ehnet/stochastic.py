@@ -1,11 +1,15 @@
 """Random inputs (harvests, channel gains) and deterministic expectations.
 
-Every random quantity in a run is drawn from its own `Stream`, keyed by the
+Every random quantity in a run is drawn from its own stream, keyed by the
 run seed plus a small integer tuple naming what the draws are for (for
 example ``(0, node)`` for a node's harvest, ``(1, tx, rx)`` for a link's
 fading).  Streams with different keys are statistically independent and do
 not share state, so adding a node or link to a network never perturbs the
-draws seen by the others.
+draws seen by the others.  One `Stream` holds one key's streams for a
+whole group of seeds, one lane per seed, and fills a (seeds, n) block row
+by row; each lane draws exactly what that seed's stream would alone, so
+how runs are grouped never changes a draw.  A process transforms a block
+in place.
 
 The uniform source is pinned down so runs are reproducible across platforms:
 a PCG64 generator seeded through `numpy.random.SeedSequence(seed, spawn_key)`
@@ -32,6 +36,7 @@ SeedSequence algorithm, which is what makes this exact.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -191,22 +196,47 @@ class _SeedWords(ISeedSequence):
 
 
 class Stream:
-    """Deterministic uniform source for one purpose within a seeded run.
+    """Deterministic uniform source for one purpose: one key, and one seeded
+    run per seed.
 
-    `state`, when given, is this stream's row of
-    ``seed_states([seed], [key])``, computed beforehand with other
-    streams' rows."""
+    `seed` is one integer seed, or a sequence of them whose runs draw side
+    by side, one lane each.  Lane j draws what the stream of ``seed[j]`` and
+    `key` alone would: a PCG64 seeded with ``SeedSequence(seed[j],
+    spawn_key=key)``.  `state`, when given, holds each lane's row of
+    ``seed_states(seeds, [key])``, computed beforehand with other streams'
+    rows; its shape is ``np.shape(seed) + (4,)``.  `shape` is
+    ``np.shape(seed)``: () for one seed, (lanes,) for a sequence."""
 
-    def __init__(self, seed: int, key: tuple[int, ...], state=None):
-        self.seed = int(seed)
-        self.key = tuple(int(k) for k in key)
+    def __init__(self, seed, key: tuple[int, ...], state=None):
+        if isinstance(seed, numbers.Integral):
+            self.seed = int(seed)
+            self.shape = ()
+            seeds = [self.seed]
+        else:
+            self.seed = tuple(map(operator.index, seed))
+            self.shape = (len(self.seed),)
+            seeds = self.seed
+        self.key = tuple(map(int, key))
         if state is None:
-            state = seed_states([self.seed], [self.key])[0]
-        self._gen = np.random.Generator(np.random.PCG64(_SeedWords(state)))
+            state = seed_states(seeds, [self.key])
+        self._gens = [np.random.Generator(np.random.PCG64(_SeedWords(row)))
+                      for row in np.asarray(state).reshape(len(seeds), -1)]
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next `n` uniform doubles in [0, 1); consecutive calls continue."""
-        return self._gen.random(int(n))
+    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Each lane's next `n` uniform doubles in [0, 1), consecutive calls
+        continuing: an array of shape ``np.shape(seed) + (n,)``, written
+        into `out` when given (a float64 array of that shape whose rows
+        are contiguous; numpy refuses any other before a lane draws)."""
+        n = int(n)
+        shape = self.shape + (n,)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"out must have shape {shape}, got {out.shape}")
+        # A reshape to the same size never copies here: rows are views.
+        for gen, row in zip(self._gens, out.reshape(len(self._gens), n)):
+            gen.random(out=row)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Stream(seed={self.seed}, key={self.key})"
@@ -231,9 +261,15 @@ class ExponentialProcess:
         if not (self.mean > 0.0 and math.isfinite(self.mean)):
             raise ValueError(f"mean must be finite and > 0, got {self.mean}")
 
-    def sample(self, stream: Stream, n: int) -> np.ndarray:
-        u = stream.uniforms(n)
-        return -self.mean * np.log1p(-u)
+    def sample(self, stream: Stream, n: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """`n` draws per lane of `stream`, shaped as its `uniforms`, into
+        `out` when given: ``-mean * log1p(-u)``, computed in place by the
+        same IEEE operations."""
+        u = stream.uniforms(n, out=out)
+        np.negative(u, u)
+        np.log1p(u, u)
+        return np.multiply(u, -self.mean, u)
 
 
 @dataclass(frozen=True)
@@ -250,8 +286,17 @@ class ConstantProcess:
     def mean(self) -> float:
         return self.value
 
-    def sample(self, stream: Stream, n: int) -> np.ndarray:
-        return np.full(int(n), self.value)
+    def sample(self, stream: Stream, n: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """`value` in every slot of every lane of `stream`, shaped as its
+        `uniforms`, into `out` when given."""
+        shape = stream.shape + (int(n),)
+        if out is None:
+            return np.full(shape, self.value)
+        if out.shape != shape:
+            raise ValueError(f"out must have shape {shape}, got {out.shape}")
+        out.fill(self.value)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -522,13 +522,49 @@ def test_two_requests_in_one_slot_take_the_slot_loop():
     assert after.tobytes() == levels.tobytes()
 
 
-def test_negative_zero_initial_level_keeps_its_sign_without_requests():
-    # Zero requests draw nothing, so a -0.0 start banks a -0.0 harvest as
-    # -0.0; drawing the first link's -0.0 would make it +0.0.
-    desired = np.array([[-0.0, 0.0], [0.0, -0.0]])
-    _, levels = trajectory(desired, np.array([-0.0, 1.0]), initial=-0.0)
-    assert levels.tolist() == [0.0, 1.0]
-    assert np.signbit(levels).tolist() == [True, False]
+# Requests and harvests from a -0.0 start: the broadcast walk (no slot
+# asks twice, and the first case ends at level 0), the slot loop (two
+# requests in slot 0) and one link.
+NEGATIVE_ZERO_STARTS = [
+    ([[-0.0, 0.0]], [-0.0]),
+    ([[-0.0, 0.0], [0.0, -0.0]], [-0.0, 1.0]),
+    ([[0.0, -0.0], [-0.0, 0.0], [0.25, 0.5]], [0.0, 1.0, -0.0]),
+    ([[-0.0], [0.0], [-0.0]], [-0.0, -0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("desired, harvested", NEGATIVE_ZERO_STARTS,
+                         ids=["walk_to_zero", "walk", "slot_loop", "one_link"])
+def test_negative_zero_initial_level_matches_stepwise_primitives(desired,
+                                                                 harvested):
+    # `BatteryState` stores a -0.0 level as +0.0, and `trajectory` starts
+    # from it there too, so the two agree bit for bit.
+    assert not math.copysign(1.0, BatteryState(-0.0).level) < 0.0
+    desired, harvested = np.array(desired), np.array(harvested)
+    actual, levels = trajectory(desired, harvested, initial=-0.0)
+    got, after = stepwise_many(desired, harvested, math.inf, -0.0)
+    assert got.tobytes() == actual.tobytes()
+    assert after.tobytes() == levels.tobytes()
+    if desired.shape[1] == 1:
+        actual, levels = trajectory(desired[:, 0], harvested, initial=-0.0)
+        assert got[:, 0].tobytes() == actual.tobytes()
+        assert after.tobytes() == levels.tobytes()
+
+
+@pytest.mark.parametrize("k", [3, VECTOR_LANES])
+def test_negative_zero_initial_lanes_match_stepwise_primitives(k):
+    # Zeros of both signs everywhere, so each lane's level stays at a zero
+    # whose sign shows; lanes start at -0.0 or +0.0.
+    rng = np.random.default_rng(k)
+    desired = rng.choice([0.0, -0.0], size=(6, k))
+    harvested = rng.choice([0.0, -0.0], size=(6, k))
+    initial = rng.choice([0.0, -0.0], size=k)
+    actual, levels = trajectory(desired, harvested, initial=initial)
+    for j in range(k):
+        got, after = stepwise_many(desired[:, j:j + 1], harvested[:, j],
+                                   math.inf, initial[j])
+        assert got[:, 0].tobytes() == actual[:, j].copy().tobytes()
+        assert after.tobytes() == levels[:, j].copy().tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -438,9 +438,11 @@ def test_point_rows_batch_trials_by_slot_links(monkeypatch):
         calls.append((config.n_slots, len(seeds)))
         return run_eh(config, seeds=seeds)
 
-    def counting_walk(config, seeds, *args):
-        groups.append((config.n_slots, len(seeds)))
-        return [summary] * len(seeds)
+    def counting_walk(config, streams, *args):
+        # One `Stream` per key, each with one lane per trial of the group.
+        trials = len(streams[0].seed)
+        groups.append((config.n_slots, trials))
+        return [summary] * trials
 
     monkeypatch.setattr(ehnet.experiments, "run_eh", counting_run_eh)
     monkeypatch.setattr(ehnet.simulator, "_walk", counting_walk)
@@ -587,7 +589,7 @@ def test_cli_rejects_powers_whose_harvest_draws_overflow(tmp_path, capsys,
 
 def test_largest_harvest_draw_bounds_the_accepted_powers():
     class Top:  # the largest double that `Stream.uniforms` can return
-        def uniforms(self, n):
+        def uniforms(self, n, out=None):
             return np.full(n, 1.0 - 2.0**-53)
 
     assert ExponentialProcess(1.0).sample(Top(), 1)[0] == \

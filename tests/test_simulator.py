@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehnet import simulator
+from ehnet import simulator, stochastic
 from ehnet.experiments import (
     build_config,
     default_spec,
@@ -575,13 +575,68 @@ def test_walk_chunk_sizes_follow_the_budget(monkeypatch):
     sample = simulator._sample_chunk
 
     def counting_sample(config, streams, m, *args):
-        sizes.append((len(streams), m))
+        # One `Stream` per key, each with one lane per trial of the group.
+        sizes.append((len(streams[0].seed), m))
         return sample(config, streams, m, *args)
 
     monkeypatch.setattr(simulator, "_sample_chunk", counting_sample)
     run_eh(cfg, seeds=[1, 2])
     assert simulator.CHUNK_SLOT_LINKS == 2 ** 15
     assert sizes == [(1, 1310)] * 3 + [(1, 1070)] + [(1, 1310)] * 3 + [(1, 1070)]
+
+
+def test_one_stream_per_key_per_trial_group(monkeypatch):
+    # fig5's network with 5 senders has 10 stream keys (5 harvests, 5
+    # fadings).  200 trials of 100 slots on 5 links run in groups of 65,
+    # 65, 65 and 5 (CHUNK_SLOT_LINKS = 2^15), so the call builds one
+    # `Stream` per key per group, 10 x 4, not one per trial per key.
+    spec = replace(default_spec("fig5"), p_in_db=(10.0,), n_slots=(100,),
+                   group_size=(5,))
+    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    assert len(cfg.transmitters) == len(cfg.links) == 5
+    built = []
+    init = stochastic.Stream.__init__
+
+    def counting_init(self, seed, key, state=None):
+        built.append(np.shape(seed))
+        init(self, seed, key, state)
+
+    monkeypatch.setattr(stochastic.Stream, "__init__", counting_init)
+    run_eh(cfg, seeds=range(200))
+    assert built == [(65,)] * 30 + [(5,)] * 10
+
+
+class WrongShape:
+    """A process whose draws come in `shape(lanes, n)` instead of the
+    (lanes, n) block asked for."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def sample(self, stream, n, out=None):
+        return np.ones(self.shape(stream.shape, n))
+
+
+@pytest.mark.parametrize("seeds", [None, [0, 1, 2]], ids=["alone", "group"])
+@pytest.mark.parametrize("shape", [lambda lanes, n: lanes + (n + 1,),
+                                   lambda lanes, n: (n,)],
+                         ids=["long", "one_lane"])
+@pytest.mark.parametrize("role", ["harvest", "fading"])
+def test_processes_of_the_wrong_shape_raise_numerics_error(role, shape,
+                                                           seeds):
+    cfg = single_link_config(n=20)
+    if role == "harvest":
+        cfg = replace(cfg, transmitters=(replace(
+            cfg.transmitters[0], harvest=WrongShape(shape)),))
+        want = "harvest process for node 0 returned shape ("
+    else:
+        cfg = replace(cfg, links=(replace(cfg.links[0],
+                                          fading=WrongShape(shape)),))
+        want = "fading process for link 0->1 returned shape ("
+    with pytest.raises(NumericsError) as err:
+        run_eh(cfg, seeds=seeds)
+    assert str(err.value).startswith(want)
+    assert "\n" not in str(err.value)
 
 
 def test_long_wide_run_holds_bounded_memory():

@@ -118,6 +118,66 @@ def test_streams_draw_what_their_seed_sequence_gives():
             assert batched.tobytes() == want.tobytes()
 
 
+def _oracle(seed, key, n):
+    ss = np.random.SeedSequence(seed, spawn_key=key)
+    return np.random.Generator(np.random.PCG64(ss)).random(n)
+
+
+# One lane, and 200 lanes with seeds from 0 to 5 * 2**70, eleven of them
+# wider than 32 bits.
+LANE_SEEDS = [[2**40 + 7], list(range(188)) + [2**32 + i for i in range(6)]
+              + [2**64 - 1, 2**64, 2**100 + 3, 2**32 - 1, 2**63, 5 * 2**70]]
+
+
+@pytest.mark.parametrize("seeds", LANE_SEEDS, ids=["1_lane", "200_lanes"])
+@pytest.mark.parametrize("precomputed", [False, True],
+                         ids=["seeded_here", "state_rows"])
+@pytest.mark.parametrize("into", [False, True], ids=["new", "out"])
+def test_stream_lanes_draw_what_each_seed_sequence_gives(seeds, precomputed,
+                                                        into):
+    # Uneven splits of 100 draws, so every lane continues mid-block.
+    key = (1, 3, 4)
+    state = seed_states(seeds, [key]) if precomputed else None
+    stream = Stream(seeds, key, state)
+    assert stream.shape == (len(seeds),)
+    assert stream.seed == tuple(seeds)
+    parts = []
+    for n in (37, 1, 62):
+        out = np.full((len(seeds), n), np.nan) if into else None
+        got = stream.uniforms(n, out=out)
+        assert got.shape == (len(seeds), n)
+        if into:
+            assert got is out
+        parts.append(got.copy())
+    block = np.concatenate(parts, axis=1)
+    for seed, lane in zip(seeds, block):
+        assert lane.tobytes() == _oracle(seed, key, 100).tobytes()
+
+
+def test_stream_of_one_seed_is_the_zero_dimensional_case():
+    stream = Stream(2**33 + 5, (0, 2, 0))
+    assert stream.shape == () and stream.seed == 2**33 + 5
+    out = np.empty(40)
+    assert stream.uniforms(40, out=out) is out
+    rest = stream.uniforms(9)
+    assert rest.shape == (9,)
+    want = _oracle(2**33 + 5, (0, 2, 0), 49)
+    assert np.concatenate([out, rest]).tobytes() == want.tobytes()
+
+
+def test_stream_refuses_an_out_it_cannot_fill():
+    stream = Stream([1, 2, 3], (0, 0, 0))
+    for bad in (np.empty((3, 4)), np.empty((2, 5)), np.empty(5),
+                np.empty((5, 3)).T):
+        with pytest.raises(ValueError):
+            stream.uniforms(5, out=bad)
+    with pytest.raises(TypeError):
+        Stream([[1, 2]], (0, 0, 0))
+    # nothing was drawn by the refused calls
+    want = _oracle(3, (0, 0, 0), 5)
+    assert stream.uniforms(5)[2].tobytes() == want.tobytes()
+
+
 def test_no_seeds_or_no_keys_give_no_rows():
     for seeds, keys in (([], [(0,)]), ([1], []), ([], [])):
         states = seed_states(seeds, keys, 3)
@@ -154,6 +214,28 @@ def test_exponential_inverse_cdf_mapping():
     assert np.allclose(x, -3.0 * np.log1p(-u), rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("into", [False, True], ids=["new", "out"])
+def test_exponential_block_equals_row_by_row_samples(into):
+    # The in-place transform of a block is -mean * log1p(-u) bit for bit,
+    # lane by lane, across uneven splits.
+    seeds, key = LANE_SEEDS[1], (0, 4, 0)
+    process = ExponentialProcess(2.5)
+    block_stream = Stream(seeds, key)
+    alone = [Stream(seed, key) for seed in seeds]
+    blocks = []
+    for n in (37, 1, 62):
+        out = np.empty((len(seeds), n)) if into else None
+        block = process.sample(block_stream, n, out=out)
+        if into:
+            assert block is out
+        rows = np.stack([process.sample(stream, n) for stream in alone])
+        assert block.tobytes() == rows.tobytes()
+        blocks.append(block.copy())
+    u = np.stack([_oracle(seed, key, 100) for seed in seeds])
+    want = -2.5 * np.log1p(-u)
+    assert np.concatenate(blocks, axis=1).tobytes() == want.tobytes()
+
+
 def test_exponential_sample_mean_converges():
     stream = Stream(11, (0, 0, 0))
     x = ExponentialProcess(2.0).sample(stream, 1_000_000)
@@ -181,6 +263,21 @@ def test_constant_process_consumes_no_randomness():
     assert np.all(x == 1.5)
     # the stream is untouched: next uniforms equal a fresh stream's
     assert np.array_equal(stream.uniforms(5), Stream(3, (0, 0, 0)).uniforms(5))
+
+
+@pytest.mark.parametrize("into", [False, True], ids=["new", "out"])
+def test_constant_process_draws_nothing_from_a_block(into):
+    seeds, key = [5, 2**40, 6], (1, 0, 1)
+    stream = Stream(seeds, key)
+    stream.uniforms(3)
+    out = np.full((3, 7), np.nan) if into else None
+    x = ConstantProcess(0.25).sample(stream, 7, out=out)
+    assert x.shape == (3, 7) and np.all(x == 0.25)
+    if into:
+        assert x is out
+    # each lane's next draws are the ones after its first three
+    for seed, lane in zip(seeds, stream.uniforms(4)):
+        assert lane.tobytes() == _oracle(seed, key, 7)[3:].tobytes()
 
 
 def test_process_means_exposed():
