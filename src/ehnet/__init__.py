@@ -5,13 +5,14 @@ fed by a random harvest against the classical systems with an average power
 constraint, policy by policy: as runs grow longer and batteries larger, the
 battery-limited performance approaches the unconstrained one.
 
-Modules: `battery` (the energy buffer), `stochastic` (seeded draws and
-quadrature), `policies` (power schedules and the budget solver),
-`utilities` (per-slot link qualities), `simulator` (the slot loop),
-`experiments` (paired trials, sweeps and CSV output), `cli` (command line).
+Modules: `battery` (the energy buffer, stepped over whole runs; the
+tests' scalar oracle for it is `tests/oracles.py`), `stochastic` (seeded
+draws and quadrature), `policies` (power schedules and the budget
+solver), `utilities` (per-slot link qualities), `simulator` (the slot
+loop), `experiments` (paired trials, sweeps and CSV output), `cli`
+(command line).
 """
 
-from .battery import BatteryState
 from .experiments import paired_gap
 from .policies import (
     AlternatingRelayPolicy,
@@ -43,7 +44,6 @@ __all__ = [
     "AlternatingRelayPolicy",
     "AmplifierModel",
     "AmplifierRateUtility",
-    "BatteryState",
     "BroadcastSumRateUtility",
     "ChainRateUtility",
     "ConstantPolicy",

@@ -13,105 +13,41 @@ the next slot.  Overflow past the capacity is discarded silently.
 Slots have unit length, so per-slot energy and average power coincide and
 the two words are used interchangeably.
 
-A single-link buffer runs as a walk over running sums, exact bit for bit
-(see `_single_link`).  So does a multi-link buffer that asks for power on
-at most one link per slot, such as a broadcast transmitter serving its
-strongest receiver: it walks that one request per slot.
+One buffer, with one link or many, runs as a walk over running sums of
+its nonzero requests, exact bit for bit (see `trajectory` and
+`_single_link`); many single-link buffers side by side step across the
+lanes.  The scalar recursion that tests compare both against is in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "BatteryState",
-    "deposit",
-    "extract",
-    "extract_many",
-    "trajectory",
-]
-
-# Tolerated floating-point undershoot before a negative level is clamped to 0.
-_NEG_TOL = 1e-12
+__all__ = ["trajectory"]
 
 
-def _check_power(value: float, name: str) -> float:
-    value = float(value)
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    if math.isinf(value) or math.isnan(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
+def check_start(levels, capacity: float) -> None:
+    """Raise a one-line `ValueError` for the first of `levels` that cannot
+    start a buffer of `capacity`, or for the capacity itself.
 
-
-@dataclass(frozen=True)
-class BatteryState:
-    """Stored energy `level` in a buffer of size `capacity` (may be inf)."""
-
-    level: float
-    capacity: float = math.inf
-
-    def __post_init__(self) -> None:
-        # Python floats, so arithmetic on a numpy scalar given here
-        # overflows to inf silently instead of with a RuntimeWarning; a
-        # level of -0.0 is stored as +0.0, as `trajectory` starts it.
-        object.__setattr__(self, "level", float(self.level) + 0.0)
-        object.__setattr__(self, "capacity", float(self.capacity))
-        if math.isnan(self.level) or self.level < 0.0:
-            raise ValueError(f"battery level must be >= 0, got {self.level}")
-        if math.isinf(self.level):
-            raise ValueError("battery level must be finite")
-        if math.isnan(self.capacity) or self.capacity <= 0.0:
-            raise ValueError(f"battery capacity must be > 0, got {self.capacity}")
-        if self.level > self.capacity:
-            raise ValueError(
-                f"battery level {self.level} exceeds capacity {self.capacity}"
-            )
-
-
-def extract(state: BatteryState, desired: float) -> tuple[float, BatteryState]:
-    """Draw up to `desired` power from the buffer.
-
-    Returns the power actually drawn (``min(desired, level)``) and the state
-    after the draw.  The draw is exact: when the level covers the request the
-    returned power equals `desired` bit for bit.
-    """
-    desired = _check_power(desired, "desired power")
-    actual = desired if desired <= state.level else state.level
-    remaining = state.level - actual
-    if remaining < 0.0:
-        if remaining < -_NEG_TOL:
-            raise AssertionError(f"battery undershoot {remaining} below tolerance")
-        remaining = 0.0
-    return actual, BatteryState(remaining, state.capacity)
-
-
-def extract_many(
-    state: BatteryState, desired: "list[float] | tuple[float, ...]"
-) -> tuple[list[float], BatteryState]:
-    """Serve several receivers from one buffer, in list order.
-
-    Earlier entries have priority: each receiver gets its full request while
-    the remaining level covers it, the first receiver that does not fit gets
-    whatever is left, and everyone after that gets zero.
-    """
-    actual = []
-    for j, d in enumerate(desired):
-        a, state = extract(state, _check_power(d, f"desired power [{j}]"))
-        actual.append(a)
-    return actual, state
-
-
-def deposit(state: BatteryState, harvested: float) -> BatteryState:
-    """Bank `harvested` power at the end of a slot, clipping at the capacity."""
-    harvested = _check_power(harvested, "harvested power")
-    level = state.level + harvested
-    if level > state.capacity:
-        level = state.capacity
-    return BatteryState(level, state.capacity)
+    A level must lie in ``[0, capacity]`` and a capacity must be above 0.
+    So inf passes in an unbounded buffer only, where a level goes when a
+    sum overflows and from where a run may resume."""
+    capacity = float(capacity)
+    levels = np.asarray(levels, dtype=float).ravel()
+    bad = levels[~((levels >= 0.0) & (levels <= capacity))]
+    level = float(bad[0]) if len(bad) else 0.0
+    if not level >= 0.0:
+        raise ValueError(f"battery level must be >= 0, got {level}")
+    if math.isinf(level):
+        raise ValueError("battery level must be finite")
+    if not capacity > 0.0:
+        raise ValueError(f"battery capacity must be > 0, got {capacity}")
+    if level > capacity:
+        raise ValueError(f"battery level {level} exceeds capacity {capacity}")
 
 
 # Below this many lanes, `trajectory` runs each lane on its own; from it
@@ -146,7 +82,7 @@ def trajectory(
     capacity: float = math.inf,
     initial: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the extract/deposit cycle over whole per-slot arrays.
+    """Run the draw-then-bank cycle over whole per-slot arrays.
 
     Parameters
     ----------
@@ -157,29 +93,33 @@ def trajectory(
         must then be (n, k) too.
     capacity : buffer size, shared by all lanes.
     initial : level before the first slot: a scalar, or for lanes one
-        level per lane, a (k,) array.  Each must be a valid
-        `BatteryState` level, except that an unbounded buffer may start
-        at inf, where its level goes when a sum overflows; so a run split
-        at any slot and resumed from the levels its first part returned
-        gives the whole run's results.  A level of -0.0 starts as +0.0,
-        as in `BatteryState`.
+        level per lane, a (k,) array, each as `check_start` allows; so a
+        run split at any slot and resumed from the levels its first part
+        returned gives the whole run's results.  A level of -0.0 starts
+        as +0.0.
 
     Returns
     -------
     actual : array like `desired` with the powers actually drawn.
     levels : (n,) buffer level after each slot's deposit; (n, k) for lanes.
 
-    Slot i of this function is exactly ``extract_many`` followed by
-    ``deposit`` on scalars, bit for bit, and each lane gets the result of
-    its own 1-D call; a single-link buffer, and a multi-link one with at
-    most one nonzero request per slot, take clip-free stretches whole (see
-    `_single_link`).
+    Slot i of this function is the scalar recursion of `tests/oracles.py`
+    (``extract_many`` then ``deposit``), bit for bit, and each lane gets
+    the result of its own 1-D call.
+
+    One buffer runs as one walk (`_single_link`) over sub-slots: one per
+    nonzero request, in slot and link order, or one asking 0.0 for a slot
+    without any.  Each slot banks its harvest on its last sub-slot, whose
+    level is the slot's, and 0.0 on the others.  That is the slot loop
+    bit for bit: a zero request of either sign is granted as itself and
+    draws nothing, since a level is never -0.0 (the start is normalised
+    and ``x - x`` is +0.0); so asking or banking 0.0 leaves a level as it
+    is, and a sub-slot that banks 0.0 never clips.
     """
     desired = np.asarray(desired, dtype=float)
     harvested = np.asarray(harvested, dtype=float)
-    single = desired.ndim == 1
-    rows = desired[:, None] if single else desired
-    n = rows.shape[0]
+    rows = desired[:, None] if desired.ndim == 1 else desired
+    n, width = rows.shape
     lanes = harvested.ndim == 2
     expected = desired.shape if lanes else (n,)
     if harvested.shape != expected:
@@ -194,7 +134,7 @@ def trajectory(
     if start.shape not in ((), rows.shape[1:] if lanes else ()):
         raise ValueError(f"initial shape {start.shape} does not match "
                          f"{rows.shape[1:] if lanes else ()}")
-    _check_levels(start.ravel(), capacity)
+    check_start(start, capacity)
 
     # Levels near the float maximum overflow to inf, as the scalar loop's
     # Python floats do silently; the walk's sums past a clip are discarded.
@@ -202,68 +142,29 @@ def trajectory(
         if lanes:
             return _lanes(rows, harvested, capacity,
                           np.broadcast_to(start, rows.shape[1:]))
-        initial = float(start)
-        if rows.shape[1] == 1:
-            actual, levels = _single_link(rows[:, 0], harvested, capacity,
-                                          initial)
-            return (actual if single else actual[:, None]), levels
-
-    # Zero requests draw nothing.  When no slot asks on more than one
-    # link, each slot's largest request is its only one, and the walk over
-    # those is the loop below bit for bit: a slot without a request draws
-    # a zero from its first link, which leaves a level of +0.0 or more as
-    # it is, and no level starts or becomes -0.0.
-    if rows.shape[1]:
-        slot = np.arange(n)
-        link_of = rows.argmax(axis=1)
-        want = rows[slot, link_of]
-        if np.count_nonzero(want) == np.count_nonzero(rows):
-            got, levels = _single_link(want, harvested, capacity, initial)
-            actual = rows.copy()
-            actual[slot, link_of] = got
-            return actual, levels
-
-    # Otherwise only the nonzero requests are walked, slot by slot.
-    # `np.nonzero` lists them slot by slot in link order, which is the
-    # service order; `ends[i]` is one past slot i's last entry.
-    harv = harvested.tolist()
-    level = initial
-    levels = [0.0] * n
-    slot_of, link_of = np.nonzero(rows)
-    want = rows[slot_of, link_of].tolist()
-    got = [0.0] * len(want)
-    ends = np.bincount(slot_of, minlength=n).cumsum().tolist()
-    k = 0
-    for i in range(n):
-        end = ends[i]
-        while k < end:
-            d = want[k]
-            a = d if d <= level else level
-            got[k] = a
-            level -= a
-            k += 1
-        level += harv[i]
-        if level > capacity:
-            level = capacity
-        levels[i] = level
-    # A zero request is granted as itself, sign and all.
-    actual = rows.copy()
-    actual[slot_of, link_of] = got
-    return actual, np.array(levels)
-
-
-def _check_levels(levels: np.ndarray, capacity: float) -> None:
-    """Raise `BatteryState`'s error for the first of `levels` that cannot
-    start a buffer of `capacity`, or for the capacity itself.  A level of
-    inf passes in an unbounded buffer only: `BatteryState` takes no inf
-    level, but an unbounded level that overflowed stays there."""
-    bad = np.flatnonzero(~((levels >= 0.0) & (levels <= capacity)))
-    BatteryState(float(levels[bad[0]]) if len(bad) else 0.0, capacity)
+        # `asked` lists the nonzero requests in service order; `ends[i]`
+        # is one past slot i's last sub-slot; a request's sub-slot `at`
+        # is its rank plus the number of empty slots up to its own.
+        asked = np.flatnonzero(rows != 0.0)
+        slot = asked // width
+        counts = np.bincount(slot, minlength=n)
+        ends = np.maximum(counts, 1).cumsum()
+        at = np.arange(len(asked)) + (ends - counts.cumsum())[slot]
+        actual = rows.copy()
+        flat = actual.reshape(-1)
+        want = np.zeros(int(ends[-1]) if n else 0)
+        want[at] = flat[asked]
+        harv = np.zeros_like(want)
+        harv[ends - 1] = harvested
+        got, levels = _single_link(want, harv, capacity, float(start))
+    flat[asked] = got[at]
+    return actual.reshape(desired.shape), levels[ends - 1]
 
 
 def _single_link(want: np.ndarray, harv: np.ndarray, capacity: float,
                  level: float):
-    """One single-link buffer: the scalar loop's results, by a walk.
+    """One request per slot (a lane, or one buffer's sub-slots): the
+    scalar loop's grants and levels, by a walk.
 
     Between clips, slot i sets ``level = (level - d_i) + h_i``, and IEEE
     754 defines ``x - d`` as ``x + (-d)``.  So the running sums of

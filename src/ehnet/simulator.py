@@ -37,6 +37,7 @@ including ones where the utility is structurally zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,9 @@ class SimulationConfig:
             seen.add((link.tx, link.rx))
             if link.tx not in nodes:
                 raise ConfigError(f"link transmitter {link.tx} has no spec")
+            if not isinstance(link.delay, numbers.Integral):
+                raise ConfigError(f"link {link.tx}->{link.rx} delay "
+                                  f"{link.delay!r} is not an integer")
             if not 0 <= link.delay <= self.n_slots:
                 raise ConfigError(
                     f"link {link.tx}->{link.rx} delay {link.delay} outside "
@@ -148,9 +152,8 @@ class SimulationConfig:
                     f"node {t.node} policy drives {t.policy.num_links} links, "
                     f"topology has {count}"
                 )
-            # Delegate range checks on capacity/initial level.
             try:
-                battery.BatteryState(t.initial_level, t.capacity)
+                battery.check_start(t.initial_level, t.capacity)
             except ValueError as exc:
                 raise ConfigError(f"node {t.node}: {exc}") from exc
         wanted = getattr(self.utility, "num_links", None)
@@ -315,7 +318,8 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
     trials stacked trial-major into one (trials * m, links) array.
 
     Each key is drawn, transformed and stored before the next, so its
-    block stays in cache."""
+    block stays in cache.  Draws must be finite and >= 0: one `min` and
+    one `max` check that, since NaN fails both comparisons."""
     k, width = streams[0].shape[0], len(config.links)
     txs = config.transmitters
     harvest = {}
@@ -325,6 +329,9 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
         if draws.shape != (k, m):
             raise NumericsError(f"harvest process for node {t.node} "
                                 f"returned shape {draws.shape}")
+        if not (draws.min() >= 0.0 and draws.max() < np.inf):
+            raise NumericsError(f"harvest process for node {t.node} drew "
+                                "a negative or non-finite power")
         harvest[t.node] = draws
     gains = scratch.take("gains", (k * m, width))
     columns = gains.reshape(k, m, width)
@@ -336,7 +343,7 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
             raise NumericsError(f"fading process for link {link.tx}->"
                                 f"{link.rx} returned shape {draws.shape}")
         columns[:, :, col] = draws
-    if np.any(gains < 0.0) or not np.all(np.isfinite(gains)):
+    if not (gains.min() >= 0.0 and gains.max() < np.inf):
         raise NumericsError("channel gains must be finite and >= 0")
     return harvest, gains
 
@@ -410,9 +417,7 @@ def _battery(config: SimulationConfig, desired, harvest, columns, levels,
 
     A node's links are one range of columns, so each node reads views.  A
     single-link node runs all trials in one `trajectory` call, one lane per
-    trial; a multi-link node runs one call per trial, which takes the
-    single-link walk when each slot asks for at most one link, as the
-    broadcast policy does."""
+    trial; a multi-link node runs one call per trial."""
     k = len(next(iter(levels.values())))
     m = len(desired) // k
     after = {}

@@ -11,16 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ehnet import battery
-from ehnet.battery import (
-    VECTOR_LANES,
-    WALK_FIRST,
-    WALK_MAX,
-    BatteryState,
-    deposit,
-    extract,
-    extract_many,
-    trajectory,
-)
+from ehnet.battery import VECTOR_LANES, WALK_FIRST, WALK_MAX, trajectory
+from oracles import BatteryState, deposit, extract, extract_many
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +479,46 @@ def test_broadcast_trajectory_walks_and_matches_stepwise_primitives(run):
     assert after.tobytes() == levels.tobytes()
 
 
+@st.composite
+def random_long_multilink_run(draw):
+    """One buffer serving 2 to 6 links for up to 600 slots, past the
+    walk's first window and its doubled second: each request is nonzero
+    with a drawn share, so a slot asks on 0 to all of its links, and the
+    rest are exact zeros of either sign, as are a few harvests.  Buffers
+    a few requests deep that start empty or full clip and step; unbounded
+    ones run clip-free stretches."""
+    n = draw(st.integers(min_value=1, max_value=4 * WALK_FIRST + 88))
+    links = draw(st.integers(min_value=2, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    desired = rng.choice([0.0, -0.0], size=(n, links))
+    asking = rng.random((n, links)) < share
+    desired[asking] = rng.exponential(1.0, int(asking.sum()))
+    mean = draw(st.floats(0.2, 2.0)) * max(1.0, share * links)
+    harvested = rng.exponential(mean, n)
+    spent = rng.random(n) < 0.05
+    harvested[spent] = rng.choice([0.0, -0.0], size=int(spent.sum()))
+    capacity = draw(st.one_of(st.just(math.inf), st.floats(0.5, 8.0)))
+    initial = draw(st.sampled_from(
+        [0.0, capacity if math.isfinite(capacity) else 3.0]))
+    return desired, harvested, capacity, initial
+
+
+@given(random_long_multilink_run())
+@settings(max_examples=150, deadline=None)
+def test_long_multilink_trajectory_walks_and_matches_stepwise_primitives(run):
+    desired, harvested, capacity, initial = run
+    with mock.patch.object(battery, "_single_link",
+                           wraps=battery._single_link) as walk:
+        actual, levels = trajectory(desired, harvested, capacity=capacity,
+                                    initial=initial)
+    assert walk.call_count == 1
+    got, after = stepwise_many(desired, harvested, capacity, initial)
+    # bit for bit, so a sign of zero or a last-digit change shows
+    assert got.tobytes() == actual.tobytes()
+    assert after.tobytes() == levels.tobytes()
+
+
 def test_broadcast_walk_clips_and_steps():
     # A buffer two requests deep, full at the start: the walk clips at
     # both ends and steps WALK_STEPS slots from each clip, many times.
@@ -505,7 +537,9 @@ def test_broadcast_walk_clips_and_steps():
     assert after.tobytes() == levels.tobytes()
 
 
-def test_two_requests_in_one_slot_take_the_slot_loop():
+def test_two_requests_in_one_slot_walk_as_sub_slots():
+    # Slot 1 asks for nothing and slot 2 on two links: one walk over five
+    # requests and one empty sub-slot, six in all.
     desired = np.zeros((5, 3))
     desired[[0, 2, 2, 3, 4], [1, 0, 2, 2, 2]] = [0.5, 0.75, 0.5, 0.125, 0.5]
     harvested = np.full(5, 0.25)
@@ -513,7 +547,10 @@ def test_two_requests_in_one_slot_take_the_slot_loop():
                            wraps=battery._single_link) as walk:
         actual, levels = trajectory(desired, harvested, capacity=2.0,
                                     initial=1.0)
-    assert walk.call_count == 0
+    assert walk.call_count == 1
+    want, harv = walk.call_args.args[:2]
+    assert want.tolist() == [0.5, 0.0, 0.75, 0.5, 0.125, 0.5]
+    assert harv.tolist() == [0.25, 0.25, 0.0, 0.25, 0.25, 0.25]
     # slot 2 grants 0.75 and what is left of the level, 0.25
     assert actual[2].tolist() == [0.75, 0.0, 0.25]
     assert levels.tolist() == [0.75, 1.0, 0.25, 0.375, 0.25]
@@ -522,9 +559,8 @@ def test_two_requests_in_one_slot_take_the_slot_loop():
     assert after.tobytes() == levels.tobytes()
 
 
-# Requests and harvests from a -0.0 start: the broadcast walk (no slot
-# asks twice, and the first case ends at level 0), the slot loop (two
-# requests in slot 0) and one link.
+# Requests and harvests from a -0.0 start: no slot asks twice (and the
+# first case ends at level 0), two requests in slot 2, and one link.
 NEGATIVE_ZERO_STARTS = [
     ([[-0.0, 0.0]], [-0.0]),
     ([[-0.0, 0.0], [0.0, -0.0]], [-0.0, 1.0]),
@@ -534,7 +570,7 @@ NEGATIVE_ZERO_STARTS = [
 
 
 @pytest.mark.parametrize("desired, harvested", NEGATIVE_ZERO_STARTS,
-                         ids=["walk_to_zero", "walk", "slot_loop", "one_link"])
+                         ids=["walk_to_zero", "walk", "two_requests", "one_link"])
 def test_negative_zero_initial_level_matches_stepwise_primitives(desired,
                                                                  harvested):
     # `BatteryState` stores a -0.0 level as +0.0, and `trajectory` starts

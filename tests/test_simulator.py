@@ -26,13 +26,7 @@ from ehnet.policies import (
     WaterfillPolicy,
 )
 from ehnet import battery
-from ehnet.battery import (
-    VECTOR_LANES,
-    BatteryState,
-    deposit,
-    extract,
-    extract_many,
-)
+from ehnet.battery import VECTOR_LANES
 from ehnet.simulator import (
     ConfigError,
     LinkSpec,
@@ -48,6 +42,7 @@ from ehnet.utilities import (
     ChainRateUtility,
     OutageUtility,
 )
+from oracles import BatteryState, deposit, extract, extract_many
 
 
 def single_link_config(n=100, power=1.0, harvest_mean=1.0, seed=0, **tx_kwargs):
@@ -100,6 +95,26 @@ def test_validation_catches_bad_configs():
         replace(good, utility=ChainRateUtility(2)).validate()
     with pytest.raises(ConfigError):  # initial level above capacity
         single_link_config(capacity=1.0, initial_level=2.0).validate()
+
+
+def test_unbounded_buffer_may_start_at_inf():
+    # `validate` takes the start levels `trajectory` takes: inf only in an
+    # unbounded buffer, where an overflowed level goes; it grants every
+    # request.
+    summary = run_eh(single_link_config(n=50, initial_level=math.inf))
+    assert summary.mismatch_union == 0.0
+    assert summary.avg_utility == summary.non_eh_utility
+    with pytest.raises(ConfigError) as err:
+        single_link_config(capacity=5.0, initial_level=math.inf).validate()
+    assert str(err.value) == "node 0: battery level must be finite"
+
+
+def test_validation_wants_integer_delays():
+    good = single_link_config()
+    with pytest.raises(ConfigError) as err:
+        replace(good, links=(replace(good.links[0], delay=1.5),)).validate()
+    assert str(err.value) == "link 0->1 delay 1.5 is not an integer"
+    replace(good, links=(replace(good.links[0], delay=np.int64(1)),)).validate()
 
 
 def test_validation_wants_each_transmitters_links_together():
@@ -637,6 +652,39 @@ def test_processes_of_the_wrong_shape_raise_numerics_error(role, shape,
         run_eh(cfg, seeds=seeds)
     assert str(err.value).startswith(want)
     assert "\n" not in str(err.value)
+
+
+class Drawing:
+    """A process that draws `value` in every slot of every lane."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def sample(self, stream, n, out=None):
+        return np.full(stream.shape + (n,), self.value)
+
+
+@pytest.mark.parametrize("run", [
+    run_eh, lambda cfg: run_eh(cfg, seeds=[0, 1, 2]), run_non_eh,
+], ids=["alone", "group", "non_eh"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf],
+                         ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("role", ["harvest", "fading"])
+def test_bad_draws_raise_numerics_error(role, value, run):
+    # The reference system never runs the battery, so the draws are
+    # checked where they are drawn.
+    cfg = single_link_config(n=20)
+    if role == "harvest":
+        cfg = replace(cfg, transmitters=(replace(
+            cfg.transmitters[0], harvest=Drawing(value)),))
+        want = "harvest process for node 0 drew a negative or non-finite power"
+    else:
+        cfg = replace(cfg, links=(replace(cfg.links[0],
+                                          fading=Drawing(value)),))
+        want = "channel gains must be finite and >= 0"
+    with pytest.raises(NumericsError) as err:
+        run(cfg)
+    assert str(err.value) == want
 
 
 def test_long_wide_run_holds_bounded_memory():
