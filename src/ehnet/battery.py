@@ -15,9 +15,9 @@ the two words are used interchangeably.
 
 One buffer, with one link or many, runs as a walk over running sums of
 its nonzero requests, exact bit for bit (see `trajectory` and
-`_single_link`); many single-link buffers side by side step across the
-lanes.  The scalar recursion that tests compare both against is in
-`tests/oracles.py`.
+`_single_link`); many single-link buffers side by side, each with its own
+capacity, step across the lanes.  The scalar recursion that tests compare
+both against is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -29,17 +29,28 @@ import numpy as np
 __all__ = ["trajectory"]
 
 
-def check_start(levels, capacity: float) -> None:
+def check_start(levels, capacity) -> None:
     """Raise a one-line `ValueError` for the first of `levels` that cannot
-    start a buffer of `capacity`, or for the capacity itself.
+    start a buffer of `capacity`, or for the capacity itself.  `capacity`
+    is one size for every level, or one size per level.
 
     A level must lie in ``[0, capacity]`` and a capacity must be above 0.
     So inf passes in an unbounded buffer only, where a level goes when a
-    sum overflows and from where a run may resume."""
-    capacity = float(capacity)
-    levels = np.asarray(levels, dtype=float).ravel()
-    bad = levels[~((levels >= 0.0) & (levels <= capacity))]
-    level = float(bad[0]) if len(bad) else 0.0
+    sum overflows and from where a run may resume.  A level outside its
+    range is reported first, with its own capacity; then a capacity."""
+    capacity = capacity if np.ndim(capacity) else float(capacity)
+    lev = np.asarray(levels, dtype=float)
+    cap = np.asarray(capacity, dtype=float)
+    fits = (lev >= 0.0) & (lev <= cap)
+    if fits.all() and (cap > 0.0).all():
+        return
+    lev, cap, fits = (a.ravel() for a in np.broadcast_arrays(lev, cap, fits))
+    bad = np.flatnonzero(~fits)
+    if not len(bad):
+        bad = np.flatnonzero(~(cap > 0.0))
+    # With no levels at all, only a scalar capacity is left to fail.
+    level, capacity = ((float(lev[bad[0]]), float(cap[bad[0]])) if len(bad)
+                       else (0.0, capacity))
     if not level >= 0.0:
         raise ValueError(f"battery level must be >= 0, got {level}")
     if math.isinf(level):
@@ -50,15 +61,24 @@ def check_start(levels, capacity: float) -> None:
         raise ValueError(f"battery level {level} exceeds capacity {capacity}")
 
 
+def _finite_nonnegative(x: np.ndarray) -> bool:
+    """Whether every value of `x` is finite and >= 0: one `min` and one
+    `max`, since NaN fails both comparisons; an empty `x` passes."""
+    return x.size == 0 or bool(x.min() >= 0.0 and x.max() < np.inf)
+
+
 # Below this many lanes, `trajectory` runs each lane on its own; from it
 # on, one pass over the slots with numpy calls across the lanes is faster.
 # On the fig5 benchmark's 100-slot batches (median of 11) the pass across
 # the lanes took 375-384 us per batch for 8 to 20 lanes, against 355, 438,
 # 524 and 612 us one lane at a time (each by the walk) for 8, 10, 12 and
 # 14 lanes: the break-even is 8 to 10 lanes.  The simulator passes one
-# lane per trial it runs side by side (`simulator.CHUNK_SLOT_LINKS`): the
-# shipped configs and the benchmark make groups of 1, 3, 5, 35, 37, 65,
-# 100, 163 or 200 lanes, so any value from 6 to 35 routes them alike.
+# lane per trial it runs side by side per single-link node
+# (`simulator._battery`), so lanes count trials x single-link nodes.  The
+# shipped configs make 1, 2, 3 or 5 lanes at 10^4 slots and 100, 175, 200
+# or 325 at 100 slots; the benchmark's fig5 sweep makes 200 (one sender),
+# 326 and 74 (two) and 325 and 25 (five), and its fig2 sweep 1 or 3.  So
+# any value from 6 to 25 routes them alike.
 VECTOR_LANES = 14
 
 # The single-link walk (`_single_link`) accumulates a window of WALK_FIRST
@@ -79,8 +99,8 @@ def trajectory(
     desired: np.ndarray,
     harvested: np.ndarray,
     *,
-    capacity: float = math.inf,
-    initial: float = 0.0,
+    capacity=math.inf,
+    initial=0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the draw-then-bank cycle over whole per-slot arrays.
 
@@ -91,7 +111,8 @@ def trajectory(
         (n, k) for k independent single-link buffers ("lanes"): lane j
         serves ``desired[:, j]`` from ``harvested[:, j]``, and `desired`
         must then be (n, k) too.
-    capacity : buffer size, shared by all lanes.
+    capacity : buffer size: a scalar, or for lanes one size per lane, a
+        (k,) array.
     initial : level before the first slot: a scalar, or for lanes one
         level per lane, a (k,) array, each as `check_start` allows; so a
         run split at any slot and resumed from the levels its first part
@@ -126,14 +147,16 @@ def trajectory(
         raise ValueError(
             f"harvested shape {harvested.shape} does not match {expected}"
         )
-    if np.any(rows < 0.0) or not np.all(np.isfinite(rows)):
+    if not _finite_nonnegative(rows):
         raise ValueError("desired powers must be finite and >= 0")
-    if np.any(harvested < 0.0) or not np.all(np.isfinite(harvested)):
+    if not _finite_nonnegative(harvested):
         raise ValueError("harvested powers must be finite and >= 0")
     start = np.asarray(initial, dtype=float) + 0.0  # -0.0 becomes +0.0
-    if start.shape not in ((), rows.shape[1:] if lanes else ()):
-        raise ValueError(f"initial shape {start.shape} does not match "
-                         f"{rows.shape[1:] if lanes else ()}")
+    per_lane = rows.shape[1:] if lanes else ()
+    for name, value in (("initial", start), ("capacity", capacity)):
+        if np.shape(value) not in ((), per_lane):
+            raise ValueError(f"{name} shape {np.shape(value)} does not "
+                             f"match {per_lane}")
     check_start(start, capacity)
 
     # Levels near the float maximum overflow to inf, as the scalar loop's
@@ -141,7 +164,7 @@ def trajectory(
     with np.errstate(over="ignore"):
         if lanes:
             return _lanes(rows, harvested, capacity,
-                          np.broadcast_to(start, rows.shape[1:]))
+                          np.broadcast_to(start, per_lane))
         # `asked` lists the nonzero requests in service order; `ends[i]`
         # is one past slot i's last sub-slot; a request's sub-slot `at`
         # is its rank plus the number of empty slots up to its own.
@@ -229,24 +252,27 @@ def _steps(want: list, harv: list, capacity: float, level: float):
     return out, levels
 
 
-def _lanes(want: np.ndarray, harv: np.ndarray, capacity: float,
+def _lanes(want: np.ndarray, harv: np.ndarray, capacity,
            initial: np.ndarray):
     """k single-link buffers side by side: the columns of `want`/`harv`,
-    lane j starting from ``initial[j]``."""
+    lane j starting from ``initial[j]`` in a buffer of its own capacity,
+    `capacity` or ``capacity[j]``."""
     n, k = want.shape
     actual = np.empty((n, k))
     levels = np.empty((n, k))
     if k < VECTOR_LANES:
+        sizes = np.broadcast_to(capacity, (k,))
         for j in range(k):
             actual[:, j], levels[:, j] = _single_link(
-                want[:, j], harv[:, j], capacity, float(initial[j]))
+                want[:, j], harv[:, j], float(sizes[j]), float(initial[j]))
         return actual, levels
     # The scalar loop's operations in its order, applied across the lanes.
     # `minimum(level, d)` returns d on a tie, as `d if d <= level` does,
-    # which keeps even the sign of a zero grant.
+    # which keeps even the sign of a zero grant; `minimum(level, inf)` is
+    # the level, so an unbounded lane among bounded ones never clips.
     want = np.ascontiguousarray(want)
     harv = np.ascontiguousarray(harv)
-    bounded = not math.isinf(capacity)
+    bounded = not np.isinf(capacity).all()
     minimum, subtract, add = np.minimum, np.subtract, np.add
     level = initial
     for d, h, a, lev in zip(want, harv, actual, levels):

@@ -18,12 +18,13 @@ both its own average utility and the reference system's.
 Given several seeds, `run_eh` runs one trial per seed on the same network.
 Trials run side by side in groups: each stream key draws one block for all
 the group's trials at once, one lane per trial with that trial's seed, the
-policies and the utility see all the group's slots stacked, and
-single-link batteries step the whole group at once.  A group walks through
-time in chunks, carrying battery levels, delay lines, running counts and
-exact partial sums of the utilities from one chunk to the next, so a call
-holds about `CHUNK_SLOT_LINKS` slot-links of per-slot arrays however long
-or wide its runs are.  Each trial's summary equals that of a run on its
+policies and the utility see all the group's slots stacked, and the
+single-link batteries of all the group's nodes and trials step together,
+one lane each with its own capacity.  A group walks through time in
+chunks, carrying battery levels, delay lines, running counts and exact
+partial sums of the utilities from one chunk to the next, so a call holds
+about `CHUNK_SLOT_LINKS` slot-links of per-slot arrays however long or
+wide its runs are.  Each trial's summary equals that of a run on its
 seed alone, bit for bit: each lane draws what its seed's stream would
 alone, streams continue across chunks, the battery resumes from the levels
 it returned, and policies and utilities act slot by slot.
@@ -314,17 +315,25 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
                   scratch: _Scratch):
     """The next `m` draws of every trial from `streams`, one `Stream` per
     key (one per node, then one per link), each holding all the group's
-    trials: per node a (trials, m) harvest array, and the gains of all
-    trials stacked trial-major into one (trials * m, links) array.
+    trials: per node a (trials, m) harvest array; with two or more
+    single-link nodes, their harvests as the (m, lanes) block that
+    `_battery` steps (`_lanes_of`), of which those nodes' arrays are
+    views, else None; and the gains of all trials stacked trial-major
+    into one (trials * m, links) array.
 
     Each key is drawn, transformed and stored before the next, so its
     block stays in cache.  Draws must be finite and >= 0: one `min` and
     one `max` check that, since NaN fails both comparisons."""
     k, width = streams[0].shape[0], len(config.links)
     txs = config.transmitters
+    lanes = _lanes_of(config, k)
+    block = (scratch.take("lanes_harvest", (m, len(lanes) * k))
+             if len(lanes) > 1 else None)
     harvest = {}
     for t, stream in zip(txs, streams):
-        out = scratch.take(("harvest", t.node), (k, m))
+        lane = None if block is None else lanes.get(t.node)
+        out = scratch.take(("harvest", t.node) if lane is None else "draws",
+                           (k, m))
         draws = np.asarray(t.harvest.sample(stream, m, out=out), dtype=float)
         if draws.shape != (k, m):
             raise NumericsError(f"harvest process for node {t.node} "
@@ -332,6 +341,9 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
         if not (draws.min() >= 0.0 and draws.max() < np.inf):
             raise NumericsError(f"harvest process for node {t.node} drew "
                                 "a negative or non-finite power")
+        if lane is not None:
+            block[:, lane] = draws.T
+            draws = block[:, lane].T
         harvest[t.node] = draws
     gains = scratch.take("gains", (k * m, width))
     columns = gains.reshape(k, m, width)
@@ -345,7 +357,7 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
         columns[:, :, col] = draws
     if not (gains.min() >= 0.0 and gains.max() < np.inf):
         raise NumericsError("channel gains must be finite and >= 0")
-    return harvest, gains
+    return harvest, block, gains
 
 
 def _desired_matrix(config: SimulationConfig, slots, gains, columns,
@@ -362,7 +374,7 @@ def _desired_matrix(config: SimulationConfig, slots, gains, columns,
                 f"policy of node {t.node} returned shape {req.shape}, "
                 f"expected {(rows, t.policy.num_links)}"
             )
-        if np.any(req < 0.0) or not np.all(np.isfinite(req)):
+        if not (req.min() >= 0.0 and req.max() < np.inf):
             raise NumericsError(f"policy of node {t.node} requested negative "
                                 "or non-finite power")
         desired[:, cols] = req
@@ -408,40 +420,68 @@ def _link_columns(config: SimulationConfig) -> dict[int, slice]:
             for t in config.transmitters}
 
 
-def _battery(config: SimulationConfig, desired, harvest, columns, levels,
-             actual: np.ndarray):
+def _lanes_of(config: SimulationConfig, k: int) -> dict[int, slice]:
+    """Each single-link node's lanes in the block that steps all their
+    buffers at once, node-major: the i-th such node's k trials are lanes
+    ``i * k ... i * k + k - 1``."""
+    nodes = [t.node for t in config.transmitters if t.policy.num_links == 1]
+    return {node: slice(i * k, (i + 1) * k) for i, node in enumerate(nodes)}
+
+
+def _battery(config: SimulationConfig, desired, harvest, block, columns,
+             levels, actual: np.ndarray):
     """Granted powers, written into `actual` (like `desired`), and per-node
     (m, trials) levels after each slot of the chunk.  Each node's buffers
     start from `levels[node]`, one level per trial, which this sets to
     their levels after the chunk.
 
-    A node's links are one range of columns, so each node reads views.  A
-    single-link node runs all trials in one `trajectory` call, one lane per
-    trial; a multi-link node runs one call per trial."""
+    All single-link nodes step in one `trajectory` call, one lane per
+    trial per node (`_lanes_of`), each lane with its node's capacity.  A
+    single such node reads views of `desired` and `harvest`.  Several
+    read their harvests from `block`, where `_sample_chunk` put them,
+    and their requests from a block written into `actual`'s memory, which
+    the grants overwrite only after the call.  A multi-link node runs one
+    call per trial."""
     k = len(next(iter(levels.values())))
     m = len(desired) // k
+    grants = actual.reshape(k, m, -1)
+    lanes = _lanes_of(config, k)
+    singles = [t for t in config.transmitters if t.node in lanes]
     after = {}
+    if len(singles) == 1:
+        (t,) = singles
+        want = desired[:, columns[t.node].start].reshape(k, m).T
+        harv, capacity, start = harvest[t.node].T, t.capacity, levels[t.node]
+    elif singles:
+        harv = block
+        want = actual.reshape(-1)[:block.size].reshape(block.shape)
+        for t in singles:
+            want[:, lanes[t.node]] = (
+                desired[:, columns[t.node].start].reshape(k, m).T)
+        capacity = np.repeat([t.capacity for t in singles], k)
+        start = np.concatenate([levels[t.node] for t in singles])
+    if singles:
+        got, lev = battery.trajectory(want, harv, capacity=capacity,
+                                      initial=start)
+        for t in singles:
+            lane = lanes[t.node]
+            grants[:, :, columns[t.node].start] = got[:, lane].T
+            levels[t.node] = lev[-1, lane].copy()
+            after[t.node] = lev[:, lane]
     for t in config.transmitters:
+        if t.node in lanes:
+            continue
         cols = columns[t.node]
-        if t.policy.num_links == 1:
-            got, lev = battery.trajectory(
-                desired[:, cols.start].reshape(k, m).T,
-                harvest[t.node].T,
+        lev = np.empty((m, k))
+        for j in range(k):
+            rows = slice(j * m, (j + 1) * m)
+            got, lev[:, j] = battery.trajectory(
+                desired[rows, cols],
+                harvest[t.node][j],
                 capacity=t.capacity,
-                initial=levels[t.node],
+                initial=levels[t.node][j],
             )
-            actual.reshape(k, m, -1)[:, :, cols.start] = got.T
-        else:
-            lev = np.empty((m, k))
-            for j in range(k):
-                rows = slice(j * m, (j + 1) * m)
-                got, lev[:, j] = battery.trajectory(
-                    desired[rows, cols],
-                    harvest[t.node][j],
-                    capacity=t.capacity,
-                    initial=levels[t.node][j],
-                )
-                actual[rows, cols] = got
+            actual[rows, cols] = got
         levels[t.node] = lev[-1].copy()
         after[t.node] = lev
     return actual, after
@@ -507,7 +547,7 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
         slots = scratch.take("slots", (k, m), int)
         slots[:] = np.arange(start + 1, stop + 1)
         slots = slots.ravel()
-        harvest, gains = _sample_chunk(config, streams, m, scratch)
+        harvest, block, gains = _sample_chunk(config, streams, m, scratch)
         desired = _desired_matrix(config, slots, gains, columns,
                                   scratch.take("desired", gains.shape))
         delayed_g, past_gains = _delayed(config, past_gains, gains)
@@ -516,8 +556,9 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
                                    delayed_g).reshape(k, m)
         actual, after = desired, {}
         if with_battery:
-            actual, after = _battery(config, desired, harvest, columns,
-                                     levels, scratch.take("actual", gains.shape))
+            actual, after = _battery(config, desired, harvest, block,
+                                     columns, levels,
+                                     scratch.take("actual", gains.shape))
             # min(level, request) grants the request exactly when it
             # fits, so bitwise inequality is the mismatch test.
             miss = np.not_equal(actual, desired,

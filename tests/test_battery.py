@@ -670,3 +670,118 @@ def test_lanes_need_matching_shapes():
         trajectory(np.zeros((3, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         trajectory(np.zeros((3, 2)), np.full((3, 2), -1.0))
+
+
+# ---------------------------------------------------------------------------
+# trajectory: one capacity per lane
+
+
+@st.composite
+def random_lanes_with_capacities(draw):
+    # lanes as `random_lanes` draws them, each in a buffer of its own size
+    desired, harvested, _, initial = draw(random_lanes())
+    size = st.one_of(st.just(math.inf), st.floats(min_value=0.5,
+                                                  max_value=1e7))
+    capacity = draw(hnp.arrays(np.float64, desired.shape[1:], elements=size))
+    return desired, harvested, capacity, initial
+
+
+@given(random_lanes_with_capacities())
+@settings(max_examples=200, deadline=None)
+def test_lanes_with_a_capacity_row_match_one_call_per_lane(run):
+    desired, harvested, capacity, initial = run
+    actual, levels = trajectory(desired, harvested, capacity=capacity,
+                                initial=initial)
+    starts = np.broadcast_to(initial, desired.shape[1:])
+    for j in range(desired.shape[1]):
+        got, lev = trajectory(desired[:, j].copy(), harvested[:, j].copy(),
+                              capacity=capacity[j], initial=starts[j])
+        assert got.tobytes() == actual[:, j].copy().tobytes()
+        assert lev.tobytes() == levels[:, j].copy().tobytes()
+
+
+@given(random_lanes())
+@settings(max_examples=100, deadline=None)
+def test_a_row_of_one_capacity_is_the_scalar(run):
+    desired, harvested, capacity, initial = run
+    row = np.full(desired.shape[1], capacity)
+    for got, want in zip(
+            trajectory(desired, harvested, capacity=row, initial=initial),
+            trajectory(desired, harvested, capacity=capacity,
+                       initial=initial)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [3, VECTOR_LANES])
+def test_a_lane_above_its_own_capacity_is_named(k):
+    # Lane 1 starts at 3.0, above its own 2.0 but below every other
+    # lane's capacity, so a shared capacity would have let it pass.
+    capacity = np.full(k, 5.0)
+    capacity[1] = 2.0
+    initial = np.full(k, 1.0)
+    initial[1] = 3.0
+    desired = np.ones((4, k))
+    want = "battery level 3.0 exceeds capacity 2.0"
+    assert state_error(3.0, 2.0) == want
+    with pytest.raises(ValueError) as info:
+        trajectory(desired, desired, capacity=capacity, initial=initial)
+    assert str(info.value) == want
+    with pytest.raises(ValueError) as info:
+        battery.check_start(initial, capacity)
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("size", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("k", [3, VECTOR_LANES])
+def test_a_capacity_row_with_a_size_not_above_zero_is_refused(size, k):
+    capacity = np.full(k, 5.0)
+    capacity[k - 1] = size
+    desired = np.ones((4, k))
+    want = state_error(0.0, size)
+    assert want == f"battery capacity must be > 0, got {size}"
+    with pytest.raises(ValueError) as info:
+        trajectory(desired, desired, capacity=capacity)
+    assert str(info.value) == want
+
+
+def test_capacity_rows_need_one_size_per_lane():
+    desired = np.ones((4, 3))
+    for capacity in (np.ones(2), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="capacity shape"):
+            trajectory(desired, desired, capacity=capacity)
+    # One buffer, single- or multi-link, takes a scalar only.
+    with pytest.raises(ValueError, match="capacity shape"):
+        trajectory(desired[:, 0], desired[:, 0], capacity=np.ones(1))
+    with pytest.raises(ValueError, match="capacity shape"):
+        trajectory(desired, desired[:, 0], capacity=np.ones(3))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)],
+                         ids=["no_slots", "no_lanes", "neither"])
+def test_empty_lanes_run_and_still_check_their_start(shape):
+    # The block checks take a `min` and a `max`, which an empty block has
+    # not; it passes, and a bad start still gives its one line.
+    empty = np.zeros(shape)
+    actual, levels = trajectory(empty, empty,
+                                capacity=np.full(shape[1], 2.0),
+                                initial=np.ones(shape[1]))
+    assert actual.shape == levels.shape == shape
+    for level, capacity in ((3.0, 2.0), (1.0, 0.0), (-1.0, 2.0)):
+        with pytest.raises(ValueError) as info:
+            trajectory(empty, empty, capacity=capacity, initial=level)
+        assert str(info.value) == state_error(level, capacity)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf],
+                         ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("role", ["desired", "harvested"])
+@pytest.mark.parametrize("k", [3, VECTOR_LANES])
+def test_a_bad_value_in_a_stacked_block_raises_one_line(k, role, value):
+    # Two nodes' trials side by side, as the simulator stacks them; one
+    # value of the second node's lanes is bad.
+    blocks = {"desired": np.ones((5, 2 * k)), "harvested": np.ones((5, 2 * k))}
+    blocks[role][2, k + 1] = value
+    with pytest.raises(ValueError) as info:
+        trajectory(blocks["desired"], blocks["harvested"],
+                   capacity=np.repeat([math.inf, 2.0], k), initial=1.0)
+    assert str(info.value) == f"{role} powers must be finite and >= 0"

@@ -23,6 +23,7 @@ from ehnet.policies import (
     AlternatingRelayPolicy,
     AmplifierModel,
     ConstantPolicy,
+    MaxGainBroadcastPolicy,
     WaterfillPolicy,
 )
 from ehnet import battery
@@ -488,6 +489,183 @@ def test_lanes_resume_from_their_own_levels_across_chunks(monkeypatch):
 
         monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
         assert_same_runs(run_eh(cfg, seeds=seeds, return_trace=True), want)
+
+
+# ---------------------------------------------------------------------------
+# a network of mixed node kinds
+
+
+def mixed_network(n=40, seed=0, policy=None):
+    """No bundled network mixes node kinds, so this one does: node 0 has
+    one link and an unbounded buffer that starts empty and fills well
+    past node 2's size; node 1 broadcasts to two receivers; node 2 has
+    one link and a small buffer that starts full and runs dry.  The
+    single-link nodes' columns, 0 and 3, are not adjacent, and one link
+    reads its powers a slot late."""
+    return SimulationConfig(
+        n_slots=n,
+        transmitters=(
+            TransmitterSpec(0, ExponentialProcess(1.0), ConstantPolicy(0.5)),
+            TransmitterSpec(1, ExponentialProcess(1.0),
+                            MaxGainBroadcastPolicy(0.5, 2),
+                            capacity=4.0, initial_level=2.0),
+            TransmitterSpec(2, ExponentialProcess(1.0),
+                            policy or ConstantPolicy(1.5),
+                            capacity=3.0, initial_level=3.0),
+        ),
+        links=(LinkSpec(0, 10, ExponentialProcess(1.0)),
+               LinkSpec(1, 11, ExponentialProcess(1.0)),
+               LinkSpec(1, 12, ExponentialProcess(1.0), delay=1),
+               LinkSpec(2, 13, ExponentialProcess(2.0))),
+        utility=BroadcastSumRateUtility(4),
+        seed=seed,
+    )
+
+
+def assert_grants_match_stepwise_primitives(cfg, trace):
+    for t in cfg.transmitters:
+        cols = [i for i, link in enumerate(cfg.links) if link.tx == t.node]
+        state = BatteryState(t.initial_level, t.capacity)
+        for i in range(cfg.n_slots):
+            got, state = extract_many(state, trace.desired[i, cols].tolist())
+            state = deposit(state, float(trace.harvest[t.node][i]))
+            assert (np.array(got).tobytes()
+                    == trace.actual[i, cols].copy().tobytes())
+            assert (np.float64(state.level).tobytes()
+                    == trace.levels[t.node][i].tobytes())
+
+
+# Trials side by side, so that their 2 single-link lanes each come to
+# fewer than VECTOR_LANES (each lane walks) or to at least as many (all
+# step together).
+MIXED_GROUPS = [3, VECTOR_LANES]
+
+
+@pytest.mark.parametrize("trials", MIXED_GROUPS)
+def test_mixed_network_batched_equals_alone(trials, monkeypatch):
+    cfg = mixed_network()
+    seeds = list(range(200, 200 + trials))
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
+    alone = [eh_and_reference(replace(cfg, seed=seed), [seed])
+             for seed in seeds]
+    want = [eh for eh, _ in alone] + [reference for _, reference in alone]
+    got = eh_and_reference(cfg, seeds)
+    assert_same_runs(got, want)
+    for summary, trace in got[:trials]:
+        assert_grants_match_stepwise_primitives(cfg, trace)
+        assert summary.mismatch_fraction[2] > 0.0  # node 2 runs dry
+        assert (trace.levels[2] == 3.0).any()  # and clips at its size
+        assert trace.levels[0].max() > 3.0  # node 0 fills past it
+    # Budgets of 1 and 7 slot-links walk one trial at a time in 1-slot
+    # chunks, and 333 two at a time; the group formed whole, walked in
+    # chunks of 1 slot or 333 // (trials * 4), resumes each lane from its
+    # own level.
+    walk = simulator._walk
+    for budget in (1, 7, 333):
+        monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", budget)
+        assert_same_runs(eh_and_reference(cfg, seeds), want)
+
+        def walk_in_chunks(*args, budget=budget):
+            monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", budget)
+            try:
+                return walk(*args)
+            finally:
+                monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
+
+        monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
+        monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
+        assert_same_runs(run_eh(cfg, seeds=seeds, return_trace=True),
+                         want[:trials])
+        monkeypatch.setattr(simulator, "_walk", walk)
+
+
+def spy_battery(monkeypatch):
+    """Per `_battery` call (one per chunk), the lanes of its trials and
+    the shapes and capacities of its `trajectory` calls, and how many
+    single-buffer walks those made."""
+    chunks = []
+    calls = mock.Mock(wraps=battery.trajectory)
+    walks = mock.Mock(wraps=battery._single_link)
+    run = simulator._battery
+
+    def counting_battery(*args):
+        calls.reset_mock()
+        walks.reset_mock()
+        trials = len(next(iter(args[-2].values())))  # of `levels`
+        out = run(*args)
+        chunks.append((trials,
+                       [(np.shape(c.args[0]), np.shape(c.args[1]),
+                         np.array(c.kwargs["capacity"]).tolist())
+                        for c in calls.call_args_list],
+                       walks.call_count))
+        return out
+
+    monkeypatch.setattr(simulator, "_battery", counting_battery)
+    monkeypatch.setattr(battery, "trajectory", calls)
+    monkeypatch.setattr(battery, "_single_link", walks)
+    return chunks
+
+
+@pytest.mark.parametrize("trials", MIXED_GROUPS)
+@pytest.mark.parametrize("budget", [UNCHUNKED, 100],
+                         ids=["unchunked", "budget_100"])
+def test_one_trajectory_call_per_chunk_for_all_single_link_nodes(
+        trials, budget, monkeypatch):
+    # Per chunk: one call for both single-link nodes, node 0's lanes
+    # first, each with its own capacity; then one call per trial for the
+    # broadcast node.  Lanes below VECTOR_LANES walk one by one.  A budget
+    # of 100 slot-links walks each trial alone in chunks of 25 slots.
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", budget)
+    chunks = spy_battery(monkeypatch)
+    run_eh(mixed_network(), seeds=range(trials))
+    sizes = []
+    for k, calls, walks in chunks:
+        m = calls[0][0][0]
+        assert calls == ([((m, 2 * k), (m, 2 * k), [math.inf] * k + [3.0] * k)]
+                         + [((m, 2), (m,), 4.0)] * k)
+        assert walks == (k if 2 * k >= VECTOR_LANES else 3 * k)
+        sizes.append((k, m))
+    if budget == UNCHUNKED:
+        assert sizes == [(trials, 40)]
+    else:
+        assert sizes == [(1, 25), (1, 15)] * trials
+
+
+def test_fig5_senders_step_in_one_call_per_group(monkeypatch):
+    # fig5's 5 senders, 200 trials of 100 slots: groups of 65, 65, 65 and
+    # 5 trials, each one chunk, so 4 `trajectory` calls, not 4 x 5; the
+    # last group's 25 lanes step together too.
+    spec = replace(default_spec("fig5"), p_in_db=(10.0,), n_slots=(100,),
+                   group_size=(5,))
+    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    chunks = spy_battery(monkeypatch)
+    run_eh(cfg, seeds=range(200))
+    capacity = cfg.transmitters[0].capacity
+    assert [(k, len(calls), walks) for k, calls, walks in chunks] == [
+        (65, 1, 0), (65, 1, 0), (65, 1, 0), (5, 1, 0)]
+    for k, [(want, harv, sizes)], _ in chunks:
+        assert want == harv == (100, 5 * k)
+        assert sizes == [capacity] * (5 * k)
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf],
+                         ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("seeds", [None, list(range(VECTOR_LANES))],
+                         ids=["alone", "group"])
+def test_bad_request_of_one_node_names_it(seeds, value):
+    class Bad:
+        num_links = 1
+
+        def desired_powers(self, slots, gains):
+            out = np.ones((len(slots), 1))
+            out[len(slots) // 2] = value
+            return out
+
+    cfg = mixed_network(policy=Bad())
+    with pytest.raises(NumericsError) as err:
+        run_eh(cfg, seeds=seeds)
+    assert str(err.value) == ("policy of node 2 requested negative or "
+                              "non-finite power")
 
 
 # An unbounded single-link run whose harvest sum overflows a float.
