@@ -13,7 +13,7 @@ Each experiment is one `EXPERIMENTS` entry: its title, what its group-size
 axis counts (receivers for the broadcast sweep, transmitters for the
 multi-access sweep, hops for the relay chain, unused elsewhere), its
 default grid, functions that build its network and its baseline at a
-grid point, and the scipy modules its sweep uses.
+grid point, and the compiled scipy modules its sweep uses.
 
 Shipped defaults start every battery full (`initial_fill` 1.0).  At the
 default `b_max_ratio` of 200 that banks 200 slots of mean harvest, which a
@@ -29,7 +29,6 @@ serial or parallel -- produce byte-identical CSV files.
 from __future__ import annotations
 
 import csv
-import importlib
 import json
 import math
 import numbers
@@ -59,6 +58,7 @@ from .stochastic import (
     ExponentialProcess,
     expectation_quadrature,
     exponential_pdf,
+    load_compiled,
     max_exponential_pdf,
     seed_states,
 )
@@ -196,8 +196,9 @@ def spec_from_dict(data: dict) -> SweepSpec:
 
 def validate_spec(spec: SweepSpec) -> None:
     """Raise `ConfigError` unless every grid point of `spec` can run, then
-    import the modules its experiment's sweep uses (`Experiment.modules`),
-    so that their import time falls before the sweep."""
+    load the compiled modules its experiment's sweep uses
+    (`Experiment.modules`), so that their load time falls before the
+    sweep."""
     experiment = _experiment(spec.experiment)
     if any(n < 1 for n in spec.n_slots):
         raise ConfigError("n_slots values must be >= 1")
@@ -248,7 +249,7 @@ def validate_spec(spec: SweepSpec) -> None:
     if spec.circuit_power_db is not None:
         _linear_power(spec.circuit_power_db, "circuit_power_db")
     for name in experiment.modules:
-        importlib.import_module(name)
+        load_compiled(name)
 
 
 def load_spec(path) -> SweepSpec:
@@ -448,8 +449,12 @@ class Experiment:
     ``(transmitters, links, utility)`` of the network, with `node(k,
     policy)` making transmitter k, and `baseline(spec, point, p)` the
     Monte-Carlo-free value of the unconstrained system.  `modules` names
-    the scipy modules its sweep uses; `validate_spec` imports them, as
-    `import ehnet` loads none.
+    the compiled scipy modules its sweep uses: QUADPACK
+    (``scipy.integrate._quadpack``) for the thresholds and `closed_form`
+    values by quadrature, the ufuncs (``scipy.special._special_ufuncs``)
+    for the BER's `erfc`.  `validate_spec` loads them with
+    `stochastic.load_compiled`, as `import ehnet` loads none; neither
+    ``scipy.integrate`` nor ``scipy.special`` is imported.
     """
 
     title: str
@@ -477,7 +482,7 @@ EXPERIMENTS = {
                       n_slots=(100, 10_000)),
         network=_waterfill_network,
         baseline=_waterfill_baseline,
-        modules=("scipy.integrate",),
+        modules=("scipy.integrate._quadpack",),
     ),
     "fig3": Experiment(
         title="water-filling rate with amplifier slope and circuit draw",
@@ -491,7 +496,7 @@ EXPERIMENTS = {
         ),
         network=_waterfill_network,
         baseline=_waterfill_baseline,
-        modules=("scipy.integrate",),
+        modules=("scipy.integrate._quadpack",),
     ),
     "fig4": Experiment(
         title="opportunistic broadcast sum rate vs receiver count",
@@ -500,7 +505,7 @@ EXPERIMENTS = {
                       n_slots=(100, 10_000), group_size=(2, 25)),
         network=_broadcast_network,
         baseline=_broadcast_baseline,
-        modules=("scipy.integrate",),
+        modules=("scipy.integrate._quadpack",),
     ),
     "fig5": Experiment(
         title="multi-access BPSK error rate vs transmitter count",
@@ -509,7 +514,7 @@ EXPERIMENTS = {
                       group_size=(1, 2, 5)),
         network=_mac_network,
         baseline=_mac_baseline,
-        modules=("scipy.special",),
+        modules=("scipy.special._special_ufuncs",),
     ),
     "fig6": Experiment(
         title="half-duplex amplify-and-forward chain rate",

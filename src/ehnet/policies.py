@@ -104,7 +104,8 @@ class WaterfillPolicy:
         g = np.asarray(gains, dtype=float).reshape(len(slots), 1)
         with np.errstate(divide="ignore"):
             fill = self.request(g)
-        return np.where(g > self.lam, fill, 0.0)
+        np.copyto(fill, 0.0, where=~(g > self.lam))
+        return fill
 
 
 @dataclass(frozen=True)

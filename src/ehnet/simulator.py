@@ -263,8 +263,8 @@ class _ExactSums:
             sigma = np.ldexp(1.0, exp)[:, None]
             q = rest + sigma
             q -= sigma
-            rest = rest - q
             self._append(rows, q.sum(axis=1))
+            rest = np.subtract(rest, q, out=q)
             top = np.abs(rest).max(axis=1)
             live = top > 0.0
             if not live.all():

@@ -35,11 +35,17 @@ SeedSequence algorithm, which is what makes this exact.
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
 import math
 import numbers
 import operator
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
@@ -53,6 +59,7 @@ __all__ = [
     "Stream",
     "expectation_quadrature",
     "exponential_pdf",
+    "load_compiled",
     "max_exponential_pdf",
     "seed_states",
 ]
@@ -336,6 +343,54 @@ def max_exponential_pdf(mean: float, count: int) -> Callable[[float], float]:
     return pdf
 
 
+def load_compiled(name: str) -> ModuleType:
+    """The compiled module `name`, such as ``"scipy.integrate._quadpack"``,
+    loaded from its file on first use.
+
+    Only the top-level package is imported (``import scipy``, about
+    12 ms); the ``__init__`` of the module's own package does not run
+    (all of ``scipy.integrate`` takes about 0.6 s).  The module is
+    registered in `sys.modules` under `name`, so a later import of its
+    package, or a later call, finds this same module.  Raises
+    `ImportError` when the package directory holds no compiled module of
+    that name.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    package, _, leaf = name.rpartition(".")
+    top, *subpackages = package.split(".")
+    directory = os.path.join(importlib.import_module(top).__path__[0],
+                             *subpackages)
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader,
+                    importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled module {leaf!r} in {directory}",
+                          name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+# Why QUADPACK's QAGIE stopped short (its `ier`), as `scipy.integrate.quad`
+# explains them; 6 (invalid input) cannot arise from the fixed arguments.
+_QUADPACK_STOPS = {
+    1: "the maximum number of subdivisions (200) has been achieved",
+    2: "roundoff error prevents the requested tolerance",
+    3: "extremely bad integrand behaviour at some points",
+    4: "roundoff error in the extrapolation table",
+    5: "the integral is probably divergent or slowly convergent",
+    7: "abnormal termination of the routine",
+}
+
+
 def expectation_quadrature(
     f: Callable[[float], float],
     pdf: Callable[[float], float],
@@ -350,25 +405,16 @@ def expectation_quadrature(
     (or, for large integrals where that would exceed double precision,
     below ``rel_tol * |value|``).
     """
-    # Imported here, not at module level: it costs about 0.3 s, and only
-    # the experiments that integrate import it when their config is
-    # validated (`Experiment.modules`).
-    from scipy import integrate
-
-    result = integrate.quad(
-        lambda g: f(g) * pdf(g),
-        lower,
-        np.inf,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-        full_output=1,
-    )
-    value, abserr = result[0], result[1]
+    # QUADPACK alone, loaded on first use: importing it through
+    # `scipy.integrate` costs about 0.6 s.  The experiments that integrate
+    # load it when their config is validated (`Experiment.modules`).
+    quadpack = load_compiled("scipy.integrate._quadpack")
+    # The call `scipy.integrate.quad(func, lower, inf, epsabs=1e-12,
+    # epsrel=1e-12, limit=200)` makes: QAGIE over [lower, inf).
+    value, abserr, ier = quadpack._qagie(
+        lambda g: f(g) * pdf(g), lower, 1, (), 0, 1e-12, 1e-12, 200)
     if abserr > max(abs_tol, rel_tol * abs(value)):
-        # quad adds a fourth item, its warning, when it flagged a problem;
-        # its lines are joined so the CLI still reports one line
-        detail = ": " + " ".join(result[3].split()) if len(result) > 3 else ""
+        detail = f": {_QUADPACK_STOPS[ier]}" if ier in _QUADPACK_STOPS else ""
         raise QuadratureError(
             f"quadrature error estimate {abserr:.2e} exceeds tolerance{detail}"
         )

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stochastic import load_compiled
+
 __all__ = [
     "AmplifierRateUtility",
     "BroadcastSumRateUtility",
@@ -39,10 +41,10 @@ _SQRT2 = math.sqrt(2.0)
 
 def qfunc(x):
     """Gaussian tail probability Q(x), via the complementary error function."""
-    # Imported on first use, like `scipy.integrate` in `stochastic`.
-    from scipy import special
-
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
+    # scipy's `erfc` ufunc alone, loaded on first use like QUADPACK in
+    # `stochastic`: it is the object `scipy.special.erfc` names.
+    erfc = load_compiled("scipy.special._special_ufuncs").erfc
+    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
 def outage_indicator(power, gain, rate_threshold: float):
@@ -56,12 +58,18 @@ def amplifier_rate(power, gain, amplifier):
     """Rate through a lossy amplifier: ``log2(1 + (p - P_C)+ * gain / eps)``.
 
     Supply power at or below the static draw `amplifier.circuit_power`
-    radiates nothing and yields zero rate.
+    radiates nothing and yields zero rate.  The rate is computed in one
+    array, in place, by the same IEEE operations in the same order.
     """
-    radiated = np.clip(
-        np.asarray(power, dtype=float) - amplifier.circuit_power, 0.0, None
-    )
-    return np.log2(1.0 + radiated * np.asarray(gain, dtype=float) / amplifier.epsilon)
+    power = np.asarray(power, dtype=float)
+    gain = np.asarray(gain, dtype=float)
+    rate = np.empty(np.broadcast_shapes(power.shape, gain.shape))
+    np.subtract(power, amplifier.circuit_power, out=rate)
+    np.clip(rate, 0.0, None, out=rate)
+    np.multiply(rate, gain, out=rate)
+    np.divide(rate, amplifier.epsilon, out=rate)
+    np.add(rate, 1.0, out=rate)
+    return np.log2(rate, out=rate)
 
 
 def broadcast_sum_rate(powers, gains):

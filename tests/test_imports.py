@@ -1,10 +1,12 @@
 """Which scipy modules `ehnet` loads, and when.
 
-`import ehnet` loads no scipy module.  Validating a config imports the
-modules its experiment's registry entry names (`Experiment.modules`), and
-the sweep that follows loads no further one, so their import time falls
-in set-up, never in the sweep.  Each check runs in a fresh interpreter:
-this one has loaded scipy already.
+`import ehnet` loads no scipy module.  Validating a config loads the
+compiled modules its experiment's registry entry names
+(`Experiment.modules`) with `stochastic.load_compiled`, which imports
+neither `scipy.integrate` nor `scipy.special`, and the sweep that follows
+loads no further one, so their load time falls in set-up, never in the
+sweep.  Each check runs in a fresh interpreter: this one has loaded scipy
+already.
 """
 
 import functools
@@ -45,9 +47,12 @@ def _config(name: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _loaded_by(modules: tuple[str, ...]) -> tuple[str, ...]:
-    """The scipy modules that importing `ehnet` and then `modules` loads."""
-    imports = "".join(f"import {m}\n" for m in modules)
-    return tuple(_fresh("import ehnet.cli\n" + imports + _PRINT_SCIPY))
+    """The scipy modules that importing `ehnet` and then loading `modules`
+    with its loader loads."""
+    loads = "".join(f"load_compiled({m!r})\n" for m in modules)
+    return tuple(_fresh("import ehnet.cli\n"
+                        "from ehnet.stochastic import load_compiled\n"
+                        + loads + _PRINT_SCIPY))
 
 
 def test_importing_ehnet_loads_no_scipy_and_no_process_pool():
@@ -69,6 +74,8 @@ def test_validation_loads_exactly_the_declared_modules(name):
     modules = EXPERIMENTS[name].modules
     assert set(modules) <= set(loaded)
     assert tuple(loaded) == _loaded_by(modules)
+    # The compiled modules alone, not the packages that hold them.
+    assert not {"scipy.integrate", "scipy.special"} & set(loaded)
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -88,6 +95,26 @@ def test_sweep_loads_no_scipy_module_beyond_validation(name):
         "                        if m.split('.')[0] == 'scipy')))\n"
     )
     assert added == []
+
+
+def test_public_scipy_imports_reuse_the_loaded_modules():
+    # Validation registers each module under its real name, so importing
+    # its package afterwards finds the same module and still works.
+    same_erfc, same_quadpack, half = _fresh(
+        "import json, sys\n"
+        "from ehnet.experiments import load_spec\n"
+        f"load_spec({_config('fig2')!r})\n"
+        f"load_spec({_config('fig5')!r})\n"
+        "ufuncs = sys.modules['scipy.special._special_ufuncs']\n"
+        "quadpack = sys.modules['scipy.integrate._quadpack']\n"
+        "import scipy.special, scipy.integrate\n"
+        "print(json.dumps([\n"
+        "    scipy.special.erfc is ufuncs.erfc,\n"
+        "    scipy.integrate._quadpack_py._quadpack is quadpack,\n"
+        "    scipy.integrate.quad(lambda x: x, 0.0, 1.0)[0]]))\n"
+    )
+    assert same_erfc and same_quadpack
+    assert half == 0.5
 
 
 def test_library_functions_import_scipy_themselves():

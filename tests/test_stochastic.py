@@ -1,12 +1,16 @@
 """Unit tests for random streams and quadrature helpers."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ehnet.experiments
+import ehnet.policies
 from ehnet.stochastic import (
     ConstantProcess,
     ExponentialProcess,
@@ -14,9 +18,11 @@ from ehnet.stochastic import (
     Stream,
     expectation_quadrature,
     exponential_pdf,
+    load_compiled,
     max_exponential_pdf,
     seed_states,
 )
+from ehnet.utilities import qfunc
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +330,87 @@ def test_max_exponential_pdf_count_one_reduces_to_plain():
     pdf_b = exponential_pdf(2.0)
     xs = np.linspace(0.01, 10.0, 50)
     assert np.allclose([pdf_a(x) for x in xs], [pdf_b(x) for x in xs], rtol=1e-12)
+
+
+def scipy_quad(f, pdf, lower=0.0):
+    """What `expectation_quadrature` must return: public scipy's `quad`
+    with its tolerances and subdivision limit."""
+    from scipy import integrate
+
+    return integrate.quad(lambda g: f(g) * pdf(g), lower, math.inf,
+                          epsabs=1e-12, epsrel=1e-12, limit=200,
+                          full_output=1)[0]
+
+
+def _gamma_pdf(branches):
+    def pdf(s):
+        return s ** (branches - 1) * math.exp(-s) / math.factorial(branches - 1)
+
+    return pdf
+
+
+# The integrands the other tests integrate.
+QUADRATURE_CASES = {
+    "one": (lambda g: 1.0, exponential_pdf(1.0), 0.0),
+    "one-max25": (lambda g: 1.0, max_exponential_pdf(1.0, 25), 0.0),
+    "mean": (lambda g: g, exponential_pdf(1.0), 0.0),
+    "mean-of-2": (lambda g: g, exponential_pdf(2.0), 0.0),
+    "second-moment": (lambda g: g * g, exponential_pdf(1.0), 0.0),
+    "exp": (lambda g: math.exp(-g), exponential_pdf(1.0), 0.0),
+    "tail": (lambda g: 1.0, exponential_pdf(1.0), 1.0),
+    "max4-mean": (lambda g: g, max_exponential_pdf(1.0, 4), 0.0),
+    "rate-above-threshold": (lambda g: math.log2(g / 0.7),
+                             exponential_pdf(1.0), 0.7),
+    "bpsk-3-branches": (lambda s: float(qfunc(math.sqrt(4.0 * s))),
+                        _gamma_pdf(3), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUADRATURE_CASES))
+def test_quadrature_is_scipy_quad_bit_for_bit(case):
+    f, pdf, lower = QUADRATURE_CASES[case]
+    got = expectation_quadrature(f, pdf, lower, abs_tol=1e-9, rel_tol=1e-9)
+    assert got.hex() == scipy_quad(f, pdf, lower).hex()
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+def test_shipped_threshold_quadratures_are_scipy_quad_bit_for_bit(
+        name, monkeypatch):
+    # Every threshold bisection step and `closed_form` value of the shipped
+    # config, at every power it ships.
+    real = expectation_quadrature
+    checked = []
+
+    def checking(f, pdf, lower=0.0, **tolerances):
+        got = real(f, pdf, lower, **tolerances)
+        checked.append((lower, got.hex(), scipy_quad(f, pdf, lower).hex()))
+        return got
+
+    monkeypatch.setattr(ehnet.policies, "expectation_quadrature", checking)
+    monkeypatch.setattr(ehnet.experiments, "expectation_quadrature", checking)
+    ehnet.experiments._waterfill_threshold.cache_clear()
+    ehnet.experiments._broadcast_threshold.cache_clear()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = ehnet.experiments.load_spec(
+        os.path.join(root, "configs", f"{name}.json"))
+    for point in ehnet.experiments.grid_points(spec):
+        ehnet.experiments.closed_form_baseline(spec, point)
+    assert checked
+    assert [c for c in checked if c[1] != c[2]] == []
+
+
+@pytest.mark.parametrize("name", ["scipy.integrate._no_such_module",
+                                  # a pure-Python module is not compiled
+                                  "scipy.integrate._quadpack_py"])
+def test_load_compiled_refuses_what_is_not_a_compiled_module(name):
+    before = sys.modules.pop(name, None)
+    try:
+        with pytest.raises(ImportError):
+            load_compiled(name)
+        assert name not in sys.modules
+    finally:
+        if before is not None:
+            sys.modules[name] = before
 
 
 def test_quadrature_error_on_unresolvable_integrand():
