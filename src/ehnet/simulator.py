@@ -16,8 +16,10 @@ seedwise pairing of the two isolates the effect of the battery alone.
 both its own average utility and the reference system's.
 
 Given several seeds, `run_eh` runs one trial per seed on the same network.
-Trials run side by side in groups: each stream key draws one block for all
-the group's trials at once, one lane per trial with that trial's seed, the
+Trials run side by side in groups.  Consecutive stream keys whose
+processes compare equal (fig4's 25 fadings, fig5's senders' harvests) form
+a run, and each run draws one block for all its keys and all the group's
+trials at once, one lane per key and trial, in one `sample` call.  The
 policies and the utility see all the group's slots stacked, and the
 single-link batteries of all the group's nodes and trials step together,
 one lane each with its own capacity.  A group walks through time in
@@ -25,9 +27,9 @@ chunks, carrying battery levels, delay lines, running counts and exact
 partial sums of the utilities from one chunk to the next, so a call holds
 about `CHUNK_SLOT_LINKS` slot-links of per-slot arrays however long or
 wide its runs are.  Each trial's summary equals that of a run on its
-seed alone, bit for bit: each lane draws what its seed's stream would
-alone, streams continue across chunks, the battery resumes from the levels
-it returned, and policies and utilities act slot by slot.
+seed alone, bit for bit: each lane draws what its key's and seed's stream
+would alone, streams continue across chunks, the battery resumes from the
+levels it returned, and policies and utilities act slot by slot.
 
 An average over slots is the exact sum of its values, rounded once, as
 `math.fsum` over the whole run would give it (see `_ExactSums`); a sum past
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -212,9 +215,11 @@ def _units(x: float) -> int:
 
 class _ExactSums:
     """Each trial's exact running sum of per-slot values, kept as a few
-    floats per chunk instead of one per slot.
+    floats per `CHUNK_SLOT_LINKS` values instead of one per slot.
 
-    `add` splits each row of a chunk by error-free extraction (Rump, Ogita
+    `add` copies each chunk's (k, m) values and holds them until they come
+    to `CHUNK_SLOT_LINKS` values or the run's last chunk comes; then it
+    splits all their rows at once by error-free extraction (Rump, Ogita
     and Oishi, "Accurate floating-point summation part I", 2008).  With
     ``sigma = 2**(e + bits)``, where ``max|r| < 2**e`` and ``2**bits >=
     m + 2`` for m values, ``q = (r + sigma) - sigma`` is exact, every `q`
@@ -227,11 +232,13 @@ class _ExactSums:
 
     def __init__(self, k: int):
         self._k = k
+        self._held: list[np.ndarray] = []  # copies of chunks not yet split
         self._parts: list[np.ndarray] = []  # (k,), -0.0 where nothing adds
         self._big: dict[int, int] = {}
 
     def copy(self) -> _ExactSums:
         other = _ExactSums(self._k)
+        other._held = list(self._held)
         other._parts = list(self._parts)
         other._big = dict(self._big)
         return other
@@ -241,8 +248,20 @@ class _ExactSums:
         part[rows] = sums
         self._parts.append(part)
 
-    def add(self, values: np.ndarray) -> None:
-        """Add row j of the finite (k, m) `values` to trial j's sum."""
+    def add(self, values: np.ndarray, last: bool = False) -> None:
+        """Add row j of the finite (k, m) `values` to trial j's sum; `last`
+        when no chunk follows.  Nothing held aliases `values`."""
+        held = sum(chunk.size for chunk in self._held) + values.size
+        if not last and held < CHUNK_SLOT_LINKS:
+            self._held.append(values.copy())
+            return
+        if self._held:
+            values = np.concatenate(self._held + [values], axis=1)
+            self._held = []
+        self._split(values)
+
+    def _split(self, values: np.ndarray) -> None:
+        """Extract the exact partial sums of each row of `values`."""
         bits = (values.shape[1] + 1).bit_length()
         top = np.abs(values).max(axis=1)
         zero = top == 0.0
@@ -273,6 +292,9 @@ class _ExactSums:
 
     def means(self, n: int) -> list[float]:
         """Each trial's sum, correctly rounded, divided by `n`."""
+        if self._held:
+            self._split(np.concatenate(self._held, axis=1))
+            self._held = []
         rows = (np.stack(self._parts, axis=1).tolist() if self._parts
                 else [[] for _ in range(self._k)])
         out = []
@@ -311,52 +333,99 @@ class _Scratch:
         return flat[:size].reshape(shape)
 
 
+class _Draws:
+    """Stream keys that draw one block together: consecutive transmitters'
+    harvests or consecutive links' fadings whose processes compare equal.
+    `kind` is "harvest" or "fading"; `members` are the `TransmitterSpec`s
+    or `LinkSpec`s, in config order."""
+
+    def __init__(self, kind: str, members: tuple):
+        self.kind, self.members = kind, members
+
+    @property
+    def process(self):
+        return getattr(self.members[0], self.kind)
+
+    @property
+    def keys(self) -> list[tuple[int, int, int]]:
+        if self.kind == "harvest":
+            return [(_HARVEST_KEY, t.node, 0) for t in self.members]
+        return [(_FADING_KEY, link.tx, link.rx) for link in self.members]
+
+    def name(self, i: int) -> str:
+        member = self.members[i]
+        if self.kind == "harvest":
+            return f"node {member.node}"
+        return f"link {member.tx}->{member.rx}"
+
+
+def _draw_runs(config: SimulationConfig) -> list[_Draws]:
+    """`config`'s stream keys in runs that draw one block each, harvests
+    first.  A harvest run's nodes are all in the single-link lanes block
+    (`_lanes_of`) or all outside it, so a run's lanes are adjacent."""
+    singles = sum(t.policy.num_links == 1 for t in config.transmitters)
+    runs = [_Draws("harvest", tuple(members)) for _, members in groupby(
+        config.transmitters,
+        key=lambda t: (t.harvest, singles > 1 and t.policy.num_links == 1))]
+    runs += [_Draws("fading", tuple(members))
+             for _, members in groupby(config.links, key=lambda l: l.fading)]
+    return runs
+
+
 def _sample_chunk(config: SimulationConfig, streams, m: int,
-                  scratch: _Scratch):
+                  scratch: _Scratch, runs: list[_Draws]):
     """The next `m` draws of every trial from `streams`, one `Stream` per
-    key (one per node, then one per link), each holding all the group's
+    run of `runs`, each holding all the run's keys for all the group's
     trials: per node a (trials, m) harvest array; with two or more
     single-link nodes, their harvests as the (m, lanes) block that
     `_battery` steps (`_lanes_of`), of which those nodes' arrays are
     views, else None; and the gains of all trials stacked trial-major
     into one (trials * m, links) array.
 
-    Each key is drawn, transformed and stored before the next, so its
-    block stays in cache.  Draws must be finite and >= 0: one `min` and
-    one `max` check that, since NaN fails both comparisons."""
-    k, width = streams[0].shape[0], len(config.links)
-    txs = config.transmitters
+    Each run's process draws and transforms its (keys, trials, m) block in
+    one `sample` call; the block is checked, then stored with one
+    transposed copy, before the next run draws.  Draws must be finite and
+    >= 0: one `min` and one `max` check that, since NaN fails both
+    comparisons; only a failing block is searched for its first bad key.
+    A block bound for `gains` or the lanes block is drawn into the memory
+    of the chunk's requests, which `_desired_matrix` writes only later."""
+    k, width = streams[0].shape[-1], len(config.links)
     lanes = _lanes_of(config, k)
     block = (scratch.take("lanes_harvest", (m, len(lanes) * k))
              if len(lanes) > 1 else None)
-    harvest = {}
-    for t, stream in zip(txs, streams):
-        lane = None if block is None else lanes.get(t.node)
-        out = scratch.take(("harvest", t.node) if lane is None else "draws",
-                           (k, m))
-        draws = np.asarray(t.harvest.sample(stream, m, out=out), dtype=float)
-        if draws.shape != (k, m):
-            raise NumericsError(f"harvest process for node {t.node} "
-                                f"returned shape {draws.shape}")
-        if not (draws.min() >= 0.0 and draws.max() < np.inf):
-            raise NumericsError(f"harvest process for node {t.node} drew "
-                                "a negative or non-finite power")
-        if lane is not None:
-            block[:, lane] = draws.T
-            draws = block[:, lane].T
-        harvest[t.node] = draws
     gains = scratch.take("gains", (k * m, width))
     columns = gains.reshape(k, m, width)
-    out = scratch.take("draws", (k, m))
-    fading = zip(config.links, streams[len(txs):])
-    for col, (link, stream) in enumerate(fading):
-        draws = np.asarray(link.fading.sample(stream, m, out=out), dtype=float)
-        if draws.shape != (k, m):
-            raise NumericsError(f"fading process for link {link.tx}->"
-                                f"{link.rx} returned shape {draws.shape}")
-        columns[:, :, col] = draws
-    if not (gains.min() >= 0.0 and gains.max() < np.inf):
-        raise NumericsError("channel gains must be finite and >= 0")
+    harvest, col = {}, 0
+    for run, stream in zip(runs, streams):
+        shape = (len(run.members), k, m)
+        first = run.members[0]
+        kept = run.kind == "harvest" and (block is None
+                                          or first.node not in lanes)
+        out = scratch.take(("harvest", first.node) if kept else "desired",
+                           shape)
+        draws = np.asarray(run.process.sample(stream, m, out=out),
+                           dtype=float)
+        if draws.shape != shape:
+            raise NumericsError(f"{run.kind} process for {run.name(0)} "
+                                f"returned shape {draws.shape}")
+        if not (draws.min() >= 0.0 and draws.max() < np.inf):
+            good = (draws >= 0.0) & (draws < np.inf)
+            bad = int(np.argmin(good.reshape(len(run.members), -1).all(1)))
+            what = "power" if run.kind == "harvest" else "gain"
+            raise NumericsError(f"{run.kind} process for {run.name(bad)} "
+                                f"drew a negative or non-finite {what}")
+        if run.kind == "fading":
+            stop = col + len(run.members)
+            columns[:, :, col:stop] = draws.transpose(1, 2, 0)
+            col = stop
+        elif kept:
+            harvest.update((t.node, row) for t, row in zip(run.members, draws))
+        else:
+            start = lanes[first.node].start
+            stop = start + len(run.members) * k
+            block[:, start:stop] = draws.reshape(-1, m).T
+            harvest.update((t.node, block[:, lanes[t.node]].T)
+                           for t in run.members)
     return harvest, block, gains
 
 
@@ -496,16 +565,18 @@ def _run(config: SimulationConfig, seeds: list[int], with_battery: bool,
     if not seeds:
         raise ValueError("need at least one seed")
     step = max(1, CHUNK_SLOT_LINKS // (config.n_slots * len(config.links)))
-    keys = ([(_HARVEST_KEY, t.node, 0) for t in config.transmitters]
-            + [(_FADING_KEY, link.tx, link.rx) for link in config.links])
-    states = seed_states(seeds, keys).reshape(len(seeds), len(keys), -1)
+    runs = _draw_runs(config)
+    keys = [key for run in runs for key in run.keys]
+    # Key-major: each run's keys, then each trial's rows for that key.
+    states = seed_states(seeds, keys).reshape(
+        len(seeds), len(keys), -1).swapaxes(0, 1)
+    bounds = np.cumsum([0] + [len(run.members) for run in runs]).tolist()
     scratch = _Scratch()
     results = []
     for start in range(0, len(seeds), step):
         group = seeds[start:start + step]
-        rows = states[start:start + step]
-        streams = [Stream(group, key, rows[:, i])
-                   for i, key in enumerate(keys)]
+        streams = [Stream(group, keys[i:j], states[i:j, start:start + step])
+                   for i, j in zip(bounds, bounds[1:])]
         results += _walk(config, streams, scratch, with_battery,
                          return_trace)
     return results
@@ -522,8 +593,9 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
     gains and powers that the delay lines read, the mismatch counts, and
     the exact partial sums of each trial's utilities for both systems.
     Only a trace keeps per-slot arrays."""
-    n, width, k = config.n_slots, len(config.links), streams[0].shape[0]
+    n, width, k = config.n_slots, len(config.links), streams[0].shape[-1]
     size = max(1, CHUNK_SLOT_LINKS // (k * width))
+    runs = _draw_runs(config)
     columns = _link_columns(config)
     nodes = tuple(columns)
     depth = max(link.delay for link in config.links)
@@ -547,7 +619,8 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
         slots = scratch.take("slots", (k, m), int)
         slots[:] = np.arange(start + 1, stop + 1)
         slots = slots.ravel()
-        harvest, block, gains = _sample_chunk(config, streams, m, scratch)
+        harvest, block, gains = _sample_chunk(config, streams, m, scratch,
+                                              runs)
         desired = _desired_matrix(config, slots, gains, columns,
                                   scratch.take("desired", gains.shape))
         delayed_g, past_gains = _delayed(config, past_gains, gains)
@@ -582,9 +655,9 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
                     eh_sums = non_eh_sums.copy()
                 u_eh = _utility(config, slots, delayed_a,
                                 delayed_g).reshape(k, m)
-        non_eh_sums.add(u_non_eh)
+        non_eh_sums.add(u_non_eh, last=stop == n)
         if eh_sums is not None:
-            eh_sums.add(u_eh)
+            eh_sums.add(u_eh, last=stop == n)
         past_desired = next_desired
         if return_trace:
             for i, values in enumerate((gains, desired, actual)):

@@ -5,11 +5,12 @@ run seed plus a small integer tuple naming what the draws are for (for
 example ``(0, node)`` for a node's harvest, ``(1, tx, rx)`` for a link's
 fading).  Streams with different keys are statistically independent and do
 not share state, so adding a node or link to a network never perturbs the
-draws seen by the others.  One `Stream` holds one key's streams for a
-whole group of seeds, one lane per seed, and fills a (seeds, n) block row
-by row; each lane draws exactly what that seed's stream would alone, so
-how runs are grouped never changes a draw.  A process transforms a block
-in place.
+draws seen by the others.  One `Stream` holds the streams of one key, or
+of several keys, for a whole group of seeds, one lane per (key, seed), and
+fills a key-major (keys, seeds, n) block row by row; each lane draws
+exactly what that key's and seed's stream would alone, so how streams are
+grouped never changes a draw.  A process transforms a block in place, so
+keys that share a process cost one `sample` call between them.
 
 The uniform source is pinned down so runs are reproducible across platforms:
 a PCG64 generator seeded through `numpy.random.SeedSequence(seed, spawn_key)`
@@ -203,18 +204,19 @@ class _SeedWords(ISeedSequence):
 
 
 class Stream:
-    """Deterministic uniform source for one purpose: one key, and one seeded
-    run per seed.
+    """Deterministic uniform source: one run per key and seed.
 
-    `seed` is one integer seed, or a sequence of them whose runs draw side
-    by side, one lane each.  Lane j draws what the stream of ``seed[j]`` and
-    `key` alone would: a PCG64 seeded with ``SeedSequence(seed[j],
-    spawn_key=key)``.  `state`, when given, holds each lane's row of
-    ``seed_states(seeds, [key])``, computed beforehand with other streams'
-    rows; its shape is ``np.shape(seed) + (4,)``.  `shape` is
-    ``np.shape(seed)``: () for one seed, (lanes,) for a sequence."""
+    `key` is one key, a tuple of non-negative integers, or a sequence of
+    such keys whose draws are made together; `seed` is one integer seed,
+    or a sequence of them whose runs draw side by side.  Lane (i, j)
+    draws what the stream of key i and ``seed[j]`` alone would: a PCG64
+    seeded with ``SeedSequence(seed[j], spawn_key=key[i])``.  `shape` is
+    ``(len(key),)`` for several keys, else (), followed by
+    ``np.shape(seed)``: () for one seed, (lanes,) for a sequence.  `state`,
+    when given, holds each lane's row of `seed_states`, key-major, computed
+    beforehand with other streams' rows; its shape is ``shape + (4,)``."""
 
-    def __init__(self, seed, key: tuple[int, ...], state=None):
+    def __init__(self, seed, key, state=None):
         if isinstance(seed, numbers.Integral):
             self.seed = int(seed)
             self.shape = ()
@@ -223,24 +225,33 @@ class Stream:
             self.seed = tuple(map(operator.index, seed))
             self.shape = (len(self.seed),)
             seeds = self.seed
-        self.key = tuple(map(int, key))
+        key = tuple(key)
+        if key and not isinstance(key[0], numbers.Integral):
+            self.key = tuple(tuple(map(int, part)) for part in key)
+            self.shape = (len(self.key),) + self.shape
+            keys = self.key
+        else:
+            self.key = tuple(map(int, key))
+            keys = [self.key]
         if state is None:
-            state = seed_states(seeds, [self.key])
+            state = seed_states(seeds, keys).reshape(
+                len(seeds), len(keys), -1).swapaxes(0, 1)
         self._gens = [np.random.Generator(np.random.PCG64(_SeedWords(row)))
-                      for row in np.asarray(state).reshape(len(seeds), -1)]
+                      for row in np.asarray(state).reshape(
+                          len(keys) * len(seeds), -1)]
 
     def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """Each lane's next `n` uniform doubles in [0, 1), consecutive calls
-        continuing: an array of shape ``np.shape(seed) + (n,)``, written
-        into `out` when given (a float64 array of that shape whose rows
-        are contiguous; numpy refuses any other before a lane draws)."""
+        continuing: an array of shape ``shape + (n,)``, written into `out`
+        when given (a C-contiguous float64 array of that shape)."""
         n = int(n)
         shape = self.shape + (n,)
         if out is None:
             out = np.empty(shape)
-        elif out.shape != shape:
-            raise ValueError(f"out must have shape {shape}, got {out.shape}")
-        # A reshape to the same size never copies here: rows are views.
+        elif out.shape != shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous array of shape "
+                             f"{shape}, got {out.shape}")
+        # A C-contiguous array reshapes without a copy: rows are views.
         for gen, row in zip(self._gens, out.reshape(len(self._gens), n)):
             gen.random(out=row)
         return out
@@ -288,6 +299,8 @@ class ConstantProcess:
     def __post_init__(self) -> None:
         if not (self.value >= 0.0 and math.isfinite(self.value)):
             raise ValueError(f"value must be finite and >= 0, got {self.value}")
+        # -0.0 becomes +0.0: processes that compare equal must draw alike.
+        object.__setattr__(self, "value", self.value + 0.0)
 
     @property
     def mean(self) -> float:

@@ -445,7 +445,8 @@ def test_point_rows_batch_trials_by_slot_links(monkeypatch):
         return run_eh(config, seeds=seeds)
 
     def counting_walk(config, streams, *args):
-        # One `Stream` per key, each with one lane per trial of the group.
+        # One `Stream` per process run, each with one lane per key and
+        # trial of the group.
         trials = len(streams[0].seed)
         groups.append((config.n_slots, trials))
         return [summary] * trials

@@ -768,21 +768,25 @@ def test_walk_chunk_sizes_follow_the_budget(monkeypatch):
     sample = simulator._sample_chunk
 
     def counting_sample(config, streams, m, *args):
-        # One `Stream` per key, each with one lane per trial of the group.
-        sizes.append((len(streams[0].seed), m))
+        # One `Stream` per process run: the harvest, then all 25 fadings,
+        # each with one lane per key and trial of the group.
+        sizes.append(([stream.shape for stream in streams], m))
         return sample(config, streams, m, *args)
 
     monkeypatch.setattr(simulator, "_sample_chunk", counting_sample)
     run_eh(cfg, seeds=[1, 2])
     assert simulator.CHUNK_SLOT_LINKS == 2 ** 15
-    assert sizes == [(1, 1310)] * 3 + [(1, 1070)] + [(1, 1310)] * 3 + [(1, 1070)]
+    shapes = [(1, 1), (25, 1)]
+    assert sizes == ([(shapes, 1310)] * 3 + [(shapes, 1070)]) * 2
 
 
-def test_one_stream_per_key_per_trial_group(monkeypatch):
+def test_one_stream_per_process_run_per_trial_group(monkeypatch):
     # fig5's network with 5 senders has 10 stream keys (5 harvests, 5
-    # fadings).  200 trials of 100 slots on 5 links run in groups of 65,
-    # 65, 65 and 5 (CHUNK_SLOT_LINKS = 2^15), so the call builds one
-    # `Stream` per key per group, 10 x 4, not one per trial per key.
+    # fadings) in two process runs: the senders share one harvest process
+    # and the links one fading process.  200 trials of 100 slots on 5
+    # links run in groups of 65, 65, 65 and 5 (CHUNK_SLOT_LINKS = 2^15),
+    # so the call builds one `Stream` per run per group, 2 x 4, not one
+    # per key per group (10 x 4) or per key per trial.
     spec = replace(default_spec("fig5"), p_in_db=(10.0,), n_slots=(100,),
                    group_size=(5,))
     cfg = build_config(spec, grid_points(spec)[0], seed=1)
@@ -791,12 +795,107 @@ def test_one_stream_per_key_per_trial_group(monkeypatch):
     init = stochastic.Stream.__init__
 
     def counting_init(self, seed, key, state=None):
-        built.append(np.shape(seed))
         init(self, seed, key, state)
+        built.append(self.shape)
 
     monkeypatch.setattr(stochastic.Stream, "__init__", counting_init)
     run_eh(cfg, seeds=range(200))
-    assert built == [(65,)] * 30 + [(5,)] * 10
+    assert built == [(5, 65)] * 6 + [(5, 5)] * 2
+
+
+def test_one_sample_call_per_process_run_per_chunk(monkeypatch):
+    # fig4's transmitter has one harvest key and its 25 links share one
+    # fading process: each chunk makes 2 `sample` calls, not 26.
+    spec = replace(default_spec("fig4"), p_in_db=(10.0,), n_slots=(3000,),
+                   group_size=(25,))
+    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    calls = []
+    sample = ExponentialProcess.sample
+
+    def counting_sample(self, stream, n, out=None):
+        calls.append((stream.shape, n))
+        return sample(self, stream, n, out)
+
+    monkeypatch.setattr(ExponentialProcess, "sample", counting_sample)
+    trials = run_eh(cfg, seeds=[1, 2])
+    chunk = [((1, 1), 1310), ((25, 1), 1310)]
+    assert calls == (chunk * 2 + [((1, 1), 380), ((25, 1), 380)]) * 2
+    monkeypatch.setattr(ExponentialProcess, "sample", sample)
+    assert trials == [run_eh(replace(cfg, seed=s)) for s in (1, 2)]
+
+
+def alternating_network(n=60, seed=0):
+    """Five single-link senders whose harvest means run 1, 1, 1, 0.5, 0.5
+    and fading means 1, 1, 2, 2, 1, then a broadcaster with the senders'
+    last harvest mean and fading means 1, 2: process runs of 3 and 2
+    lanes-block harvests, the broadcaster's own harvest, and fading runs
+    of 2, 2, 2 and 1 links."""
+    senders = [(1, 1.0, 1.0), (2, 1.0, 1.0), (3, 1.0, 2.0), (4, 0.5, 2.0),
+               (5, 0.5, 1.0)]
+    transmitters = tuple(
+        TransmitterSpec(node, ExponentialProcess(h), ConstantPolicy(0.8),
+                        capacity=3.0, initial_level=1.5)
+        for node, h, _ in senders) + (
+        TransmitterSpec(6, ExponentialProcess(0.5),
+                        MaxGainBroadcastPolicy(0.6, 2), capacity=4.0),)
+    links = tuple(LinkSpec(node, 10, ExponentialProcess(g))
+                  for node, _, g in senders) + (
+        LinkSpec(6, 11, ExponentialProcess(1.0)),
+        LinkSpec(6, 12, ExponentialProcess(2.0), delay=1))
+    return SimulationConfig(n_slots=n, transmitters=transmitters, links=links,
+                            utility=BroadcastSumRateUtility(7), seed=seed)
+
+
+def assert_draws_of_own_streams(cfg, seed, trace):
+    """Each node's harvests and each link's gains are what that key's
+    stream draws alone."""
+    n = cfg.n_slots
+    for t in cfg.transmitters:
+        want = t.harvest.sample(stochastic.Stream(seed, (0, t.node, 0)), n)
+        assert trace.harvest[t.node].tobytes() == want.tobytes()
+    for col, link in enumerate(cfg.links):
+        want = link.fading.sample(
+            stochastic.Stream(seed, (1, link.tx, link.rx)), n)
+        assert trace.gains[:, col].tobytes() == want.tobytes()
+
+
+def test_alternating_processes_draw_in_runs_equal_to_separate_streams(
+        monkeypatch):
+    cfg = alternating_network()
+    runs = simulator._draw_runs(cfg)
+    assert [(run.kind, len(run.members)) for run in runs] == [
+        ("harvest", 3), ("harvest", 2), ("harvest", 1),
+        ("fading", 2), ("fading", 2), ("fading", 2), ("fading", 1)]
+    seeds = [30, 31, 32, 33]
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
+    want = eh_and_reference(cfg, seeds)
+    assert any(summary.mismatch_union > 0.0 for summary, _ in want)
+    for seed, (_, trace) in zip(seeds * 2, want):
+        assert_draws_of_own_streams(cfg, seed, trace)
+    alone = [eh_and_reference(replace(cfg, seed=seed), [seed])
+             for seed in seeds]
+    assert_same_runs(want, [eh for eh, _ in alone] + [ref for _, ref in alone])
+    # One trial at a time in chunks of 1, 7 and 47 slots; then all four
+    # side by side, as grouped unchunked, in chunks of 333 // (4 * 7) = 11.
+    walk = simulator._walk
+    for budget in (1, 49, 333, None):
+        if budget is None:
+            def walk_in_chunks(*args):
+                monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 333)
+                try:
+                    return walk(*args)
+                finally:
+                    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS",
+                                        UNCHUNKED)
+
+            monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
+            monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
+        else:
+            monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", budget)
+        got = eh_and_reference(cfg, seeds)
+        for seed, (_, trace) in zip(seeds * 2, got):
+            assert_draws_of_own_streams(cfg, seed, trace)
+        assert_same_runs(got, want)
 
 
 class WrongShape:
@@ -859,10 +958,49 @@ def test_bad_draws_raise_numerics_error(role, value, run):
     else:
         cfg = replace(cfg, links=(replace(cfg.links[0],
                                           fading=Drawing(value)),))
-        want = "channel gains must be finite and >= 0"
+        want = "fading process for link 0->1 drew a negative or non-finite gain"
     with pytest.raises(NumericsError) as err:
         run(cfg)
     assert str(err.value) == want
+
+
+class BadKey:
+    """A process whose block is 1.0 except key `row`, which draws
+    `value`; every key of its run shares this one instance."""
+
+    def __init__(self, row, value):
+        self.row, self.value = row, value
+        self.shapes = []
+
+    def sample(self, stream, n, out=None):
+        self.shapes.append(stream.shape)
+        draws = np.ones(stream.shape + (n,))
+        draws[self.row] = self.value
+        return draws
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf],
+                         ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("role", ["harvest", "fading"])
+def test_bad_draw_in_a_run_names_its_key(role, value):
+    # fig5's three senders (nodes 1-3, sink 4) share one process, so each
+    # role draws one block, whose second key is bad.
+    spec = replace(default_spec("fig5"), p_in_db=(0.0,), n_slots=(20,),
+                   group_size=(3,))
+    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    process = BadKey(1, value)
+    if role == "harvest":
+        cfg = replace(cfg, transmitters=tuple(
+            replace(t, harvest=process) for t in cfg.transmitters))
+        want = "harvest process for node 2 drew a negative or non-finite power"
+    else:
+        cfg = replace(cfg, links=tuple(
+            replace(link, fading=process) for link in cfg.links))
+        want = "fading process for link 2->4 drew a negative or non-finite gain"
+    with pytest.raises(NumericsError) as err:
+        run_eh(cfg, seeds=[0, 1])
+    assert str(err.value) == want
+    assert process.shapes == [(3, 2)]
 
 
 def test_long_wide_run_holds_bounded_memory():
@@ -945,6 +1083,52 @@ def test_exact_sums_over_any_chunk_split_match_fsum(n, drawn, cuts):
     got = sums.means(n)
     assert (np.array(got).tobytes()
             == np.array([total / n for total in want]).tobytes())
+
+
+@pytest.mark.parametrize("mark_last", [True, False], ids=["last", "means"])
+@pytest.mark.parametrize("budget", [1, 12, 40, 2 ** 15])
+def test_exact_sums_hold_small_chunks_until_a_flush(budget, mark_last,
+                                                    monkeypatch):
+    # 3-slot chunks of 2 trials, 6 values each, come in one buffer that
+    # the caller refills, as the walk's scratch arrays are.  A budget of
+    # 12 splits every two chunks, 40 every seven, 2^15 once at the end.
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", budget)
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((2, 50)) * 10.0 ** rng.integers(-8, 8, (2, 50))
+    sums = simulator._ExactSums(2)
+    buffer = np.empty((2, 3))
+    for start in range(0, 50, 3):
+        stop = min(50, start + 3)
+        chunk = buffer[:, :stop - start]
+        chunk[:] = rows[:, start:stop]
+        sums.add(chunk, last=mark_last and stop == 50)
+        buffer.fill(np.nan)
+    want = [math.fsum(row) / 50 for row in rows.tolist()]
+    assert (np.array(sums.means(50)).tobytes()
+            == np.array(want).tobytes())
+
+
+class FirstGain:
+    """A utility that returns a view of its input: the first gain column,
+    which lives in memory the walk reuses for the next chunk."""
+
+    num_links = None
+
+    def evaluate(self, slots, powers, gains):
+        return gains[:, 0]
+
+
+def test_utility_that_returns_a_view_sums_what_it_returned():
+    # fig4's 25 links walk 5000 slots in 1310-slot chunks, whose utilities
+    # are held until the last one.
+    spec = replace(default_spec("fig4"), p_in_db=(10.0,), n_slots=(5000,),
+                   group_size=(25,))
+    cfg = replace(build_config(spec, grid_points(spec)[0], seed=3),
+                  utility=FirstGain())
+    summary, trace = run_eh(cfg, return_trace=True)
+    want = math.fsum(trace.gains[:, 0].tolist()) / 5000
+    assert summary.avg_utility == summary.non_eh_utility == want
+    assert math.fsum(trace.utility.tolist()) / 5000 == want
 
 
 class SlotUtility:

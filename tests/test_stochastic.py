@@ -184,6 +184,51 @@ def test_stream_refuses_an_out_it_cannot_fill():
     assert stream.uniforms(5)[2].tobytes() == want.tobytes()
 
 
+# Four keys, one of them empty, over one seed and over three.
+SEVERAL_KEYS = [(0, 1, 0), (1, 1, 2), (), (1, 2**32, 2)]
+
+
+@pytest.mark.parametrize("seeds", [2**40 + 1, [3, 2**64, 17]],
+                         ids=["one_seed", "3_seeds"])
+@pytest.mark.parametrize("precomputed", [False, True],
+                         ids=["seeded_here", "state_rows"])
+@pytest.mark.parametrize("into", [False, True], ids=["new", "out"])
+def test_stream_of_several_keys_is_each_keys_stream_side_by_side(
+        seeds, precomputed, into):
+    lanes = np.shape(seeds)
+    state = None
+    if precomputed:  # key-major rows, as the simulator passes them
+        state = seed_states(np.ravel(seeds).tolist(), SEVERAL_KEYS).reshape(
+            lanes + (len(SEVERAL_KEYS), 4))
+        state = np.moveaxis(state, -2, 0)
+    stream = Stream(seeds, SEVERAL_KEYS, state)
+    assert stream.shape == (len(SEVERAL_KEYS),) + lanes
+    assert stream.key == tuple(SEVERAL_KEYS)
+    alone = [Stream(seeds, key) for key in SEVERAL_KEYS]
+    process = ExponentialProcess(0.75)
+    for n in (37, 1, 62):
+        out = np.full(stream.shape + (n,), np.nan) if into else None
+        got = stream.uniforms(n, out=out)
+        assert got.shape == stream.shape + (n,)
+        if into:
+            assert got is out
+        for row, one in zip(got, alone):
+            assert row.tobytes() == one.uniforms(n).tobytes()
+        block = process.sample(stream, 5)
+        for row, one in zip(block, alone):
+            assert row.tobytes() == process.sample(one, 5).tobytes()
+
+
+def test_stream_of_several_keys_refuses_a_strided_out():
+    stream = Stream([1, 2], [(0, 0, 0), (1, 0, 1)])
+    for bad in (np.empty((2, 2, 6))[:, :, :5], np.empty((5, 2, 2)).T,
+                np.empty((2, 5))):
+        with pytest.raises(ValueError):
+            stream.uniforms(5, out=bad)
+    for seed, row in zip([1, 2], stream.uniforms(5)[1]):
+        assert row.tobytes() == _oracle(seed, (1, 0, 1), 5).tobytes()
+
+
 def test_no_seeds_or_no_keys_give_no_rows():
     for seeds, keys in (([], [(0,)]), ([1], []), ([], [])):
         states = seed_states(seeds, keys, 3)
@@ -284,6 +329,13 @@ def test_constant_process_draws_nothing_from_a_block(into):
     # each lane's next draws are the ones after its first three
     for seed, lane in zip(seeds, stream.uniforms(4)):
         assert lane.tobytes() == _oracle(seed, key, 7)[3:].tobytes()
+
+
+def test_constant_processes_that_compare_equal_draw_alike():
+    # Equal processes may draw one block between them, so -0.0 is +0.0.
+    assert ConstantProcess(-0.0) == ConstantProcess(0.0)
+    draws = ConstantProcess(-0.0).sample(Stream(1, (0, 0, 0)), 3)
+    assert draws.tobytes() == np.zeros(3).tobytes()
 
 
 def test_process_means_exposed():
