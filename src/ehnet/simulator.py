@@ -361,12 +361,9 @@ class _Draws:
 
 def _draw_runs(config: SimulationConfig) -> list[_Draws]:
     """`config`'s stream keys in runs that draw one block each, harvests
-    first.  A harvest run's nodes are all in the single-link lanes block
-    (`_lanes_of`) or all outside it, so a run's lanes are adjacent."""
-    singles = sum(t.policy.num_links == 1 for t in config.transmitters)
+    first."""
     runs = [_Draws("harvest", tuple(members)) for _, members in groupby(
-        config.transmitters,
-        key=lambda t: (t.harvest, singles > 1 and t.policy.num_links == 1))]
+        config.transmitters, key=lambda t: t.harvest)]
     runs += [_Draws("fading", tuple(members))
              for _, members in groupby(config.links, key=lambda l: l.fading)]
     return runs
@@ -376,65 +373,52 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
                   scratch: _Scratch, runs: list[_Draws]):
     """The next `m` draws of every trial from `streams`, one `Stream` per
     run of `runs`, each holding all the run's keys for all the group's
-    trials: per node a (trials, m) harvest array; with two or more
-    single-link nodes, their harvests as the (m, lanes) block that
-    `_battery` steps (`_lanes_of`), of which those nodes' arrays are
-    views, else None; and the gains of all trials stacked trial-major
-    into one (trials * m, links) array.
+    trials: the harvests as one (nodes, trials, m) array in transmitter
+    order, and the gains of all trials stacked trial-major into one
+    (trials * m, links) array.
 
     Each run's process draws and transforms its (keys, trials, m) block in
-    one `sample` call; the block is checked, then stored with one
-    transposed copy, before the next run draws.  Draws must be finite and
-    >= 0: one `min` and one `max` check that, since NaN fails both
-    comparisons; only a failing block is searched for its first bad key.
-    A block bound for `gains` or the lanes block is drawn into the memory
-    of the chunk's requests, which `_desired_matrix` writes only later."""
+    one `sample` call, a harvest run's in place in the harvest array.
+    Draws must be finite and >= 0: one `min` and one `max` check that,
+    since NaN fails both comparisons; only a failing block is searched for
+    its first bad key.  A fading block is drawn into the memory of the
+    chunk's requests, which `_desired_matrix` writes only later, and
+    stored in `gains` with one transposed copy."""
     k, width = streams[0].shape[-1], len(config.links)
-    lanes = _lanes_of(config, k)
-    block = (scratch.take("lanes_harvest", (m, len(lanes) * k))
-             if len(lanes) > 1 else None)
+    harvest = scratch.take("harvest", (len(config.transmitters), k, m))
     gains = scratch.take("gains", (k * m, width))
-    columns = gains.reshape(k, m, width)
-    harvest, col = {}, 0
+    node = col = 0
     for run, stream in zip(runs, streams):
-        shape = (len(run.members), k, m)
-        first = run.members[0]
-        kept = run.kind == "harvest" and (block is None
-                                          or first.node not in lanes)
-        out = scratch.take(("harvest", first.node) if kept else "desired",
-                           shape)
+        size = len(run.members)
+        out = (harvest[node:node + size] if run.kind == "harvest"
+               else scratch.take("desired", (size, k, m)))
         draws = np.asarray(run.process.sample(stream, m, out=out),
                            dtype=float)
-        if draws.shape != shape:
+        if draws.shape != out.shape:
             raise NumericsError(f"{run.kind} process for {run.name(0)} "
                                 f"returned shape {draws.shape}")
         if not (draws.min() >= 0.0 and draws.max() < np.inf):
             good = (draws >= 0.0) & (draws < np.inf)
-            bad = int(np.argmin(good.reshape(len(run.members), -1).all(1)))
+            bad = int(np.argmin(good.reshape(size, -1).all(1)))
             what = "power" if run.kind == "harvest" else "gain"
             raise NumericsError(f"{run.kind} process for {run.name(bad)} "
                                 f"drew a negative or non-finite {what}")
         if run.kind == "fading":
-            stop = col + len(run.members)
-            columns[:, :, col:stop] = draws.transpose(1, 2, 0)
-            col = stop
-        elif kept:
-            harvest.update((t.node, row) for t, row in zip(run.members, draws))
+            gains.reshape(k, m, width)[:, :, col:col + size] = (
+                draws.transpose(1, 2, 0))
+            col += size
         else:
-            start = lanes[first.node].start
-            stop = start + len(run.members) * k
-            block[:, start:stop] = draws.reshape(-1, m).T
-            harvest.update((t.node, block[:, lanes[t.node]].T)
-                           for t in run.members)
-    return harvest, block, gains
+            if draws is not out:
+                out[:] = draws
+            node += size
+    return harvest, gains
 
 
 def _desired_matrix(config: SimulationConfig, slots, gains, columns,
                     desired: np.ndarray):
     """Each node's requests for `gains`, written into `desired`."""
     rows = len(slots)
-    for t in config.transmitters:
-        cols = columns[t.node]
+    for t, cols in zip(config.transmitters, columns):
         req = np.asarray(
             t.policy.desired_powers(slots, gains[:, cols]), dtype=float
         )
@@ -481,78 +465,69 @@ def _utility(config: SimulationConfig, slots, powers, gains):
     return u
 
 
-def _link_columns(config: SimulationConfig) -> dict[int, slice]:
-    """Each node's range of link columns; `validate` keeps them grouped."""
+def _link_columns(config: SimulationConfig) -> list[slice]:
+    """Each node's range of link columns, by transmitter position;
+    `validate` keeps them grouped."""
     txs = [link.tx for link in config.links]
-    return {t.node: slice(txs.index(t.node),
-                          txs.index(t.node) + txs.count(t.node))
-            for t in config.transmitters}
+    return [slice(txs.index(t.node), txs.index(t.node) + txs.count(t.node))
+            for t in config.transmitters]
 
 
-def _lanes_of(config: SimulationConfig, k: int) -> dict[int, slice]:
-    """Each single-link node's lanes in the block that steps all their
-    buffers at once, node-major: the i-th such node's k trials are lanes
-    ``i * k ... i * k + k - 1``."""
-    nodes = [t.node for t in config.transmitters if t.policy.num_links == 1]
-    return {node: slice(i * k, (i + 1) * k) for i, node in enumerate(nodes)}
+def _as_run(indices: list[int]):
+    """`indices` as a slice when they are consecutive, so that indexing
+    with them gives a view; else the list itself."""
+    if indices == list(range(indices[0], indices[-1] + 1)):
+        return slice(indices[0], indices[-1] + 1)
+    return indices
 
 
-def _battery(config: SimulationConfig, desired, harvest, block, columns,
-             levels, actual: np.ndarray):
-    """Granted powers, written into `actual` (like `desired`), and per-node
-    (m, trials) levels after each slot of the chunk.  Each node's buffers
-    start from `levels[node]`, one level per trial, which this sets to
-    their levels after the chunk.
+def _battery(config: SimulationConfig, desired, harvest, columns,
+             levels: np.ndarray, actual: np.ndarray):
+    """Granted powers, written into `actual` (like `desired`), and each
+    node's (m, trials) levels after each slot of the chunk, by transmitter
+    position.  Node i's buffers start from ``levels[i]``, one level per
+    trial, which this sets to their levels after the chunk.
 
     All single-link nodes step in one `trajectory` call, one lane per
-    trial per node (`_lanes_of`), each lane with its node's capacity.  A
-    single such node reads views of `desired` and `harvest`.  Several
-    read their harvests from `block`, where `_sample_chunk` put them,
-    and their requests from a block written into `actual`'s memory, which
-    the grants overwrite only after the call.  A multi-link node runs one
-    call per trial."""
-    k = len(next(iter(levels.values())))
+    trial per node, node-major, each lane with its node's capacity.  They
+    read their harvests from `harvest` and their requests from `desired`
+    as views where the nodes, and their columns, are consecutive, so a
+    lone such node copies nothing; several copy their requests into one
+    block.  A multi-link node runs one call per trial."""
+    k = levels.shape[1]
     m = len(desired) // k
-    grants = actual.reshape(k, m, -1)
-    lanes = _lanes_of(config, k)
-    singles = [t for t in config.transmitters if t.node in lanes]
-    after = {}
-    if len(singles) == 1:
-        (t,) = singles
-        want = desired[:, columns[t.node].start].reshape(k, m).T
-        harv, capacity, start = harvest[t.node].T, t.capacity, levels[t.node]
-    elif singles:
-        harv = block
-        want = actual.reshape(-1)[:block.size].reshape(block.shape)
-        for t in singles:
-            want[:, lanes[t.node]] = (
-                desired[:, columns[t.node].start].reshape(k, m).T)
-        capacity = np.repeat([t.capacity for t in singles], k)
-        start = np.concatenate([levels[t.node] for t in singles])
-    if singles:
-        got, lev = battery.trajectory(want, harv, capacity=capacity,
-                                      initial=start)
-        for t in singles:
-            lane = lanes[t.node]
-            grants[:, :, columns[t.node].start] = got[:, lane].T
-            levels[t.node] = lev[-1, lane].copy()
-            after[t.node] = lev[:, lane]
-    for t in config.transmitters:
-        if t.node in lanes:
+    txs = config.transmitters
+    ones = [i for i, t in enumerate(txs) if t.policy.num_links == 1]
+    after = [None] * len(txs)
+    if ones:
+        single = _as_run(ones)
+        cols = _as_run([columns[i].start for i in ones])
+        stacked = desired.reshape(k, m, -1)
+        got, lev = battery.trajectory(
+            stacked[:, :, cols].transpose(1, 2, 0).reshape(m, -1),
+            harvest[single].reshape(-1, m).T,
+            capacity=np.repeat([txs[i].capacity for i in ones], k),
+            initial=levels[single].reshape(-1))
+        actual.reshape(k, m, -1)[:, :, cols] = (
+            got.reshape(m, -1, k).transpose(2, 0, 1))
+        levels[single] = lev[-1].reshape(-1, k)
+        for p, i in enumerate(ones):
+            after[i] = lev[:, p * k:(p + 1) * k]
+    for i, (t, cols) in enumerate(zip(txs, columns)):
+        if t.policy.num_links == 1:
             continue
-        cols = columns[t.node]
         lev = np.empty((m, k))
         for j in range(k):
             rows = slice(j * m, (j + 1) * m)
             got, lev[:, j] = battery.trajectory(
                 desired[rows, cols],
-                harvest[t.node][j],
+                harvest[i, j],
                 capacity=t.capacity,
-                initial=levels[t.node][j],
+                initial=levels[i, j],
             )
             actual[rows, cols] = got
-        levels[t.node] = lev[-1].copy()
-        after[t.node] = lev
+        levels[i] = lev[-1]
+        after[i] = lev
     return actual, after
 
 
@@ -597,20 +572,22 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
     size = max(1, CHUNK_SLOT_LINKS // (k * width))
     runs = _draw_runs(config)
     columns = _link_columns(config)
-    nodes = tuple(columns)
+    nodes = [t.node for t in config.transmitters]
     depth = max(link.delay for link in config.links)
     past_gains, past_desired, past_actual = (
         np.zeros((k, depth, width)) for _ in range(3))
-    levels = {t.node: np.full(k, t.initial_level) for t in config.transmitters}
-    misses = {node: np.zeros(k, dtype=np.int64) for node in nodes}
+    # Per node by transmitter position, per trial; +0.0 turns a start
+    # level of -0.0 into +0.0, as `trajectory` starts it.
+    levels = np.array([[t.initial_level] * k for t in config.transmitters],
+                      dtype=float) + 0.0
+    misses = np.zeros((len(nodes), k), dtype=np.int64)
     union = np.zeros(k, dtype=np.int64)
     non_eh_sums = _ExactSums(k)
     eh_sums = None  # while no grant has differed, the reference sums
     if return_trace:
         kept = np.empty((3, k, n, width))  # gains, requests, grants
-        kept_harvest = {node: np.empty((k, n)) for node in nodes}
-        kept_levels = ({node: np.empty((k, n)) for node in nodes}
-                       if with_battery else {})
+        kept_harvest = np.empty((len(nodes), k, n))
+        kept_levels = np.empty((len(nodes), k, n))
         kept_utility = np.empty((k, n))
 
     for start in range(0, n, size):
@@ -619,18 +596,17 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
         slots = scratch.take("slots", (k, m), int)
         slots[:] = np.arange(start + 1, stop + 1)
         slots = slots.ravel()
-        harvest, block, gains = _sample_chunk(config, streams, m, scratch,
-                                              runs)
+        harvest, gains = _sample_chunk(config, streams, m, scratch, runs)
         desired = _desired_matrix(config, slots, gains, columns,
                                   scratch.take("desired", gains.shape))
         delayed_g, past_gains = _delayed(config, past_gains, gains)
         delayed_d, next_desired = _delayed(config, past_desired, desired)
         u_non_eh = u_eh = _utility(config, slots, delayed_d,
                                    delayed_g).reshape(k, m)
-        actual, after = desired, {}
+        actual, after = desired, []
         if with_battery:
-            actual, after = _battery(config, desired, harvest, block,
-                                     columns, levels,
+            actual, after = _battery(config, desired, harvest, columns,
+                                     levels,
                                      scratch.take("actual", gains.shape))
             # min(level, request) grants the request exactly when it
             # fits, so bitwise inequality is the mismatch test.
@@ -639,9 +615,9 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
             missed = bool(miss.any())
             if missed:
                 hit = np.zeros((k, m), dtype=bool)
-                for node, cols in columns.items():
+                for i, cols in enumerate(columns):
                     node_miss = miss[:, cols].any(axis=1).reshape(k, m)
-                    misses[node] += node_miss.sum(axis=1)
+                    misses[i] += node_miss.sum(axis=1)
                     hit |= node_miss
                 union += hit.sum(axis=1)
             # Where neither the chunk nor the slots its delay lines read
@@ -662,40 +638,37 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
         if return_trace:
             for i, values in enumerate((gains, desired, actual)):
                 kept[i, :, start:stop] = values.reshape(k, m, width)
-            for node in nodes:
-                kept_harvest[node][:, start:stop] = harvest[node]
-            for node, lev in after.items():
-                kept_levels[node][:, start:stop] = lev.T
+            kept_harvest[:, :, start:stop] = harvest
+            for i, lev in enumerate(after):
+                kept_levels[i, :, start:stop] = lev.T
             kept_utility[:, start:stop] = u_eh
 
     non_eh = non_eh_sums.means(n)
     eh = non_eh if eh_sums is None else eh_sums.means(n)
-    fractions = {node: (count / n).tolist() for node, count in misses.items()}
+    fractions = (misses / n).T.tolist()
     union_frac = (union / n).tolist()
+    finals = levels.T.tolist()
     results = []
     for j in range(k):
         trace = None
         if return_trace:
             trace = RunTrace(
                 slots=np.arange(1, n + 1),
-                harvest={node: h[j] for node, h in kept_harvest.items()},
+                harvest=dict(zip(nodes, kept_harvest[:, j])),
                 gains=kept[0, j],
                 desired=kept[1, j],
                 actual=kept[2, j],
-                levels={node: lev[j] for node, lev in kept_levels.items()},
+                levels=(dict(zip(nodes, kept_levels[:, j]))
+                        if with_battery else {}),
                 utility=kept_utility[j],
             )
         summary = RunSummary(
             n_slots=n,
             avg_utility=eh[j],
             non_eh_utility=non_eh[j],
-            mismatch_fraction={node: frac[j]
-                               for node, frac in fractions.items()},
+            mismatch_fraction=dict(zip(nodes, fractions[j])),
             mismatch_union=union_frac[j],
-            final_level=(
-                {node: float(lev[j]) for node, lev in levels.items()}
-                if with_battery else
-                {t.node: t.initial_level for t in config.transmitters}),
+            final_level=dict(zip(nodes, finals[j])),
         )
         results.append(summary if trace is None else (summary, trace))
     return results

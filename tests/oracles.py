@@ -1,5 +1,6 @@
-"""The scalar battery recursion that the tests compare the simulator's
-array code against: one Python float per step, one step per request.
+"""What the tests compare the simulator's array code against: the scalar
+battery recursion, one Python float per step and one step per request,
+and `reference_run`, a whole run slot by slot on it.
 
 Within one slot a node draws ``min(desired, level)`` for each of its
 requests in link order, then banks the slot's harvest, clipping at the
@@ -10,7 +11,13 @@ one slot.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
+
+from ehnet.simulator import RunSummary
+from ehnet.stochastic import Stream
 
 
 def _check_power(value: float, name: str) -> float:
@@ -84,3 +91,76 @@ def deposit(state: BatteryState, harvested: float) -> BatteryState:
     if level > state.capacity:
         level = state.capacity
     return BatteryState(level, state.capacity)
+
+
+def reference_run(config, seed: int, with_battery: bool = True) -> RunSummary:
+    """The summary of `config`'s run on `seed`, slot by slot in plain
+    Python, sharing no code with `ehnet.simulator`'s walk: `run_eh` (or
+    `run_non_eh` without the battery) should give it bit for bit.
+
+    Each stream key draws one value per slot from its own `Stream`.  Per
+    slot, in transmitter order, each node asks its policy for one row,
+    and its battery grants the row in link order with `extract_many`,
+    then banks the harvest with `deposit`.  Each link's delay line is a `deque` of (gain, request,
+    grant) holding its last `delay` slots, zeros before slot 1.  The
+    utility sees one delayed row per slot, and its values are summed
+    with `math.fsum`."""
+    def draw(process, key):
+        stream = Stream(seed, key)
+        return lambda: float(process.sample(stream, 1)[0])
+
+    harvests = {t.node: draw(t.harvest, (0, t.node, 0))
+                for t in config.transmitters}
+    fadings = [draw(link.fading, (1, link.tx, link.rx))
+               for link in config.links]
+    columns = {t.node: [i for i, link in enumerate(config.links)
+                        if link.tx == t.node] for t in config.transmitters}
+    states = {t.node: BatteryState(t.initial_level, t.capacity)
+              for t in config.transmitters}
+    lines = [deque([(0.0, 0.0, 0.0)] * link.delay) for link in config.links]
+    misses = dict.fromkeys(columns, 0)
+    union = 0
+    u_eh, u_non_eh = [], []
+
+    def utility(slot, rows, i):
+        powers = np.array([[row[i] for row in rows]])
+        gains = np.array([[row[0] for row in rows]])
+        u = config.utility.evaluate(np.array([slot]), powers, gains)
+        return float(np.asarray(u, dtype=float)[0])
+
+    for slot in range(1, config.n_slots + 1):
+        gains = [fading() for fading in fadings]
+        desired, actual = [0.0] * len(gains), [0.0] * len(gains)
+        hit = False
+        for t in config.transmitters:
+            cols = columns[t.node]
+            row = t.policy.desired_powers(np.array([slot]),
+                                          np.array([[gains[c] for c in cols]]))
+            asked = [float(x) for x in np.asarray(row, dtype=float)[0]]
+            harvest = harvests[t.node]()
+            got = asked
+            if with_battery:
+                got, state = extract_many(states[t.node], asked)
+                states[t.node] = deposit(state, harvest)
+            if any(a != d for a, d in zip(got, asked)):
+                misses[t.node] += 1
+                hit = True
+            for c, d, a in zip(cols, asked, got):
+                desired[c], actual[c] = d, a
+        union += hit
+        delayed = []
+        for line, now in zip(lines, zip(gains, desired, actual)):
+            line.append(now)
+            delayed.append(line.popleft())
+        u_non_eh.append(utility(slot, delayed, 1))
+        u_eh.append(utility(slot, delayed, 2))
+
+    n = config.n_slots
+    return RunSummary(
+        n_slots=n,
+        avg_utility=math.fsum(u_eh) / n,
+        non_eh_utility=math.fsum(u_non_eh) / n,
+        mismatch_fraction={node: count / n for node, count in misses.items()},
+        mismatch_union=union / n,
+        final_level={node: state.level for node, state in states.items()},
+    )

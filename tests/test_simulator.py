@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -43,7 +44,13 @@ from ehnet.utilities import (
     ChainRateUtility,
     OutageUtility,
 )
-from oracles import BatteryState, deposit, extract, extract_many
+from oracles import (
+    BatteryState,
+    deposit,
+    extract,
+    extract_many,
+    reference_run,
+)
 
 
 def single_link_config(n=100, power=1.0, harvest_mean=1.0, seed=0, **tx_kwargs):
@@ -591,7 +598,7 @@ def spy_battery(monkeypatch):
     def counting_battery(*args):
         calls.reset_mock()
         walks.reset_mock()
-        trials = len(next(iter(args[-2].values())))  # of `levels`
+        trials = args[-2].shape[1]  # `levels`: nodes by trials
         out = run(*args)
         chunks.append((trials,
                        [(np.shape(c.args[0]), np.shape(c.args[1]),
@@ -827,9 +834,9 @@ def test_one_sample_call_per_process_run_per_chunk(monkeypatch):
 def alternating_network(n=60, seed=0):
     """Five single-link senders whose harvest means run 1, 1, 1, 0.5, 0.5
     and fading means 1, 1, 2, 2, 1, then a broadcaster with the senders'
-    last harvest mean and fading means 1, 2: process runs of 3 and 2
-    lanes-block harvests, the broadcaster's own harvest, and fading runs
-    of 2, 2, 2 and 1 links."""
+    last harvest mean and fading means 1, 2: harvest runs of 3 nodes and
+    of 3 (nodes 4 and 5 and the broadcaster), and fading runs of 2, 2, 2
+    and 1 links."""
     senders = [(1, 1.0, 1.0), (2, 1.0, 1.0), (3, 1.0, 2.0), (4, 0.5, 2.0),
                (5, 0.5, 1.0)]
     transmitters = tuple(
@@ -864,7 +871,7 @@ def test_alternating_processes_draw_in_runs_equal_to_separate_streams(
     cfg = alternating_network()
     runs = simulator._draw_runs(cfg)
     assert [(run.kind, len(run.members)) for run in runs] == [
-        ("harvest", 3), ("harvest", 2), ("harvest", 1),
+        ("harvest", 3), ("harvest", 3),
         ("fading", 2), ("fading", 2), ("fading", 2), ("fading", 1)]
     seeds = [30, 31, 32, 33]
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
@@ -896,6 +903,59 @@ def test_alternating_processes_draw_in_runs_equal_to_separate_streams(
         for seed, (_, trace) in zip(seeds * 2, got):
             assert_draws_of_own_streams(cfg, seed, trace)
         assert_same_runs(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the slot-by-slot reference run
+
+# A short run of each bundled experiment, started empty (its requests go
+# unmet) or from a huge full battery; the 4-hop chain, whose delays of up
+# to 3 slots outlast 1-slot chunks; and the mixed and alternating networks.
+REFERENCE_NETWORKS = {
+    **{f"fig{k}-{'starved' if starved else 'full'}":
+       partial(sweep_config, f"fig{k}", starved)
+       for k in range(1, 7) for starved in (True, False)},
+    "fig6-4hops": partial(sweep_config, "fig6", True, 4),
+    "mixed": mixed_network,
+    "alternating": alternating_network,
+}
+
+
+@pytest.mark.parametrize("network", sorted(REFERENCE_NETWORKS))
+def test_runs_equal_the_slot_by_slot_reference_run(network, monkeypatch):
+    cfg = REFERENCE_NETWORKS[network]()
+    seeds = [100, 101, 102]
+    want = [reference_run(cfg, seed) for seed in seeds]
+    want_non_eh = [reference_run(cfg, seed, with_battery=False)
+                   for seed in seeds]
+    assert any(s.mismatch_union > 0.0 for s in want) == (
+        not network.endswith("full"))
+
+    def check(got, want=want):
+        assert got == want
+        assert list(map(summary_bits, got)) == list(map(summary_bits, want))
+
+    # 1-slot chunks, 7 // links slots, and 333 slot-links: one trial at a
+    # time in short chunks, or several side by side
+    for budget in (1, 7, 333, UNCHUNKED):
+        monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", budget)
+        check(run_eh(cfg, seeds=seeds))
+        check([run_non_eh(replace(cfg, seed=seed)) for seed in seeds],
+              want_non_eh)
+    # All three side by side, as grouped unchunked, in chunks of 1 slot
+    # and of 333 // (3 * links) slots: lanes resume mid-run.
+    walk = simulator._walk
+    for budget in (1, 333):
+        def walk_in_chunks(*args, budget=budget):
+            monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", budget)
+            try:
+                return walk(*args)
+            finally:
+                monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
+
+        monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
+        check(run_eh(cfg, seeds=seeds))
+    monkeypatch.setattr(simulator, "_walk", walk)
 
 
 class WrongShape:
@@ -1170,6 +1230,18 @@ def test_summary_fields_are_python_floats():
               *summary.final_level.values()]
     assert all(type(v) is float for v in values)
     assert "np.float64" not in repr(summary)
+
+
+@pytest.mark.parametrize("initial", [-0.0, 3], ids=["minus_zero", "int"])
+def test_final_levels_are_nonnegative_floats_in_both_systems(initial):
+    # The reference system leaves the battery untouched, so its final
+    # level is the start level, as a float that `run_eh` would start from.
+    cfg = single_link_config(n=20, initial_level=initial)
+    for run in (run_eh, run_non_eh):
+        (level,) = run(cfg).final_level.values()
+        assert type(level) is float
+        assert math.copysign(1.0, level) == 1.0
+    assert run_non_eh(cfg).final_level == {0: float(initial)}
 
 
 def test_paired_gap_zero_for_abundant_battery():
