@@ -269,9 +269,9 @@ def _lanes(want: np.ndarray, harv: np.ndarray, capacity,
     # The scalar loop's operations in its order, applied across the lanes.
     # `minimum(level, d)` returns d on a tie, as `d if d <= level` does,
     # which keeps even the sign of a zero grant; `minimum(level, inf)` is
-    # the level, so an unbounded lane among bounded ones never clips.
-    want = np.ascontiguousarray(want)
-    harv = np.ascontiguousarray(harv)
+    # the level, so an unbounded lane among bounded ones never clips.  The
+    # rows of `want` and `harv` are read where they lie, strided or not:
+    # only the outputs are written, and they are contiguous.
     bounded = not np.isinf(capacity).all()
     minimum, subtract, add = np.minimum, np.subtract, np.add
     level = initial

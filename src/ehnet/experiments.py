@@ -624,15 +624,12 @@ def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
     """Run both systems on each seed of `seeds` and summarize them.
 
     `config`'s own seed is not used.  One `run_eh` call yields both
-    averages of every seed."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    runs = run_eh(config, seeds=seeds)
-    ehs = [run.avg_utility for run in runs]
-    nons = [run.non_eh_utility for run in runs]
-    miss = [run.mismatch_union for run in runs]
-    gap_mean, gap_stderr = _mean_stderr([e - n for e, n in zip(ehs, nons)])
+    averages of every seed, as the columns of its `Trials`."""
+    trials = run_eh(config, seeds=seeds)
+    ehs = trials.avg_utility.tolist()
+    nons = trials.non_eh_utility.tolist()
+    gaps = (trials.avg_utility - trials.non_eh_utility).tolist()
+    gap_mean, gap_stderr = _mean_stderr(gaps)
     eh_mean, eh_stderr = _mean_stderr(ehs)
     non_eh_mean, non_eh_stderr = _mean_stderr(nons)
     return GapStatistics(
@@ -642,8 +639,8 @@ def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
         eh_stderr=eh_stderr,
         non_eh_mean=non_eh_mean,
         non_eh_stderr=non_eh_stderr,
-        mismatch_mean=math.fsum(miss) / len(miss),
-        n_pairs=len(seeds),
+        mismatch_mean=math.fsum(trials.mismatch_union.tolist()) / len(trials),
+        n_pairs=len(trials),
     )
 
 

@@ -15,11 +15,13 @@ seedwise pairing of the two isolates the effect of the battery alone.
 `run_eh` evaluates that pairing itself: from one set of draws it reports
 both its own average utility and the reference system's.
 
-Given several seeds, `run_eh` runs one trial per seed on the same network.
-Trials run side by side in groups.  Consecutive stream keys whose
-processes compare equal (fig4's 25 fadings, fig5's senders' harvests) form
-a run, and each run draws one block for all its keys and all the group's
-trials at once, one lane per key and trial, in one `sample` call.  The
+Given several seeds, `run_eh` runs one trial per seed on the same network
+and returns a `Trials`, which keeps each summary field as one array over
+the trials.  Trials run side by side in groups.  Consecutive stream keys
+whose processes compare equal (fig4's 25 fadings, fig5's senders'
+harvests) form a run, and each run draws one block for all its keys and
+all the group's trials at once, one lane per key and trial, in one
+`sample` call.  The
 policies and the utility see all the group's slots stacked, and the
 single-link batteries of all the group's nodes and trials step together,
 one lane each with its own capacity.  A group walks through time in
@@ -41,6 +43,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -57,6 +61,7 @@ __all__ = [
     "RunTrace",
     "SimulationConfig",
     "TransmitterSpec",
+    "Trials",
     "run_eh",
     "run_non_eh",
 ]
@@ -121,6 +126,9 @@ class SimulationConfig:
     def validate(self) -> None:
         if self.n_slots < 1:
             raise ConfigError(f"n_slots must be >= 1, got {self.n_slots}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got "
+                              f"{self.seed!r}")
         nodes = [t.node for t in self.transmitters]
         if len(set(nodes)) != len(nodes):
             raise ConfigError(f"duplicate transmitter nodes in {nodes}")
@@ -202,6 +210,91 @@ class RunTrace:
     actual: np.ndarray
     levels: dict[int, np.ndarray]
     utility: np.ndarray
+
+
+class Trials(Sequence):
+    """The results of one `run_eh` call on several seeds, kept as columns
+    with one entry per seed, in seed order.
+
+    `avg_utility`, `non_eh_utility` and `mismatch_union` are (trials,)
+    float arrays; `mismatch_fraction` and `final_level` are (trials, nodes)
+    arrays whose columns follow `nodes`, the transmitters in config order.
+    `len`, indexing and iteration give each seed's result, built on
+    access: a `RunSummary`, or a ``(RunSummary, RunTrace)`` pair when the
+    call kept traces, equal bit for bit to the run on that seed alone."""
+
+    __slots__ = ("n_slots", "nodes", "avg_utility", "non_eh_utility",
+                 "mismatch_fraction", "mismatch_union", "final_level",
+                 "_trace")
+
+    def __init__(self, n_slots: int, nodes: tuple[int, ...], avg_utility,
+                 non_eh_utility, mismatch_fraction, mismatch_union,
+                 final_level, trace=None):
+        self.n_slots, self.nodes = n_slots, nodes
+        self.avg_utility, self.non_eh_utility = avg_utility, non_eh_utility
+        self.mismatch_fraction = mismatch_fraction
+        self.mismatch_union, self.final_level = mismatch_union, final_level
+        # None, or trial-major per-slot arrays: (trials, 3, n, links) gains,
+        # requests and grants; (trials, nodes, n) harvests and levels (None
+        # without a battery); (trials, n) utilities.
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self.avg_utility)
+
+    def __getitem__(self, index):
+        at = range(len(self))[index]
+        if isinstance(at, range):
+            return [self._result(j) for j in at]
+        return self._result(at)
+
+    def __iter__(self):
+        return map(self._result, range(len(self)))
+
+    def __repr__(self) -> str:
+        return f"Trials(n_slots={self.n_slots}, trials={len(self)})"
+
+    def _result(self, j: int):
+        summary = RunSummary(
+            n_slots=self.n_slots,
+            avg_utility=float(self.avg_utility[j]),
+            non_eh_utility=float(self.non_eh_utility[j]),
+            mismatch_fraction=dict(zip(self.nodes,
+                                       self.mismatch_fraction[j].tolist())),
+            mismatch_union=float(self.mismatch_union[j]),
+            final_level=dict(zip(self.nodes, self.final_level[j].tolist())),
+        )
+        if self._trace is None:
+            return summary
+        kept, harvest, levels, utility = self._trace
+        return summary, RunTrace(
+            slots=np.arange(1, self.n_slots + 1),
+            harvest=dict(zip(self.nodes, harvest[j])),
+            gains=kept[j, 0],
+            desired=kept[j, 1],
+            actual=kept[j, 2],
+            levels={} if levels is None else dict(zip(self.nodes, levels[j])),
+            utility=utility[j],
+        )
+
+
+def _joined(parts: list[Trials]) -> Trials:
+    """The trials of `parts`, one after another."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def join(columns):
+        return None if columns[0] is None else np.concatenate(columns)
+
+    first = parts[0]
+    trace = None
+    if first._trace is not None:
+        trace = tuple(map(join, zip(*(p._trace for p in parts))))
+    return Trials(first.n_slots, first.nodes,
+                  *(join([getattr(p, name) for p in parts]) for name in (
+                      "avg_utility", "non_eh_utility", "mismatch_fraction",
+                      "mismatch_union", "final_level")),
+                  trace)
 
 
 # Every finite float is an integer multiple of 2**-1074.
@@ -531,12 +624,14 @@ def _battery(config: SimulationConfig, desired, harvest, columns,
     return actual, after
 
 
-def _run(config: SimulationConfig, seeds: list[int], with_battery: bool,
-         return_trace: bool) -> list:
+def _run(config: SimulationConfig, seeds, with_battery: bool,
+         return_trace: bool) -> Trials:
     """Trials of `config`'s network, one per seed, each equal to a run on
     its seed alone.  `CHUNK_SLOT_LINKS // (n_slots * links)` trials, at
-    least one, run side by side at a time (see `_walk`)."""
+    least one, run side by side at a time (see `_walk`).  A seed that is
+    not an integer raises `TypeError`: none is rounded or parsed."""
     config.validate()
+    seeds = list(map(operator.index, seeds))
     if not seeds:
         raise ValueError("need at least one seed")
     step = max(1, CHUNK_SLOT_LINKS // (config.n_slots * len(config.links)))
@@ -547,18 +642,18 @@ def _run(config: SimulationConfig, seeds: list[int], with_battery: bool,
         len(seeds), len(keys), -1).swapaxes(0, 1)
     bounds = np.cumsum([0] + [len(run.members) for run in runs]).tolist()
     scratch = _Scratch()
-    results = []
+    groups = []
     for start in range(0, len(seeds), step):
         group = seeds[start:start + step]
         streams = [Stream(group, keys[i:j], states[i:j, start:start + step])
                    for i, j in zip(bounds, bounds[1:])]
-        results += _walk(config, streams, scratch, with_battery,
-                         return_trace)
-    return results
+        groups.append(_walk(config, streams, scratch, with_battery,
+                            return_trace))
+    return _joined(groups)
 
 
 def _walk(config: SimulationConfig, streams, scratch: _Scratch,
-          with_battery: bool, return_trace: bool) -> list:
+          with_battery: bool, return_trace: bool) -> Trials:
     """Trials side by side, walked through time in chunks of
     `CHUNK_SLOT_LINKS // (trials * links)` slots, at least one.
 
@@ -585,9 +680,9 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
     non_eh_sums = _ExactSums(k)
     eh_sums = None  # while no grant has differed, the reference sums
     if return_trace:
-        kept = np.empty((3, k, n, width))  # gains, requests, grants
-        kept_harvest = np.empty((len(nodes), k, n))
-        kept_levels = np.empty((len(nodes), k, n))
+        kept = np.empty((k, 3, n, width))  # gains, requests, grants
+        kept_harvest = np.empty((k, len(nodes), n))
+        kept_levels = np.empty((k, len(nodes), n))
         kept_utility = np.empty((k, n))
 
     for start in range(0, n, size):
@@ -637,41 +732,20 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
         past_desired = next_desired
         if return_trace:
             for i, values in enumerate((gains, desired, actual)):
-                kept[i, :, start:stop] = values.reshape(k, m, width)
-            kept_harvest[:, :, start:stop] = harvest
+                kept[:, i, start:stop] = values.reshape(k, m, width)
+            kept_harvest[:, :, start:stop] = harvest.transpose(1, 0, 2)
             for i, lev in enumerate(after):
-                kept_levels[i, :, start:stop] = lev.T
+                kept_levels[:, i, start:stop] = lev.T
             kept_utility[:, start:stop] = u_eh
 
     non_eh = non_eh_sums.means(n)
     eh = non_eh if eh_sums is None else eh_sums.means(n)
-    fractions = (misses / n).T.tolist()
-    union_frac = (union / n).tolist()
-    finals = levels.T.tolist()
-    results = []
-    for j in range(k):
-        trace = None
-        if return_trace:
-            trace = RunTrace(
-                slots=np.arange(1, n + 1),
-                harvest=dict(zip(nodes, kept_harvest[:, j])),
-                gains=kept[0, j],
-                desired=kept[1, j],
-                actual=kept[2, j],
-                levels=(dict(zip(nodes, kept_levels[:, j]))
-                        if with_battery else {}),
-                utility=kept_utility[j],
-            )
-        summary = RunSummary(
-            n_slots=n,
-            avg_utility=eh[j],
-            non_eh_utility=non_eh[j],
-            mismatch_fraction=dict(zip(nodes, fractions[j])),
-            mismatch_union=union_frac[j],
-            final_level=dict(zip(nodes, finals[j])),
-        )
-        results.append(summary if trace is None else (summary, trace))
-    return results
+    trace = None
+    if return_trace:
+        trace = (kept, kept_harvest, kept_levels if with_battery else None,
+                 kept_utility)
+    return Trials(n, tuple(nodes), np.array(eh), np.array(non_eh),
+                  misses.T / n, union / n, levels.T, trace)
 
 
 def run_eh(config: SimulationConfig, *, seeds=None,
@@ -680,12 +754,12 @@ def run_eh(config: SimulationConfig, *, seeds=None,
     (plus a `RunTrace` when `return_trace`) whose `non_eh_utility` is the
     reference system's average on the same draws.
 
-    With `seeds`, runs one trial per seed on `config`'s network and
-    returns a list with one result per seed, each equal to
-    ``run_eh(replace(config, seed=s))`` bit for bit."""
+    With `seeds`, integers, runs one trial per seed on `config`'s network
+    and returns their `Trials`, whose entry j equals
+    ``run_eh(replace(config, seed=seeds[j]))`` bit for bit."""
     if seeds is None:
         return _run(config, [config.seed], True, return_trace)[0]
-    return _run(config, [int(s) for s in seeds], True, return_trace)
+    return _run(config, seeds, True, return_trace)
 
 
 def run_non_eh(config: SimulationConfig, *, return_trace: bool = False):

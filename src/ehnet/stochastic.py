@@ -27,11 +27,15 @@ every other one, the remaining words are mixed in one at a time, and
 `uint32` operations with the same constants in the same order as
 `SeedSequence` does for that stream alone: the hash constants advance one
 step per `hashmix` call whatever the data, so they are shared by all lanes,
-and a lane whose words run out earlier keeps its pool.  A PCG64 reads
-nothing from its seed source but `generate_state(4, uint64)`, so a `Stream`
-built from its precomputed row draws exactly what the `SeedSequence` would
-have given it.  NumPy's stream-compatibility policy (NEP 19) fixes the
-SeedSequence algorithm, which is what makes this exact.
+and a lane whose words run out earlier keeps its pool.  The pool's input
+and its mixing read only a seed's first 4 words, so they run once per
+seed, and each key's words are mixed into a copy.  The words themselves
+come from one `int.to_bytes` per seed or key part, read as one array.
+A PCG64 reads nothing from its seed source but `generate_state(4,
+uint64)`, so a `Stream` built from its precomputed row draws exactly what
+the `SeedSequence` would have given it.  NumPy's stream-compatibility
+policy (NEP 19) fixes the SeedSequence algorithm, which is what makes
+this exact.
 """
 
 from __future__ import annotations
@@ -73,17 +77,24 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _words(n) -> list[int]:
-    """`n` as little-endian uint32 words, as `SeedSequence` reads an int."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"seeds and key parts must be >= 0, got {n}")
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
+def _word_matrix(values) -> tuple[np.ndarray, np.ndarray]:
+    """Each of `values` as its little-endian uint32 words, as
+    `SeedSequence` reads an int: a (len(values), width) uint32 array,
+    zero-padded to the widest value, and each value's word count, at
+    least 1.  One `to_bytes` per value, and one read of all the bytes."""
+    values = list(map(operator.index, values))
+    if values and min(values) < 0:
+        raise ValueError(f"seeds and key parts must be >= 0, got "
+                         f"{min(values)}")
+    width = max(1, (max(values, default=0).bit_length() + 31) // 32)
+    raw = b"".join([v.to_bytes(4 * width, "little") for v in values])
+    words = np.frombuffer(raw, dtype="<u4").astype(np.uint32, copy=False)
+    words = words.reshape(len(values), width)
+    # A value's words run to its last nonzero one; zero is one word.
+    used = words != 0
+    counts = np.where(used.any(axis=1),
+                      width - used[:, ::-1].argmax(axis=1), 1)
+    return words, counts
 
 
 @lru_cache(maxsize=None)
@@ -118,40 +129,54 @@ _MIX_IN = _mixing_constants()
 _16 = np.uint32(16)
 
 
+_MIX_L, _MIX_R = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
+
+
 def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray):
-    v = (values ^ xor) * mul
-    return v ^ (v >> _16)
+    v = values ^ xor
+    v *= mul
+    v ^= v >> _16
+    return v
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return r ^ (r >> _16)
+    r = x * _MIX_L
+    r -= y * _MIX_R
+    r ^= r >> _16
+    return r
 
 
-def _hash_lanes(entropy: np.ndarray, lengths: np.ndarray,
+def _hash_lanes(head: np.ndarray, entropy: np.ndarray, lengths: np.ndarray,
                 n_words: int) -> np.ndarray:
-    """`SeedSequence.generate_state(n_words, uint64)` of every row of
-    `entropy`, a zero-padded (rows, width >= pool size) uint32 array of
-    assembled entropy words, of which row r holds `lengths[r]`."""
-    width = entropy.shape[1]
+    """`SeedSequence.generate_state(n_words, uint64)` of every (seed, key)
+    row: `head` is each seed's first pool-size words, a (seeds, pool size)
+    uint32 array; `entropy` is a zero-padded (seeds, keys, width) uint32
+    array of each row's assembled words past those, of which row (s, k)
+    holds ``lengths[s, k]``, counting the head.  Seed-major rows."""
+    seeds, keys, width = entropy.shape
     # Calls 0-3 take the entropy into the pool, calls 4-15 mix the pool,
     # and each later word takes four more.
-    a = _hash_constants(_INIT_A, _MULT_A, 4 * width + 1)
+    a = _hash_constants(_INIT_A, _MULT_A, 4 * (_POOL + width) + 1)
     # Entropy in: pool word i is hashmix call i (zero past a short row).
-    pool = _hashmix(entropy[:, :_POOL], a[:_POOL], a[1:_POOL + 1])
+    # The first pool-size words are the seed's, so each seed's pool is
+    # hashed and mixed once, then copied to each of its keys' rows.
+    pool = _hashmix(head, a[:_POOL], a[1:_POOL + 1])
     # Each pool word, in turn, into each other one.
     for src, (xor, mul) in enumerate(_MIX_IN):
         mixed = _mix(pool, _hashmix(pool[:, src:src + 1], xor, mul))
         mixed[:, src] = pool[:, src]
         pool = mixed
+    pool = np.repeat(pool, keys, axis=0)
+    entropy = entropy.reshape(seeds * keys, width)
+    lengths = lengths.reshape(-1)
     # Words past the pool, each into every pool word, while a row has them.
-    shortest = lengths.min()
-    for col in range(_POOL, width):
-        k = 4 * col
+    shortest = lengths.min() - _POOL
+    for col in range(width):
+        k = 4 * (_POOL + col)
         mixed = _mix(pool, _hashmix(entropy[:, col:col + 1],
                                     a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
         pool = mixed if col < shortest else np.where(
-            (lengths > col)[:, None], mixed, pool)
+            (lengths > _POOL + col)[:, None], mixed, pool)
     # Pool out: state word i hashes pool word i % 4.
     m = 2 * n_words
     b = _hash_constants(_INIT_B, _MULT_B, m + 1)
@@ -169,36 +194,49 @@ def seed_states(seeds, keys, n_words: int = 4) -> np.ndarray:
     Seeds and key parts are non-negative integers of any width; a negative
     one raises `ValueError`.  The rows are hashed as one batch of lanes
     (see the module docstring)."""
-    seed_words = [_words(s) for s in seeds]
-    key_words = [[w for part in key for w in _words(part)] for key in keys]
-    rows = len(seed_words) * len(key_words)
-    if rows == 0:
+    keys = [tuple(key) for key in keys]
+    head, seed_lengths = _word_matrix(seeds)
+    parts, part_lengths = _word_matrix([p for key in keys for p in key])
+    if not (len(head) and keys):
         return np.empty((0, n_words), dtype=np.uint64)
+    # Each key's words are its parts' words, in order: `flat` lists them
+    # all, key by key, and word i of `flat` is word `at[i]` of its key.
+    part_key = np.repeat(np.arange(len(keys)), [len(key) for key in keys])
+    flat = parts[np.arange(parts.shape[1]) < part_lengths[:, None]]
+    word_key = np.repeat(part_key, part_lengths)
+    key_lengths = np.bincount(word_key, minlength=len(keys))
+    at = np.arange(len(flat)) - (key_lengths.cumsum() - key_lengths)[word_key]
     # A key's words start after the seed's, padded to the pool size.  With
     # an empty key the pad changes nothing: hashmix reads zeros there.
-    starts = np.array([max(len(w), _POOL) for w in seed_words])
-    key_lengths = np.array([len(w) for w in key_words])
+    starts = np.maximum(seed_lengths, _POOL)
     width = int(starts.max() + key_lengths.max())
-    head = np.array([w + [0] * (width - len(w)) for w in seed_words],
-                    dtype=np.uint32)
+    padded = np.zeros((len(head), width), dtype=np.uint32)
+    padded[:, :head.shape[1]] = head
     # One zero column past the widest key, for the columns before a start.
-    tail = np.array([w + [0] * (width + 1 - len(w)) for w in key_words],
-                    dtype=np.uint32)
-    cols = np.arange(width) - starts[:, None]
+    tail = np.zeros((len(keys), width + 1), dtype=np.uint32)
+    tail[word_key, at] = flat
+    # Columns past the pool size: the seed's words, then the key's.
+    cols = np.arange(_POOL, width) - starts[:, None]
     cols[cols < 0] = width
-    entropy = head[:, None, :] | tail[:, cols].transpose(1, 0, 2)
-    lengths = starts[:, None] + key_lengths
-    return _hash_lanes(entropy.reshape(rows, width), lengths.ravel(), n_words)
+    entropy = padded[:, None, _POOL:] | tail[:, cols].transpose(1, 0, 2)
+    return _hash_lanes(padded[:, :_POOL], entropy,
+                       starts[:, None] + key_lengths, n_words)
 
 
 class _SeedWords(ISeedSequence):
-    """Seed source handing a bit generator its precomputed state words."""
+    """Seed source handing a bit generator its precomputed state words:
+    4 uint64 words, all that a PCG64 asks for."""
+
+    __slots__ = ("_words",)
 
     def __init__(self, words: np.ndarray):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self._words) or np.dtype(dtype) != np.uint64:
+        # PCG64 passes the `np.uint64` type itself: the `is` test spares
+        # it an `np.dtype` call.
+        if n_words != 4 or (dtype is not np.uint64
+                            and np.dtype(dtype) != np.uint64):
             raise ValueError("precomputed seed words do not match the request")
         return self._words
 
@@ -236,9 +274,10 @@ class Stream:
         if state is None:
             state = seed_states(seeds, keys).reshape(
                 len(seeds), len(keys), -1).swapaxes(0, 1)
+        rows = np.ascontiguousarray(state, dtype=np.uint64).reshape(
+            len(keys) * len(seeds), 4)
         self._gens = [np.random.Generator(np.random.PCG64(_SeedWords(row)))
-                      for row in np.asarray(state).reshape(
-                          len(keys) * len(seeds), -1)]
+                      for row in rows]
 
     def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """Each lane's next `n` uniform doubles in [0, 1), consecutive calls

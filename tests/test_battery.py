@@ -374,6 +374,42 @@ def test_strided_single_link_columns_match_stepwise_primitives(width):
         assert after.tobytes() == levels.tobytes()
 
 
+def strided_lanes(rng, n, k, stride, transposed):
+    """An (n, k) view whose lanes lie `stride` bytes apart: columns of a
+    wider (n, k * stride / 8) block, or, `transposed`, the rows of a
+    (k, stride / 8) block, as `simulator._battery` passes them."""
+    step = stride // 8
+    if transposed:
+        block = rng.exponential(1.0, (k, step))
+        view = block[:, :n].T
+    else:
+        block = rng.exponential(1.0, (n, k * step))
+        view = block[:, ::step]
+    assert view.shape == (n, k) and view.strides[1] == stride
+    return view
+
+
+@pytest.mark.parametrize("k", [3, VECTOR_LANES + 2])
+@pytest.mark.parametrize("stride, transposed", [
+    (8, False), (24, False), (64, False), (800, False), (800, True)],
+    ids=["8", "24", "64", "800", "800-transposed"])
+def test_strided_lanes_match_stepwise_primitives(stride, transposed, k):
+    # The lanes read their inputs where they lie; numpy 2.4's `negative`
+    # misreads a stride of 64 bytes into a strided output.
+    rng = np.random.default_rng(stride + k)
+    desired = strided_lanes(rng, 100, k, stride, transposed)
+    desired[rng.random(desired.shape) < 0.2] = 0.0
+    harvested = strided_lanes(rng, 100, k, stride, transposed)
+    initial = rng.uniform(0.0, 4.0, k)
+    actual, levels = trajectory(desired, harvested, capacity=4.0,
+                                initial=initial)
+    for j in range(k):
+        got, after = stepwise(desired[:, j], harvested[:, j], 4.0,
+                              float(initial[j]))
+        assert got.tobytes() == actual[:, j].copy().tobytes()
+        assert after.tobytes() == levels[:, j].copy().tobytes()
+
+
 @given(random_run())
 @settings(max_examples=100, deadline=None)
 def test_bounded_battery_never_outperforms_unbounded(run):

@@ -10,7 +10,6 @@ import os
 import tempfile
 import warnings
 from dataclasses import asdict, replace
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,6 +21,7 @@ import ehnet.cli
 import ehnet.experiments
 import ehnet.policies
 import ehnet.simulator
+import ehnet.stochastic
 from ehnet.cli import main
 from ehnet.experiments import (
     BASELINE_N,
@@ -456,8 +456,6 @@ def test_point_rows_batch_trials_by_slot_links(monkeypatch):
     # checked, so the groups are not walked.
     calls, groups = [], []
     run_eh = ehnet.experiments.run_eh
-    summary = SimpleNamespace(avg_utility=0.5, non_eh_utility=0.5,
-                              mismatch_union=0.0)
 
     def counting_run_eh(config, *, seeds):
         calls.append((config.n_slots, len(seeds)))
@@ -468,7 +466,11 @@ def test_point_rows_batch_trials_by_slot_links(monkeypatch):
         # trial of the group.
         trials = len(streams[0].seed)
         groups.append((config.n_slots, trials))
-        return [summary] * trials
+        nodes = tuple(t.node for t in config.transmitters)
+        per_node = np.zeros((trials, len(nodes)))
+        return ehnet.simulator.Trials(
+            config.n_slots, nodes, np.full(trials, 0.5), np.full(trials, 0.5),
+            per_node, np.zeros(trials), per_node)
 
     monkeypatch.setattr(ehnet.experiments, "run_eh", counting_run_eh)
     monkeypatch.setattr(ehnet.simulator, "_walk", counting_walk)
@@ -488,6 +490,48 @@ def test_point_rows_batch_trials_by_slot_links(monkeypatch):
         run_experiment(spec_from_dict({"p_in_db": [0.0], **config}))
         assert calls == expected_calls
         assert groups == expected_groups
+
+
+def test_fig5_sweep_seeds_and_summarises_each_point_as_arrays(monkeypatch):
+    # Counts of work, which do not depend on the host, so costs paid once
+    # per trial or per stream cannot creep back unseen: per grid point one
+    # `seed_states` call for the trial seeds and one inside its `run_eh`,
+    # one PCG64 per trial per stream key (fig5's m senders each have a
+    # harvest key and a fading key), and no `RunSummary` at all, since
+    # `paired_gap` reads the columns of `Trials` and fig5's baseline is a
+    # closed form.
+    spec = spec_from_dict({"experiment": "fig5", "p_in_db": [0.0, 10.0],
+                           "n_slots": [100], "group_size": [1, 2],
+                           "trials": 30})
+    points = grid_points(spec)
+    counts = dict.fromkeys(["seed_states", "run_eh", "PCG64", "RunSummary"],
+                           0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    seed_states = ehnet.stochastic.seed_states
+    for module in (ehnet.stochastic, ehnet.simulator, ehnet.experiments):
+        monkeypatch.setattr(module, "seed_states",
+                            counting("seed_states", seed_states))
+    monkeypatch.setattr(ehnet.experiments, "run_eh",
+                        counting("run_eh", ehnet.experiments.run_eh))
+    monkeypatch.setattr(np.random, "PCG64",
+                        counting("PCG64", np.random.PCG64))
+    summary = ehnet.simulator.RunSummary
+    monkeypatch.setattr(summary, "__init__",
+                        counting("RunSummary", summary.__init__))
+    rows = run_experiment(spec)
+    assert len(rows) == 3 * len(points)
+    assert counts == {
+        "seed_states": 2 * len(points),
+        "run_eh": len(points),
+        "PCG64": sum(spec.trials * 2 * point.m for point in points),
+        "RunSummary": 0,
+    }
 
 
 def test_seed_changes_results():

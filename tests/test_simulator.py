@@ -3,7 +3,7 @@
 import gc
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from ehnet import simulator, stochastic
 from ehnet.experiments import (
+    GapStatistics,
+    _mean_stderr,
     build_config,
     default_spec,
     grid_points,
@@ -143,6 +145,33 @@ def test_validation_wants_each_transmitters_links_together():
         cfg.validate()
     assert str(info.value) == "links of transmitter 0 are not grouped together"
     replace(cfg, links=(link(0, 2), link(0, 3), link(1, 2))).validate()
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "3", None, -1],
+                         ids=["fraction", "float", "numpy_float", "string",
+                              "none", "negative"])
+def test_validation_wants_a_nonnegative_integer_seed(seed):
+    cfg = replace(single_link_config(), seed=seed)
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ConfigError):
+        run_eh(cfg)
+    for good in (0, np.int64(7), np.uint64(2**64 - 1), 2**100):
+        replace(single_link_config(), seed=good).validate()
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "3", None],
+                         ids=["fraction", "float", "numpy_float", "string",
+                              "none"])
+def test_batch_seeds_that_are_not_integers_raise(seed):
+    # Seeds are never rounded or parsed: 1.5 is not seed 1, "3" not 3.
+    cfg = single_link_config()
+    with pytest.raises(TypeError):
+        run_eh(cfg, seeds=[0, seed])
+    want = [run_eh(replace(cfg, seed=s)) for s in (0, 1, 2)]
+    assert list(run_eh(cfg, seeds=np.arange(3))) == want
+    assert list(run_eh(cfg, seeds=range(3))) == want
 
 
 def test_run_rejects_invalid_config_before_sampling():
@@ -427,7 +456,7 @@ def test_batch_delay_lines_restart_at_each_trial():
 
 def test_batch_without_seeds_is_the_config_seed():
     cfg = single_link_config(seed=7)
-    assert run_eh(cfg, seeds=[7]) == [run_eh(cfg)]
+    assert list(run_eh(cfg, seeds=[7])) == [run_eh(cfg)]
     with pytest.raises(ValueError):
         run_eh(cfg, seeds=[])
 
@@ -448,7 +477,7 @@ def assert_same_runs(got, want):
 
 
 def eh_and_reference(cfg, seeds):
-    return run_eh(cfg, seeds=seeds, return_trace=True) + [
+    return list(run_eh(cfg, seeds=seeds, return_trace=True)) + [
         run_non_eh(replace(cfg, seed=seed), return_trace=True)
         for seed in seeds]
 
@@ -721,7 +750,7 @@ def test_batch_equality_example_runs_each_trial_once(monkeypatch):
 
     monkeypatch.setattr(simulator, "_run", counting_run)
     trials = run_eh(cfg, seeds=[1, 2, 3])
-    assert trials == [run_eh(replace(cfg, seed=s)) for s in (1, 2, 3)]
+    assert list(trials) == [run_eh(replace(cfg, seed=s)) for s in (1, 2, 3)]
     assert runs == [[1, 2, 3], [1], [2], [3]]
 
 
@@ -828,7 +857,7 @@ def test_one_sample_call_per_process_run_per_chunk(monkeypatch):
     chunk = [((1, 1), 1310), ((25, 1), 1310)]
     assert calls == (chunk * 2 + [((1, 1), 380), ((25, 1), 380)]) * 2
     monkeypatch.setattr(ExponentialProcess, "sample", sample)
-    assert trials == [run_eh(replace(cfg, seed=s)) for s in (1, 2)]
+    assert list(trials) == [run_eh(replace(cfg, seed=s)) for s in (1, 2)]
 
 
 def alternating_network(n=60, seed=0):
@@ -932,7 +961,7 @@ def test_runs_equal_the_slot_by_slot_reference_run(network, monkeypatch):
         not network.endswith("full"))
 
     def check(got, want=want):
-        assert got == want
+        assert list(got) == want
         assert list(map(summary_bits, got)) == list(map(summary_bits, want))
 
     # 1-slot chunks, 7 // links slots, and 333 slot-links: one trial at a
@@ -956,6 +985,52 @@ def test_runs_equal_the_slot_by_slot_reference_run(network, monkeypatch):
         monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
         check(run_eh(cfg, seeds=seeds))
     monkeypatch.setattr(simulator, "_walk", walk)
+
+
+# A starved network, one that mixes node kinds, and a relay chain.
+TRIALS_NETWORKS = ["fig1-starved", "mixed", "fig6-4hops"]
+
+
+@pytest.mark.parametrize("return_trace", [False, True],
+                         ids=["summary", "trace"])
+@pytest.mark.parametrize("network", TRIALS_NETWORKS)
+def test_trials_entry_j_is_the_run_on_seed_j(network, return_trace,
+                                            monkeypatch):
+    # A budget of 2^10 slot-links splits the seeds into three groups, whose
+    # columns and traces `Trials` joins.
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 2 ** 10)
+    cfg = REFERENCE_NETWORKS[network]()
+    seeds = list(range(100, 100 + 2 * group_size(cfg) + 1))
+    trials = run_eh(cfg, seeds=seeds, return_trace=return_trace)
+    assert isinstance(trials, simulator.Trials) and len(trials) == len(seeds)
+    alone = [run_eh(replace(cfg, seed=seed), return_trace=return_trace)
+             for seed in seeds]
+    for j, want in enumerate(alone):
+        got = trials[j]
+        if return_trace:
+            (got, trace), (want, want_trace) = got, want
+            assert trace_bits(trace) == trace_bits(want_trace)
+        assert got == want
+        assert summary_bits(got) == summary_bits(want)
+    # Iteration, negative indices and slices give the same summaries.
+    def summary(result):
+        return result[0] if return_trace else result
+
+    summaries = list(map(summary, alone))
+    assert list(map(summary, trials)) == summaries
+    assert summary(trials[-1]) == summaries[-1]
+    assert list(map(summary, trials[1:4])) == summaries[1:4]
+    with pytest.raises(IndexError):
+        trials[len(seeds)]
+    # The columns are the summaries' fields, per node in config order.
+    assert trials.nodes == tuple(t.node for t in cfg.transmitters)
+    for column in ("avg_utility", "non_eh_utility", "mismatch_union"):
+        assert getattr(trials, column).tolist() == [
+            getattr(s, column) for s in summaries]
+    for column in ("mismatch_fraction", "final_level"):
+        assert getattr(trials, column).tolist() == [
+            list(getattr(s, column).values()) for s in summaries]
+    assert any(s.mismatch_union > 0.0 for s in summaries)
 
 
 class WrongShape:
@@ -1287,6 +1362,30 @@ def test_paired_gap_statistics_equal_those_of_separate_runs():
         run.mismatch_union for run in runs) / len(runs)
     assert stats.n_pairs == len(seeds)
     assert stats.mismatch_mean > 0.0 and stats.gap_stderr > 0.0
+
+
+@pytest.mark.parametrize("network", TRIALS_NETWORKS)
+def test_paired_gap_reduces_the_per_seed_summaries_bit_for_bit(network,
+                                                               monkeypatch):
+    # Several groups of seeds; each field, signs of zero included, is
+    # what the per-seed summaries reduce to.
+    monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 2 ** 10)
+    cfg = REFERENCE_NETWORKS[network]()
+    seeds = list(range(100, 100 + 2 * group_size(cfg) + 1))
+    runs = [run_eh(replace(cfg, seed=seed)) for seed in seeds]
+    ehs = [run.avg_utility for run in runs]
+    nons = [run.non_eh_utility for run in runs]
+    want = GapStatistics(
+        *_mean_stderr([eh - non for eh, non in zip(ehs, nons)]),
+        *_mean_stderr(ehs),
+        *_mean_stderr(nons),
+        mismatch_mean=math.fsum(run.mismatch_union for run in runs)
+        / len(runs),
+        n_pairs=len(seeds),
+    )
+    got = paired_gap(cfg, seeds)
+    assert ([float(v).hex() for v in astuple(got)]
+            == [float(v).hex() for v in astuple(want)])
 
 
 def test_paired_gap_requires_seeds():

@@ -15,6 +15,7 @@ from ehnet.stochastic import (
     ConstantProcess,
     ExponentialProcess,
     QuadratureError,
+    _SeedWords,
     Stream,
     expectation_quadrature,
     exponential_pdf,
@@ -122,6 +123,19 @@ def test_streams_draw_what_their_seed_sequence_gives():
             batched = Stream(seed, key, next(rows)).uniforms(257)
             assert alone.tobytes() == want.tobytes()
             assert batched.tobytes() == want.tobytes()
+
+
+def test_seed_words_hand_out_four_uint64_words_only():
+    row = seed_states([5], [(0, 1, 0)])[0]
+    words = _SeedWords(row)
+    assert words.generate_state(4, np.uint64) is row
+    assert words.generate_state(4, np.dtype("<u8")) is row
+    for n_words, dtype in ((2, np.uint64), (8, np.uint64), (4, np.uint32),
+                           (4, "u4"), (2, np.uint32)):
+        with pytest.raises(ValueError):
+            words.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):  # SeedSequence's default is uint32
+        words.generate_state(4)
 
 
 def _oracle(seed, key, n):
