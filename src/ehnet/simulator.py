@@ -17,18 +17,19 @@ both its own average utility and the reference system's.
 
 Given several seeds, `run_eh` runs one trial per seed on the same network
 and returns a `Trials`, which keeps each summary field as one array over
-the trials.  Trials run side by side in groups.  Consecutive stream keys
-whose processes compare equal (fig4's 25 fadings, fig5's senders'
-harvests) form a run, and each run draws one block for all its keys and
-all the group's trials at once, one lane per key and trial, in one
-`sample` call.  The
-policies and the utility see all the group's slots stacked, and the
-single-link batteries of all the group's nodes and trials step together,
-one lane each with its own capacity.  A group walks through time in
-chunks, carrying battery levels, delay lines, running counts and exact
-partial sums of the utilities from one chunk to the next, so a call holds
-about `CHUNK_SLOT_LINKS` slot-links of per-slot arrays however long or
-wide its runs are.  Each trial's summary equals that of a run on its
+the trials.  Trials run side by side in groups.  A chunk's draws are one
+(keys, trials, slots) block: the harvests in transmitter order, then the
+fadings in link order.  Consecutive stream keys whose processes compare
+equal (fig4's 25 fadings, fig5's senders' harvests) form a run, which may
+cross from the harvests into the fadings, and each run draws its rows of
+the block for all the group's trials in one `sample` call, one lane per
+key and trial.  The policies and the utility see all the group's slots
+stacked, and the single-link batteries of all the group's nodes and
+trials step together, one lane each with its own capacity.  A group walks
+through time in chunks, carrying battery levels, delay lines, running
+counts and exact partial sums of the utilities from one chunk to the
+next, so a call holds about `CHUNK_SLOT_LINKS` slot-links of per-slot
+arrays however long or wide its runs are.  Each trial's summary equals that of a run on its
 seed alone, bit for bit: each lane draws what its key's and seed's stream
 would alone, streams continue across chunks, the battery resumes from the
 levels it returned, and policies and utilities act slot by slot.
@@ -184,9 +185,8 @@ class RunSummary:
     every request is granted, on the same draws; for `run_non_eh` it equals
     `avg_utility`.  `mismatch_fraction` counts slots where a node's granted
     power differed from its requested power on any link; `mismatch_union`
-    counts slots where that happened anywhere in the network.  Per-node
-    averages of harvests, requests and grants are `math.fsum`s over the
-    `RunTrace` arrays.
+    counts slots where that happened anywhere in the network.  The
+    per-slot harvests, requests and grants are in the `RunTrace`.
     """
 
     n_slots: int
@@ -426,85 +426,60 @@ class _Scratch:
         return flat[:size].reshape(shape)
 
 
-class _Draws:
-    """Stream keys that draw one block together: consecutive transmitters'
-    harvests or consecutive links' fadings whose processes compare equal.
-    `kind` is "harvest" or "fading"; `members` are the `TransmitterSpec`s
-    or `LinkSpec`s, in config order."""
-
-    def __init__(self, kind: str, members: tuple):
-        self.kind, self.members = kind, members
-
-    @property
-    def process(self):
-        return getattr(self.members[0], self.kind)
-
-    @property
-    def keys(self) -> list[tuple[int, int, int]]:
-        if self.kind == "harvest":
-            return [(_HARVEST_KEY, t.node, 0) for t in self.members]
-        return [(_FADING_KEY, link.tx, link.rx) for link in self.members]
-
-    def name(self, i: int) -> str:
-        member = self.members[i]
-        if self.kind == "harvest":
-            return f"node {member.node}"
-        return f"link {member.tx}->{member.rx}"
-
-
-def _draw_runs(config: SimulationConfig) -> list[_Draws]:
-    """`config`'s stream keys in runs that draw one block each, harvests
-    first."""
-    runs = [_Draws("harvest", tuple(members)) for _, members in groupby(
-        config.transmitters, key=lambda t: t.harvest)]
-    runs += [_Draws("fading", tuple(members))
-             for _, members in groupby(config.links, key=lambda l: l.fading)]
-    return runs
+def _draw_runs(config: SimulationConfig):
+    """`config`'s stream keys in the order a chunk draws them, the
+    harvests in transmitter order and then the fadings in link order;
+    each key's name and quantity in error messages; and the runs of
+    consecutive keys whose processes compare equal, as (process, start,
+    stop) spans that draw one block each."""
+    members = ([(t.harvest, (_HARVEST_KEY, t.node, 0),
+                 (f"harvest process for node {t.node}", "power"))
+                for t in config.transmitters]
+               + [(link.fading, (_FADING_KEY, link.tx, link.rx),
+                   (f"fading process for link {link.tx}->{link.rx}", "gain"))
+                  for link in config.links])
+    processes, keys, labels = zip(*members)
+    runs, start = [], 0
+    for process, same in groupby(processes):
+        stop = start + len(list(same))
+        runs.append((process, start, stop))
+        start = stop
+    return keys, labels, runs
 
 
 def _sample_chunk(config: SimulationConfig, streams, m: int,
-                  scratch: _Scratch, runs: list[_Draws]):
+                  scratch: _Scratch, runs, labels):
     """The next `m` draws of every trial from `streams`, one `Stream` per
-    run of `runs`, each holding all the run's keys for all the group's
-    trials: the harvests as one (nodes, trials, m) array in transmitter
-    order, and the gains of all trials stacked trial-major into one
-    (trials * m, links) array.
+    span of `runs`, each holding all the span's keys for all the group's
+    trials: one (keys, trials, m) block, harvests first (see `_draw_runs`).
+    Returns the harvests, a (nodes, trials, m) view of the block; the
+    gains of all trials stacked trial-major, one transposed copy of the
+    fading rows as a (trials * m, links) array; and those rows' memory as
+    an array of that shape, which the chunk's requests may overwrite.
 
-    Each run's process draws and transforms its (keys, trials, m) block in
-    one `sample` call, a harvest run's in place in the harvest array.
-    Draws must be finite and >= 0: one `min` and one `max` check that,
-    since NaN fails both comparisons; only a failing block is searched for
-    its first bad key.  A fading block is drawn into the memory of the
-    chunk's requests, which `_desired_matrix` writes only later, and
-    stored in `gains` with one transposed copy."""
-    k, width = streams[0].shape[-1], len(config.links)
-    harvest = scratch.take("harvest", (len(config.transmitters), k, m))
-    gains = scratch.take("gains", (k * m, width))
-    node = col = 0
-    for run, stream in zip(runs, streams):
-        size = len(run.members)
-        out = (harvest[node:node + size] if run.kind == "harvest"
-               else scratch.take("desired", (size, k, m)))
-        draws = np.asarray(run.process.sample(stream, m, out=out),
-                           dtype=float)
+    Each run's process draws and transforms its rows in one `sample`
+    call.  Draws must be finite and >= 0: one `min` and one `max` over the
+    block check that, since NaN fails both comparisons; only a failing
+    block is searched for its first bad key, named by `labels`."""
+    nodes, width = len(config.transmitters), len(config.links)
+    k = streams[0].shape[-1]
+    block = scratch.take("draws", (nodes + width, k, m))
+    for (process, start, stop), stream in zip(runs, streams):
+        out = block[start:stop]
+        draws = np.asarray(process.sample(stream, m, out=out), dtype=float)
         if draws.shape != out.shape:
-            raise NumericsError(f"{run.kind} process for {run.name(0)} "
-                                f"returned shape {draws.shape}")
-        if not (draws.min() >= 0.0 and draws.max() < np.inf):
-            good = (draws >= 0.0) & (draws < np.inf)
-            bad = int(np.argmin(good.reshape(size, -1).all(1)))
-            what = "power" if run.kind == "harvest" else "gain"
-            raise NumericsError(f"{run.kind} process for {run.name(bad)} "
-                                f"drew a negative or non-finite {what}")
-        if run.kind == "fading":
-            gains.reshape(k, m, width)[:, :, col:col + size] = (
-                draws.transpose(1, 2, 0))
-            col += size
-        else:
-            if draws is not out:
-                out[:] = draws
-            node += size
-    return harvest, gains
+            raise NumericsError(f"{labels[start][0]} returned shape "
+                                f"{draws.shape}")
+        if draws is not out:
+            out[:] = draws
+    if not (block.min() >= 0.0 and block.max() < np.inf):
+        good = (block >= 0.0) & (block < np.inf)
+        name, what = labels[int(np.argmin(good.reshape(len(block), -1)
+                                          .all(1)))]
+        raise NumericsError(f"{name} drew a negative or non-finite {what}")
+    gains = scratch.take("gains", (k * m, width))
+    gains.reshape(k, m, width)[:] = block[nodes:].transpose(1, 2, 0)
+    return block[:nodes], gains, block[nodes:].reshape(k * m, width)
 
 
 def _desired_matrix(config: SimulationConfig, slots, gains, columns,
@@ -635,37 +610,35 @@ def _run(config: SimulationConfig, seeds, with_battery: bool,
     if not seeds:
         raise ValueError("need at least one seed")
     step = max(1, CHUNK_SLOT_LINKS // (config.n_slots * len(config.links)))
-    runs = _draw_runs(config)
-    keys = [key for run in runs for key in run.keys]
-    # Key-major: each run's keys, then each trial's rows for that key.
+    keys, labels, runs = _draw_runs(config)
+    # Key-major: each key, then each trial's row for that key.
     states = seed_states(seeds, keys).reshape(
         len(seeds), len(keys), -1).swapaxes(0, 1)
-    bounds = np.cumsum([0] + [len(run.members) for run in runs]).tolist()
     scratch = _Scratch()
     groups = []
     for start in range(0, len(seeds), step):
         group = seeds[start:start + step]
         streams = [Stream(group, keys[i:j], states[i:j, start:start + step])
-                   for i, j in zip(bounds, bounds[1:])]
-        groups.append(_walk(config, streams, scratch, with_battery,
-                            return_trace))
+                   for _, i, j in runs]
+        groups.append(_walk(config, streams, runs, labels, scratch,
+                            with_battery, return_trace))
     return _joined(groups)
 
 
-def _walk(config: SimulationConfig, streams, scratch: _Scratch,
-          with_battery: bool, return_trace: bool) -> Trials:
+def _walk(config: SimulationConfig, streams, runs, labels,
+          scratch: _Scratch, with_battery: bool, return_trace: bool) -> Trials:
     """Trials side by side, walked through time in chunks of
     `CHUNK_SLOT_LINKS // (trials * links)` slots, at least one.
 
-    Each chunk draws the next slots from the trials' streams and passes
-    absolute slot numbers to the policies and the utility.  From chunk to
-    chunk the walk carries each node's battery levels, the last slots of
-    gains and powers that the delay lines read, the mismatch counts, and
-    the exact partial sums of each trial's utilities for both systems.
-    Only a trace keeps per-slot arrays."""
+    Each chunk draws the next slots from the trials' streams, one per
+    span of `runs` (see `_sample_chunk`), and passes absolute slot
+    numbers to the policies and the utility.  From chunk to chunk the
+    walk carries each node's battery levels, the last slots of gains and
+    powers that the delay lines read, the mismatch counts, and the exact
+    partial sums of each trial's utilities for both systems.  Only a
+    trace keeps per-slot arrays."""
     n, width, k = config.n_slots, len(config.links), streams[0].shape[-1]
     size = max(1, CHUNK_SLOT_LINKS // (k * width))
-    runs = _draw_runs(config)
     columns = _link_columns(config)
     nodes = [t.node for t in config.transmitters]
     depth = max(link.delay for link in config.links)
@@ -691,9 +664,10 @@ def _walk(config: SimulationConfig, streams, scratch: _Scratch,
         slots = scratch.take("slots", (k, m), int)
         slots[:] = np.arange(start + 1, stop + 1)
         slots = slots.ravel()
-        harvest, gains = _sample_chunk(config, streams, m, scratch, runs)
-        desired = _desired_matrix(config, slots, gains, columns,
-                                  scratch.take("desired", gains.shape))
+        harvest, gains, fadings = _sample_chunk(config, streams, m, scratch,
+                                                runs, labels)
+        # The requests overwrite the fading draws, copied into `gains`.
+        desired = _desired_matrix(config, slots, gains, columns, fadings)
         delayed_g, past_gains = _delayed(config, past_gains, gains)
         delayed_d, next_desired = _delayed(config, past_desired, desired)
         u_non_eh = u_eh = _utility(config, slots, delayed_d,

@@ -2,7 +2,7 @@
 
 Every random quantity in a run is drawn from its own stream, keyed by the
 run seed plus a small integer tuple naming what the draws are for (for
-example ``(0, node)`` for a node's harvest, ``(1, tx, rx)`` for a link's
+example ``(0, node, 0)`` for a node's harvest, ``(1, tx, rx)`` for a link's
 fading).  Streams with different keys are statistically independent and do
 not share state, so adding a node or link to a network never perturbs the
 draws seen by the others.  One `Stream` holds the streams of one key, or

@@ -898,10 +898,14 @@ def assert_draws_of_own_streams(cfg, seed, trace):
 def test_alternating_processes_draw_in_runs_equal_to_separate_streams(
         monkeypatch):
     cfg = alternating_network()
-    runs = simulator._draw_runs(cfg)
-    assert [(run.kind, len(run.members)) for run in runs] == [
-        ("harvest", 3), ("harvest", 3),
-        ("fading", 2), ("fading", 2), ("fading", 2), ("fading", 1)]
+    # Six harvest keys, then seven fading keys: no run crosses, since the
+    # last harvest mean is 0.5 and the first fading mean 1.
+    keys, _, runs = simulator._draw_runs(cfg)
+    assert [key[0] for key in keys] == [0] * 6 + [1] * 7
+    assert runs == [(ExponentialProcess(mean), start, stop)
+                    for mean, start, stop in [
+                        (1.0, 0, 3), (0.5, 3, 6), (1.0, 6, 8), (2.0, 8, 10),
+                        (1.0, 10, 12), (2.0, 12, 13)]]
     seeds = [30, 31, 32, 33]
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
     want = eh_and_reference(cfg, seeds)
@@ -932,6 +936,40 @@ def test_alternating_processes_draw_in_runs_equal_to_separate_streams(
         for seed, (_, trace) in zip(seeds * 2, got):
             assert_draws_of_own_streams(cfg, seed, trace)
         assert_same_runs(got, want)
+
+
+def test_a_run_crosses_from_the_harvests_into_the_fadings(monkeypatch):
+    # The node's harvest and its link's fading are both Exp(1): one run of
+    # two keys, drawn in one `sample` call per chunk.
+    cfg = single_link_config(n=50, capacity=2.0, initial_level=1.0)
+    keys, _, runs = simulator._draw_runs(cfg)
+    assert keys == ((0, 0, 0), (1, 0, 1))
+    assert runs == [(ExponentialProcess(1.0), 0, 2)]
+    calls = []
+    sample = ExponentialProcess.sample
+
+    def counting_sample(self, stream, n, out=None):
+        calls.append((stream.shape, n))
+        return sample(self, stream, n, out)
+
+    monkeypatch.setattr(ExponentialProcess, "sample", counting_sample)
+    seeds = [4, 5]
+    trials = run_eh(cfg, seeds=seeds, return_trace=True)
+    assert calls == [((2, 2), 50)]
+    monkeypatch.setattr(ExponentialProcess, "sample", sample)
+    assert any(summary.mismatch_union > 0.0 for summary, _ in trials)
+    for seed, (_, trace) in zip(seeds, trials):
+        assert_draws_of_own_streams(cfg, seed, trace)
+    # A bad fading in the run is named as the link's.
+    process = BadKey(1, -1.0)
+    cfg = replace(cfg, transmitters=(replace(cfg.transmitters[0],
+                                             harvest=process),),
+                  links=(replace(cfg.links[0], fading=process),))
+    with pytest.raises(NumericsError) as err:
+        run_eh(cfg)
+    assert str(err.value) == ("fading process for link 0->1 drew a negative "
+                              "or non-finite gain")
+    assert process.shapes == [(2, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +1023,86 @@ def test_runs_equal_the_slot_by_slot_reference_run(network, monkeypatch):
         monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
         check(run_eh(cfg, seeds=seeds))
     monkeypatch.setattr(simulator, "_walk", walk)
+
+
+class WeightedLinkSum:
+    """A utility over any link count: sum over columns c of
+    ``(c + 1) * p * g / (1 + p)``, by plain IEEE arithmetic, so that
+    swapping two columns or pairing a power with another slot's gain
+    changes it."""
+
+    num_links = None
+
+    def evaluate(self, slots, powers, gains):
+        total = np.zeros(len(slots))
+        for c in range(powers.shape[1]):
+            p = powers[:, c]
+            total += (c + 1) * (p * gains[:, c] / (1.0 + p))
+        return total
+
+
+# Few enough processes that neighbours often compare equal and draw as one
+# run, across the harvests and the fadings too.
+RANDOM_PROCESSES = [ExponentialProcess(0.5), ExponentialProcess(1.0),
+                    ExponentialProcess(2.0), ConstantProcess(0.0),
+                    ConstantProcess(1.0)]
+
+
+@st.composite
+def random_network(draw):
+    """A `SimulationConfig` of 1-4 transmitters with 1-3 links each,
+    delays of 0-3 slots, small or infinite buffers started anywhere in
+    them, and policies of every kind from `ehnet.policies`."""
+    n = draw(st.integers(1, 60))
+    process = st.sampled_from(RANDOM_PROCESSES)
+    power = st.sampled_from([0.0, 0.3, 1.0, 2.5])
+    transmitters, links = [], []
+    for node in draw(st.permutations(range(draw(st.integers(1, 4))))):
+        count = draw(st.integers(1, 3))
+        if count == 1:
+            policy = draw(st.one_of(
+                st.builds(ConstantPolicy, power),
+                st.builds(WaterfillPolicy,
+                          st.builds(AmplifierModel, st.sampled_from([1.0, 2.0]),
+                                    st.sampled_from([0.0, 0.2])),
+                          st.sampled_from([0.5, 1.0])),
+                st.builds(AlternatingRelayPolicy, st.integers(0, 1), power)))
+        else:
+            policy = draw(st.one_of(
+                st.builds(ConstantPolicy, power, st.just(count)),
+                st.builds(MaxGainBroadcastPolicy, st.sampled_from([0.3, 1.0]),
+                          st.just(count))))
+        capacity = draw(st.sampled_from([0.5, 1.0, 3.0, math.inf]))
+        level = draw(st.floats(0.0, min(capacity, 5.0)))
+        transmitters.append(TransmitterSpec(node, draw(process), policy,
+                                            capacity=capacity,
+                                            initial_level=level))
+        links += [LinkSpec(node, 10 + j, draw(process),
+                           delay=draw(st.integers(0, min(3, n))))
+                  for j in range(count)]
+    return SimulationConfig(n_slots=n, transmitters=tuple(transmitters),
+                            links=tuple(links), utility=WeightedLinkSum())
+
+
+@given(random_network(),
+       # 1-20 consecutive seeds: with a few single-link nodes side by side
+       # the lanes reach `VECTOR_LANES`.
+       st.builds(lambda first, count: list(range(first, first + count)),
+                 st.integers(0, 2 ** 32), st.integers(1, 20)),
+       st.sampled_from([1, 7, 333, 2 ** 15]))
+@settings(max_examples=60, deadline=None)
+def test_random_networks_equal_the_slot_by_slot_reference_run(cfg, seeds,
+                                                              budget):
+    with mock.patch.object(simulator, "CHUNK_SLOT_LINKS", budget):
+        got = run_eh(cfg, seeds=seeds)
+        got_non_eh = [run_non_eh(replace(cfg, seed=seed)) for seed in seeds]
+    want = [reference_run(cfg, seed) for seed in seeds]
+    assert list(got) == want
+    assert list(map(summary_bits, got)) == list(map(summary_bits, want))
+    want = [reference_run(cfg, seed, with_battery=False) for seed in seeds]
+    assert got_non_eh == want
+    assert (list(map(summary_bits, got_non_eh))
+            == list(map(summary_bits, want)))
 
 
 # A starved network, one that mixes node kinds, and a relay chain.
