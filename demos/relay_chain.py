@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from ehnet.battery import trajectory
 from ehnet.experiments import (
     build_config,
     default_spec,
@@ -14,6 +15,35 @@ from ehnet.experiments import (
     paired_gap,
 )
 from ehnet.simulator import run_eh
+from ehnet.stochastic import Stream
+
+
+def per_slot(cfg):
+    """Each node's harvests, the granted powers and the delivered rate, slot
+    by slot.  A run keeps only averages, but every node draws from its own
+    streams and steps its own battery, so the public pieces give the run's
+    per-slot values bit for bit."""
+    n = cfg.n_slots
+    slots = np.arange(1, n + 1)
+    gains = np.column_stack([
+        link.fading.sample(Stream(cfg.seed, (1, link.tx, link.rx)), n)
+        for link in cfg.links])
+    harvest, actual = {}, np.empty_like(gains)
+    for t in cfg.transmitters:
+        cols = [c for c, link in enumerate(cfg.links) if link.tx == t.node]
+        harvest[t.node] = t.harvest.sample(Stream(cfg.seed, (0, t.node, 0)), n)
+        desired = t.policy.desired_powers(slots, gains[:, cols])
+        actual[:, cols], _ = trajectory(desired, harvest[t.node],
+                                        capacity=t.capacity,
+                                        initial=t.initial_level)
+
+    def delayed(values):  # each hop's column as the utility reads it
+        return np.column_stack([
+            np.concatenate([np.zeros(link.delay), values[:n - link.delay, c]])
+            for c, link in enumerate(cfg.links)])
+
+    utility = cfg.utility.evaluate(slots, delayed(actual), delayed(gains))
+    return slots, harvest, actual, utility
 
 
 def schedule_picture():
@@ -21,17 +51,17 @@ def schedule_picture():
     spec = default_spec("fig6")
     pt = [q for q in grid_points(spec) if q.n == 100 and q.p_db == 10.0][0]
     cfg = build_config(spec, pt, seed=0)
-    _, trace = run_eh(cfg, return_trace=True)
+    slots, _, actual, utility = per_slot(cfg)
     show = 12
-    print("slot:        " + " ".join(f"{s:>2}" for s in trace.slots[:show]))
+    print("slot:        " + " ".join(f"{s:>2}" for s in slots[:show]))
     for col, link in enumerate(cfg.links):
-        marks = ["tx" if trace.actual[i, col] > 0 else " ." for i in range(show)]
+        marks = ["tx" if actual[i, col] > 0 else " ." for i in range(show)]
         print(f"hop {link.tx}->{link.rx}:   " + " ".join(f"{m:>2}" for m in marks))
-    marks = ["ok" if trace.utility[i] > 0 else " ." for i in range(show)]
+    marks = ["ok" if utility[i] > 0 else " ." for i in range(show)]
     print("delivered:   " + " ".join(f"{m:>2}" for m in marks))
     print("hops alternate parity, so adjacent slots never share a node;")
     print("deliveries land on even slots once the pipeline has filled.")
-    overlap = trace.actual[:-1] * trace.actual[1:]
+    overlap = actual[:-1] * actual[1:]
     print(f"adjacent-slot activity product, max over run: {np.max(overlap)}\n")
 
 
@@ -65,12 +95,13 @@ def absorbing_buffers_grow():
     spec = default_spec("fig6")
     pt = [q for q in grid_points(spec) if q.n == 10_000 and q.p_db == 10.0][0]
     cfg = build_config(spec, pt, seed=0)
-    summary, trace = run_eh(cfg, return_trace=True)
+    summary = run_eh(cfg)
+    _, harvest, actual, _ = per_slot(cfg)
     n = cfg.n_slots
     for t in cfg.transmitters:
         cols = [c for c, link in enumerate(cfg.links) if link.tx == t.node]
-        avg_in = math.fsum(trace.harvest[t.node].tolist()) / n
-        avg_out = math.fsum(trace.actual[:, cols].ravel().tolist()) / n
+        avg_in = math.fsum(harvest[t.node].tolist()) / n
+        avg_out = math.fsum(actual[:, cols].ravel().tolist()) / n
         drift = avg_in - avg_out
         print(f"  node {t.node}: avg in {avg_in:7.3f}, "
               f"avg out {avg_out:7.3f}, "

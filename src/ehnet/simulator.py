@@ -29,10 +29,11 @@ trials step together, one lane each with its own capacity.  A group walks
 through time in chunks, carrying battery levels, delay lines, running
 counts and exact partial sums of the utilities from one chunk to the
 next, so a call holds about `CHUNK_SLOT_LINKS` slot-links of per-slot
-arrays however long or wide its runs are.  Each trial's summary equals that of a run on its
-seed alone, bit for bit: each lane draws what its key's and seed's stream
-would alone, streams continue across chunks, the battery resumes from the
-levels it returned, and policies and utilities act slot by slot.
+arrays however long or wide its runs are, and no result keeps any.  Each
+trial's summary equals that of a run on its seed alone, bit for bit: each
+lane draws what its key's and seed's stream would alone, streams continue
+across chunks, the battery resumes from the levels it returned, and
+policies and utilities act slot by slot.
 
 An average over slots is the exact sum of its values, rounded once, as
 `math.fsum` over the whole run would give it (see `_ExactSums`); a sum past
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
@@ -59,7 +59,6 @@ __all__ = [
     "LinkSpec",
     "NumericsError",
     "RunSummary",
-    "RunTrace",
     "SimulationConfig",
     "TransmitterSpec",
     "Trials",
@@ -85,6 +84,11 @@ class ConfigError(ValueError):
 
 class NumericsError(RuntimeError):
     """A run produced non-finite or negative powers or utilities."""
+
+
+def _is_integer(value) -> bool:
+    """Whether `value` is an integer of any kind other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -125,9 +129,10 @@ class SimulationConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_slots < 1:
-            raise ConfigError(f"n_slots must be >= 1, got {self.n_slots}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _is_integer(self.n_slots) or self.n_slots < 1:
+            raise ConfigError(f"n_slots must be an integer >= 1, got "
+                              f"{self.n_slots!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got "
                               f"{self.seed!r}")
         nodes = [t.node for t in self.transmitters]
@@ -148,7 +153,7 @@ class SimulationConfig:
             seen.add((link.tx, link.rx))
             if link.tx not in nodes:
                 raise ConfigError(f"link transmitter {link.tx} has no spec")
-            if not isinstance(link.delay, numbers.Integral):
+            if not _is_integer(link.delay):
                 raise ConfigError(f"link {link.tx}->{link.rx} delay "
                                   f"{link.delay!r} is not an integer")
             if not 0 <= link.delay <= self.n_slots:
@@ -185,8 +190,7 @@ class RunSummary:
     every request is granted, on the same draws; for `run_non_eh` it equals
     `avg_utility`.  `mismatch_fraction` counts slots where a node's granted
     power differed from its requested power on any link; `mismatch_union`
-    counts slots where that happened anywhere in the network.  The
-    per-slot harvests, requests and grants are in the `RunTrace`.
+    counts slots where that happened anywhere in the network.
     """
 
     n_slots: int
@@ -197,21 +201,6 @@ class RunSummary:
     final_level: dict[int, float]
 
 
-@dataclass(frozen=True)
-class RunTrace:
-    """Full per-slot record, for tests and demos, and the only result that
-    holds whole-run arrays.  Arrays follow the config link order; `slots`
-    holds the 1-based slot numbers."""
-
-    slots: np.ndarray
-    harvest: dict[int, np.ndarray]
-    gains: np.ndarray
-    desired: np.ndarray
-    actual: np.ndarray
-    levels: dict[int, np.ndarray]
-    utility: np.ndarray
-
-
 class Trials(Sequence):
     """The results of one `run_eh` call on several seeds, kept as columns
     with one entry per seed, in seed order.
@@ -219,25 +208,19 @@ class Trials(Sequence):
     `avg_utility`, `non_eh_utility` and `mismatch_union` are (trials,)
     float arrays; `mismatch_fraction` and `final_level` are (trials, nodes)
     arrays whose columns follow `nodes`, the transmitters in config order.
-    `len`, indexing and iteration give each seed's result, built on
-    access: a `RunSummary`, or a ``(RunSummary, RunTrace)`` pair when the
-    call kept traces, equal bit for bit to the run on that seed alone."""
+    `len`, indexing and iteration give each seed's `RunSummary`, built on
+    access, equal bit for bit to the run on that seed alone."""
 
     __slots__ = ("n_slots", "nodes", "avg_utility", "non_eh_utility",
-                 "mismatch_fraction", "mismatch_union", "final_level",
-                 "_trace")
+                 "mismatch_fraction", "mismatch_union", "final_level")
 
     def __init__(self, n_slots: int, nodes: tuple[int, ...], avg_utility,
                  non_eh_utility, mismatch_fraction, mismatch_union,
-                 final_level, trace=None):
+                 final_level):
         self.n_slots, self.nodes = n_slots, nodes
         self.avg_utility, self.non_eh_utility = avg_utility, non_eh_utility
         self.mismatch_fraction = mismatch_fraction
         self.mismatch_union, self.final_level = mismatch_union, final_level
-        # None, or trial-major per-slot arrays: (trials, 3, n, links) gains,
-        # requests and grants; (trials, nodes, n) harvests and levels (None
-        # without a battery); (trials, n) utilities.
-        self._trace = trace
 
     def __len__(self) -> int:
         return len(self.avg_utility)
@@ -254,8 +237,8 @@ class Trials(Sequence):
     def __repr__(self) -> str:
         return f"Trials(n_slots={self.n_slots}, trials={len(self)})"
 
-    def _result(self, j: int):
-        summary = RunSummary(
+    def _result(self, j: int) -> RunSummary:
+        return RunSummary(
             n_slots=self.n_slots,
             avg_utility=float(self.avg_utility[j]),
             non_eh_utility=float(self.non_eh_utility[j]),
@@ -264,37 +247,16 @@ class Trials(Sequence):
             mismatch_union=float(self.mismatch_union[j]),
             final_level=dict(zip(self.nodes, self.final_level[j].tolist())),
         )
-        if self._trace is None:
-            return summary
-        kept, harvest, levels, utility = self._trace
-        return summary, RunTrace(
-            slots=np.arange(1, self.n_slots + 1),
-            harvest=dict(zip(self.nodes, harvest[j])),
-            gains=kept[j, 0],
-            desired=kept[j, 1],
-            actual=kept[j, 2],
-            levels={} if levels is None else dict(zip(self.nodes, levels[j])),
-            utility=utility[j],
-        )
 
 
 def _joined(parts: list[Trials]) -> Trials:
     """The trials of `parts`, one after another."""
-    if len(parts) == 1:
-        return parts[0]
-
-    def join(columns):
-        return None if columns[0] is None else np.concatenate(columns)
-
     first = parts[0]
-    trace = None
-    if first._trace is not None:
-        trace = tuple(map(join, zip(*(p._trace for p in parts))))
     return Trials(first.n_slots, first.nodes,
-                  *(join([getattr(p, name) for p in parts]) for name in (
-                      "avg_utility", "non_eh_utility", "mismatch_fraction",
-                      "mismatch_union", "final_level")),
-                  trace)
+                  *(np.concatenate([getattr(p, name) for p in parts])
+                    for name in ("avg_utility", "non_eh_utility",
+                                 "mismatch_fraction", "mismatch_union",
+                                 "final_level")))
 
 
 # Every finite float is an integer multiple of 2**-1074.
@@ -551,10 +513,9 @@ def _as_run(indices: list[int]):
 
 def _battery(config: SimulationConfig, desired, harvest, columns,
              levels: np.ndarray, actual: np.ndarray):
-    """Granted powers, written into `actual` (like `desired`), and each
-    node's (m, trials) levels after each slot of the chunk, by transmitter
-    position.  Node i's buffers start from ``levels[i]``, one level per
-    trial, which this sets to their levels after the chunk.
+    """Granted powers, written into `actual` (like `desired`).  Node i's
+    buffers, by transmitter position, start from ``levels[i]``, one level
+    per trial, which this sets to their levels after the chunk.
 
     All single-link nodes step in one `trajectory` call, one lane per
     trial per node, node-major, each lane with its node's capacity.  They
@@ -566,7 +527,6 @@ def _battery(config: SimulationConfig, desired, harvest, columns,
     m = len(desired) // k
     txs = config.transmitters
     ones = [i for i, t in enumerate(txs) if t.policy.num_links == 1]
-    after = [None] * len(txs)
     if ones:
         single = _as_run(ones)
         cols = _as_run([columns[i].start for i in ones])
@@ -579,34 +539,28 @@ def _battery(config: SimulationConfig, desired, harvest, columns,
         actual.reshape(k, m, -1)[:, :, cols] = (
             got.reshape(m, -1, k).transpose(2, 0, 1))
         levels[single] = lev[-1].reshape(-1, k)
-        for p, i in enumerate(ones):
-            after[i] = lev[:, p * k:(p + 1) * k]
     for i, (t, cols) in enumerate(zip(txs, columns)):
         if t.policy.num_links == 1:
             continue
-        lev = np.empty((m, k))
         for j in range(k):
             rows = slice(j * m, (j + 1) * m)
-            got, lev[:, j] = battery.trajectory(
-                desired[rows, cols],
-                harvest[i, j],
-                capacity=t.capacity,
-                initial=levels[i, j],
-            )
-            actual[rows, cols] = got
-        levels[i] = lev[-1]
-        after[i] = lev
-    return actual, after
+            actual[rows, cols], lev = battery.trajectory(
+                desired[rows, cols], harvest[i, j], capacity=t.capacity,
+                initial=levels[i, j])
+            levels[i, j] = lev[-1]
+    return actual
 
 
-def _run(config: SimulationConfig, seeds, with_battery: bool,
-         return_trace: bool) -> Trials:
+def _run(config: SimulationConfig, seeds, with_battery: bool) -> Trials:
     """Trials of `config`'s network, one per seed, each equal to a run on
     its seed alone.  `CHUNK_SLOT_LINKS // (n_slots * links)` trials, at
     least one, run side by side at a time (see `_walk`).  A seed that is
-    not an integer raises `TypeError`: none is rounded or parsed."""
+    not an integer, or is a bool, raises `TypeError`: none is rounded or
+    parsed."""
     config.validate()
-    seeds = list(map(operator.index, seeds))
+    seeds = list(seeds)
+    if not all(map(_is_integer, seeds)):
+        raise TypeError("every seed must be an integer other than a bool")
     if not seeds:
         raise ValueError("need at least one seed")
     step = max(1, CHUNK_SLOT_LINKS // (config.n_slots * len(config.links)))
@@ -621,12 +575,12 @@ def _run(config: SimulationConfig, seeds, with_battery: bool,
         streams = [Stream(group, keys[i:j], states[i:j, start:start + step])
                    for _, i, j in runs]
         groups.append(_walk(config, streams, runs, labels, scratch,
-                            with_battery, return_trace))
+                            with_battery))
     return _joined(groups)
 
 
 def _walk(config: SimulationConfig, streams, runs, labels,
-          scratch: _Scratch, with_battery: bool, return_trace: bool) -> Trials:
+          scratch: _Scratch, with_battery: bool) -> Trials:
     """Trials side by side, walked through time in chunks of
     `CHUNK_SLOT_LINKS // (trials * links)` slots, at least one.
 
@@ -635,8 +589,7 @@ def _walk(config: SimulationConfig, streams, runs, labels,
     numbers to the policies and the utility.  From chunk to chunk the
     walk carries each node's battery levels, the last slots of gains and
     powers that the delay lines read, the mismatch counts, and the exact
-    partial sums of each trial's utilities for both systems.  Only a
-    trace keeps per-slot arrays."""
+    partial sums of each trial's utilities for both systems."""
     n, width, k = config.n_slots, len(config.links), streams[0].shape[-1]
     size = max(1, CHUNK_SLOT_LINKS // (k * width))
     columns = _link_columns(config)
@@ -652,11 +605,6 @@ def _walk(config: SimulationConfig, streams, runs, labels,
     union = np.zeros(k, dtype=np.int64)
     non_eh_sums = _ExactSums(k)
     eh_sums = None  # while no grant has differed, the reference sums
-    if return_trace:
-        kept = np.empty((k, 3, n, width))  # gains, requests, grants
-        kept_harvest = np.empty((k, len(nodes), n))
-        kept_levels = np.empty((k, len(nodes), n))
-        kept_utility = np.empty((k, n))
 
     for start in range(0, n, size):
         stop = min(n, start + size)
@@ -672,11 +620,9 @@ def _walk(config: SimulationConfig, streams, runs, labels,
         delayed_d, next_desired = _delayed(config, past_desired, desired)
         u_non_eh = u_eh = _utility(config, slots, delayed_d,
                                    delayed_g).reshape(k, m)
-        actual, after = desired, []
         if with_battery:
-            actual, after = _battery(config, desired, harvest, columns,
-                                     levels,
-                                     scratch.take("actual", gains.shape))
+            actual = _battery(config, desired, harvest, columns, levels,
+                              scratch.take("actual", gains.shape))
             # min(level, request) grants the request exactly when it
             # fits, so bitwise inequality is the mismatch test.
             miss = np.not_equal(actual, desired,
@@ -704,39 +650,30 @@ def _walk(config: SimulationConfig, streams, runs, labels,
         if eh_sums is not None:
             eh_sums.add(u_eh, last=stop == n)
         past_desired = next_desired
-        if return_trace:
-            for i, values in enumerate((gains, desired, actual)):
-                kept[:, i, start:stop] = values.reshape(k, m, width)
-            kept_harvest[:, :, start:stop] = harvest.transpose(1, 0, 2)
-            for i, lev in enumerate(after):
-                kept_levels[:, i, start:stop] = lev.T
-            kept_utility[:, start:stop] = u_eh
 
     non_eh = non_eh_sums.means(n)
     eh = non_eh if eh_sums is None else eh_sums.means(n)
-    trace = None
-    if return_trace:
-        trace = (kept, kept_harvest, kept_levels if with_battery else None,
-                 kept_utility)
     return Trials(n, tuple(nodes), np.array(eh), np.array(non_eh),
-                  misses.T / n, union / n, levels.T, trace)
+                  misses.T / n, union / n, levels.T)
 
 
-def run_eh(config: SimulationConfig, *, seeds=None,
-           return_trace: bool = False):
+def run_eh(config: SimulationConfig, *, seeds=None):
     """Simulate with the battery in the loop.  Returns a `RunSummary`
-    (plus a `RunTrace` when `return_trace`) whose `non_eh_utility` is the
-    reference system's average on the same draws.
+    whose `non_eh_utility` is the reference system's average on the same
+    draws.
 
     With `seeds`, integers, runs one trial per seed on `config`'s network
     and returns their `Trials`, whose entry j equals
-    ``run_eh(replace(config, seed=seeds[j]))`` bit for bit."""
+    ``run_eh(replace(config, seed=seeds[j]))`` bit for bit.
+
+    A run keeps no per-slot arrays: a node's follow from its own streams,
+    policy and `battery.trajectory` (README, "Library")."""
     if seeds is None:
-        return _run(config, [config.seed], True, return_trace)[0]
-    return _run(config, seeds, True, return_trace)
+        return _run(config, [config.seed], True)[0]
+    return _run(config, seeds, True)
 
 
-def run_non_eh(config: SimulationConfig, *, return_trace: bool = False):
+def run_non_eh(config: SimulationConfig):
     """Simulate the reference system: same draws, every request granted,
     battery untouched."""
-    return _run(config, [config.seed], False, return_trace)[0]
+    return _run(config, [config.seed], False)[0]

@@ -42,6 +42,7 @@ from ehnet.simulator import (
 )
 from ehnet.stochastic import ExponentialProcess, expectation_quadrature, exponential_pdf
 from ehnet.utilities import BroadcastSumRateUtility, OutageUtility, rayleigh_bpsk_ber
+from walk_capture import capture
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -149,7 +150,7 @@ def test_criterion_1_conservation(capsys):
             utility=BroadcastSumRateUtility(len(links)),
             seed=int(rng.integers(0, 2 ** 31)),
         )
-        summary, trace = run_eh(cfg, return_trace=True)
+        summary, (trace,) = capture(run_eh, cfg)
         cols = {t.node: [] for t in txs}
         for col, link in enumerate(cfg.links):
             cols[link.tx].append(col)
@@ -258,7 +259,7 @@ def test_criterion_4_waterfilling_oracle(capsys, fig2_run):
         lambda g: math.log2(g / lam1), exponential_pdf(1.0), lower=lam1)
     point = one_point(spec, n=10_000, p_db=0.0)
     cfg = replace(build_config(spec, point, 12345), n_slots=1_000_000)
-    summary, trace = run_non_eh(cfg, return_trace=True)
+    summary, (trace,) = capture(run_non_eh, cfg)
     se = float(np.std(trace.utility, ddof=1)) / math.sqrt(len(trace.utility))
     z = abs(summary.avg_utility - rate_q) / se
 
@@ -315,7 +316,7 @@ def test_criterion_7_mac_ber(capsys, fig5_run):
     # single-sender reference run against the diversity closed form
     point = one_point(spec, n=10_000, p_db=0.0, m=1)
     cfg = replace(build_config(spec, point, 999), n_slots=1_000_000)
-    summary, trace = run_non_eh(cfg, return_trace=True)
+    summary, (trace,) = capture(run_non_eh, cfg)
     se = float(np.std(trace.utility, ddof=1)) / math.sqrt(len(trace.utility))
     closed = rayleigh_bpsk_ber(1.0, branches=1)
     z = abs(summary.avg_utility - closed) / se
@@ -353,13 +354,16 @@ def test_criterion_8_relay_chain(capsys, fig6_run):
         worst_gap = max(worst_gap, abs(r.u_mean - non.u_mean) / non.u_mean)
 
     # half-duplex invariant: adjacent slots never both carry power at a
-    # node, checked on the full trace of every trial of every grid point
+    # node, checked on every grant of every trial of every grid point, as
+    # the sweep runs them
     t0 = time.perf_counter()
     runs = violations = 0
     for point in grid_points(spec):
-        for trial in range(spec.trials):
-            cfg = build_config(spec, point, trial_seed(spec.seed, point.index, trial))
-            _, trace = run_eh(cfg, return_trace=True)
+        seeds = [trial_seed(spec.seed, point.index, trial)
+                 for trial in range(spec.trials)]
+        _, traces = capture(run_eh, build_config(spec, point, seeds[0]),
+                            seeds=seeds)
+        for trace in traces:
             runs += 1
             if np.any(trace.actual[:-1] * trace.actual[1:] != 0.0):
                 violations += 1

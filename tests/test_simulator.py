@@ -53,6 +53,7 @@ from oracles import (
     extract_many,
     reference_run,
 )
+from walk_capture import capture
 
 
 def single_link_config(n=100, power=1.0, harvest_mean=1.0, seed=0, **tx_kwargs):
@@ -82,6 +83,11 @@ def test_validation_catches_bad_configs():
 
     with pytest.raises(ConfigError):
         replace(good, n_slots=0).validate()
+    for n_slots in (50.0, True, "50"):  # not rounded, parsed or taken as 1
+        with pytest.raises(ConfigError) as err:
+            replace(good, n_slots=n_slots).validate()
+        assert str(err.value) == (f"n_slots must be an integer >= 1, got "
+                                  f"{n_slots!r}")
     with pytest.raises(ConfigError):
         replace(good, transmitters=good.transmitters * 2).validate()
     with pytest.raises(ConfigError):
@@ -124,6 +130,9 @@ def test_validation_wants_integer_delays():
     with pytest.raises(ConfigError) as err:
         replace(good, links=(replace(good.links[0], delay=1.5),)).validate()
     assert str(err.value) == "link 0->1 delay 1.5 is not an integer"
+    with pytest.raises(ConfigError) as err:
+        replace(good, links=(replace(good.links[0], delay=True),)).validate()
+    assert str(err.value) == "link 0->1 delay True is not an integer"
     replace(good, links=(replace(good.links[0], delay=np.int64(1)),)).validate()
 
 
@@ -147,9 +156,10 @@ def test_validation_wants_each_transmitters_links_together():
     replace(cfg, links=(link(0, 2), link(0, 3), link(1, 2))).validate()
 
 
-@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "3", None, -1],
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "3", None, -1,
+                                  True],
                          ids=["fraction", "float", "numpy_float", "string",
-                              "none", "negative"])
+                              "none", "negative", "bool"])
 def test_validation_wants_a_nonnegative_integer_seed(seed):
     cfg = replace(single_link_config(), seed=seed)
     with pytest.raises(ConfigError) as err:
@@ -161,11 +171,12 @@ def test_validation_wants_a_nonnegative_integer_seed(seed):
         replace(single_link_config(), seed=good).validate()
 
 
-@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "3", None],
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "3", None, True],
                          ids=["fraction", "float", "numpy_float", "string",
-                              "none"])
+                              "none", "bool"])
 def test_batch_seeds_that_are_not_integers_raise(seed):
-    # Seeds are never rounded or parsed: 1.5 is not seed 1, "3" not 3.
+    # Seeds are never rounded or parsed: 1.5 is not seed 1, "3" not 3,
+    # True not 1.
     cfg = single_link_config()
     with pytest.raises(TypeError):
         run_eh(cfg, seeds=[0, seed])
@@ -190,15 +201,15 @@ def test_same_seed_same_summary():
 
 
 def test_different_seed_different_draws():
-    _, ta = run_eh(single_link_config(n=500, seed=1), return_trace=True)
-    _, tb = run_eh(single_link_config(n=500, seed=2), return_trace=True)
+    _, (ta,) = capture(run_eh, single_link_config(n=500, seed=1))
+    _, (tb,) = capture(run_eh, single_link_config(n=500, seed=2))
     assert not np.array_equal(ta.gains, tb.gains)
     assert not np.array_equal(ta.harvest[0], tb.harvest[0])
 
 
 def test_adding_a_node_leaves_existing_draws_alone():
     base = single_link_config(n=300, seed=11)
-    _, t1 = run_eh(base, return_trace=True)
+    _, (t1,) = capture(run_eh, base)
 
     bigger = replace(
         base,
@@ -218,7 +229,7 @@ def test_adding_a_node_leaves_existing_draws_alone():
         def evaluate(self, slots, powers, gains):
             return powers.sum(axis=1)
     bigger = replace(bigger, utility=SumPower())
-    _, t2 = run_eh(bigger, return_trace=True)
+    _, (t2,) = capture(run_eh, bigger)
 
     assert np.array_equal(t1.harvest[0], t2.harvest[0])
     assert np.array_equal(t1.gains[:, 0], t2.gains[:, 0])
@@ -226,8 +237,8 @@ def test_adding_a_node_leaves_existing_draws_alone():
 
 def test_prefix_causality():
     # a longer horizon replays the same history slot for slot
-    _, short = run_eh(single_link_config(n=200, seed=3), return_trace=True)
-    _, long = run_eh(single_link_config(n=500, seed=3), return_trace=True)
+    _, (short,) = capture(run_eh, single_link_config(n=200, seed=3))
+    _, (long,) = capture(run_eh, single_link_config(n=500, seed=3))
     assert np.array_equal(short.harvest[0], long.harvest[0][:200])
     assert np.array_equal(short.gains, long.gains[:200])
     assert np.array_equal(short.actual, long.actual[:200])
@@ -241,7 +252,7 @@ def test_prefix_causality():
 
 def test_non_eh_grants_every_request():
     cfg = single_link_config(n=1000, power=5.0, harvest_mean=0.1, seed=5)
-    summary, trace = run_non_eh(cfg, return_trace=True)
+    summary, (trace,) = capture(run_non_eh, cfg)
     assert np.array_equal(trace.actual, trace.desired)
     assert summary.mismatch_fraction == {0: 0.0}
     assert summary.mismatch_union == 0.0
@@ -251,8 +262,8 @@ def test_non_eh_grants_every_request():
 
 def test_non_eh_shares_draws_with_eh():
     cfg = single_link_config(n=1000, seed=9)
-    _, te = run_eh(cfg, return_trace=True)
-    _, tn = run_non_eh(cfg, return_trace=True)
+    _, (te,) = capture(run_eh, cfg)
+    _, (tn,) = capture(run_non_eh, cfg)
     assert np.array_equal(te.harvest[0], tn.harvest[0])
     assert np.array_equal(te.gains, tn.gains)
     assert np.array_equal(te.desired, tn.desired)
@@ -260,7 +271,7 @@ def test_non_eh_shares_draws_with_eh():
 
 def test_eh_never_beats_requests_and_conserves_energy():
     cfg = single_link_config(n=5000, power=1.5, seed=13)
-    summary, trace = run_eh(cfg, return_trace=True)
+    summary, (trace,) = capture(run_eh, cfg)
     assert np.all(trace.actual <= trace.desired)
     banked = math.fsum(trace.harvest[0].tolist())
     spent = math.fsum(trace.actual.ravel().tolist())
@@ -274,7 +285,7 @@ def test_zero_harvest_cold_start_never_transmits():
         transmitters=(replace(cfg.transmitters[0],
                               harvest=ConstantProcess(0.0)),),
     )
-    summary, trace = run_eh(cfg, return_trace=True)
+    summary, (trace,) = capture(run_eh, cfg)
     assert np.all(trace.actual == 0.0)
     assert summary.mismatch_fraction[0] == 1.0  # every slot wants power
 
@@ -286,7 +297,7 @@ def test_capacity_clip_loses_energy():
         transmitters=(replace(cfg.transmitters[0],
                               policy=ConstantPolicy(0.0)),),
     )
-    summary, trace = run_eh(cfg, return_trace=True)
+    summary, (trace,) = capture(run_eh, cfg)
     banked = math.fsum(trace.harvest[0].tolist())
     assert summary.final_level[0] == 0.5
     assert banked > summary.final_level[0]  # overflow was discarded
@@ -337,7 +348,7 @@ def test_chain_worked_example_mismatch_bookkeeping():
 
 
 def test_chain_half_duplex_no_simultaneous_hops():
-    _, trace = run_eh(chain_config(40), return_trace=True)
+    _, (trace,) = capture(run_eh, chain_config(40))
     overlap = trace.actual[:, 0] * trace.actual[:, 1]
     assert np.all(overlap == 0.0)
 
@@ -366,8 +377,8 @@ def sweep_config(experiment, starved, group=None):
 @pytest.mark.parametrize("experiment", [f"fig{k}" for k in range(1, 7)])
 def test_run_eh_pairs_with_reference_run(experiment, starved):
     cfg = sweep_config(experiment, starved)
-    summary, trace = run_eh(cfg, return_trace=True)
-    ref_summary, ref_trace = run_non_eh(cfg, return_trace=True)
+    summary, (trace,) = capture(run_eh, cfg)
+    ref_summary, (ref_trace,) = capture(run_non_eh, cfg)
     assert (summary.mismatch_union > 0.0) == starved
     assert summary.non_eh_utility == ref_summary.avg_utility
     assert ref_summary.non_eh_utility == ref_summary.avg_utility
@@ -400,6 +411,13 @@ def trace_bits(trace):
     return [np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays]
 
 
+def traced(run, cfg, **kwargs):
+    """Each trial's summary with its walk's per-slot record, in seed
+    order."""
+    results, walks = capture(run, cfg, **kwargs)
+    return list(zip(results if "seeds" in kwargs else [results], walks))
+
+
 def group_size(cfg):
     """Trials `run_eh` runs side by side: as many as fit in
     `CHUNK_SLOT_LINKS` slot-links, at least one."""
@@ -418,11 +436,10 @@ def test_batched_trials_equal_separate_runs(experiment, starved, monkeypatch):
     # loop, and enough seeds for three groups
     for size in (1, 2, VECTOR_LANES + 1, 2 * step + 1):
         seeds = list(range(100, 100 + size))
-        results = run_eh(cfg, seeds=seeds, return_trace=True)
+        results = traced(run_eh, cfg, seeds=seeds)
         assert len(results) == size
         for seed, (summary, trace) in zip(seeds, results):
-            alone, alone_trace = run_eh(replace(cfg, seed=seed),
-                                        return_trace=True)
+            ((alone, alone_trace),) = traced(run_eh, replace(cfg, seed=seed))
             assert summary == alone
             assert summary_bits(summary) == summary_bits(alone)
             assert trace_bits(trace) == trace_bits(alone_trace)
@@ -477,9 +494,9 @@ def assert_same_runs(got, want):
 
 
 def eh_and_reference(cfg, seeds):
-    return list(run_eh(cfg, seeds=seeds, return_trace=True)) + [
-        run_non_eh(replace(cfg, seed=seed), return_trace=True)
-        for seed in seeds]
+    return traced(run_eh, cfg, seeds=seeds) + [
+        pair for seed in seeds
+        for pair in traced(run_non_eh, replace(cfg, seed=seed))]
 
 
 # Every bundled network, and a 4-hop chain whose delays of up to 3 slots
@@ -512,7 +529,7 @@ def test_lanes_resume_from_their_own_levels_across_chunks(monkeypatch):
     cfg = single_link_config(n=40, power=1.0, capacity=4.0, initial_level=4.0)
     seeds = list(range(2 * VECTOR_LANES))
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
-    want = run_eh(cfg, seeds=seeds, return_trace=True)
+    want = traced(run_eh, cfg, seeds=seeds)
     assert 0 < sum(s.mismatch_union > 0.0 for s, _ in want) < len(seeds)
     walk = simulator._walk
     for budget in (7, 333):
@@ -524,7 +541,7 @@ def test_lanes_resume_from_their_own_levels_across_chunks(monkeypatch):
                 monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
 
         monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
-        assert_same_runs(run_eh(cfg, seeds=seeds, return_trace=True), want)
+        assert_same_runs(traced(run_eh, cfg, seeds=seeds), want)
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +627,7 @@ def test_mixed_network_batched_equals_alone(trials, monkeypatch):
 
         monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
         monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
-        assert_same_runs(run_eh(cfg, seeds=seeds, return_trace=True),
-                         want[:trials])
+        assert_same_runs(traced(run_eh, cfg, seeds=seeds), want[:trials])
         monkeypatch.setattr(simulator, "_walk", walk)
 
 
@@ -715,10 +731,10 @@ def test_unbounded_level_that_overflows_resumes_in_the_next_chunk(
     # a few hundred slots; later chunks resume from inf.
     cfg = OVERFLOWING_RUN
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
-    want = run_eh(cfg, return_trace=True)
-    assert math.isinf(want[0].final_level[0])
+    want = traced(run_eh, cfg)
+    assert math.isinf(want[0][0].final_level[0])
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 7)
-    assert_same_runs([run_eh(cfg, return_trace=True)], [want])
+    assert_same_runs(traced(run_eh, cfg), want)
 
 
 def test_summary_of_an_overflowing_run_prints_and_compares():
@@ -760,7 +776,7 @@ def test_eight_hop_chain_grants_match_stepwise_primitives():
     spec = replace(default_spec("fig6"), p_in_db=(0.0,), n_slots=(300,),
                    b_max_ratio=(5.0,), group_size=(8,), initial_fill=0.0)
     cfg = build_config(spec, grid_points(spec)[0], seed=5)
-    summary, trace = run_eh(cfg, return_trace=True)
+    summary, (trace,) = capture(run_eh, cfg)
     assert summary.mismatch_union > 0.0
     for col, t in enumerate(cfg.transmitters):
         state = BatteryState(t.initial_level, t.capacity)
@@ -782,8 +798,9 @@ def test_broadcast_grants_match_stepwise_primitives():
     (t,) = cfg.transmitters
     with mock.patch.object(battery, "_single_link",
                            wraps=battery._single_link) as walk:
-        summary, trace = run_eh(cfg, return_trace=True)
+        run_eh(cfg)
     assert walk.call_count == 2
+    summary, (trace,) = capture(run_eh, cfg)
     assert summary.mismatch_union > 0.0
     assert (trace.levels[t.node] == t.capacity).any()
     state = BatteryState(t.initial_level, t.capacity)
@@ -793,6 +810,43 @@ def test_broadcast_grants_match_stepwise_primitives():
         assert np.array(got).tobytes() == trace.actual[i].tobytes()
         assert (np.float64(state.level).tobytes()
                 == trace.levels[t.node][i].tobytes())
+
+
+def per_node_recipe(cfg, t):
+    """README's per-node recipe: node `t`'s harvests, grants and levels
+    from its own streams, its policy and `battery.trajectory`."""
+    n = cfg.n_slots
+    links = [link for link in cfg.links if link.tx == t.node]
+    gains = np.column_stack([
+        link.fading.sample(stochastic.Stream(cfg.seed, (1, link.tx, link.rx)),
+                           n)
+        for link in links])
+    harvest = t.harvest.sample(stochastic.Stream(cfg.seed, (0, t.node, 0)), n)
+    desired = t.policy.desired_powers(np.arange(1, n + 1), gains)
+    actual, levels = battery.trajectory(desired, harvest, capacity=t.capacity,
+                                        initial=t.initial_level)
+    return harvest, actual, levels
+
+
+@pytest.mark.parametrize("experiment, group", [("fig4", 25), ("fig5", 5)])
+def test_per_node_recipe_equals_the_walk(experiment, group):
+    # Both start empty, so grants clip.  fig4's one node asks its 25 links
+    # in the multi-link branch, in chunks of 1310 and 190 slots; fig5's 5
+    # senders of both trials step as 10 lanes of one call.
+    spec = replace(default_spec(experiment), p_in_db=(5.0,), n_slots=(1500,),
+                   b_max_ratio=(5.0,), group_size=(group,), initial_fill=0.0)
+    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    seeds = [21, 22]
+    trials, walks = capture(run_eh, cfg, seeds=seeds)
+    assert all(summary.mismatch_union > 0.0 for summary in trials)
+    for seed, walk in zip(seeds, walks):
+        for t in cfg.transmitters:
+            cols = [c for c, link in enumerate(cfg.links) if link.tx == t.node]
+            harvest, actual, levels = per_node_recipe(replace(cfg, seed=seed),
+                                                      t)
+            assert harvest.tobytes() == walk.harvest[t.node].tobytes()
+            assert actual.tobytes() == walk.actual[:, cols].tobytes()
+            assert levels.tobytes() == walk.levels[t.node].tobytes()
 
 
 def test_walk_chunk_sizes_follow_the_budget(monkeypatch):
@@ -954,11 +1008,12 @@ def test_a_run_crosses_from_the_harvests_into_the_fadings(monkeypatch):
 
     monkeypatch.setattr(ExponentialProcess, "sample", counting_sample)
     seeds = [4, 5]
-    trials = run_eh(cfg, seeds=seeds, return_trace=True)
+    trials = run_eh(cfg, seeds=seeds)
     assert calls == [((2, 2), 50)]
     monkeypatch.setattr(ExponentialProcess, "sample", sample)
-    assert any(summary.mismatch_union > 0.0 for summary, _ in trials)
-    for seed, (_, trace) in zip(seeds, trials):
+    trials, traces = capture(run_eh, cfg, seeds=seeds)
+    assert any(summary.mismatch_union > 0.0 for summary in trials)
+    for seed, trace in zip(seeds, traces):
         assert_draws_of_own_streams(cfg, seed, trace)
     # A bad fading in the run is named as the link's.
     process = BadKey(1, -1.0)
@@ -1109,35 +1164,31 @@ def test_random_networks_equal_the_slot_by_slot_reference_run(cfg, seeds,
 TRIALS_NETWORKS = ["fig1-starved", "mixed", "fig6-4hops"]
 
 
-@pytest.mark.parametrize("return_trace", [False, True],
-                         ids=["summary", "trace"])
+@pytest.mark.parametrize("traces", [False, True], ids=["summary", "trace"])
 @pytest.mark.parametrize("network", TRIALS_NETWORKS)
-def test_trials_entry_j_is_the_run_on_seed_j(network, return_trace,
-                                            monkeypatch):
+def test_trials_entry_j_is_the_run_on_seed_j(network, traces, monkeypatch):
     # A budget of 2^10 slot-links splits the seeds into three groups, whose
-    # columns and traces `Trials` joins.
+    # columns `Trials` joins, and whose walks the trace case compares.
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 2 ** 10)
     cfg = REFERENCE_NETWORKS[network]()
     seeds = list(range(100, 100 + 2 * group_size(cfg) + 1))
-    trials = run_eh(cfg, seeds=seeds, return_trace=return_trace)
+    trials = run_eh(cfg, seeds=seeds)
     assert isinstance(trials, simulator.Trials) and len(trials) == len(seeds)
-    alone = [run_eh(replace(cfg, seed=seed), return_trace=return_trace)
-             for seed in seeds]
-    for j, want in enumerate(alone):
-        got = trials[j]
-        if return_trace:
-            (got, trace), (want, want_trace) = got, want
+    summaries = [run_eh(replace(cfg, seed=seed)) for seed in seeds]
+    if traces:
+        for (got, trace), seed in zip(traced(run_eh, cfg, seeds=seeds),
+                                      seeds):
+            ((want, want_trace),) = traced(run_eh, replace(cfg, seed=seed))
             assert trace_bits(trace) == trace_bits(want_trace)
+            assert summary_bits(got) == summary_bits(want)
+    for j, want in enumerate(summaries):
+        got = trials[j]
         assert got == want
         assert summary_bits(got) == summary_bits(want)
     # Iteration, negative indices and slices give the same summaries.
-    def summary(result):
-        return result[0] if return_trace else result
-
-    summaries = list(map(summary, alone))
-    assert list(map(summary, trials)) == summaries
-    assert summary(trials[-1]) == summaries[-1]
-    assert list(map(summary, trials[1:4])) == summaries[1:4]
+    assert list(trials) == summaries
+    assert trials[-1] == summaries[-1]
+    assert trials[1:4] == summaries[1:4]
     with pytest.raises(IndexError):
         trials[len(seeds)]
     # The columns are the summaries' fields, per node in config order.
@@ -1378,7 +1429,7 @@ def test_utility_that_returns_a_view_sums_what_it_returned():
                    group_size=(25,))
     cfg = replace(build_config(spec, grid_points(spec)[0], seed=3),
                   utility=FirstGain())
-    summary, trace = run_eh(cfg, return_trace=True)
+    summary, (trace,) = capture(run_eh, cfg)
     want = math.fsum(trace.gains[:, 0].tolist()) / 5000
     assert summary.avg_utility == summary.non_eh_utility == want
     assert math.fsum(trace.utility.tolist()) / 5000 == want
@@ -1400,7 +1451,7 @@ def test_utilities_near_the_float_maximum_average_exactly(monkeypatch):
     cfg = replace(single_link_config(n=401, power=1.0, harvest_mean=0.5),
                   utility=SlotUtility(1.5e308, -1.5e308))
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 7)
-    summary, trace = run_eh(cfg, return_trace=True)
+    summary, (trace,) = capture(run_eh, cfg)
     assert summary.mismatch_union > 0.0
     assert summary.avg_utility == math.fsum(trace.utility.tolist()) / 401
     assert summary.avg_utility == summary.non_eh_utility == 1.5e308 / 401
