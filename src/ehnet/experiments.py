@@ -58,6 +58,7 @@ from .stochastic import (
     ExponentialProcess,
     expectation_quadrature,
     exponential_pdf,
+    is_integer,
     load_compiled,
     max_exponential_pdf,
     seed_states,
@@ -131,7 +132,7 @@ def _as_int(value, name: str) -> int:
     strings are not."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -222,20 +223,7 @@ def validate_spec(spec: SweepSpec) -> None:
                 )
     if any(m < 1 for m in spec.group_size):
         raise ConfigError("group_size values must be >= 1")
-    if spec.experiment == "fig6":
-        for m in spec.group_size:
-            if m < 2 or m % 2:
-                raise ConfigError(
-                    "fig6 group_size is the hop count and must be even and "
-                    ">= 2: the chain forwards on alternating slot parity, so "
-                    "an odd hop count never delivers in an even slot"
-                )
-        shortest, hops = min(spec.n_slots), max(spec.group_size)
-        if shortest < hops - 1:
-            raise ConfigError(
-                f"fig6 n_slots {shortest} is shorter than the first hop's "
-                f"delay {hops - 1} at group_size {hops}: n_slots must be "
-                ">= group_size - 1")
+    experiment.check(spec)
     if spec.trials < 1:
         raise ConfigError("trials must be >= 1")
     if spec.seed < 0:
@@ -436,6 +424,22 @@ def _relay_network(spec, point, p, node):
     return txs, links, ChainRateUtility(hops)
 
 
+def _relay_check(spec):
+    for m in spec.group_size:
+        if m < 2 or m % 2:
+            raise ConfigError(
+                "fig6 group_size is the hop count and must be even and "
+                ">= 2: the chain forwards on alternating slot parity, so "
+                "an odd hop count never delivers in an even slot"
+            )
+    shortest, hops = min(spec.n_slots), max(spec.group_size)
+    if shortest < hops - 1:
+        raise ConfigError(
+            f"fig6 n_slots {shortest} is shorter than the first hop's "
+            f"delay {hops - 1} at group_size {hops}: n_slots must be "
+            ">= group_size - 1")
+
+
 def _relay_baseline(spec, point, p):
     return _relay_reference(spec, point.p_db, point.m)
 
@@ -454,7 +458,8 @@ class Experiment:
     values by quadrature, the ufuncs (``scipy.special._special_ufuncs``)
     for the BER's `erfc`.  `validate_spec` loads them with
     `stochastic.load_compiled`, as `import ehnet` loads none; neither
-    ``scipy.integrate`` nor ``scipy.special`` is imported.
+    ``scipy.integrate`` nor ``scipy.special`` is imported.  `check(spec)`
+    raises `ConfigError` for grids that only this experiment cannot run.
     """
 
     title: str
@@ -463,6 +468,7 @@ class Experiment:
     network: Callable
     baseline: Callable
     modules: tuple[str, ...]
+    check: Callable = lambda spec: None
 
 
 EXPERIMENTS = {
@@ -524,6 +530,7 @@ EXPERIMENTS = {
         network=_relay_network,
         baseline=_relay_baseline,
         modules=(),
+        check=_relay_check,
     ),
 }
 

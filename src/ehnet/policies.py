@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stochastic import expectation_quadrature
+from .stochastic import expectation_quadrature, is_integer
 
 __all__ = [
     "AlternatingRelayPolicy",
@@ -123,8 +123,9 @@ class MaxGainBroadcastPolicy:
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if self.num_links < 1:
-            raise ValueError("need at least one receiver")
+        if not (is_integer(self.num_links) and self.num_links >= 1):
+            raise ValueError(f"num_links must be an integer >= 1, got "
+                             f"{self.num_links!r}")
 
     def request(self, g):
         """``1/lam - 1/g``, for floats or arrays."""
@@ -156,8 +157,9 @@ class AlternatingRelayPolicy:
     num_links = 1
 
     def __post_init__(self) -> None:
-        if self.node_parity not in (0, 1):
-            raise ValueError("node_parity must be 0 or 1")
+        if not (is_integer(self.node_parity) and self.node_parity in (0, 1)):
+            raise ValueError(f"node_parity must be 0 or 1, got "
+                             f"{self.node_parity!r}")
         if not (self.active_power >= 0.0 and math.isfinite(self.active_power)):
             raise ValueError(
                 f"active_power must be finite and >= 0, got {self.active_power}"

@@ -44,7 +44,6 @@ including ones where the utility is structurally zero.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
@@ -52,7 +51,7 @@ from itertools import groupby
 import numpy as np
 
 from . import battery
-from .stochastic import Stream, seed_states
+from .stochastic import Stream, is_integer, seed_states
 
 __all__ = [
     "ConfigError",
@@ -84,11 +83,6 @@ class ConfigError(ValueError):
 
 class NumericsError(RuntimeError):
     """A run produced non-finite or negative powers or utilities."""
-
-
-def _is_integer(value) -> bool:
-    """Whether `value` is an integer of any kind other than a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -129,10 +123,10 @@ class SimulationConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not _is_integer(self.n_slots) or self.n_slots < 1:
+        if not is_integer(self.n_slots) or self.n_slots < 1:
             raise ConfigError(f"n_slots must be an integer >= 1, got "
                               f"{self.n_slots!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got "
                               f"{self.seed!r}")
         nodes = [t.node for t in self.transmitters]
@@ -153,7 +147,7 @@ class SimulationConfig:
             seen.add((link.tx, link.rx))
             if link.tx not in nodes:
                 raise ConfigError(f"link transmitter {link.tx} has no spec")
-            if not _is_integer(link.delay):
+            if not is_integer(link.delay):
                 raise ConfigError(f"link {link.tx}->{link.rx} delay "
                                   f"{link.delay!r} is not an integer")
             if not 0 <= link.delay <= self.n_slots:
@@ -165,9 +159,13 @@ class SimulationConfig:
             count = sum(1 for link in self.links if link.tx == t.node)
             if count == 0:
                 raise ConfigError(f"transmitter {t.node} has no links")
-            if t.policy.num_links != count:
+            drives = t.policy.num_links
+            if not is_integer(drives):
+                raise ConfigError(f"node {t.node} policy num_links "
+                                  f"{drives!r} is not an integer")
+            if drives != count:
                 raise ConfigError(
-                    f"node {t.node} policy drives {t.policy.num_links} links, "
+                    f"node {t.node} policy drives {drives} links, "
                     f"topology has {count}"
                 )
             try:
@@ -559,7 +557,7 @@ def _run(config: SimulationConfig, seeds, with_battery: bool) -> Trials:
     parsed."""
     config.validate()
     seeds = list(seeds)
-    if not all(map(_is_integer, seeds)):
+    if not all(map(is_integer, seeds)):
         raise TypeError("every seed must be an integer other than a bool")
     if not seeds:
         raise ValueError("need at least one seed")

@@ -64,6 +64,7 @@ __all__ = [
     "Stream",
     "expectation_quadrature",
     "exponential_pdf",
+    "is_integer",
     "load_compiled",
     "max_exponential_pdf",
     "seed_states",
@@ -75,6 +76,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+
+
+def is_integer(value) -> bool:
+    """Whether `value` is an integer, numpy's too, other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _word_matrix(values) -> tuple[np.ndarray, np.ndarray]:
@@ -255,14 +261,13 @@ class Stream:
     beforehand with other streams' rows; its shape is ``shape + (4,)``."""
 
     def __init__(self, seed, key, state=None):
-        if isinstance(seed, numbers.Integral):
-            self.seed = int(seed)
-            self.shape = ()
-            seeds = [self.seed]
-        else:
-            self.seed = tuple(map(operator.index, seed))
-            self.shape = (len(self.seed),)
-            seeds = self.seed
+        scalar = isinstance(seed, numbers.Integral)
+        seeds = [seed] if scalar else list(seed)
+        if any(isinstance(s, bool) for s in seeds):
+            raise ValueError(f"seed must not be a bool, got {seed!r}")
+        seeds = list(map(operator.index, seeds))
+        self.seed = seeds[0] if scalar else tuple(seeds)
+        self.shape = () if scalar else (len(seeds),)
         key = tuple(key)
         if key and not isinstance(key[0], numbers.Integral):
             self.key = tuple(tuple(map(int, part)) for part in key)
@@ -315,8 +320,9 @@ class ExponentialProcess:
     mean: float
 
     def __post_init__(self) -> None:
-        if not (self.mean > 0.0 and math.isfinite(self.mean)):
-            raise ValueError(f"mean must be finite and > 0, got {self.mean}")
+        if isinstance(self.mean, bool) or not (
+                self.mean > 0.0 and math.isfinite(self.mean)):
+            raise ValueError(f"mean must be a finite number > 0, got {self.mean!r}")
 
     def sample(self, stream: Stream, n: int,
                out: np.ndarray | None = None) -> np.ndarray:
@@ -382,9 +388,9 @@ def max_exponential_pdf(mean: float, count: int) -> Callable[[float], float]:
     """Density of the maximum of `count` i.i.d. exponentials."""
     if not (mean > 0.0 and math.isfinite(mean)):
         raise ValueError(f"mean must be finite and > 0, got {mean}")
+    if not (is_integer(count) and count >= 1):
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     count = int(count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
 
     def pdf(g: float) -> float:
         if g < 0.0:

@@ -44,7 +44,9 @@ from ehnet.stochastic import ConstantProcess, ExponentialProcess
 from ehnet.utilities import (
     BroadcastSumRateUtility,
     ChainRateUtility,
+    MacBpskBerUtility,
     OutageUtility,
+    rayleigh_bpsk_ber,
 )
 from oracles import (
     BatteryState,
@@ -183,6 +185,47 @@ def test_batch_seeds_that_are_not_integers_raise(seed):
     want = [run_eh(replace(cfg, seed=s)) for s in (0, 1, 2)]
     assert list(run_eh(cfg, seeds=np.arange(3))) == want
     assert list(run_eh(cfg, seeds=range(3))) == want
+
+
+def _run_with_policy_links(num_links):
+    cfg = single_link_config(n=10)
+    tx = replace(cfg.transmitters[0],
+                 policy=ConstantPolicy(1.0, num_links=num_links))
+    return run_eh(replace(cfg, transmitters=(tx,)))
+
+
+@pytest.mark.parametrize("build, bad, field, error", [
+    (lambda v: stochastic.Stream(v, (0, 0, 0)), True, "seed", ValueError),
+    (lambda v: stochastic.Stream([v, 2], (0, 0, 0)), True, "seed",
+     ValueError),
+    (ExponentialProcess, True, "mean", ValueError),
+    (lambda v: AlternatingRelayPolicy(node_parity=v, active_power=1.0), True,
+     "node_parity", ValueError),
+    (lambda v: MaxGainBroadcastPolicy(1.0, num_links=v), True, "num_links",
+     ValueError),
+    (BroadcastSumRateUtility, True, "num_links", ValueError),
+    (MacBpskBerUtility, True, "num_links", ValueError),
+    (ChainRateUtility, 2.5, "num_links", ValueError),
+    (lambda v: stochastic.max_exponential_pdf(1.0, v), 2.5, "count",
+     ValueError),
+    (lambda v: rayleigh_bpsk_ber(1.0, v), 2.5, "branches", ValueError),
+    (OutageUtility, math.nan, "rate_threshold", ValueError),
+    (OutageUtility, -1.0, "rate_threshold", ValueError),
+    (OutageUtility, math.inf, "rate_threshold", ValueError),
+    (_run_with_policy_links, True, "num_links", ConfigError),
+    (_run_with_policy_links, 1.0, "num_links", ConfigError),
+], ids=["stream_seed", "stream_seeds", "exponential_mean", "relay_parity",
+        "broadcast_policy_links", "broadcast_utility_links",
+        "mac_utility_links", "chain_utility_links", "max_pdf_count",
+        "ber_branches", "outage_nan", "outage_negative", "outage_inf",
+        "policy_links_bool", "policy_links_float"])
+def test_model_fields_refuse_bools_and_fractions(build, bad, field, error):
+    # A bool is not taken as 0 or 1, a fraction is not truncated, and the
+    # one-line message names the field; numpy's integers are integers.
+    with pytest.raises(error) as err:
+        build(bad)
+    assert field in str(err.value) and "\n" not in str(err.value)
+    build(np.int64(1))
 
 
 def test_run_rejects_invalid_config_before_sampling():

@@ -1,4 +1,7 @@
-"""Unit tests for per-slot link metrics and their closed-form references."""
+"""Unit tests for the per-slot utilities and their closed-form references.
+
+Each utility is checked through `evaluate(slots, powers, gains)`, with
+(slots, links) arrays as the simulator passes them."""
 
 import math
 
@@ -10,21 +13,23 @@ from hypothesis import strategies as st
 from ehnet.policies import AmplifierModel
 from ehnet.stochastic import expectation_quadrature
 from ehnet.utilities import (
+    AmplifierRateUtility,
     BroadcastSumRateUtility,
     ChainRateUtility,
+    MacBpskBerUtility,
     OutageUtility,
-    amplifier_rate,
-    broadcast_sum_rate,
-    chain_rate,
-    mac_bpsk_ber,
-    outage_indicator,
     qfunc,
     rayleigh_bpsk_ber,
 )
 
 
+def column(values):
+    """`values` as the one link column of a single-link utility."""
+    return np.asarray(values, dtype=float).reshape(-1, 1)
+
+
 # ---------------------------------------------------------------------------
-# scalar building blocks
+# Q function, outage, amplifier, broadcast and multi-access utilities
 
 
 def test_qfunc_reference_values():
@@ -37,40 +42,51 @@ def test_qfunc_reference_values():
 
 def test_outage_strict_below_threshold():
     # product 1.0 gives rate exactly 1.0: meeting the threshold is success
-    out = outage_indicator(np.array([1.0, 0.999, 2.0]), np.ones(3), 1.0)
+    out = OutageUtility(1.0).evaluate(
+        np.array([1, 2, 3]), column([1.0, 0.999, 2.0]), column(np.ones(3)))
     assert out.tolist() == [0.0, 1.0, 0.0]
+    out = OutageUtility(1.0).evaluate(np.array([2, 3]), column([1.0, 0.5]),
+                                      column([1.0, 1.0]))
+    assert out.tolist() == [0.0, 1.0]
 
 
 def test_outage_zero_power_is_always_out():
-    assert outage_indicator(np.zeros(2), np.array([5.0, 1e9]), 0.5).tolist() == [
-        1.0, 1.0]
+    out = OutageUtility(0.5).evaluate(np.array([1, 2]), column(np.zeros(2)),
+                                      column([5.0, 1e9]))
+    assert out.tolist() == [1.0, 1.0]
 
 
 def test_amplifier_rate_worked_example():
     amp = AmplifierModel(epsilon=3.0, circuit_power=0.5)
     # (2 - 0.5) * 2 / 3 = 1 -> log2(2) = 1
-    assert float(amplifier_rate(2.0, 2.0, amp)) == pytest.approx(1.0, rel=1e-15)
+    val = AmplifierRateUtility(amp).evaluate(np.array([1]), column([2.0]),
+                                             column([2.0]))
+    assert float(val[0]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_amplifier_rate_zero_at_or_below_circuit_draw():
     amp = AmplifierModel(epsilon=1.0, circuit_power=0.5)
-    rates = amplifier_rate(np.array([0.0, 0.25, 0.5]), np.full(3, 7.0), amp)
+    rates = AmplifierRateUtility(amp).evaluate(
+        np.array([1, 2, 3]), column([0.0, 0.25, 0.5]), column(np.full(3, 7.0)))
     assert rates.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_broadcast_sum_rate_worked_example():
-    val = broadcast_sum_rate(np.array([[1.0, 2.0]]), np.array([[3.0, 0.5]]))
+    val = BroadcastSumRateUtility(2).evaluate(
+        np.array([1]), np.array([[1.0, 2.0]]), np.array([[3.0, 0.5]]))
     assert float(val[0]) == pytest.approx(math.log2(5.0), rel=1e-15)
 
 
 def test_mac_ber_worked_example():
     # 2 * (2*1 + 2*1) = 8
-    val = mac_bpsk_ber(np.array([[2.0, 2.0]]), np.array([[1.0, 1.0]]))
+    val = MacBpskBerUtility(2).evaluate(
+        np.array([1]), np.array([[2.0, 2.0]]), np.array([[1.0, 1.0]]))
     assert float(val[0]) == pytest.approx(0.002338867490523633, rel=1e-14)
 
 
 def test_mac_ber_with_no_power_is_half():
-    val = mac_bpsk_ber(np.zeros((1, 3)), np.ones((1, 3)))
+    val = MacBpskBerUtility(3).evaluate(np.array([1]), np.zeros((1, 3)),
+                                        np.ones((1, 3)))
     assert float(val[0]) == 0.5
 
 
@@ -80,38 +96,37 @@ def test_mac_ber_with_no_power_is_half():
 
 def test_chain_rate_worked_example():
     # two hops at p*g = 10 each: (1.1^2 - 1)^-1 = 100/21
-    val = chain_rate(np.array([[10.0, 10.0]]), np.ones((1, 2)),
-                     np.array([4]), num_nodes=3)
+    val = ChainRateUtility(2).evaluate(
+        np.array([4]), np.array([[10.0, 10.0]]), np.ones((1, 2)))
     assert float(val[0]) == pytest.approx(2.5265458144958344, rel=1e-14)
     assert float(val[0]) == pytest.approx(math.log2(1.0 + 100.0 / 21.0), rel=1e-15)
 
 
 def test_chain_rate_zero_on_odd_slots():
-    val = chain_rate(np.array([[10.0, 10.0]]), np.ones((1, 2)),
-                     np.array([5]), num_nodes=3)
+    val = ChainRateUtility(2).evaluate(
+        np.array([5]), np.array([[10.0, 10.0]]), np.ones((1, 2)))
     assert float(val[0]) == 0.0
 
 
 def test_chain_rate_zero_before_pipeline_fills():
     # a 4-node chain cannot deliver before slot 3; slot 2 is even but too early
-    val = chain_rate(np.full((1, 3), 10.0), np.ones((1, 3)),
-                     np.array([2]), num_nodes=4)
+    chain = ChainRateUtility(3)
+    val = chain.evaluate(np.array([2]), np.full((1, 3), 10.0), np.ones((1, 3)))
     assert float(val[0]) == 0.0
-    val = chain_rate(np.full((1, 3), 10.0), np.ones((1, 3)),
-                     np.array([4]), num_nodes=4)
+    val = chain.evaluate(np.array([4]), np.full((1, 3), 10.0), np.ones((1, 3)))
     assert float(val[0]) > 0.0
 
 
 def test_chain_rate_dead_hop_kills_slot():
-    val = chain_rate(np.array([[10.0, 0.0]]), np.ones((1, 2)),
-                     np.array([4]), num_nodes=3)
+    val = ChainRateUtility(2).evaluate(
+        np.array([4]), np.array([[10.0, 0.0]]), np.ones((1, 2)))
     assert float(val[0]) == 0.0
 
 
 def test_chain_rate_single_hop_reduces_to_direct_link():
     # one hop, 2 nodes: equivalent snr is just p*g
-    val = chain_rate(np.array([[3.0]]), np.array([[2.0]]),
-                     np.array([2]), num_nodes=2)
+    val = ChainRateUtility(1).evaluate(
+        np.array([2]), np.array([[3.0]]), np.array([[2.0]]))
     assert float(val[0]) == pytest.approx(math.log2(7.0), rel=1e-14)
 
 
@@ -125,7 +140,7 @@ def test_chain_rate_bounded_by_weakest_hop(ps, gs):
     k = min(len(ps), len(gs))
     p = np.array([ps[:k]])
     g = np.array([gs[:k]])
-    val = float(chain_rate(p, g, np.array([2 * k]), num_nodes=k + 1)[0])
+    val = float(ChainRateUtility(k).evaluate(np.array([2 * k]), p, g)[0])
     cap = math.log2(1.0 + float(np.min(p * g)))
     assert val <= cap + 1e-12
 
@@ -166,21 +181,11 @@ def test_rayleigh_ber_validation():
 
 
 # ---------------------------------------------------------------------------
-# simulator-facing wrappers
+# link counts
 
 
 def test_wrapper_arity():
     assert BroadcastSumRateUtility(4).num_links == 4
+    assert MacBpskBerUtility(3).num_links == 3
     assert ChainRateUtility(2).num_links == 2
-
-
-def test_wrappers_delegate_to_functions():
-    slots = np.array([2, 3])
-    powers = np.array([[1.0], [0.5]])
-    gains = np.array([[1.0], [1.0]])
-    out = OutageUtility(1.0).evaluate(slots, powers, gains)
-    assert out.tolist() == [0.0, 1.0]
-
-    chain = ChainRateUtility(2).evaluate(
-        np.array([4]), np.array([[10.0, 10.0]]), np.ones((1, 2)))
-    assert float(chain[0]) == pytest.approx(2.5265458144958344, rel=1e-14)
+    assert OutageUtility(1.0).num_links == 1
