@@ -61,7 +61,7 @@ def check_start(levels, capacity) -> None:
         raise ValueError(f"battery level {level} exceeds capacity {capacity}")
 
 
-def _finite_nonnegative(x: np.ndarray) -> bool:
+def finite_nonnegative(x: np.ndarray) -> bool:
     """Whether every value of `x` is finite and >= 0: one `min` and one
     `max`, since NaN fails both comparisons; an empty `x` passes."""
     return x.size == 0 or bool(x.min() >= 0.0 and x.max() < np.inf)
@@ -147,10 +147,9 @@ def trajectory(
         raise ValueError(
             f"harvested shape {harvested.shape} does not match {expected}"
         )
-    if not _finite_nonnegative(rows):
-        raise ValueError("desired powers must be finite and >= 0")
-    if not _finite_nonnegative(harvested):
-        raise ValueError("harvested powers must be finite and >= 0")
+    for role, powers in (("desired", rows), ("harvested", harvested)):
+        if not finite_nonnegative(powers):
+            raise ValueError(f"{role} powers must be finite and >= 0")
     start = np.asarray(initial, dtype=float) + 0.0  # -0.0 becomes +0.0
     per_lane = rows.shape[1:] if lanes else ()
     for name, value in (("initial", start), ("capacity", capacity)):

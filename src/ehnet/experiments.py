@@ -56,6 +56,8 @@ from .simulator import (
 from .stochastic import (
     LARGEST_EXPONENTIAL_DRAW,
     ExponentialProcess,
+    check_count,
+    check_real,
     expectation_quadrature,
     exponential_pdf,
     is_integer,
@@ -201,11 +203,11 @@ def validate_spec(spec: SweepSpec) -> None:
     (`Experiment.modules`), so that their load time falls before the
     sweep."""
     experiment = _experiment(spec.experiment)
-    if any(n < 1 for n in spec.n_slots):
-        raise ConfigError("n_slots values must be >= 1")
+    for n in spec.n_slots:
+        check_count("n_slots", n, error=ConfigError)
     for r in spec.b_max_ratio:
-        if r is not None and not (r > 0.0 and math.isfinite(r)):
-            raise ConfigError("b_max_ratio values must be > 0 or null")
+        if r is not None:
+            check_real("b_max_ratio", r, strict=True, error=ConfigError)
     for p_db in spec.p_in_db:
         p = _linear_power(p_db, "p_in_db")
         # The harvest is the largest power of every network: the constant
@@ -221,19 +223,17 @@ def validate_spec(spec: SweepSpec) -> None:
                     f"battery capacity b_max_ratio x power = {r!r} x {p!r} "
                     "is not positive and finite"
                 )
-    if any(m < 1 for m in spec.group_size):
-        raise ConfigError("group_size values must be >= 1")
+    for m in spec.group_size:
+        check_count("group_size", m, error=ConfigError)
     experiment.check(spec)
-    if spec.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if spec.seed < 0:
-        raise ConfigError("seed must be >= 0")
+    check_count("trials", spec.trials, error=ConfigError)
+    check_count("seed", spec.seed, 0, error=ConfigError)
     if not 0.0 <= spec.initial_fill <= 1.0:
         raise ConfigError("initial_fill must be in [0, 1]")
-    if not spec.rate_threshold > 0.0:
-        raise ConfigError("rate_threshold must be > 0")
-    if not spec.amplifier_epsilon >= 1.0:
-        raise ConfigError("amplifier_epsilon must be >= 1")
+    check_real("rate_threshold", spec.rate_threshold, strict=True,
+               error=ConfigError)
+    check_real("amplifier_epsilon", spec.amplifier_epsilon, 1.0,
+               error=ConfigError)
     if spec.circuit_power_db is not None:
         _linear_power(spec.circuit_power_db, "circuit_power_db")
     for name in experiment.modules:

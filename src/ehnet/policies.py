@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .stochastic import expectation_quadrature, is_integer
+from .stochastic import (check_count, check_real, expectation_quadrature,
+                         is_integer)
 
 __all__ = [
     "AlternatingRelayPolicy",
@@ -55,12 +56,8 @@ class AmplifierModel:
     circuit_power: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.epsilon >= 1.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be >= 1, got {self.epsilon}")
-        if not (self.circuit_power >= 0.0 and math.isfinite(self.circuit_power)):
-            raise ValueError(
-                f"circuit_power must be >= 0, got {self.circuit_power}"
-            )
+        check_real("epsilon", self.epsilon, 1.0)
+        check_real("circuit_power", self.circuit_power)
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,8 @@ class ConstantPolicy:
     num_links: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.power >= 0.0 and math.isfinite(self.power)):
-            raise ValueError(f"power must be finite and >= 0, got {self.power}")
+        check_real("power", self.power)
+        check_count("num_links", self.num_links)
 
     def desired_powers(self, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
         return np.full((len(slots), self.num_links), self.power)
@@ -92,8 +89,10 @@ class WaterfillPolicy:
     num_links = 1
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+        if not isinstance(self.amplifier, AmplifierModel):
+            raise ValueError(f"amplifier must be an AmplifierModel, got "
+                             f"{self.amplifier!r}")
+        check_real("lam", self.lam, strict=True)
 
     def request(self, g):
         """``circuit_power + (1/lam - 1/g)/epsilon``, for floats or arrays."""
@@ -121,11 +120,8 @@ class MaxGainBroadcastPolicy:
     num_links: int
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if not (is_integer(self.num_links) and self.num_links >= 1):
-            raise ValueError(f"num_links must be an integer >= 1, got "
-                             f"{self.num_links!r}")
+        check_real("lam", self.lam, strict=True)
+        check_count("num_links", self.num_links)
 
     def request(self, g):
         """``1/lam - 1/g``, for floats or arrays."""
@@ -160,10 +156,7 @@ class AlternatingRelayPolicy:
         if not (is_integer(self.node_parity) and self.node_parity in (0, 1)):
             raise ValueError(f"node_parity must be 0 or 1, got "
                              f"{self.node_parity!r}")
-        if not (self.active_power >= 0.0 and math.isfinite(self.active_power)):
-            raise ValueError(
-                f"active_power must be finite and >= 0, got {self.active_power}"
-            )
+        check_real("active_power", self.active_power)
 
     def desired_powers(self, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
         slots = np.asarray(slots)
@@ -210,8 +203,7 @@ def solve_lambda(
     `ThresholdSolverError` when `LAMBDA_MAX_ITER` bisections do not reach
     the relative tolerance `LAMBDA_REL_TOL`.
     """
-    if not (target_avg > 0.0 and math.isfinite(target_avg)):
-        raise ValueError(f"target_avg must be finite and > 0, got {target_avg}")
+    check_real("target_avg", target_avg, strict=True)
 
     def residual(lam: float) -> float:
         return expected_desired_power(policy_at(lam), gain_pdf) - target_avg

@@ -51,7 +51,7 @@ from itertools import groupby
 import numpy as np
 
 from . import battery
-from .stochastic import Stream, is_integer, seed_states
+from .stochastic import Stream, check_count, is_integer, seed_states
 
 __all__ = [
     "ConfigError",
@@ -123,12 +123,8 @@ class SimulationConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not is_integer(self.n_slots) or self.n_slots < 1:
-            raise ConfigError(f"n_slots must be an integer >= 1, got "
-                              f"{self.n_slots!r}")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got "
-                              f"{self.seed!r}")
+        check_count("n_slots", self.n_slots, error=ConfigError)
+        check_count("seed", self.seed, 0, error=ConfigError)
         nodes = [t.node for t in self.transmitters]
         if len(set(nodes)) != len(nodes):
             raise ConfigError(f"duplicate transmitter nodes in {nodes}")
@@ -160,9 +156,8 @@ class SimulationConfig:
             if count == 0:
                 raise ConfigError(f"transmitter {t.node} has no links")
             drives = t.policy.num_links
-            if not is_integer(drives):
-                raise ConfigError(f"node {t.node} policy num_links "
-                                  f"{drives!r} is not an integer")
+            check_count(f"node {t.node} policy num_links", drives,
+                        error=ConfigError)
             if drives != count:
                 raise ConfigError(
                     f"node {t.node} policy drives {drives} links, "
@@ -418,9 +413,9 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
     an array of that shape, which the chunk's requests may overwrite.
 
     Each run's process draws and transforms its rows in one `sample`
-    call.  Draws must be finite and >= 0: one `min` and one `max` over the
-    block check that, since NaN fails both comparisons; only a failing
-    block is searched for its first bad key, named by `labels`."""
+    call.  Draws must be finite and >= 0: `battery.finite_nonnegative`
+    checks the whole block; only a failing block is searched for its
+    first bad key, named by `labels`."""
     nodes, width = len(config.transmitters), len(config.links)
     k = streams[0].shape[-1]
     block = scratch.take("draws", (nodes + width, k, m))
@@ -432,7 +427,7 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
                                 f"{draws.shape}")
         if draws is not out:
             out[:] = draws
-    if not (block.min() >= 0.0 and block.max() < np.inf):
+    if not battery.finite_nonnegative(block):
         good = (block >= 0.0) & (block < np.inf)
         name, what = labels[int(np.argmin(good.reshape(len(block), -1)
                                           .all(1)))]
@@ -455,7 +450,7 @@ def _desired_matrix(config: SimulationConfig, slots, gains, columns,
                 f"policy of node {t.node} returned shape {req.shape}, "
                 f"expected {(rows, t.policy.num_links)}"
             )
-        if not (req.min() >= 0.0 and req.max() < np.inf):
+        if not battery.finite_nonnegative(req):
             raise NumericsError(f"policy of node {t.node} requested negative "
                                 "or non-finite power")
         desired[:, cols] = req

@@ -36,6 +36,11 @@ uint64)`, so a `Stream` built from its precomputed row draws exactly what
 the `SeedSequence` would have given it.  NumPy's stream-compatibility
 policy (NEP 19) fixes the SeedSequence algorithm, which is what makes
 this exact.
+
+Model inputs obey three rules: `is_integer`, an integer (numpy's too)
+other than a bool; `check_count`, such an integer at least a bound; and
+`check_real`, a finite real (numpy's too) other than a bool, at least or
+above a bound.  Each refusal is a one-line `ValueError` naming the field.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ __all__ = [
     "LARGEST_EXPONENTIAL_DRAW",
     "QuadratureError",
     "Stream",
+    "check_count",
+    "check_real",
     "expectation_quadrature",
     "exponential_pdf",
     "is_integer",
@@ -81,6 +88,21 @@ _MASK32 = 0xFFFFFFFF
 def is_integer(value) -> bool:
     """Whether `value` is an integer, numpy's too, other than a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_real(name: str, value, bound=0.0, strict=False, error=ValueError):
+    """The real rule (see the module docstring); `strict`: > `bound`."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max  # not NaN, inf or 10**400
+            and (value > bound if strict else value >= bound)):
+        raise error(f"{name} must be a finite number "
+                    f"{'>' if strict else '>='} {bound:g}, got {value!r}")
+
+
+def check_count(name: str, value, bound=1, error=ValueError):
+    """The count rule.  Both rules raise `error`: ValueError or a subclass."""
+    if not (is_integer(value) and value >= bound):
+        raise error(f"{name} must be an integer >= {bound}, got {value!r}")
 
 
 def _word_matrix(values) -> tuple[np.ndarray, np.ndarray]:
@@ -269,13 +291,12 @@ class Stream:
         self.seed = seeds[0] if scalar else tuple(seeds)
         self.shape = () if scalar else (len(seeds),)
         key = tuple(key)
-        if key and not isinstance(key[0], numbers.Integral):
-            self.key = tuple(tuple(map(int, part)) for part in key)
-            self.shape = (len(self.key),) + self.shape
-            keys = self.key
-        else:
-            self.key = tuple(map(int, key))
-            keys = [self.key]
+        several = bool(key) and not isinstance(key[0], numbers.Number)
+        keys = [tuple(part) for part in key] if several else [key]
+        if not all(is_integer(part) for k in keys for part in k):
+            raise ValueError(f"key {key!r} has a part that is not an integer")
+        self.key = tuple(keys) if several else key
+        self.shape = (len(keys),) * several + self.shape
         if state is None:
             state = seed_states(seeds, keys).reshape(
                 len(seeds), len(keys), -1).swapaxes(0, 1)
@@ -320,9 +341,7 @@ class ExponentialProcess:
     mean: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.mean, bool) or not (
-                self.mean > 0.0 and math.isfinite(self.mean)):
-            raise ValueError(f"mean must be a finite number > 0, got {self.mean!r}")
+        check_real("mean", self.mean, strict=True)
 
     def sample(self, stream: Stream, n: int,
                out: np.ndarray | None = None) -> np.ndarray:
@@ -342,8 +361,7 @@ class ConstantProcess:
     value: float
 
     def __post_init__(self) -> None:
-        if not (self.value >= 0.0 and math.isfinite(self.value)):
-            raise ValueError(f"value must be finite and >= 0, got {self.value}")
+        check_real("value", self.value)
         # -0.0 becomes +0.0: processes that compare equal must draw alike.
         object.__setattr__(self, "value", self.value + 0.0)
 
@@ -375,8 +393,7 @@ class QuadratureError(RuntimeError):
 
 def exponential_pdf(mean: float) -> Callable[[float], float]:
     """Density of an exponential with the given mean."""
-    if not (mean > 0.0 and math.isfinite(mean)):
-        raise ValueError(f"mean must be finite and > 0, got {mean}")
+    check_real("mean", mean, strict=True)
 
     def pdf(g: float) -> float:
         return math.exp(-g / mean) / mean if g >= 0.0 else 0.0
@@ -386,11 +403,8 @@ def exponential_pdf(mean: float) -> Callable[[float], float]:
 
 def max_exponential_pdf(mean: float, count: int) -> Callable[[float], float]:
     """Density of the maximum of `count` i.i.d. exponentials."""
-    if not (mean > 0.0 and math.isfinite(mean)):
-        raise ValueError(f"mean must be finite and > 0, got {mean}")
-    if not (is_integer(count) and count >= 1):
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    count = int(count)
+    check_real("mean", mean, strict=True)
+    check_count("count", count)
 
     def pdf(g: float) -> float:
         if g < 0.0:

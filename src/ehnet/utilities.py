@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stochastic import is_integer, load_compiled
+from .policies import AmplifierModel
+from .stochastic import check_count, check_real, load_compiled
 
 __all__ = [
     "AmplifierRateUtility",
@@ -50,11 +51,8 @@ def rayleigh_bpsk_ber(power: float, branches: int = 1) -> float:
 
     For one branch this is ``(1 - sqrt(p / (1 + p))) / 2``.
     """
-    if not (power > 0.0 and math.isfinite(power)):
-        raise ValueError(f"power must be finite and > 0, got {power}")
-    if not (is_integer(branches) and branches >= 1):
-        raise ValueError(f"branches must be an integer >= 1, got {branches!r}")
-    branches = int(branches)
+    check_real("power", power, strict=True)
+    check_count("branches", branches)
     mu = math.sqrt(power / (1.0 + power))
     acc = 0.0
     for k in range(branches):
@@ -71,9 +69,7 @@ class OutageUtility:
     num_links = 1
 
     def __post_init__(self) -> None:
-        r = self.rate_threshold
-        if not (r > 0.0 and math.isfinite(r)):
-            raise ValueError(f"rate_threshold must be finite and > 0, got {r!r}")
+        check_real("rate_threshold", self.rate_threshold, strict=True)
 
     def evaluate(self, slots, powers, gains):
         rate = np.log2(1.0 + np.asarray(powers[:, 0], dtype=float)
@@ -90,8 +86,13 @@ class AmplifierRateUtility:
     array, in place.
     """
 
-    amplifier: "object"
+    amplifier: AmplifierModel
     num_links = 1
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.amplifier, AmplifierModel):
+            raise ValueError(f"amplifier must be an AmplifierModel, got "
+                             f"{self.amplifier!r}")
 
     def evaluate(self, slots, powers, gains):
         power = np.asarray(powers[:, 0], dtype=float)
@@ -112,9 +113,7 @@ class _MultiLink:
     num_links: int
 
     def __post_init__(self) -> None:
-        if not (is_integer(self.num_links) and self.num_links >= 1):
-            raise ValueError(f"num_links must be an integer >= 1, got "
-                             f"{self.num_links!r}")
+        check_count("num_links", self.num_links)
 
 
 @dataclass(frozen=True)

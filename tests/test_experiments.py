@@ -96,6 +96,10 @@ def test_validate_spec_rejects_bad_values():
         replace(base, rate_threshold=0.0),
         replace(base, amplifier_epsilon=0.5),
         replace(base, p_in_db=(math.inf,)),
+        # Refused by the models too, so a sweep would fail at its first
+        # grid point: validation must refuse them first.
+        replace(base, rate_threshold=math.inf),
+        replace(base, amplifier_epsilon=math.inf),
     ]:
         with pytest.raises(ConfigError):
             validate_spec(bad)

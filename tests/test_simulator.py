@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import astuple, replace
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from ehnet.policies import (
     ConstantPolicy,
     MaxGainBroadcastPolicy,
     WaterfillPolicy,
+    solve_lambda,
 )
 from ehnet import battery
 from ehnet.battery import VECTOR_LANES
@@ -42,6 +44,7 @@ from ehnet.simulator import (
 )
 from ehnet.stochastic import ConstantProcess, ExponentialProcess
 from ehnet.utilities import (
+    AmplifierRateUtility,
     BroadcastSumRateUtility,
     ChainRateUtility,
     MacBpskBerUtility,
@@ -187,45 +190,146 @@ def test_batch_seeds_that_are_not_integers_raise(seed):
     assert list(run_eh(cfg, seeds=range(3))) == want
 
 
+class _UncheckedLinksPolicy:
+    """Requests 1.0 per slot on one link; its `num_links` is left for
+    `validate` to check."""
+
+    def __init__(self, num_links):
+        self.num_links = num_links
+
+    def desired_powers(self, slots, gains):
+        return np.ones((len(slots), 1))
+
+
 def _run_with_policy_links(num_links):
     cfg = single_link_config(n=10)
-    tx = replace(cfg.transmitters[0],
-                 policy=ConstantPolicy(1.0, num_links=num_links))
+    tx = replace(cfg.transmitters[0], policy=_UncheckedLinksPolicy(num_links))
     return run_eh(replace(cfg, transmitters=(tx,)))
 
 
-@pytest.mark.parametrize("build, bad, field, error", [
-    (lambda v: stochastic.Stream(v, (0, 0, 0)), True, "seed", ValueError),
-    (lambda v: stochastic.Stream([v, 2], (0, 0, 0)), True, "seed",
-     ValueError),
-    (ExponentialProcess, True, "mean", ValueError),
-    (lambda v: AlternatingRelayPolicy(node_parity=v, active_power=1.0), True,
-     "node_parity", ValueError),
-    (lambda v: MaxGainBroadcastPolicy(1.0, num_links=v), True, "num_links",
-     ValueError),
-    (BroadcastSumRateUtility, True, "num_links", ValueError),
-    (MacBpskBerUtility, True, "num_links", ValueError),
-    (ChainRateUtility, 2.5, "num_links", ValueError),
-    (lambda v: stochastic.max_exponential_pdf(1.0, v), 2.5, "count",
-     ValueError),
-    (lambda v: rayleigh_bpsk_ber(1.0, v), 2.5, "branches", ValueError),
-    (OutageUtility, math.nan, "rate_threshold", ValueError),
-    (OutageUtility, -1.0, "rate_threshold", ValueError),
-    (OutageUtility, math.inf, "rate_threshold", ValueError),
-    (_run_with_policy_links, True, "num_links", ConfigError),
-    (_run_with_policy_links, 1.0, "num_links", ConfigError),
-], ids=["stream_seed", "stream_seeds", "exponential_mean", "relay_parity",
-        "broadcast_policy_links", "broadcast_utility_links",
-        "mac_utility_links", "chain_utility_links", "max_pdf_count",
-        "ber_branches", "outage_nan", "outage_negative", "outage_inf",
-        "policy_links_bool", "policy_links_float"])
-def test_model_fields_refuse_bools_and_fractions(build, bad, field, error):
-    # A bool is not taken as 0 or 1, a fraction is not truncated, and the
-    # one-line message names the field; numpy's integers are integers.
+def _solve(target):
+    return solve_lambda(target, lambda lam: MaxGainBroadcastPolicy(lam, 1),
+                        stochastic.exponential_pdf(1.0))
+
+
+# Each real field: how to build it, the name its message gives, its bound,
+# and whether the bound itself is refused.
+_REAL_FIELDS = {
+    "amplifier_epsilon": (lambda v: AmplifierModel(epsilon=v), "epsilon",
+                          1.0, False),
+    "circuit_power": (lambda v: AmplifierModel(circuit_power=v),
+                      "circuit_power", 0.0, False),
+    "constant_power": (ConstantPolicy, "power", 0.0, False),
+    "waterfill_lam": (lambda v: WaterfillPolicy(AmplifierModel(), v), "lam",
+                      0.0, True),
+    "broadcast_lam": (lambda v: MaxGainBroadcastPolicy(v, 2), "lam", 0.0,
+                      True),
+    "relay_power": (lambda v: AlternatingRelayPolicy(0, v), "active_power",
+                    0.0, False),
+    "target_avg": (_solve, "target_avg", 0.0, True),
+    "process_mean": (ExponentialProcess, "mean", 0.0, True),
+    "process_value": (ConstantProcess, "value", 0.0, False),
+    "pdf_mean": (stochastic.exponential_pdf, "mean", 0.0, True),
+    "max_pdf_mean": (lambda v: stochastic.max_exponential_pdf(v, 2), "mean",
+                     0.0, True),
+    "ber_power": (rayleigh_bpsk_ber, "power", 0.0, True),
+    "outage_threshold": (OutageUtility, "rate_threshold", 0.0, True),
+}
+
+# Each count field: how to build it, and the name its message gives.
+_COUNT_FIELDS = {
+    "constant_links": (lambda v: ConstantPolicy(1.0, num_links=v),
+                       "num_links"),
+    "broadcast_links": (lambda v: MaxGainBroadcastPolicy(1.0, v),
+                        "num_links"),
+    "broadcast_utility": (BroadcastSumRateUtility, "num_links"),
+    "mac_utility": (MacBpskBerUtility, "num_links"),
+    "chain_utility": (ChainRateUtility, "num_links"),
+    "max_pdf_count": (lambda v: stochastic.max_exponential_pdf(1.0, v),
+                      "count"),
+    "ber_branches": (lambda v: rayleigh_bpsk_ber(1.0, v), "branches"),
+}
+
+_FIELD_CASES = [
+    pytest.param(build, bad, field, error, (np.int64(1),), id=name)
+    for name, build, bad, field, error in [
+        ("stream_seed", lambda v: stochastic.Stream(v, (0, 0, 0)), True,
+         "seed", ValueError),
+        ("stream_seeds", lambda v: stochastic.Stream([v, 2], (0, 0, 0)),
+         True, "seed", ValueError),
+        ("exponential_mean", ExponentialProcess, True, "mean", ValueError),
+        ("relay_parity",
+         lambda v: AlternatingRelayPolicy(node_parity=v, active_power=1.0),
+         True, "node_parity", ValueError),
+        ("broadcast_policy_links",
+         lambda v: MaxGainBroadcastPolicy(1.0, num_links=v), True,
+         "num_links", ValueError),
+        ("broadcast_utility_links", BroadcastSumRateUtility, True,
+         "num_links", ValueError),
+        ("mac_utility_links", MacBpskBerUtility, True, "num_links",
+         ValueError),
+        ("chain_utility_links", ChainRateUtility, 2.5, "num_links",
+         ValueError),
+        ("max_pdf_count", lambda v: stochastic.max_exponential_pdf(1.0, v),
+         2.5, "count", ValueError),
+        ("ber_branches", lambda v: rayleigh_bpsk_ber(1.0, v), 2.5,
+         "branches", ValueError),
+        ("outage_nan", OutageUtility, math.nan, "rate_threshold", ValueError),
+        ("outage_negative", OutageUtility, -1.0, "rate_threshold",
+         ValueError),
+        ("outage_inf", OutageUtility, math.inf, "rate_threshold", ValueError),
+        ("policy_links_bool", _run_with_policy_links, True, "num_links",
+         ConfigError),
+        ("policy_links_float", _run_with_policy_links, 1.0, "num_links",
+         ConfigError),
+    ]
+] + [
+    # Reals: numpy's floats and ints and plain ints pass.
+    pytest.param(build, bad, field, ValueError,
+                 (np.float64(1.0), np.int64(1), 1), id=f"{name}_{kind}")
+    for name, (build, field, bound, strict) in _REAL_FIELDS.items()
+    for kind, bad in [
+        ("bool", True), ("string", "1"), ("none", None), ("nan", math.nan),
+        ("inf", math.inf), ("huge_int", 10**400),
+        ("past_bound", bound if strict else math.nextafter(bound, -1.0))]
+] + [
+    pytest.param(build, bad, field, ValueError, (np.int64(1), 1),
+                 id=f"{name}_{kind}")
+    for name, (build, field) in _COUNT_FIELDS.items()
+    for kind, bad in [("bool", True), ("float", 1.0), ("fraction", 2.5),
+                      ("string", "1"), ("none", None), ("past_bound", 0)]
+] + [
+    pytest.param(build, bad, "key", ValueError, (np.int64(1), 1),
+                 id=f"{name}_{kind}")
+    for name, build in [
+        ("stream_key", lambda v: stochastic.Stream(1, (v, 0, 0))),
+        ("stream_keys", lambda v: stochastic.Stream(1, [(0, 0, 0),
+                                                        (v, 0, 0)]))]
+    for kind, bad in [("bool", True), ("fraction", 1.5)]
+] + [
+    # A duck with an amplifier's fields is not an amplifier either.
+    pytest.param(build, bad, "amplifier", ValueError, (AmplifierModel(),),
+                 id=f"{name}_{kind}")
+    for name, build in [
+        ("waterfill_amplifier", lambda v: WaterfillPolicy(v, 1.0)),
+        ("rate_amplifier", AmplifierRateUtility)]
+    for kind, bad in [
+        ("none", None),
+        ("duck", SimpleNamespace(epsilon=1.0, circuit_power=0.0))]
+]
+
+
+@pytest.mark.parametrize("build, bad, field, error, goods", _FIELD_CASES)
+def test_model_fields_refuse_bools_and_fractions(build, bad, field, error,
+                                                 goods):
+    # A bool is not taken as 0 or 1, a fraction is not truncated, a real
+    # is finite as a double, and the one-line message names the field;
+    # numpy's numbers are numbers.
     with pytest.raises(error) as err:
         build(bad)
     assert field in str(err.value) and "\n" not in str(err.value)
-    build(np.int64(1))
+    for good in goods:
+        build(good)
 
 
 def test_run_rejects_invalid_config_before_sampling():
