@@ -37,7 +37,14 @@ def check_start(levels, capacity) -> None:
     A level must lie in ``[0, capacity]`` and a capacity must be above 0.
     So inf passes in an unbounded buffer only, where a level goes when a
     sum overflows and from where a run may resume.  A level outside its
-    range is reported first, with its own capacity; then a capacity."""
+    range is reported first, with its own capacity; then a capacity.  A
+    bool, a string or any other non-number, alone or in an array, is
+    refused first."""
+    for name, value in (("level", levels), ("capacity", capacity)):
+        dtype = np.asarray(value).dtype
+        if dtype.kind not in "iuf":
+            shown = repr(value) if np.ndim(value) == 0 else f"{dtype} array"
+            raise ValueError(f"battery {name} must be a number, got {shown}")
     capacity = capacity if np.ndim(capacity) else float(capacity)
     lev = np.asarray(levels, dtype=float)
     cap = np.asarray(capacity, dtype=float)
@@ -156,7 +163,7 @@ def trajectory(
         if np.shape(value) not in ((), per_lane):
             raise ValueError(f"{name} shape {np.shape(value)} does not "
                              f"match {per_lane}")
-    check_start(start, capacity)
+    check_start(initial, capacity)
 
     # Levels near the float maximum overflow to inf, as the scalar loop's
     # Python floats do silently; the walk's sums past a clip are discarded.

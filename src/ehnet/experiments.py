@@ -225,7 +225,6 @@ def validate_spec(spec: SweepSpec) -> None:
                 )
     for m in spec.group_size:
         check_count("group_size", m, error=ConfigError)
-    experiment.check(spec)
     check_count("trials", spec.trials, error=ConfigError)
     check_count("seed", spec.seed, 0, error=ConfigError)
     if not 0.0 <= spec.initial_fill <= 1.0:
@@ -236,6 +235,7 @@ def validate_spec(spec: SweepSpec) -> None:
                error=ConfigError)
     if spec.circuit_power_db is not None:
         _linear_power(spec.circuit_power_db, "circuit_power_db")
+    experiment.check(spec)
     for name in experiment.modules:
         load_compiled(name)
 
@@ -342,6 +342,14 @@ def _one_link():
 def _outage_network(spec, point, p, node):
     utility = OutageUtility(spec.rate_threshold)
     return (node(1, ConstantPolicy(p)),), _one_link(), utility
+
+
+def _outage_check(spec):
+    if spec.rate_threshold >= 1024:
+        raise ConfigError(
+            f"fig1 rate_threshold must be < 1024, got "
+            f"{spec.rate_threshold!r}: the baseline's 2 ** rate_threshold "
+            "overflows a float")
 
 
 def _outage_baseline(spec, point, p):
@@ -458,8 +466,9 @@ class Experiment:
     values by quadrature, the ufuncs (``scipy.special._special_ufuncs``)
     for the BER's `erfc`.  `validate_spec` loads them with
     `stochastic.load_compiled`, as `import ehnet` loads none; neither
-    ``scipy.integrate`` nor ``scipy.special`` is imported.  `check(spec)`
-    raises `ConfigError` for grids that only this experiment cannot run.
+    ``scipy.integrate`` nor ``scipy.special`` is imported.  `check(spec)`,
+    run after the checks every sweep shares, raises `ConfigError` for
+    grids that only this experiment cannot run.
     """
 
     title: str
@@ -480,6 +489,7 @@ EXPERIMENTS = {
         network=_outage_network,
         baseline=_outage_baseline,
         modules=(),
+        check=_outage_check,
     ),
     "fig2": Experiment(
         title="point-to-point water-filling rate, ideal amplifier",

@@ -126,12 +126,16 @@ class SimulationConfig:
         check_count("n_slots", self.n_slots, error=ConfigError)
         check_count("seed", self.seed, 0, error=ConfigError)
         nodes = [t.node for t in self.transmitters]
+        for node in nodes:
+            check_count("transmitter node", node, 0, error=ConfigError)
         if len(set(nodes)) != len(nodes):
             raise ConfigError(f"duplicate transmitter nodes in {nodes}")
         if not self.links:
             raise ConfigError("need at least one link")
         seen, senders = set(), set()
         for i, link in enumerate(self.links):
+            check_count("link tx", link.tx, 0, error=ConfigError)
+            check_count("link rx", link.rx, 0, error=ConfigError)
             if link.tx in senders and link.tx != self.links[i - 1].tx:
                 raise ConfigError(f"links of transmitter {link.tx} are not "
                                   "grouped together")

@@ -18,19 +18,17 @@ produces 53-bit uniform doubles, and exponential variates are obtained by
 inverting the CDF (``-mean * log1p(-u)``) rather than through any library
 sampler whose algorithm might change.
 
-`seed_states` gives the PCG64 seed words of many streams at once.  It runs
-SeedSequence's own algorithm once, with one `uint32` lane per stream: the
-seed's words are padded with zeros to the pool size of 4 before the key's
-words, the pool is hashed in with `hashmix`, every pool word is mixed into
-every other one, the remaining words are mixed in one at a time, and
-`generate_state` hashes the pool out.  Each lane applies the same wrapping
-`uint32` operations with the same constants in the same order as
-`SeedSequence` does for that stream alone: the hash constants advance one
-step per `hashmix` call whatever the data, so they are shared by all lanes,
-and a lane whose words run out earlier keeps its pool.  The pool's input
-and its mixing read only a seed's first 4 words, so they run once per
-seed, and each key's words are mixed into a copy.  The words themselves
-come from one `int.to_bytes` per seed or key part, read as one array.
+`seed_states` gives the PCG64 seed words of many streams at once.  It is
+numpy's `SeedSequence.mix_entropy` and `generate_state` written out step
+for step, one `uint32` lane per stream, so it reads beside numpy's
+source.  Hash call k xors with value k of its `_constants` and multiplies
+by value k + 1.  Calls 0-3 take a seed's first 4 words, zero-padded, into
+the pool and calls 4-15 mix each pool word into the other three: both
+run once per seed.  The word at entropy position p >= 4 takes calls 4p
+to 4p + 3: first a long seed's own words, then the key's from position
+max(seed words, 4), on a copy of the seed's pool per key; a key whose
+words ran out keeps its pool.  `generate_state` hashes the pool out.
+The words come from one `int.to_bytes` per seed or key part.
 A PCG64 reads nothing from its seed source but `generate_state(4,
 uint64)`, so a `Stream` built from its precomputed row draws exactly what
 the `SeedSequence` would have given it.  NumPy's stream-compatibility
@@ -54,7 +52,6 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from types import ModuleType
 from typing import Callable
 
@@ -81,8 +78,8 @@ __all__ = [
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 
 def is_integer(value) -> bool:
@@ -125,93 +122,28 @@ def _word_matrix(values) -> tuple[np.ndarray, np.ndarray]:
     return words, counts
 
 
-@lru_cache(maxsize=None)
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+def _constants(init: int, mult: int, count: int) -> np.ndarray:
     """The first `count` values of a hash constant: init, init * mult, ...
     modulo 2^32.  Hash call k xors with value k and multiplies by value
-    k + 1.  The array is cached, so it is read-only."""
-    out = [init]
+    k + 1, as `hashmix` steps its constant."""
+    values = [init]
     for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    out = np.array(out, dtype=np.uint32)
-    out.flags.writeable = False
-    return out
+        values.append(values[-1] * mult % 2**32)
+    return np.array(values, dtype=np.uint32)
 
 
-def _mixing_constants() -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per pool word `src`, the xor and multiply constants that mix it into
-    the others: hashmix calls 4 + 3 src + i for the i-th other word, in
-    order.  Column `src` gets zeros; its result is discarded."""
-    a = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL + 1)
-    table = []
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        xor, mul = np.zeros(_POOL, np.uint32), np.zeros(_POOL, np.uint32)
-        xor[dst] = a[4 + 3 * src:7 + 3 * src]
-        mul[dst] = a[5 + 3 * src:8 + 3 * src]
-        table.append((xor, mul))
-    return table
-
-
-_MIX_IN = _mixing_constants()
-_16 = np.uint32(16)
-
-
-_MIX_L, _MIX_R = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray):
-    v = values ^ xor
-    v *= mul
-    v ^= v >> _16
-    return v
+def _hashmix(value: np.ndarray, xor, mul) -> np.ndarray:
+    value = value ^ xor
+    value *= mul
+    value ^= value >> _XSHIFT
+    return value
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_L
-    r -= y * _MIX_R
-    r ^= r >> _16
-    return r
-
-
-def _hash_lanes(head: np.ndarray, entropy: np.ndarray, lengths: np.ndarray,
-                n_words: int) -> np.ndarray:
-    """`SeedSequence.generate_state(n_words, uint64)` of every (seed, key)
-    row: `head` is each seed's first pool-size words, a (seeds, pool size)
-    uint32 array; `entropy` is a zero-padded (seeds, keys, width) uint32
-    array of each row's assembled words past those, of which row (s, k)
-    holds ``lengths[s, k]``, counting the head.  Seed-major rows."""
-    seeds, keys, width = entropy.shape
-    # Calls 0-3 take the entropy into the pool, calls 4-15 mix the pool,
-    # and each later word takes four more.
-    a = _hash_constants(_INIT_A, _MULT_A, 4 * (_POOL + width) + 1)
-    # Entropy in: pool word i is hashmix call i (zero past a short row).
-    # The first pool-size words are the seed's, so each seed's pool is
-    # hashed and mixed once, then copied to each of its keys' rows.
-    pool = _hashmix(head, a[:_POOL], a[1:_POOL + 1])
-    # Each pool word, in turn, into each other one.
-    for src, (xor, mul) in enumerate(_MIX_IN):
-        mixed = _mix(pool, _hashmix(pool[:, src:src + 1], xor, mul))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    pool = np.repeat(pool, keys, axis=0)
-    entropy = entropy.reshape(seeds * keys, width)
-    lengths = lengths.reshape(-1)
-    # Words past the pool, each into every pool word, while a row has them.
-    shortest = lengths.min() - _POOL
-    for col in range(width):
-        k = 4 * (_POOL + col)
-        mixed = _mix(pool, _hashmix(entropy[:, col:col + 1],
-                                    a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
-        pool = mixed if col < shortest else np.where(
-            (lengths > _POOL + col)[:, None], mixed, pool)
-    # Pool out: state word i hashes pool word i % 4.
-    m = 2 * n_words
-    b = _hash_constants(_INIT_B, _MULT_B, m + 1)
-    out = _hashmix(pool[:, np.arange(m) % _POOL], b[:m], b[1:m + 1])
-    # Word 2i is the low half of uint64 word i, as in generate_state.
-    out = np.ascontiguousarray(out, dtype="<u4")
-    return out.view("<u8").astype(np.uint64)
+    result = x * _MIX_MULT_L
+    result -= y * _MIX_MULT_R
+    result ^= result >> _XSHIFT
+    return result
 
 
 def seed_states(seeds, keys, n_words: int = 4) -> np.ndarray:
@@ -220,35 +152,63 @@ def seed_states(seeds, keys, n_words: int = 4) -> np.ndarray:
     shape (len(seeds) * len(keys), n_words).
 
     Seeds and key parts are non-negative integers of any width; a negative
-    one raises `ValueError`.  The rows are hashed as one batch of lanes
-    (see the module docstring)."""
-    keys = [tuple(key) for key in keys]
-    head, seed_lengths = _word_matrix(seeds)
-    parts, part_lengths = _word_matrix([p for key in keys for p in key])
-    if not (len(head) and keys):
+    one, or a bool, raises `ValueError`.  Each row is one lane of numpy's
+    `mix_entropy` and `generate_state` (see the module docstring)."""
+    seeds, keys = list(seeds), [tuple(key) for key in keys]
+    parts = [part for key in keys for part in key]
+    if bool in map(type, seeds) or bool in map(type, parts):
+        raise ValueError("seeds and key parts must not be bools")
+    seed_words, seed_lengths = _word_matrix(seeds)
+    part_words, part_lengths = _word_matrix(parts)
+    if not (seeds and keys):
         return np.empty((0, n_words), dtype=np.uint64)
-    # Each key's words are its parts' words, in order: `flat` lists them
-    # all, key by key, and word i of `flat` is word `at[i]` of its key.
-    part_key = np.repeat(np.arange(len(keys)), [len(key) for key in keys])
-    flat = parts[np.arange(parts.shape[1]) < part_lengths[:, None]]
-    word_key = np.repeat(part_key, part_lengths)
-    key_lengths = np.bincount(word_key, minlength=len(keys))
-    at = np.arange(len(flat)) - (key_lengths.cumsum() - key_lengths)[word_key]
-    # A key's words start after the seed's, padded to the pool size.  With
-    # an empty key the pad changes nothing: hashmix reads zeros there.
+    # A key's words are its parts' words in turn, zero-padded to the
+    # longest key's; a seed's are zero-padded to the pool size.
+    owner = np.repeat(np.arange(len(keys)), [len(key) for key in keys])
+    key_lengths = np.bincount(owner, part_lengths, len(keys)).astype(int)
+    key_words = np.zeros((len(keys), key_lengths.max()), dtype=np.uint32)
+    key_words[np.arange(key_lengths.max()) < key_lengths[:, None]] = \
+        part_words[np.arange(part_words.shape[1]) < part_lengths[:, None]]
     starts = np.maximum(seed_lengths, _POOL)
-    width = int(starts.max() + key_lengths.max())
-    padded = np.zeros((len(head), width), dtype=np.uint32)
-    padded[:, :head.shape[1]] = head
-    # One zero column past the widest key, for the columns before a start.
-    tail = np.zeros((len(keys), width + 1), dtype=np.uint32)
-    tail[word_key, at] = flat
-    # Columns past the pool size: the seed's words, then the key's.
-    cols = np.arange(_POOL, width) - starts[:, None]
-    cols[cols < 0] = width
-    entropy = padded[:, None, _POOL:] | tail[:, cols].transpose(1, 0, 2)
-    return _hash_lanes(padded[:, :_POOL], entropy,
-                       starts[:, None] + key_lengths, n_words)
+    entropy = np.zeros((len(seeds), starts.max()), dtype=np.uint32)
+    entropy[:, :seed_words.shape[1]] = seed_words
+    a = _constants(_INIT_A, _MULT_A, 4 * (starts.max() + len(key_words.T)) + 1)
+    # mix_entropy, with pool word i in row i until the pool is mixed, so
+    # each step writes whole rows.  Calls 0-3 take the first 4 words in.
+    pool = _hashmix(entropy[:, :_POOL].T, a[:4, None], a[1:5, None])
+    # Calls 4-15 mix each pool word into each other one, in order.
+    for src in range(_POOL):
+        dst, k = [d for d in range(_POOL) if d != src], 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k:k + 3, None],
+                                             a[k + 1:k + 4, None]))
+    m = 2 * n_words
+    b = _constants(_INIT_B, _MULT_B, m + 1)
+    state = np.empty((len(seeds), len(keys), m), dtype=np.uint32)
+    # The word at position p >= 4 takes calls 4p to 4p + 3, one per pool
+    # word: first a long seed's own words, then, from position `start`,
+    # the key's, on a copy of the seed's pool per key.  Seeds below 2^128
+    # all start at 4, so there is one group unless a seed is wider.
+    groups = sorted(set(starts.tolist()))
+    for start in groups:
+        rows = starts == start if len(groups) > 1 else slice(None)
+        lane = pool.T[rows]
+        for p in range(_POOL, start):
+            k = 4 * p
+            lane = _mix(lane, _hashmix(entropy[rows, p, None], a[k:k + 4],
+                                       a[k + 1:k + 5]))
+        lane = np.repeat(lane[:, None], len(keys), axis=1)
+        for j, words in enumerate(key_words.T):
+            k = 4 * (start + j)
+            mixed = _mix(lane, _hashmix(words[:, None], a[k:k + 4],
+                                        a[k + 1:k + 5]))
+            # A key whose words ran out keeps its pool.
+            lane = mixed if j < key_lengths.min() else np.where(
+                (key_lengths > j)[:, None], mixed, lane)
+        # generate_state: state word i hashes pool word i % 4.
+        state[rows] = _hashmix(lane[..., np.arange(m) % _POOL], b[:m], b[1:])
+    # Word 2i is the low half of uint64 word i, as in generate_state.
+    return state.astype("<u4").view("<u8").astype(np.uint64).reshape(
+        -1, n_words)
 
 
 class _SeedWords(ISeedSequence):

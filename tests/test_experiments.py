@@ -100,6 +100,8 @@ def test_validate_spec_rejects_bad_values():
         # grid point: validation must refuse them first.
         replace(base, rate_threshold=math.inf),
         replace(base, amplifier_epsilon=math.inf),
+        # fig1's baseline 2 ** rate_threshold overflows from 1024 on.
+        replace(base, rate_threshold=1100.0),
     ]:
         with pytest.raises(ConfigError):
             validate_spec(bad)

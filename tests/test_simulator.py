@@ -116,6 +116,32 @@ def test_validation_catches_bad_configs():
         replace(good, utility=ChainRateUtility(2)).validate()
     with pytest.raises(ConfigError):  # initial level above capacity
         single_link_config(capacity=1.0, initial_level=2.0).validate()
+    # Node ids are integers >= 0: not rounded, and refused before a run.
+    tx, link = good.transmitters[0], good.links[0]
+    for node, tx_id, rx_id, field in ((0.0, 0.0, 1, "transmitter node"),
+                                      (-1, -1, 1, "transmitter node"),
+                                      (0, 0, 1.5, "link rx")):
+        bad = replace(good, transmitters=(replace(tx, node=node),),
+                      links=(replace(link, tx=tx_id, rx=rx_id),))
+        with pytest.raises(ConfigError) as err:
+            bad.validate()
+        bad_id = rx_id if field == "link rx" else node
+        assert str(err.value) == (f"{field} must be an integer >= 0, got "
+                                  f"{bad_id!r}")
+    # A battery size or start level is a number: not a bool or a string.
+    for kwargs, shown in ((dict(capacity="5"), "capacity must be a number, "
+                           "got '5'"),
+                          (dict(capacity=True), "capacity must be a number, "
+                           "got True"),
+                          (dict(initial_level=True), "level must be a number, "
+                           "got True")):
+        with pytest.raises(ConfigError) as err:
+            single_link_config(**kwargs).validate()
+        assert str(err.value) == f"node 0: battery {shown}"
+    ones = np.ones((4, 3))  # three lanes
+    for capacity in (True, "5", np.ones(3, dtype=bool)):
+        with pytest.raises(ValueError, match="capacity must be a number"):
+            battery.trajectory(ones, ones, capacity=capacity)
 
 
 def test_unbounded_buffer_may_start_at_inf():

@@ -254,7 +254,12 @@ def test_no_seeds_or_no_keys_give_no_rows():
     ([1], [(0, -1)]),
     ([-1] + list(range(8)), [(0,)]),
     (list(range(8)), [(0,), (3, -2)]),
-], ids=["seed", "key_part", "batched_seed", "batched_key_part"])
+    ([True], [(0,)]),
+    ([1], [(True, 0)]),
+    ([False] + list(range(8)), [(0,)]),
+    (list(range(8)), [(0,), (3, True)]),
+], ids=["seed", "key_part", "batched_seed", "batched_key_part", "bool_seed",
+        "bool_key_part", "batched_bool_seed", "batched_bool_key_part"])
 def test_negative_seeds_and_key_parts_raise(seeds, keys):
     with pytest.raises(ValueError):
         seed_states(seeds, keys)
