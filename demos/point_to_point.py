@@ -65,7 +65,8 @@ def waterfilling():
     def policy_at(lam):
         return WaterfillPolicy(AmplifierModel(), lam)
 
-    lam = solve_lambda(budget, policy_at, exponential_pdf(1.0))
+    lam = solve_lambda(budget,
+                       lambda lam: policy_at(lam).expected_request_rayleigh())
     spent = expected_desired_power(policy_at(lam), exponential_pdf(1.0))
     rate = expectation_quadrature(
         lambda g: math.log2(g / lam), exponential_pdf(1.0), lower=lam)

@@ -38,13 +38,17 @@ def check_start(levels, capacity) -> None:
     So inf passes in an unbounded buffer only, where a level goes when a
     sum overflows and from where a run may resume.  A level outside its
     range is reported first, with its own capacity; then a capacity.  A
-    bool, a string or any other non-number, alone or in an array, is
-    refused first."""
+    bool, a string or any other non-number, alone, in an array or in a
+    list, is refused first."""
     for name, value in (("level", levels), ("capacity", capacity)):
-        dtype = np.asarray(value).dtype
-        if dtype.kind not in "iuf":
-            shown = repr(value) if np.ndim(value) == 0 else f"{dtype} array"
-            raise ValueError(f"battery {name} must be a number, got {shown}")
+        # A list's items one by one: `np.asarray` makes [1.0, True] floats.
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            dtype = np.asarray(item).dtype
+            if dtype.kind not in "iuf":
+                shown = (repr(item) if np.ndim(item) == 0
+                         else f"{dtype} array")
+                raise ValueError(
+                    f"battery {name} must be a number, got {shown}")
     capacity = capacity if np.ndim(capacity) else float(capacity)
     lev = np.asarray(levels, dtype=float)
     cap = np.asarray(capacity, dtype=float)

@@ -42,6 +42,7 @@ from .policies import (
     ConstantPolicy,
     MaxGainBroadcastPolicy,
     WaterfillPolicy,
+    expected_desired_power,
     solve_lambda,
 )
 from .simulator import (
@@ -309,15 +310,24 @@ def _linear_power(db: float, name: str) -> float:
 @lru_cache(maxsize=None)
 def _waterfill_threshold(target: float, epsilon: float, circuit_power: float):
     amp = AmplifierModel(epsilon=epsilon, circuit_power=circuit_power)
-    return solve_lambda(target, lambda lam: WaterfillPolicy(amp, lam),
-                        exponential_pdf(1.0))
+
+    def budget(lam: float) -> float:
+        return WaterfillPolicy(amp, lam).expected_request_rayleigh()
+
+    return solve_lambda(target, budget)
 
 
 @lru_cache(maxsize=None)
 def _broadcast_threshold(target: float, receivers: int) -> float:
-    return solve_lambda(target,
-                        lambda lam: MaxGainBroadcastPolicy(lam, receivers),
-                        max_exponential_pdf(1.0, receivers))
+    # By quadrature: the closed form over the largest of `receivers` gains
+    # is an alternating binomial sum, which cancels at 25 receivers.
+    pdf = max_exponential_pdf(1.0, receivers)
+
+    def budget(lam: float) -> float:
+        return expected_desired_power(MaxGainBroadcastPolicy(lam, receivers),
+                                      pdf)
+
+    return solve_lambda(target, budget)
 
 
 def _waterfill(spec: SweepSpec, p: float):
@@ -408,6 +418,15 @@ def _mac_network(spec, point, p, node):
     return txs, links, MacBpskBerUtility(point.m)
 
 
+def _mac_check(spec):
+    largest = max(spec.group_size)
+    if largest >= 516:
+        raise ConfigError(
+            f"fig5 group_size must be < 516, got {largest!r}: the "
+            "baseline's binomial coefficient C(2m - 2, m - 1) overflows a "
+            "float")
+
+
 def _mac_baseline(spec, point, p):
     return rayleigh_bpsk_ber(p, branches=point.m)
 
@@ -462,9 +481,10 @@ class Experiment:
     policy)` making transmitter k, and `baseline(spec, point, p)` the
     Monte-Carlo-free value of the unconstrained system.  `modules` names
     the compiled scipy modules its sweep uses: QUADPACK
-    (``scipy.integrate._quadpack``) for the thresholds and `closed_form`
-    values by quadrature, the ufuncs (``scipy.special._special_ufuncs``)
-    for the BER's `erfc`.  `validate_spec` loads them with
+    (``scipy.integrate._quadpack``) for fig4's thresholds and the
+    `closed_form` values by quadrature, the ufuncs
+    (``scipy.special._special_ufuncs``) for the water-filling thresholds'
+    `exp1` and the BER's `erfc`.  `validate_spec` loads them with
     `stochastic.load_compiled`, as `import ehnet` loads none; neither
     ``scipy.integrate`` nor ``scipy.special`` is imported.  `check(spec)`,
     run after the checks every sweep shares, raises `ConfigError` for
@@ -498,7 +518,8 @@ EXPERIMENTS = {
                       n_slots=(100, 10_000)),
         network=_waterfill_network,
         baseline=_waterfill_baseline,
-        modules=("scipy.integrate._quadpack",),
+        modules=("scipy.integrate._quadpack",
+                 "scipy.special._special_ufuncs"),
     ),
     "fig3": Experiment(
         title="water-filling rate with amplifier slope and circuit draw",
@@ -512,7 +533,8 @@ EXPERIMENTS = {
         ),
         network=_waterfill_network,
         baseline=_waterfill_baseline,
-        modules=("scipy.integrate._quadpack",),
+        modules=("scipy.integrate._quadpack",
+                 "scipy.special._special_ufuncs"),
     ),
     "fig4": Experiment(
         title="opportunistic broadcast sum rate vs receiver count",
@@ -531,6 +553,7 @@ EXPERIMENTS = {
         network=_mac_network,
         baseline=_mac_baseline,
         modules=("scipy.special._special_ufuncs",),
+        check=_mac_check,
     ),
     "fig6": Experiment(
         title="half-duplex amplify-and-forward chain rate",

@@ -10,10 +10,13 @@ difference shows up as mismatch.
 The threshold policies (`WaterfillPolicy`, `MaxGainBroadcastPolicy`) carry
 a gain threshold `lam`, and each states its request at a gain above the
 threshold once, in its `request` method; `desired_powers` and the budget
-both call it.  `solve_lambda(target_avg, policy_at, gain_pdf)` picks the
-threshold: it bisects on `lam` until the expected request of
-`policy_at(lam)`, a deterministic quadrature of `request` over the density
-`gain_pdf` of the gain the policy compares with `lam`, equals the budget.
+both call it.  The budget is the expected request at a threshold:
+`expected_desired_power(policy, gain_pdf)` integrates `request` over the
+density of the gain the policy compares with `lam`, and
+`WaterfillPolicy.expected_request_rayleigh` gives it in closed form for
+a unit-mean exponential gain.  `solve_lambda(target_avg, budget)` picks
+the threshold: it bisects on `lam` until `budget(lam)`, either of them,
+equals `target_avg`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .stochastic import (check_count, check_real, expectation_quadrature,
-                         is_integer)
+                         is_integer, load_compiled)
 
 __all__ = [
     "AlternatingRelayPolicy",
@@ -98,6 +101,18 @@ class WaterfillPolicy:
         """``circuit_power + (1/lam - 1/g)/epsilon``, for floats or arrays."""
         amp = self.amplifier
         return amp.circuit_power + (1.0 / self.lam - 1.0 / g) / amp.epsilon
+
+    def expected_request_rayleigh(self) -> float:
+        """The mean request over a unit-mean exponential gain, in closed
+        form: ``circuit_power e^-lam + (e^-lam / lam - E1(lam)) / epsilon``
+        (Goldsmith & Varaiya, IEEE Trans. IT 1997), the integral of
+        `request` times ``e^-g`` over ``g > lam``.  E1 is scipy's `exp1`
+        ufunc, loaded on first use like `utilities.qfunc`'s `erfc`."""
+        exp1 = load_compiled("scipy.special._special_ufuncs").exp1
+        amp, lam = self.amplifier, self.lam
+        tail = math.exp(-lam)
+        return (amp.circuit_power * tail
+                + (tail / lam - float(exp1(lam))) / amp.epsilon)
 
     def desired_powers(self, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
         g = np.asarray(gains, dtype=float).reshape(len(slots), 1)
@@ -188,25 +203,22 @@ def expected_desired_power(policy, gain_pdf: Callable[[float], float]) -> float:
     return expectation_quadrature(policy.request, gain_pdf, lower=policy.lam)
 
 
-def solve_lambda(
-    target_avg: float,
-    policy_at: Callable[[float], object],
-    gain_pdf: Callable[[float], float],
-) -> float:
-    """Find the threshold whose expected request equals `target_avg`.
+def solve_lambda(target_avg: float,
+                 budget: Callable[[float], float]) -> float:
+    """Find the threshold `lam` whose `budget(lam)` equals `target_avg`.
 
-    `policy_at(lam)` builds the threshold policy at `lam`, and `gain_pdf`
-    is the density `expected_desired_power` integrates its request over.
-    The expected request decreases in the threshold, so plain bisection on
-    the fixed `LAMBDA_BRACKET` is enough.  Raises `InfeasibleTargetError`
-    when the bracket does not straddle the target and
-    `ThresholdSolverError` when `LAMBDA_MAX_ITER` bisections do not reach
-    the relative tolerance `LAMBDA_REL_TOL`.
+    `budget(lam)` is the expected request of the threshold policy at
+    `lam`: `expected_desired_power` of it, or a closed form such as
+    `WaterfillPolicy.expected_request_rayleigh`.  It decreases in the
+    threshold, so plain bisection on the fixed `LAMBDA_BRACKET` is enough.
+    Raises `InfeasibleTargetError` when the bracket does not straddle the
+    target and `ThresholdSolverError` when `LAMBDA_MAX_ITER` bisections do
+    not reach the relative tolerance `LAMBDA_REL_TOL`.
     """
     check_real("target_avg", target_avg, strict=True)
 
     def residual(lam: float) -> float:
-        return expected_desired_power(policy_at(lam), gain_pdf) - target_avg
+        return budget(lam) - target_avg
 
     lo, hi = LAMBDA_BRACKET
     r_lo, r_hi = residual(lo), residual(hi)

@@ -246,15 +246,18 @@ def test_criterion_4_waterfilling_oracle(capsys, fig2_run):
     def ideal(lam):
         return WaterfillPolicy(AmplifierModel(), lam)
 
+    def budget(lam):
+        return ideal(lam).expected_request_rayleigh()
+
     worst_resid = 0.0
     for p_db in spec.p_in_db:
         p = 10.0 ** (p_db / 10.0)
-        lam = solve_lambda(p, ideal, exponential_pdf(1.0))
+        lam = solve_lambda(p, budget)
         spent = expected_desired_power(ideal(lam), exponential_pdf(1.0))
         worst_resid = max(worst_resid, abs(spent - p) / p)
 
     # long-run reference simulation against the quadrature rate
-    lam1 = solve_lambda(1.0, ideal, exponential_pdf(1.0))
+    lam1 = solve_lambda(1.0, budget)
     rate_q = expectation_quadrature(
         lambda g: math.log2(g / lam1), exponential_pdf(1.0), lower=lam1)
     point = one_point(spec, n=10_000, p_db=0.0)

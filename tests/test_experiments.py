@@ -39,9 +39,19 @@ from ehnet.experiments import (
     validate_spec,
     write_csv,
 )
-from ehnet.policies import ConstantPolicy, MaxGainBroadcastPolicy, WaterfillPolicy
+from ehnet.policies import (
+    ConstantPolicy,
+    MaxGainBroadcastPolicy,
+    WaterfillPolicy,
+    expected_desired_power,
+    solve_lambda,
+)
 from ehnet.simulator import ConfigError
-from ehnet.stochastic import LARGEST_EXPONENTIAL_DRAW, ExponentialProcess
+from ehnet.stochastic import (
+    LARGEST_EXPONENTIAL_DRAW,
+    ExponentialProcess,
+    exponential_pdf,
+)
 from ehnet.utilities import rayleigh_bpsk_ber
 
 TINY = {"n_slots": [50], "trials": 2, "p_in_db": [0.0, 10.0]}
@@ -102,9 +112,12 @@ def test_validate_spec_rejects_bad_values():
         replace(base, amplifier_epsilon=math.inf),
         # fig1's baseline 2 ** rate_threshold overflows from 1024 on.
         replace(base, rate_threshold=1100.0),
+        # fig5's baseline C(2m - 2, m - 1) overflows from 516 senders on.
+        replace(default_spec("fig5"), group_size=(1, 516)),
     ]:
         with pytest.raises(ConfigError):
             validate_spec(bad)
+    validate_spec(replace(default_spec("fig5"), group_size=(515,)))
 
 
 def test_fig6_odd_hop_counts_rejected():
@@ -276,6 +289,30 @@ def test_fig2_baseline_decreasing_in_budget():
     assert 0.0 < vals[0] < vals[1]
 
 
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+def test_waterfill_thresholds_are_the_quadrature_ones_bit_for_bit(name):
+    # The closed-form budget and its quadrature differ in their last bits,
+    # yet every bisection step branches alike on both, at the shipped
+    # powers (fig2's are also perfbench's p2p_waterfill grid) and on a
+    # dense sweep.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = load_spec(os.path.join(root, "configs", f"{name}.json"))
+    pdf = exponential_pdf(1.0)
+    ehnet.experiments._waterfill_threshold.cache_clear()
+    dense = np.arange(-30.0, 39.1, 0.25).tolist()
+    solved = 0
+    for p_db in sorted(set(spec.p_in_db) | set(dense)):
+        amp, lam = ehnet.experiments._waterfill(spec, 10.0 ** (p_db / 10.0))
+        if lam is None:  # at or below the circuit draw: no threshold
+            continue
+        quadrature = solve_lambda(
+            10.0 ** (p_db / 10.0), lambda t: expected_desired_power(
+                WaterfillPolicy(amp, t), pdf))
+        assert lam.hex() == quadrature.hex()
+        solved += 1
+    assert solved >= len(dense) - 21  # fig3 skips -30 to -25 dB
+
+
 def test_fig6_baseline_is_reference_run():
     spec = replace(default_spec("fig6"), p_in_db=(0.0,), group_size=(2,))
     pt = point(spec, p_db=0.0, m=2)
@@ -329,8 +366,9 @@ def test_run_experiment_row_layout():
 
 def test_run_experiment_worker_count_is_invisible(tmp_path):
     # More points than workers, so a worker runs several of them.  fig2's
-    # workers solve their thresholds with the QUADPACK module that
-    # validation loaded: the threshold cache is emptied before each run.
+    # workers solve their thresholds with the `exp1` of the ufunc module
+    # that validation loaded: the threshold cache is emptied before each
+    # run.
     for name in ("fig1", "fig2"):
         spec = spec_from_dict({"experiment": name, **TINY,
                                "p_in_db": [0.0, 5.0, 10.0, 15.0, 20.0]})

@@ -119,13 +119,19 @@ def test_public_scipy_imports_reuse_the_loaded_modules():
 
 def test_library_functions_import_scipy_themselves():
     # Called from library code, with no config validated first.
-    q, mean = _fresh(
+    q, mean, budget = _fresh(
         "import json\n"
+        "from ehnet.policies import AmplifierModel, WaterfillPolicy\n"
         "from ehnet.stochastic import expectation_quadrature, exponential_pdf\n"
         "from ehnet.utilities import qfunc\n"
         "print(json.dumps([float(qfunc(1.0)), expectation_quadrature(\n"
-        "    lambda g: g, exponential_pdf(2.0))]))\n"
+        "    lambda g: g, exponential_pdf(2.0)),\n"
+        "    WaterfillPolicy(AmplifierModel(), 1.0)"
+        ".expected_request_rayleigh()]))\n"
     )
     assert q == pytest.approx(0.5 * math.erfc(1.0 / math.sqrt(2.0)),
                               rel=1e-15)
     assert mean == pytest.approx(2.0, rel=1e-10)
+    # e^-1 - E1(1), with E1(1) = 0.21938393439552...
+    assert budget == pytest.approx(math.exp(-1.0) - 0.21938393439552029,
+                                   rel=1e-14)

@@ -40,7 +40,8 @@ def ideal_waterfill(lam):
 
 
 def solve_waterfill(target):
-    return solve_lambda(target, ideal_waterfill, exponential_pdf(1.0))
+    return solve_lambda(
+        target, lambda lam: ideal_waterfill(lam).expected_request_rayleigh())
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +169,23 @@ def test_waterfill_expectation_matches_closed_form(lam):
     assert got == pytest.approx(waterfill_mean_closed_form(lam, amp), rel=1e-9)
 
 
+@pytest.mark.parametrize("circuit_power", [0.0, 10.0 ** -2.5])
+@pytest.mark.parametrize("epsilon", [1.0, 5.0])
+def test_waterfill_closed_form_budget_equals_quadrature(epsilon,
+                                                        circuit_power):
+    # The oracle integrates against the unit-mean exponential density
+    # times e^lam, whose mass above lam is 1, and scales back by e^-lam:
+    # so quadrature's absolute tolerance of 1e-12 stays far below the
+    # integral, which is of order 1/lam**2 there, not e^-lam/lam**2.
+    amp = AmplifierModel(epsilon, circuit_power)
+    for lam in np.geomspace(1e-6, 50.0, 81).tolist():
+        policy = WaterfillPolicy(amp, lam)
+        oracle = math.exp(-lam) * expected_desired_power(
+            policy, lambda g: math.exp(lam - g))
+        assert policy.expected_request_rayleigh() == pytest.approx(
+            oracle, rel=1e-12)
+
+
 @pytest.mark.parametrize("lam", [0.2, 1.0])
 def test_waterfill_expectation_nonunit_fading(lam):
     amp = AmplifierModel()
@@ -201,8 +219,9 @@ def test_solver_regression_unit_budget():
 
 def test_broadcast_single_receiver_reduces_to_waterfill():
     a = solve_waterfill(1.0)
-    b = solve_lambda(1.0, lambda lam: MaxGainBroadcastPolicy(lam, 1),
-                     max_exponential_pdf(1.0, 1))
+    pdf = max_exponential_pdf(1.0, 1)
+    b = solve_lambda(1.0, lambda lam: expected_desired_power(
+        MaxGainBroadcastPolicy(lam, 1), pdf))
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -245,8 +264,9 @@ def test_monte_carlo_request_average_hits_budget():
 
 def test_monte_carlo_broadcast_average_hits_budget():
     m = 3
-    lam = solve_lambda(2.0, lambda lam: MaxGainBroadcastPolicy(lam, m),
-                       max_exponential_pdf(1.0, m))
+    pdf = max_exponential_pdf(1.0, m)
+    lam = solve_lambda(2.0, lambda lam: expected_desired_power(
+        MaxGainBroadcastPolicy(lam, m), pdf))
     stream = Stream(456, (0, 0, 0))
     gains = ExponentialProcess(1.0).sample(stream, 3_000_000).reshape(-1, m)
     policy = MaxGainBroadcastPolicy(lam=lam, num_links=m)

@@ -29,6 +29,7 @@ from ehnet.policies import (
     ConstantPolicy,
     MaxGainBroadcastPolicy,
     WaterfillPolicy,
+    expected_desired_power,
     solve_lambda,
 )
 from ehnet import battery
@@ -139,9 +140,16 @@ def test_validation_catches_bad_configs():
             single_link_config(**kwargs).validate()
         assert str(err.value) == f"node 0: battery {shown}"
     ones = np.ones((4, 3))  # three lanes
-    for capacity in (True, "5", np.ones(3, dtype=bool)):
+    for capacity in (True, "5", np.ones(3, dtype=bool), [5.0, 5.0, True]):
         with pytest.raises(ValueError, match="capacity must be a number"):
             battery.trajectory(ones, ones, capacity=capacity)
+    # A list's items are checked before numpy turns a bool among floats
+    # into a float.
+    for levels, capacity, shown in (([1.0, True], [5.0, 5.0], "level"),
+                                    (np.zeros(2), (5.0, True), "capacity")):
+        with pytest.raises(ValueError) as err:
+            battery.check_start(levels, capacity)
+        assert str(err.value) == f"battery {shown} must be a number, got True"
 
 
 def test_unbounded_buffer_may_start_at_inf():
@@ -234,8 +242,9 @@ def _run_with_policy_links(num_links):
 
 
 def _solve(target):
-    return solve_lambda(target, lambda lam: MaxGainBroadcastPolicy(lam, 1),
-                        stochastic.exponential_pdf(1.0))
+    pdf = stochastic.exponential_pdf(1.0)
+    return solve_lambda(target, lambda lam: expected_desired_power(
+        MaxGainBroadcastPolicy(lam, 1), pdf))
 
 
 # Each real field: how to build it, the name its message gives, its bound,

@@ -447,8 +447,9 @@ def test_quadrature_is_scipy_quad_bit_for_bit(case):
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
 def test_shipped_threshold_quadratures_are_scipy_quad_bit_for_bit(
         name, monkeypatch):
-    # Every threshold bisection step and `closed_form` value of the shipped
-    # config, at every power it ships.
+    # Every `closed_form` value of the shipped config, at every power it
+    # ships, and fig4's threshold bisection steps (fig2's and fig3's take
+    # the closed-form budget).
     real = expectation_quadrature
     checked = []
 
