@@ -13,7 +13,10 @@ Each experiment is one `EXPERIMENTS` entry: its title, what its group-size
 axis counts (receivers for the broadcast sweep, transmitters for the
 multi-access sweep, hops for the relay chain, unused elsewhere), its
 default grid, functions that build its network and its baseline at a
-grid point, and the compiled scipy modules its sweep uses.
+grid point, the compiled scipy modules its sweep uses, and `check`, the
+rules of grids that only it cannot run (fig1's `rate_threshold` < 1024,
+fig5's `group_size` < 516, fig6's hop counts).  Where the group-size axis
+is unused, `group_size` must be ``(1,)``.
 
 Shipped defaults start every battery full (`initial_fill` 1.0).  At the
 default `b_max_ratio` of 200 that banks 200 slots of mean harvest, which a
@@ -32,7 +35,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -117,18 +120,6 @@ class SweepSpec:
     circuit_power_db: float | None = None
 
 
-def _as_tuple(value, *, none_ok: bool = False) -> tuple:
-    if isinstance(value, (list, tuple)):
-        items = tuple(value)
-    else:
-        items = (value,)
-    if not items:
-        raise ConfigError("grid axes must not be empty")
-    if not none_ok and any(v is None for v in items):
-        raise ConfigError("null is not allowed on this axis")
-    return items
-
-
 def _as_int(value, name: str) -> int:
     """`value` as an int.  Integers are taken, and floats with a finite
     integral value (JSON ``100.0``); booleans, fractions, infinities and
@@ -148,48 +139,49 @@ def _as_float(value, name: str) -> float:
     return float(value)
 
 
+# How a config gives each `SweepSpec` field, in field order: (grid axis,
+# converter of one value, null allowed).  An axis is a list of values, or
+# one value standing for a list of it.
+_SPEC_FIELDS = {
+    "experiment": (False, lambda value, name: str(value), False),
+    "p_in_db": (True, _as_float, False),
+    "n_slots": (True, _as_int, False),
+    "b_max_ratio": (True, _as_float, True),
+    "group_size": (True, _as_int, False),
+    "trials": (False, _as_int, False),
+    "seed": (False, _as_int, False),
+    "initial_fill": (False, _as_float, False),
+    "rate_threshold": (False, _as_float, False),
+    "amplifier_epsilon": (False, _as_float, False),
+    "circuit_power_db": (False, _as_float, True),
+}
+
+
+def _read_field(name: str, value):
+    """Config `value` of field `name` converted by `_SPEC_FIELDS`."""
+    axis, convert, null_ok = _SPEC_FIELDS[name]
+    items = value if axis and isinstance(value, (list, tuple)) else [value]
+    if not items:
+        raise ConfigError("grid axes must not be empty")
+    read = tuple(None if v is None and null_ok else convert(v, name)
+                 for v in items)
+    return read if axis else read[0]
+
+
 def spec_from_dict(data: dict) -> SweepSpec:
     """Build and validate a `SweepSpec` from a parsed config mapping."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    known = {f.name for f in fields(SweepSpec)}
-    unknown = set(data) - known
+    unknown = set(data) - set(_SPEC_FIELDS)
     if unknown:
         names = ", ".join(sorted(map(repr, unknown)))  # a key may hold a newline
         raise ConfigError(f"unknown config keys: {names}")
     if "experiment" not in data:
         raise ConfigError("config needs an 'experiment' key")
     base = default_spec(str(data["experiment"]))
-    merged = {f.name: getattr(base, f.name) for f in fields(SweepSpec)}
-    merged.update(data)
     try:
-        spec = SweepSpec(
-            experiment=str(merged["experiment"]),
-            p_in_db=tuple(
-                _as_float(p, "p_in_db") for p in _as_tuple(merged["p_in_db"])
-            ),
-            n_slots=tuple(
-                _as_int(n, "n_slots") for n in _as_tuple(merged["n_slots"])
-            ),
-            b_max_ratio=tuple(
-                None if r is None else _as_float(r, "b_max_ratio")
-                for r in _as_tuple(merged["b_max_ratio"], none_ok=True)
-            ),
-            group_size=tuple(
-                _as_int(m, "group_size") for m in _as_tuple(merged["group_size"])
-            ),
-            trials=_as_int(merged["trials"], "trials"),
-            seed=_as_int(merged["seed"], "seed"),
-            initial_fill=_as_float(merged["initial_fill"], "initial_fill"),
-            rate_threshold=_as_float(merged["rate_threshold"],
-                                     "rate_threshold"),
-            amplifier_epsilon=_as_float(merged["amplifier_epsilon"],
-                                        "amplifier_epsilon"),
-            circuit_power_db=(
-                None if merged["circuit_power_db"] is None
-                else _as_float(merged["circuit_power_db"], "circuit_power_db")
-            ),
-        )
+        spec = replace(base, **{name: _read_field(name, data[name])
+                                for name in _SPEC_FIELDS if name in data})
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -237,6 +229,10 @@ def validate_spec(spec: SweepSpec) -> None:
     if spec.circuit_power_db is not None:
         _linear_power(spec.circuit_power_db, "circuit_power_db")
     experiment.check(spec)
+    if experiment.group_axis == "unused" and spec.group_size != (1,):
+        raise ConfigError(
+            f"{spec.experiment} has no group-size axis: group_size must be "
+            f"[1], got {list(spec.group_size)}")
     for name in experiment.modules:
         load_compiled(name)
 
@@ -488,7 +484,8 @@ class Experiment:
     `stochastic.load_compiled`, as `import ehnet` loads none; neither
     ``scipy.integrate`` nor ``scipy.special`` is imported.  `check(spec)`,
     run after the checks every sweep shares, raises `ConfigError` for
-    grids that only this experiment cannot run.
+    grids that only this experiment cannot run.  A `group_axis` of
+    ``"unused"`` makes `validate_spec` refuse any `group_size` but ``(1,)``.
     """
 
     title: str
@@ -666,19 +663,11 @@ def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
     `config`'s own seed is not used.  One `run_eh` call yields both
     averages of every seed, as the columns of its `Trials`."""
     trials = run_eh(config, seeds=seeds)
-    ehs = trials.avg_utility.tolist()
-    nons = trials.non_eh_utility.tolist()
-    gaps = (trials.avg_utility - trials.non_eh_utility).tolist()
-    gap_mean, gap_stderr = _mean_stderr(gaps)
-    eh_mean, eh_stderr = _mean_stderr(ehs)
-    non_eh_mean, non_eh_stderr = _mean_stderr(nons)
+    eh, non_eh = trials.avg_utility, trials.non_eh_utility
     return GapStatistics(
-        gap_mean=gap_mean,
-        gap_stderr=gap_stderr,
-        eh_mean=eh_mean,
-        eh_stderr=eh_stderr,
-        non_eh_mean=non_eh_mean,
-        non_eh_stderr=non_eh_stderr,
+        *_mean_stderr((eh - non_eh).tolist()),
+        *_mean_stderr(eh.tolist()),
+        *_mean_stderr(non_eh.tolist()),
         mismatch_mean=math.fsum(trials.mismatch_union.tolist()) / len(trials),
         n_pairs=len(trials),
     )
@@ -748,22 +737,15 @@ def run_experiment(spec: SweepSpec, *, jobs: int = 1) -> list[CsvRow]:
 
 
 def write_csv(rows: Iterable[CsvRow], path) -> None:
-    """Write rows with the exact `CSV_FIELDS` header.  Float cells use
-    `repr` (shortest round-trip), so identical runs give identical bytes."""
+    """Write rows with the exact `CSV_FIELDS` header, one cell per `CsvRow`
+    field.  A field declared `float` is written as the `repr` of its value
+    as a float (shortest round-trip, ``5.0`` for an int 5), so identical
+    runs give identical bytes."""
+    columns = [(f.name, f.type == "float") for f in fields(CsvRow)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for row in rows:
-            writer.writerow(
-                [
-                    row.experiment_id,
-                    repr(float(row.p_in_db)),
-                    row.n_slots,
-                    repr(float(row.b_max_ratio)),
-                    row.m,
-                    row.mode,
-                    repr(float(row.u_mean)),
-                    repr(float(row.u_stderr)),
-                    repr(float(row.mismatch_mean)),
-                ]
-            )
+            writer.writerow([repr(float(getattr(row, name))) if is_float
+                             else getattr(row, name)
+                             for name, is_float in columns])

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import groupby
 
 import numpy as np
@@ -198,6 +198,7 @@ class RunSummary:
     final_level: dict[int, float]
 
 
+@dataclass(eq=False, repr=False)
 class Trials(Sequence):
     """The results of one `run_eh` call on several seeds, kept as columns
     with one entry per seed, in seed order.
@@ -206,18 +207,16 @@ class Trials(Sequence):
     float arrays; `mismatch_fraction` and `final_level` are (trials, nodes)
     arrays whose columns follow `nodes`, the transmitters in config order.
     `len`, indexing and iteration give each seed's `RunSummary`, built on
-    access, equal bit for bit to the run on that seed alone."""
+    access, equal bit for bit to the run on that seed alone.  Two `Trials`
+    are equal only when they are the same object."""
 
-    __slots__ = ("n_slots", "nodes", "avg_utility", "non_eh_utility",
-                 "mismatch_fraction", "mismatch_union", "final_level")
-
-    def __init__(self, n_slots: int, nodes: tuple[int, ...], avg_utility,
-                 non_eh_utility, mismatch_fraction, mismatch_union,
-                 final_level):
-        self.n_slots, self.nodes = n_slots, nodes
-        self.avg_utility, self.non_eh_utility = avg_utility, non_eh_utility
-        self.mismatch_fraction = mismatch_fraction
-        self.mismatch_union, self.final_level = mismatch_union, final_level
+    n_slots: int
+    nodes: tuple[int, ...]
+    avg_utility: np.ndarray
+    non_eh_utility: np.ndarray
+    mismatch_fraction: np.ndarray
+    mismatch_union: np.ndarray
+    final_level: np.ndarray
 
     def __len__(self) -> int:
         return len(self.avg_utility)
@@ -227,9 +226,6 @@ class Trials(Sequence):
         if isinstance(at, range):
             return [self._result(j) for j in at]
         return self._result(at)
-
-    def __iter__(self):
-        return map(self._result, range(len(self)))
 
     def __repr__(self) -> str:
         return f"Trials(n_slots={self.n_slots}, trials={len(self)})"
@@ -249,11 +245,10 @@ class Trials(Sequence):
 def _joined(parts: list[Trials]) -> Trials:
     """The trials of `parts`, one after another."""
     first = parts[0]
-    return Trials(first.n_slots, first.nodes,
-                  *(np.concatenate([getattr(p, name) for p in parts])
-                    for name in ("avg_utility", "non_eh_utility",
-                                 "mismatch_fraction", "mismatch_union",
-                                 "final_level")))
+    return replace(first, **{
+        f.name: np.concatenate([getattr(p, f.name) for p in parts])
+        for f in fields(first)
+        if isinstance(getattr(first, f.name), np.ndarray)})
 
 
 # Every finite float is an integer multiple of 2**-1074.

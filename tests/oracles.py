@@ -1,6 +1,8 @@
 """What the tests compare the simulator's array code against: the scalar
-battery recursion, one Python float per step and one step per request,
-and `reference_run`, a whole run slot by slot on it.
+battery recursion, one Python float per step and one step per request;
+`reference_run`, a whole run slot by slot on it; and
+`constant_request_means`, the exact expected `eh` row of a single link
+with a constant request, from the battery level's law.
 
 Within one slot a node draws ``min(desired, level)`` for each of its
 requests in link order, then banks the slot's harvest, clipping at the
@@ -164,3 +166,57 @@ def reference_run(config, seed: int, with_battery: bool = True) -> RunSummary:
         mismatch_union=union / n,
         final_level={node: state.level for node, state in states.items()},
     )
+
+
+def constant_request_means(request: float, harvest_mean: float,
+                           capacity: float, n_slots: int, expected_utility,
+                           cells: int = 100) -> tuple[float, float]:
+    """The expected mean utility and mismatch fraction over `n_slots` slots
+    of a single-link buffer that starts empty, requests `request` every
+    slot and banks an exponential harvest of mean `harvest_mean`, capped
+    at `capacity`.  `expected_utility(a)` is the utility at granted power
+    `a`, averaged over the gain, for an array of `a`.
+
+    The level before each slot's draw is a Markov chain on [0, capacity]
+    (Moran's finite dam), so the law of that level at slot t gives the
+    exact expected utility, ``expected_utility(min(request, level))``, and
+    mismatch probability, ``P(level < request)``, of slot t.  The law is
+    held as masses on a grid of step h = request / `cells`, the top cell
+    being the atom at `capacity`, which must be a whole number of steps.
+    Each slot shifts it down by the request, folding the mass below 0 into
+    0, then convolves it with the harvest rounded down to the grid,
+    folding the mass above `capacity` into the top cell.  Rounding is an
+    O(h) error, which Richardson extrapolation over h and h/2 removes."""
+    coarse = _law_means(request, harvest_mean, capacity, n_slots,
+                        expected_utility, cells)
+    fine = _law_means(request, harvest_mean, capacity, n_slots,
+                      expected_utility, 2 * cells)
+    return tuple(2.0 * f - c for f, c in zip(fine, coarse))
+
+
+def _law_means(request, harvest_mean, capacity, n_slots, expected_utility,
+               cells):
+    """`constant_request_means` on one grid, with `cells` steps per
+    request."""
+    h = request / cells
+    top = round(capacity / h)
+    if not math.isclose(top * h, capacity):
+        raise ValueError(f"capacity {capacity} is not a whole number of "
+                         f"steps of {h}")
+    steps = np.arange(top + 1)
+    utility = expected_utility(np.minimum(steps * h, request))
+    tail = np.exp(-steps * (h / harvest_mean))  # P(harvest >= j h)
+    pmf = tail[:top] * -math.expm1(-h / harvest_mean)  # P(j h <= it < j h + h)
+    law = np.zeros(top + 1)
+    law[0] = 1.0
+    u_sum = miss_sum = 0.0
+    for _ in range(n_slots):
+        u_sum += law @ utility
+        miss_sum += law[:cells].sum()
+        drawn = np.zeros(top + 1)
+        drawn[0] = law[:cells + 1].sum()
+        drawn[1:max(1, top + 1 - cells)] = law[cells + 1:]
+        law = np.empty(top + 1)
+        law[:top] = np.convolve(drawn, pmf)[:top]
+        law[top] = drawn @ tail[::-1]
+    return u_sum / n_slots, miss_sum / n_slots

@@ -20,6 +20,7 @@ import pytest
 
 from ehnet.experiments import (
     build_config,
+    default_spec,
     grid_points,
     load_spec,
     run_experiment,
@@ -42,6 +43,7 @@ from ehnet.simulator import (
 )
 from ehnet.stochastic import ExponentialProcess, expectation_quadrature, exponential_pdf
 from ehnet.utilities import BroadcastSumRateUtility, OutageUtility, rayleigh_bpsk_ber
+from oracles import constant_request_means
 from walk_capture import capture
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -236,6 +238,43 @@ def test_fig1_reference_curve_tracks_closed_form(fig1_run):
         p = 10.0 ** (r.p_in_db / 10.0)
         closed = -math.expm1(-(2.0 ** spec.rate_threshold - 1.0) / p)
         assert abs(r.u_mean - closed) <= 3.0 * r.u_stderr, (r, closed)
+
+
+# fig1 started empty at 100 slots: a transient the battery shapes in every
+# slot, so the `eh` rows differ from `non_eh` by far more than their noise.
+FIG1_EMPTY = replace(default_spec("fig1"), p_in_db=(0.0, 10.0),
+                     n_slots=(100,), b_max_ratio=(2.0, 5.0), initial_fill=0.0,
+                     trials=2000, seed=1)
+
+
+@pytest.mark.parametrize("point", grid_points(FIG1_EMPTY),
+                         ids=lambda pt: f"{pt.p_db:g}dB_ratio{pt.ratio:g}")
+def test_fig1_eh_rows_match_the_exact_battery_law(point):
+    # not a numbered criterion: the mean outage and mismatch of the `eh`
+    # trials lie within 4 standard errors of their expected values, which
+    # `constant_request_means` computes without Monte Carlo
+    spec = FIG1_EMPTY
+    seeds = [trial_seed(spec.seed, point.index, t) for t in range(spec.trials)]
+    trials = run_eh(build_config(spec, point, seeds[0]), seeds=seeds)
+    p = 10.0 ** (point.p_db / 10.0)
+    theta = 2.0 ** spec.rate_threshold - 1.0
+
+    def outage(power):  # P(power * gain < theta), 1 at power 0
+        ratio = np.divide(theta, power, out=np.full(power.shape, np.inf),
+                          where=power > 0.0)
+        return -np.expm1(-ratio)
+
+    want = constant_request_means(p, p, point.ratio * p, point.n, outage)
+    # The extrapolation has converged far below the trials' noise.
+    coarse = constant_request_means(p, p, point.ratio * p, point.n, outage,
+                                    cells=50)
+    assert np.allclose(coarse, want, rtol=0.0, atol=1e-4)
+    for name, values, expected in zip(
+            ("eh", "mismatch"),
+            (trials.avg_utility, trials.mismatch_union), want):
+        stderr = values.std(ddof=1) / math.sqrt(len(values))
+        z = (values.mean() - expected) / stderr
+        assert abs(z) < 4.0, (name, values.mean(), expected, z)
 
 
 def test_criterion_4_waterfilling_oracle(capsys, fig2_run):

@@ -114,10 +114,35 @@ def test_validate_spec_rejects_bad_values():
         replace(base, rate_threshold=1100.0),
         # fig5's baseline C(2m - 2, m - 1) overflows from 516 senders on.
         replace(default_spec("fig5"), group_size=(1, 516)),
+        # fig1-fig3 have no group-size axis: they would run one network
+        # once per group size and label the rows with it.
+        replace(base, group_size=(2,)),
+        replace(default_spec("fig2"), group_size=(1, 2, 7)),
+        replace(default_spec("fig3"), group_size=(1, 1)),
     ]:
         with pytest.raises(ConfigError):
             validate_spec(bad)
     validate_spec(replace(default_spec("fig5"), group_size=(515,)))
+
+
+def test_cli_rejects_group_sizes_where_the_axis_is_unused(tmp_path, capsys):
+    path = write_config(tmp_path, experiment="fig2", p_in_db=[0],
+                        n_slots=[50], group_size=[1, 2, 7], trials=3)
+    out = tmp_path / "x.csv"
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(out)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: fig2 has no group-size axis: group_size must be "
+            "[1], got [1, 2, 7]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_shipped_configs_are_the_registry_defaults(name):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "configs", f"{name}.json")
+    assert load_spec(path) == default_spec(name)
 
 
 def test_fig6_odd_hop_counts_rejected():
@@ -422,6 +447,17 @@ def test_csv_layout_and_roundtrip(tmp_path):
     assert float(first[6]) == rows[0].u_mean
 
 
+def test_csv_writes_float_fields_as_floats(tmp_path):
+    # A spec built in code may hold ints where the CSV has floats.
+    spec = replace(default_spec("fig1"), p_in_db=(5,), n_slots=(50,),
+                   b_max_ratio=(3,), trials=2)
+    path = tmp_path / "out.csv"
+    write_csv(run_experiment(spec), path)
+    for line in path.read_text().splitlines()[1:]:
+        assert line.startswith("fig1,5.0,50,3.0,1,")
+        assert all(cell == repr(float(cell)) for cell in line.split(",")[6:])
+
+
 # SHA-256 of small sweeps of every experiment (3 trials, n_slots 100 and
 # 1000, one power for fig6), pinned from the code before trials ran in
 # batches.  Any change to the numbers a sweep writes changes one of them.
@@ -719,6 +755,19 @@ def test_largest_harvest_draw_bounds_the_accepted_powers():
         else:
             with pytest.raises(ConfigError, match="overflows"):
                 spec_from_dict(config)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"p_in_db": [0.0, None]}, "p_in_db must be a number, got None"),
+    ({"n_slots": None}, "n_slots must be an integer, got None"),
+    ({"group_size": [None]}, "group_size must be an integer, got None"),
+    ({"trials": None}, "trials must be an integer, got None"),
+    ({"p_in_db": []}, "grid axes must not be empty"),
+], ids=["power", "slots", "group", "trials", "empty_axis"])
+def test_null_where_refused_names_its_field(config, message):
+    with pytest.raises(ConfigError) as err:
+        spec_from_dict({"experiment": "fig1", **config})
+    assert str(err.value) == message
 
 
 def test_float_fields_take_numbers_and_null_where_allowed():

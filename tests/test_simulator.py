@@ -3,7 +3,7 @@
 import gc
 import math
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -38,6 +38,7 @@ from ehnet.simulator import (
     ConfigError,
     LinkSpec,
     NumericsError,
+    RunSummary,
     SimulationConfig,
     TransmitterSpec,
     run_eh,
@@ -1382,6 +1383,19 @@ def test_trials_entry_j_is_the_run_on_seed_j(network, traces, monkeypatch):
         assert getattr(trials, column).tolist() == [
             list(getattr(s, column).values()) for s in summaries]
     assert any(s.mismatch_union > 0.0 for s in summaries)
+
+
+def test_trials_hold_a_column_per_summary_field_and_compare_by_identity():
+    cfg = REFERENCE_NETWORKS["mixed"]()
+    trials = run_eh(cfg, seeds=[1, 2])
+    summary = [f.name for f in fields(RunSummary)]
+    assert [f.name for f in fields(trials)] == [summary[0], "nodes",
+                                                *summary[1:]]
+    # Equal columns do not make equal results: a generated `__eq__` would
+    # compare arrays, whose truth value is ambiguous.
+    again = run_eh(cfg, seeds=[1, 2])
+    assert trials == trials and trials != again and len({trials, again}) == 2
+    assert repr(trials) == f"Trials(n_slots={cfg.n_slots}, trials=2)"
 
 
 class WrongShape:

@@ -24,7 +24,7 @@ Nothing is added to `ehnet`: the recorders pass every call through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -143,10 +143,9 @@ def _bits(result):
     columns' bytes of a `Trials`, or the repr of a `RunSummary`, whose
     Python floats print exactly, signs of zero included."""
     if isinstance(result, simulator.Trials):
-        return (result.n_slots, result.nodes) + tuple(
-            getattr(result, name).tobytes() for name in (
-                "avg_utility", "non_eh_utility", "mismatch_fraction",
-                "mismatch_union", "final_level"))
+        values = (getattr(result, f.name) for f in fields(result))
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                     for v in values)
     return repr(result)
 
 
