@@ -22,6 +22,7 @@ from .experiments import (
     default_spec,
     grid_points,
     load_spec,
+    point_threshold,
     run_experiment,
     write_csv,
 )
@@ -124,6 +125,9 @@ def _cmd_list() -> int:
 def _cmd_validate(args) -> int:
     spec = load_spec(args.config)
     points = grid_points(spec)
+    # A budget that no threshold meets fails here, as `run` would fail.
+    for point in points:
+        point_threshold(spec, point)
     print(
         f"{spec.experiment}: ok, {len(points)} grid points, "
         f"{3 * len(points)} csv rows, {spec.trials} trials per point"

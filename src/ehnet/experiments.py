@@ -12,11 +12,11 @@ wherever one exists.
 Each experiment is one `EXPERIMENTS` entry: its title, what its group-size
 axis counts (receivers for the broadcast sweep, transmitters for the
 multi-access sweep, hops for the relay chain, unused elsewhere), its
-default grid, functions that build its network and its baseline at a
-grid point, the compiled scipy modules its sweep uses, and `check`, the
-rules of grids that only it cannot run (fig1's `rate_threshold` < 1024,
-fig5's `group_size` < 516, fig6's hop counts).  Where the group-size axis
-is unused, `group_size` must be ``(1,)``.
+default grid, functions that build its network, its baseline and its
+policy's threshold at a grid point, the compiled scipy modules its sweep
+uses, and `check`, the rules of grids that only it cannot run (fig1's
+`rate_threshold` < 1024, fig5's `group_size` < 516, fig6's hop counts).
+Where the group-size axis is unused, `group_size` must be ``(1,)``.
 
 Shipped defaults start every battery full (`initial_fill` 1.0).  At the
 default `b_max_ratio` of 200 that banks 200 slots of mean harvest, which a
@@ -45,7 +45,6 @@ from .policies import (
     ConstantPolicy,
     MaxGainBroadcastPolicy,
     WaterfillPolicy,
-    expected_desired_power,
     solve_lambda,
 )
 from .simulator import (
@@ -92,6 +91,7 @@ __all__ = [
     "grid_points",
     "load_spec",
     "paired_gap",
+    "point_threshold",
     "run_experiment",
     "spec_from_dict",
     "trial_seed",
@@ -315,13 +315,11 @@ def _waterfill_threshold(target: float, epsilon: float, circuit_power: float):
 
 @lru_cache(maxsize=None)
 def _broadcast_threshold(target: float, receivers: int) -> float:
-    # By quadrature: the closed form over the largest of `receivers` gains
-    # is an alternating binomial sum, which cancels at 25 receivers.
-    pdf = max_exponential_pdf(1.0, receivers)
-
+    # On fixed nodes, not by quadrature: bit for bit the quadrature's
+    # thresholds, without a QUADPACK run per bisection step.
     def budget(lam: float) -> float:
-        return expected_desired_power(MaxGainBroadcastPolicy(lam, receivers),
-                                      pdf)
+        policy = MaxGainBroadcastPolicy(lam, receivers)
+        return policy.expected_request_rayleigh()
 
     return solve_lambda(target, budget)
 
@@ -339,6 +337,10 @@ def _waterfill(spec: SweepSpec, p: float):
     if p <= pc:
         return amp, None
     return amp, _waterfill_threshold(p, amp.epsilon, amp.circuit_power)
+
+
+def _waterfill_lam(spec, point, p):
+    return _waterfill(spec, p)[1]
 
 
 def _one_link():
@@ -404,6 +406,10 @@ def _broadcast_baseline(spec, point, p):
     return expectation_quadrature(
         rate, max_exponential_pdf(1.0, point.m), lower=lam
     )
+
+
+def _broadcast_lam(spec, point, p):
+    return _broadcast_threshold(p, point.m)
 
 
 def _mac_network(spec, point, p, node):
@@ -474,13 +480,15 @@ class Experiment:
     `defaults` are its default `SweepSpec` fields.  At a grid point of
     linear power p, `network(spec, point, p, node)` returns the
     ``(transmitters, links, utility)`` of the network, with `node(k,
-    policy)` making transmitter k, and `baseline(spec, point, p)` the
-    Monte-Carlo-free value of the unconstrained system.  `modules` names
-    the compiled scipy modules its sweep uses: QUADPACK
-    (``scipy.integrate._quadpack``) for fig4's thresholds and the
-    `closed_form` values by quadrature, the ufuncs
-    (``scipy.special._special_ufuncs``) for the water-filling thresholds'
-    `exp1` and the BER's `erfc`.  `validate_spec` loads them with
+    policy)` making transmitter k, `baseline(spec, point, p)` the
+    Monte-Carlo-free value of the unconstrained system, and
+    `threshold(spec, point, p)` the gain threshold of its policy, solved
+    as the network and the baseline solve it, or None where the policy
+    has none.  `modules` names the compiled scipy modules its sweep uses:
+    QUADPACK (``scipy.integrate._quadpack``) for the `closed_form` values
+    by quadrature, the ufuncs (``scipy.special._special_ufuncs``) for the
+    water-filling thresholds' `exp1` and the BER's `erfc`; fig4's
+    thresholds need numpy alone.  `validate_spec` loads them with
     `stochastic.load_compiled`, as `import ehnet` loads none; neither
     ``scipy.integrate`` nor ``scipy.special`` is imported.  `check(spec)`,
     run after the checks every sweep shares, raises `ConfigError` for
@@ -495,6 +503,7 @@ class Experiment:
     baseline: Callable
     modules: tuple[str, ...]
     check: Callable = lambda spec: None
+    threshold: Callable = lambda spec, point, p: None
 
 
 EXPERIMENTS = {
@@ -517,6 +526,7 @@ EXPERIMENTS = {
         baseline=_waterfill_baseline,
         modules=("scipy.integrate._quadpack",
                  "scipy.special._special_ufuncs"),
+        threshold=_waterfill_lam,
     ),
     "fig3": Experiment(
         title="water-filling rate with amplifier slope and circuit draw",
@@ -532,6 +542,7 @@ EXPERIMENTS = {
         baseline=_waterfill_baseline,
         modules=("scipy.integrate._quadpack",
                  "scipy.special._special_ufuncs"),
+        threshold=_waterfill_lam,
     ),
     "fig4": Experiment(
         title="opportunistic broadcast sum rate vs receiver count",
@@ -541,6 +552,7 @@ EXPERIMENTS = {
         network=_broadcast_network,
         baseline=_broadcast_baseline,
         modules=("scipy.integrate._quadpack",),
+        threshold=_broadcast_lam,
     ),
     "fig5": Experiment(
         title="multi-access BPSK error rate vs transmitter count",
@@ -595,6 +607,17 @@ def build_config(spec: SweepSpec, point: GridPoint, seed: int) -> SimulationConf
         spec, point, p, node)
     return SimulationConfig(n_slots=point.n, transmitters=transmitters,
                             links=links, utility=utility, seed=seed)
+
+
+def point_threshold(spec: SweepSpec, point: GridPoint) -> float | None:
+    """The gain threshold of the policy at this grid point, solved from its
+    power budget as a run solves it, or None where the policy has none.
+
+    Raises `InfeasibleTargetError` or `ThresholdSolverError` where the run
+    would.
+    """
+    return _experiment(spec.experiment).threshold(
+        spec, point, _db_to_linear(point.p_db))
 
 
 def closed_form_baseline(spec: SweepSpec, point: GridPoint) -> float:
@@ -689,11 +712,11 @@ class CsvRow:
 CSV_FIELDS = tuple(f.name for f in fields(CsvRow))
 
 
-def _point_rows(spec: SweepSpec, point: GridPoint) -> list[CsvRow]:
+def _point_rows(spec: SweepSpec, point: GridPoint,
+                baseline: float) -> list[CsvRow]:
     seeds = _trial_seeds(spec.seed, point.index, range(spec.trials))
     # The trials differ only in their seed: one network for all of them.
     stats = paired_gap(build_config(spec, point, seeds[0]), seeds)
-    baseline = closed_form_baseline(spec, point)
     common = dict(
         experiment_id=spec.experiment,
         p_in_db=point.p_db,
@@ -712,20 +735,25 @@ def _point_rows(spec: SweepSpec, point: GridPoint) -> list[CsvRow]:
 
 
 def run_experiment(spec: SweepSpec, *, jobs: int = 1) -> list[CsvRow]:
-    """Run the whole sweep.  The row list is independent of `jobs`."""
+    """Run the whole sweep.  The row list is independent of `jobs`.
+
+    Every point's baseline, which solves its threshold where it has one,
+    comes before the first trial, so a baseline or threshold that fails
+    fails before any trial has run."""
     validate_spec(spec)
     points = grid_points(spec)
+    specs = [spec] * len(points)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # Under fork the pool starts all its workers at the first submit,
         # so it gets no more of them than there are points.
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-            per_point = list(
-                pool.map(_point_rows, [spec] * len(points), points)
-            )
+            baselines = list(pool.map(closed_form_baseline, specs, points))
+            per_point = list(pool.map(_point_rows, specs, points, baselines))
     else:
-        per_point = [_point_rows(spec, pt) for pt in points]
+        baselines = list(map(closed_form_baseline, specs, points))
+        per_point = list(map(_point_rows, specs, points, baselines))
     rows = [row for batch in per_point for row in batch]
     for row in rows:
         if not (math.isfinite(row.u_mean) and math.isfinite(row.u_stderr)):

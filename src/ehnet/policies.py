@@ -12,17 +12,19 @@ a gain threshold `lam`, and each states its request at a gain above the
 threshold once, in its `request` method; `desired_powers` and the budget
 both call it.  The budget is the expected request at a threshold:
 `expected_desired_power(policy, gain_pdf)` integrates `request` over the
-density of the gain the policy compares with `lam`, and
-`WaterfillPolicy.expected_request_rayleigh` gives it in closed form for
-a unit-mean exponential gain.  `solve_lambda(target_avg, budget)` picks
-the threshold: it bisects on `lam` until `budget(lam)`, either of them,
-equals `target_avg`.
+density of the gain the policy compares with `lam` by quadrature, and
+each policy's `expected_request_rayleigh` gives it for unit-mean
+exponential gains without quadrature: `WaterfillPolicy`'s in closed
+form, `MaxGainBroadcastPolicy`'s on fixed Gauss-Legendre nodes.
+`solve_lambda(target_avg, budget)` picks the threshold: it bisects on
+`lam` until `budget(lam)`, any of them, equals `target_avg`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -142,6 +144,28 @@ class MaxGainBroadcastPolicy:
         """``1/lam - 1/g``, for floats or arrays."""
         return 1.0 / self.lam - 1.0 / g
 
+    def expected_request_rayleigh(self) -> float:
+        """The mean request when the largest of `num_links` = m unit-mean
+        exponential gains is the one compared with `lam`.
+
+        Integrated by parts it is ``integral over g > lam of
+        (1 - (1 - e^-g)^m) / g^2``, whose integrand is positive and, as
+        ``-expm1(m log1p(-e^-g))``, accurate to a few ulps at every g;
+        the closed form, an alternating binomial sum, cancels at m = 25.
+        With ``g = lam e^s`` it is summed over `_PANEL_NODES`-point
+        Gauss-Legendre panels of width at most 1/2 in s, up to
+        ``g = lam + 45 + ln m``: the rest is below e^-44 of the whole.
+        """
+        lam, m = self.lam, self.num_links
+        top = math.log1p((45.0 + math.log(m)) / lam)
+        panels = math.ceil(2.0 * top)
+        width = top / panels
+        nodes, weights = _gauss_legendre(_PANEL_NODES)
+        s = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * width
+        g = lam * np.exp(s)
+        tail = -np.expm1(m * np.log1p(-np.exp(-g)))
+        return 0.5 * width * float(np.sum(tail / g * weights))
+
     def desired_powers(self, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
         g = np.asarray(gains, dtype=float).reshape(len(slots), self.num_links)
         winner = np.argmax(g, axis=1)  # first maximum wins ties
@@ -183,6 +207,42 @@ class AlternatingRelayPolicy:
 # Budget equation for the threshold lam
 # ---------------------------------------------------------------------------
 
+# Nodes per panel of `MaxGainBroadcastPolicy.expected_request_rayleigh`,
+# and the Newton steps that find them: from the starting guesses, 24
+# nodes converge to rounding in four.
+_PANEL_NODES = 24
+_NEWTON_STEPS = 6
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    The nodes are the roots of the Legendre polynomial P_n, found by
+    Newton's method from ``cos(pi (i - 1/4) / (n + 1/2))``; the weights
+    are ``2 / ((1 - x^2) P_n'(x)^2)``.  It runs only code that a sweep
+    runs anyway: a LAPACK call (Golub-Welsch) or ``np.cos`` or ``@`` on
+    these arrays would page in code that adds up to 1 MB to the peak RSS
+    of a sweep.  The arrays are read-only, as every caller shares them.
+    """
+    def legendre(x):
+        """P_n(x) and P_n'(x), by the three-term recurrence."""
+        previous, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            previous, p = p, ((2 * j - 1) * x * p - (j - 1) * previous) / j
+        return p, n * (x * p - previous) / (x * x - 1.0)
+
+    nodes = np.array([math.cos(math.pi * (i - 0.25) / (n + 0.5))
+                      for i in range(n, 0, -1)])
+    for _ in range(_NEWTON_STEPS):
+        p, slope = legendre(nodes)
+        nodes = nodes - p / slope
+    slope = legendre(nodes)[1]
+    weights = 2.0 / ((1.0 - nodes) * (1.0 + nodes) * slope * slope)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
 
 class InfeasibleTargetError(ValueError):
     """The budget equation has no solution inside the search bracket."""
@@ -208,12 +268,13 @@ def solve_lambda(target_avg: float,
     """Find the threshold `lam` whose `budget(lam)` equals `target_avg`.
 
     `budget(lam)` is the expected request of the threshold policy at
-    `lam`: `expected_desired_power` of it, or a closed form such as
-    `WaterfillPolicy.expected_request_rayleigh`.  It decreases in the
-    threshold, so plain bisection on the fixed `LAMBDA_BRACKET` is enough.
-    Raises `InfeasibleTargetError` when the bracket does not straddle the
-    target and `ThresholdSolverError` when `LAMBDA_MAX_ITER` bisections do
-    not reach the relative tolerance `LAMBDA_REL_TOL`.
+    `lam`: `expected_desired_power` of it, or its
+    `expected_request_rayleigh` for unit-mean exponential gains.  It
+    decreases in the threshold, so plain bisection on the fixed
+    `LAMBDA_BRACKET` is enough.  Raises `InfeasibleTargetError` when the
+    bracket does not straddle the target and `ThresholdSolverError` when
+    `LAMBDA_MAX_ITER` bisections do not reach the relative tolerance
+    `LAMBDA_REL_TOL`.
     """
     check_real("target_avg", target_avg, strict=True)
 

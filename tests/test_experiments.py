@@ -50,7 +50,9 @@ from ehnet.simulator import ConfigError
 from ehnet.stochastic import (
     LARGEST_EXPONENTIAL_DRAW,
     ExponentialProcess,
+    QuadratureError,
     exponential_pdf,
+    max_exponential_pdf,
 )
 from ehnet.utilities import rayleigh_bpsk_ber
 
@@ -338,6 +340,33 @@ def test_waterfill_thresholds_are_the_quadrature_ones_bit_for_bit(name):
     assert solved >= len(dense) - 21  # fig3 skips -30 to -25 dB
 
 
+@pytest.mark.parametrize("m", [2, 25])
+def test_broadcast_thresholds_are_the_quadrature_ones_bit_for_bit(
+        m, monkeypatch):
+    # fig4's budget on fixed nodes runs no quadrature, yet every bisection
+    # step branches alike on it and on the quadrature, at the shipped
+    # powers (also perfbench's broadcast_wide grid) and on a dense sweep.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = load_spec(os.path.join(root, "configs", "fig4.json"))
+    powers = sorted(set(spec.p_in_db)
+                    | set(np.arange(-30.0, 39.1, 0.25).tolist()))
+    quadratures = []
+    for module in (ehnet.policies, ehnet.experiments):
+        monkeypatch.setattr(module, "expectation_quadrature",
+                            lambda *args, **kwargs: quadratures.append(args))
+    ehnet.experiments._broadcast_threshold.cache_clear()
+    solved = [ehnet.experiments._broadcast_threshold(10.0 ** (p_db / 10.0), m)
+              for p_db in powers]
+    assert quadratures == []
+    monkeypatch.undo()
+    pdf = max_exponential_pdf(1.0, m)
+    for p_db, lam in zip(powers, solved):
+        quadrature = solve_lambda(
+            10.0 ** (p_db / 10.0), lambda t: expected_desired_power(
+                MaxGainBroadcastPolicy(t, m), pdf))
+        assert lam.hex() == quadrature.hex()
+
+
 def test_fig6_baseline_is_reference_run():
     spec = replace(default_spec("fig6"), p_in_db=(0.0,), group_size=(2,))
     pt = point(spec, p_db=0.0, m=2)
@@ -410,12 +439,13 @@ def test_run_experiment_worker_count_is_invisible(tmp_path):
             assert pooled.read_bytes() == serial.read_bytes()
 
 
-def test_run_experiment_starts_no_more_workers_than_points(monkeypatch):
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replaces the process pool with one that maps in-process; yields the
+    worker counts it is asked for."""
     asked = []
 
     class InProcessPool:
-        """Records the worker count it is asked for; maps in-process."""
-
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -430,9 +460,35 @@ def test_run_experiment_starts_no_more_workers_than_points(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         InProcessPool)
+    return asked
+
+
+def test_run_experiment_starts_no_more_workers_than_points(in_process_pool):
     assert run_experiment(tiny_spec(), jobs=5000) == run_experiment(
         tiny_spec())
-    assert asked == [2]
+    assert in_process_pool == [2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_experiment_fails_on_a_baseline_before_any_trial(
+        in_process_pool, monkeypatch, jobs):
+    # fig2 solves its 89 dB threshold, but the baseline's quadrature there
+    # cannot certify its tolerance: no trial of the points before it runs.
+    trials = []
+    real = ehnet.experiments.paired_gap
+
+    def counting(config, seeds):
+        trials.append(config)
+        return real(config, seeds)
+
+    monkeypatch.setattr(ehnet.experiments, "paired_gap", counting)
+    spec = spec_from_dict({"experiment": "fig2", "n_slots": [50],
+                           "trials": 2, "p_in_db": [0.0, 5.0, 10.0, 89.0]})
+    with pytest.raises(QuadratureError):
+        run_experiment(spec, jobs=jobs)
+    assert trials == []
+    run_experiment(replace(spec, p_in_db=(0.0,)), jobs=jobs)
+    assert len(trials) == 1
 
 
 def test_csv_layout_and_roundtrip(tmp_path):
@@ -908,6 +964,22 @@ def test_cli_unreachable_budget_is_a_numerical_failure(tmp_path, capsys):
     assert main(["run", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, group_size", [("fig2", 1), ("fig4", 2)])
+def test_cli_validate_solves_every_threshold(tmp_path, capsys, name,
+                                             group_size):
+    # No threshold in the solver's bracket meets a 90 dB budget.
+    cfg = write_config(tmp_path, experiment=name, p_in_db=[0.0, 90.0],
+                       group_size=[group_size])
+    out = tmp_path / "x.csv"
+    for argv in (["validate", "--config", str(cfg)],
+                 ["run", "--config", str(cfg), "--out", str(out)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: average budget ")
+        assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_threshold_solver_failure_is_a_numerical_failure(

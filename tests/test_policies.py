@@ -186,6 +186,38 @@ def test_waterfill_closed_form_budget_equals_quadrature(epsilon,
             oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 2, 25, 515])
+def test_broadcast_budget_on_fixed_nodes_equals_quadrature(m):
+    # The oracle integrates `request` against the max-of-m density times
+    # e^lam and scales back by e^-lam, as for water-filling above.
+    for lam in np.geomspace(1e-6, 50.0, 81).tolist():
+        policy = MaxGainBroadcastPolicy(lam, m)
+
+        def scaled_pdf(g):
+            return m * math.exp(lam - g) * (-math.expm1(-g)) ** (m - 1)
+
+        oracle = math.exp(-lam) * expected_desired_power(policy, scaled_pdf)
+        assert policy.expected_request_rayleigh() == pytest.approx(
+            oracle, rel=1e-12)
+
+
+def test_broadcast_budget_of_one_receiver_is_the_waterfill_closed_form():
+    for lam in np.geomspace(1e-6, 50.0, 81).tolist():
+        one = MaxGainBroadcastPolicy(lam, 1).expected_request_rayleigh()
+        assert one == pytest.approx(
+            ideal_waterfill(lam).expected_request_rayleigh(), rel=1e-14)
+
+
+def test_gauss_legendre_rule_integrates_polynomials_to_degree_47():
+    nodes, weights = ehnet.policies._gauss_legendre(24)
+    assert np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0)
+    for k in range(48):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert float(nodes ** k @ weights) == pytest.approx(exact, abs=1e-14)
+    with pytest.raises(ValueError):
+        weights[0] = 1.0  # shared by every caller
+
+
 @pytest.mark.parametrize("lam", [0.2, 1.0])
 def test_waterfill_expectation_nonunit_fading(lam):
     amp = AmplifierModel()

@@ -448,8 +448,8 @@ def test_quadrature_is_scipy_quad_bit_for_bit(case):
 def test_shipped_threshold_quadratures_are_scipy_quad_bit_for_bit(
         name, monkeypatch):
     # Every `closed_form` value of the shipped config, at every power it
-    # ships, and fig4's threshold bisection steps (fig2's and fig3's take
-    # the closed-form budget).
+    # ships.  The thresholds' budgets take no quadrature: fig2's and
+    # fig3's are closed forms, fig4's is summed on fixed nodes.
     real = expectation_quadrature
     checked = []
 
