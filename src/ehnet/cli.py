@@ -6,6 +6,10 @@ unknown experiment, `--jobs` below 1, an output path that cannot be
 written), 2 for numerical failures (quadrature that cannot certify its
 tolerance, an unreachable power budget, non-finite statistics).  Each
 failure is reported in one line on stderr.
+
+`validate` does what `run` does before its first trial: it checks the
+config and computes every point's `closed_form` baseline, so it ends as
+`run` would wherever `run` fails before a trial.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from dataclasses import replace
 
 from .experiments import (
     EXPERIMENTS,
+    _baselines,
     _experiment,
     default_spec,
     grid_points,
     load_spec,
-    point_threshold,
     run_experiment,
     write_csv,
 )
@@ -68,7 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-experiments", help="show the bundled experiments")
 
-    val = sub.add_parser("validate", help="check a config without running it")
+    val = sub.add_parser(
+        "validate", help="check a config and compute its baselines, running "
+                         "no trial")
     val.add_argument("--config", required=True, help="JSON sweep config")
     return parser
 
@@ -125,9 +131,7 @@ def _cmd_list() -> int:
 def _cmd_validate(args) -> int:
     spec = load_spec(args.config)
     points = grid_points(spec)
-    # A budget that no threshold meets fails here, as `run` would fail.
-    for point in points:
-        point_threshold(spec, point)
+    _baselines(spec, points)
     print(
         f"{spec.experiment}: ok, {len(points)} grid points, "
         f"{3 * len(points)} csv rows, {spec.trials} trials per point"

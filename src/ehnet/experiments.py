@@ -12,11 +12,14 @@ wherever one exists.
 Each experiment is one `EXPERIMENTS` entry: its title, what its group-size
 axis counts (receivers for the broadcast sweep, transmitters for the
 multi-access sweep, hops for the relay chain, unused elsewhere), its
-default grid, functions that build its network, its baseline and its
-policy's threshold at a grid point, the compiled scipy modules its sweep
-uses, and `check`, the rules of grids that only it cannot run (fig1's
-`rate_threshold` < 1024, fig5's `group_size` < 516, fig6's hop counts).
-Where the group-size axis is unused, `group_size` must be ``(1,)``.
+default grid, functions that build its network and its baseline at a
+grid point, the compiled scipy modules its sweep uses, and `check`, the
+rules of grids that only it cannot run (fig1's `rate_threshold` < 1024,
+fig5's `group_size` < 516, fig6's hop counts).  Where the group-size axis
+is unused, `group_size` must be ``(1,)``; no `group_size` may exceed
+`simulator.CHUNK_SLOT_LINKS` (2**15).  `ehnet validate` computes every
+point's baseline, as a sweep does before its first trial (`_baselines`);
+fig6's is a `BASELINE_N`-slot reference run per (power, hops) cell.
 
 Shipped defaults start every battery full (`initial_fill` 1.0).  At the
 default `b_max_ratio` of 200 that banks 200 slots of mean harvest, which a
@@ -48,6 +51,7 @@ from .policies import (
     solve_lambda,
 )
 from .simulator import (
+    CHUNK_SLOT_LINKS,
     ConfigError,
     LinkSpec,
     NumericsError,
@@ -91,7 +95,6 @@ __all__ = [
     "grid_points",
     "load_spec",
     "paired_gap",
-    "point_threshold",
     "run_experiment",
     "spec_from_dict",
     "trial_seed",
@@ -218,6 +221,11 @@ def validate_spec(spec: SweepSpec) -> None:
                 )
     for m in spec.group_size:
         check_count("group_size", m, error=ConfigError)
+        if m > CHUNK_SLOT_LINKS:
+            raise ConfigError(
+                f"group_size must be <= {CHUNK_SLOT_LINKS}, got {m!r}: one "
+                "slot of one trial would hold more slot-links than a chunk "
+                "of the walk")
     check_count("trials", spec.trials, error=ConfigError)
     check_count("seed", spec.seed, 0, error=ConfigError)
     if not 0.0 <= spec.initial_fill <= 1.0:
@@ -339,10 +347,6 @@ def _waterfill(spec: SweepSpec, p: float):
     return amp, _waterfill_threshold(p, amp.epsilon, amp.circuit_power)
 
 
-def _waterfill_lam(spec, point, p):
-    return _waterfill(spec, p)[1]
-
-
 def _one_link():
     return (LinkSpec(1, 2, ExponentialProcess(1.0)),)
 
@@ -406,10 +410,6 @@ def _broadcast_baseline(spec, point, p):
     return expectation_quadrature(
         rate, max_exponential_pdf(1.0, point.m), lower=lam
     )
-
-
-def _broadcast_lam(spec, point, p):
-    return _broadcast_threshold(p, point.m)
 
 
 def _mac_network(spec, point, p, node):
@@ -480,15 +480,14 @@ class Experiment:
     `defaults` are its default `SweepSpec` fields.  At a grid point of
     linear power p, `network(spec, point, p, node)` returns the
     ``(transmitters, links, utility)`` of the network, with `node(k,
-    policy)` making transmitter k, `baseline(spec, point, p)` the
-    Monte-Carlo-free value of the unconstrained system, and
-    `threshold(spec, point, p)` the gain threshold of its policy, solved
-    as the network and the baseline solve it, or None where the policy
-    has none.  `modules` names the compiled scipy modules its sweep uses:
-    QUADPACK (``scipy.integrate._quadpack``) for the `closed_form` values
-    by quadrature, the ufuncs (``scipy.special._special_ufuncs``) for the
-    water-filling thresholds' `exp1` and the BER's `erfc`; fig4's
-    thresholds need numpy alone.  `validate_spec` loads them with
+    policy)` making transmitter k, and `baseline(spec, point, p)` the
+    Monte-Carlo-free value of the unconstrained system, which solves the
+    policy's threshold where it has one, as the network does (`ehnet
+    validate` runs every point's).  `modules` names the compiled scipy
+    modules its sweep uses: QUADPACK (``scipy.integrate._quadpack``) for
+    the `closed_form` values by quadrature, the ufuncs
+    (``scipy.special._special_ufuncs``) for the water-filling thresholds'
+    `exp1` and the BER's `erfc`; fig4's thresholds need numpy alone.  `validate_spec` loads them with
     `stochastic.load_compiled`, as `import ehnet` loads none; neither
     ``scipy.integrate`` nor ``scipy.special`` is imported.  `check(spec)`,
     run after the checks every sweep shares, raises `ConfigError` for
@@ -503,7 +502,6 @@ class Experiment:
     baseline: Callable
     modules: tuple[str, ...]
     check: Callable = lambda spec: None
-    threshold: Callable = lambda spec, point, p: None
 
 
 EXPERIMENTS = {
@@ -526,7 +524,6 @@ EXPERIMENTS = {
         baseline=_waterfill_baseline,
         modules=("scipy.integrate._quadpack",
                  "scipy.special._special_ufuncs"),
-        threshold=_waterfill_lam,
     ),
     "fig3": Experiment(
         title="water-filling rate with amplifier slope and circuit draw",
@@ -542,7 +539,6 @@ EXPERIMENTS = {
         baseline=_waterfill_baseline,
         modules=("scipy.integrate._quadpack",
                  "scipy.special._special_ufuncs"),
-        threshold=_waterfill_lam,
     ),
     "fig4": Experiment(
         title="opportunistic broadcast sum rate vs receiver count",
@@ -552,7 +548,6 @@ EXPERIMENTS = {
         network=_broadcast_network,
         baseline=_broadcast_baseline,
         modules=("scipy.integrate._quadpack",),
-        threshold=_broadcast_lam,
     ),
     "fig5": Experiment(
         title="multi-access BPSK error rate vs transmitter count",
@@ -609,17 +604,6 @@ def build_config(spec: SweepSpec, point: GridPoint, seed: int) -> SimulationConf
                             links=links, utility=utility, seed=seed)
 
 
-def point_threshold(spec: SweepSpec, point: GridPoint) -> float | None:
-    """The gain threshold of the policy at this grid point, solved from its
-    power budget as a run solves it, or None where the policy has none.
-
-    Raises `InfeasibleTargetError` or `ThresholdSolverError` where the run
-    would.
-    """
-    return _experiment(spec.experiment).threshold(
-        spec, point, _db_to_linear(point.p_db))
-
-
 def closed_form_baseline(spec: SweepSpec, point: GridPoint) -> float:
     """Monte-Carlo-free value of the unconstrained system at this grid point.
 
@@ -629,6 +613,13 @@ def closed_form_baseline(spec: SweepSpec, point: GridPoint) -> float:
     """
     return _experiment(spec.experiment).baseline(
         spec, point, _db_to_linear(point.p_db))
+
+
+def _baselines(spec: SweepSpec, points, mapper=map) -> list[float]:
+    """`closed_form_baseline` of each of `points`, in order, through
+    `mapper` (`map`, or a worker pool's): what a sweep computes before its
+    first trial, and all that `ehnet validate` computes."""
+    return list(mapper(closed_form_baseline, [spec] * len(points), points))
 
 
 @lru_cache(maxsize=None)
@@ -749,10 +740,10 @@ def run_experiment(spec: SweepSpec, *, jobs: int = 1) -> list[CsvRow]:
         # Under fork the pool starts all its workers at the first submit,
         # so it gets no more of them than there are points.
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-            baselines = list(pool.map(closed_form_baseline, specs, points))
+            baselines = _baselines(spec, points, pool.map)
             per_point = list(pool.map(_point_rows, specs, points, baselines))
     else:
-        baselines = list(map(closed_form_baseline, specs, points))
+        baselines = _baselines(spec, points)
         per_point = list(map(_point_rows, specs, points, baselines))
     rows = [row for batch in per_point for row in batch]
     for row in rows:

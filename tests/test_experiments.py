@@ -121,10 +121,27 @@ def test_validate_spec_rejects_bad_values():
         replace(base, group_size=(2,)),
         replace(default_spec("fig2"), group_size=(1, 2, 7)),
         replace(default_spec("fig3"), group_size=(1, 1)),
+        # One slot of one trial would hold more slot-links than a chunk.
+        replace(default_spec("fig4"), group_size=(2, 2**15 + 1)),
     ]:
         with pytest.raises(ConfigError):
             validate_spec(bad)
     validate_spec(replace(default_spec("fig5"), group_size=(515,)))
+    validate_spec(replace(default_spec("fig4"), group_size=(2**15,)))
+
+
+@pytest.mark.parametrize("receivers", [2**15 + 1, 10**12])
+def test_cli_rejects_group_sizes_above_a_chunk(tmp_path, capsys, receivers):
+    path = write_config(tmp_path, experiment="fig4", group_size=[2, receivers])
+    out = tmp_path / "x.csv"
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(out)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: group_size must be <= 32768, got {receivers}: "
+            "one slot of one trial would hold more slot-links than a chunk "
+            "of the walk\n")
+    assert not out.exists()
 
 
 def test_cli_rejects_group_sizes_where_the_axis_is_unused(tmp_path, capsys):
@@ -463,6 +480,20 @@ def in_process_pool(monkeypatch):
     return asked
 
 
+def counted(monkeypatch, name):
+    """The argument tuples of every call of `ehnet.experiments.<name>` from
+    now on, which still runs."""
+    calls = []
+    real = getattr(ehnet.experiments, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ehnet.experiments, name, counting)
+    return calls
+
+
 def test_run_experiment_starts_no_more_workers_than_points(in_process_pool):
     assert run_experiment(tiny_spec(), jobs=5000) == run_experiment(
         tiny_spec())
@@ -474,14 +505,7 @@ def test_run_experiment_fails_on_a_baseline_before_any_trial(
         in_process_pool, monkeypatch, jobs):
     # fig2 solves its 89 dB threshold, but the baseline's quadrature there
     # cannot certify its tolerance: no trial of the points before it runs.
-    trials = []
-    real = ehnet.experiments.paired_gap
-
-    def counting(config, seeds):
-        trials.append(config)
-        return real(config, seeds)
-
-    monkeypatch.setattr(ehnet.experiments, "paired_gap", counting)
+    trials = counted(monkeypatch, "paired_gap")
     spec = spec_from_dict({"experiment": "fig2", "n_slots": [50],
                            "trials": 2, "p_in_db": [0.0, 5.0, 10.0, 89.0]})
     with pytest.raises(QuadratureError):
@@ -966,20 +990,47 @@ def test_cli_unreachable_budget_is_a_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, group_size", [("fig2", 1), ("fig4", 2)])
-def test_cli_validate_solves_every_threshold(tmp_path, capsys, name,
-                                             group_size):
+@pytest.mark.parametrize("config, message", [
     # No threshold in the solver's bracket meets a 90 dB budget.
-    cfg = write_config(tmp_path, experiment=name, p_in_db=[0.0, 90.0],
-                       group_size=[group_size])
+    (dict(experiment="fig2", p_in_db=[0.0, 90.0]), "average budget "),
+    (dict(experiment="fig4", p_in_db=[0.0, 90.0], group_size=[2]),
+     "average budget "),
+    # fig2 solves its 89 dB threshold, but its baseline's quadrature there
+    # cannot certify its tolerance.
+    (dict(experiment="fig2", p_in_db=[0.0, 5.0, 10.0, 89.0]),
+     "quadrature error estimate "),
+], ids=["budget_fig2", "budget_fig4", "quadrature_fig2"])
+def test_cli_validate_fails_where_run_fails_before_a_trial(tmp_path, capsys,
+                                                           config, message):
+    cfg = write_config(tmp_path, **config)
     out = tmp_path / "x.csv"
+    ended = []
     for argv in (["validate", "--config", str(cfg)],
                  ["run", "--config", str(cfg), "--out", str(out)]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: average budget ")
-        assert err.count("\n") == 1
+        ended.append((main(argv), capsys.readouterr().err))
+    assert ended[0] == ended[1]
+    code, err = ended[0]
+    assert code == 2
+    assert err.startswith("numerical failure: " + message)
+    assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_validate_computes_every_baseline_and_runs_no_trial(
+        tmp_path, capsys, monkeypatch):
+    # fig6's baseline is a reference run of each (power, hops) cell.
+    ehnet.experiments._relay_reference.cache_clear()
+    trials = counted(monkeypatch, "paired_gap")
+    baselines = counted(monkeypatch, "closed_form_baseline")
+    references = counted(monkeypatch, "run_non_eh")
+    cfg = write_config(tmp_path, experiment="fig6", p_in_db=[0.0, 5.0],
+                       n_slots=[50, 100], group_size=[2])
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("fig6: ok, 4 grid points")
+    assert trials == []
+    assert [point for _, point in baselines] == grid_points(
+        load_spec(cfg))
+    assert [config.n_slots for config, in references] == [BASELINE_N] * 2
 
 
 def test_cli_threshold_solver_failure_is_a_numerical_failure(
