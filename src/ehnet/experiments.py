@@ -15,11 +15,12 @@ multi-access sweep, hops for the relay chain, unused elsewhere), its
 default grid, functions that build its network and its baseline at a
 grid point, the compiled scipy modules its sweep uses, and `check`, the
 rules of grids that only it cannot run (fig1's `rate_threshold` < 1024,
-fig5's `group_size` < 516, fig6's hop counts).  Where the group-size axis
-is unused, `group_size` must be ``(1,)``; no `group_size` may exceed
-`simulator.CHUNK_SLOT_LINKS` (2**15).  `ehnet validate` computes every
-point's baseline, as a sweep does before its first trial (`_baselines`);
-fig6's is a `BASELINE_N`-slot reference run per (power, hops) cell.
+fig5's `group_size` < 516, fig6's even hop counts up to 16).  Where the
+group-size axis is unused, `group_size` must be ``(1,)``; no
+`group_size` may exceed `simulator.CHUNK_SLOT_LINKS` (2**15).  `ehnet
+validate` computes every point's baseline, as a sweep does before its
+first trial (`_baselines`); fig6's is a `BASELINE_N`-slot reference run
+per (power, hops) cell, whose cost grows with the hop count.
 
 Shipped defaults start every battery full (`initial_fill` 1.0).  At the
 default `b_max_ratio` of 200 that banks 200 slots of mean harvest, which a
@@ -462,6 +463,11 @@ def _relay_check(spec):
                 "an odd hop count never delivers in an even slot"
             )
     shortest, hops = min(spec.n_slots), max(spec.group_size)
+    if hops > 16:
+        raise ConfigError(
+            f"fig6 group_size must be <= 16, got {hops!r}: the baseline's "
+            f"{BASELINE_N:,}-slot reference run of each (power, hops) cell "
+            "takes about 0.05 s per hop, before any trial")
     if shortest < hops - 1:
         raise ConfigError(
             f"fig6 n_slots {shortest} is shorter than the first hop's "
@@ -487,12 +493,17 @@ class Experiment:
     modules its sweep uses: QUADPACK (``scipy.integrate._quadpack``) for
     the `closed_form` values by quadrature, the ufuncs
     (``scipy.special._special_ufuncs``) for the water-filling thresholds'
-    `exp1` and the BER's `erfc`; fig4's thresholds need numpy alone.  `validate_spec` loads them with
-    `stochastic.load_compiled`, as `import ehnet` loads none; neither
-    ``scipy.integrate`` nor ``scipy.special`` is imported.  `check(spec)`,
-    run after the checks every sweep shares, raises `ConfigError` for
-    grids that only this experiment cannot run.  A `group_axis` of
-    ``"unused"`` makes `validate_spec` refuse any `group_size` but ``(1,)``.
+    `exp1` and the BER's `erfc`; fig4's thresholds need numpy alone.
+    `validate_spec` loads them with `stochastic.load_compiled`, as
+    `import ehnet` loads none; neither ``scipy.integrate`` nor
+    ``scipy.special`` is imported.  Only an entry with QUADPACK runs
+    scipy's package ``__init__``, through the ``scipy._lib._ccallback``
+    that QUADPACK imports at its first call and `load_compiled` imports
+    with it; the others (fig1, fig5, fig6) load their modules alone.
+    `check(spec)`, run after the checks every sweep shares, raises
+    `ConfigError` for grids that only this experiment cannot run.  A
+    `group_axis` of ``"unused"`` makes `validate_spec` refuse any
+    `group_size` but ``(1,)``.
     """
 
     title: str

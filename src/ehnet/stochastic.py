@@ -375,24 +375,43 @@ def max_exponential_pdf(mean: float, count: int) -> Callable[[float], float]:
     return pdf
 
 
+# What a compiled module imports by name at its first call rather than
+# when it loads.  QUADPACK's C code imports `scipy._lib._ccallback`, and
+# with it runs scipy's package ``__init__`` (about 8 ms);
+# `load_compiled` imports it with QUADPACK, so that cost falls where
+# QUADPACK's load does (in set-up for the experiments that integrate),
+# not inside the first quadrature.
+_IMPORTED_AT_FIRST_CALL = {
+    "scipy.integrate._quadpack": "scipy._lib._ccallback",
+}
+
+
 def load_compiled(name: str) -> ModuleType:
     """The compiled module `name`, such as ``"scipy.integrate._quadpack"``,
     loaded from its file on first use.
 
-    Only the top-level package is imported (``import scipy``, about
-    12 ms); the ``__init__`` of the module's own package does not run
-    (all of ``scipy.integrate`` takes about 0.6 s).  The module is
+    No package ``__init__`` runs: the top-level package's directory is
+    found with `importlib.util.find_spec`, which imports nothing, so
+    loading ``scipy.special._special_ufuncs`` runs neither ``import
+    scipy`` (about 8-11 ms) nor ``import scipy.special`` (about 0.13 s
+    more).  The one exception is the import that `_IMPORTED_AT_FIRST_CALL`
+    names for QUADPACK, which runs scipy's ``__init__``.  The module is
     registered in `sys.modules` under `name`, so a later import of its
     package, or a later call, finds this same module.  Raises
-    `ImportError` when the package directory holds no compiled module of
-    that name.
+    `ImportError` when there is no such package, or when its directory
+    holds no compiled module of that name.
     """
     module = sys.modules.get(name)
     if module is not None:
         return module
+    if name in _IMPORTED_AT_FIRST_CALL:
+        importlib.import_module(_IMPORTED_AT_FIRST_CALL[name])
     package, _, leaf = name.rpartition(".")
     top, *subpackages = package.split(".")
-    directory = os.path.join(importlib.import_module(top).__path__[0],
+    top_spec = importlib.util.find_spec(top)
+    if top_spec is None or not top_spec.submodule_search_locations:
+        raise ImportError(f"no package {top!r}", name=name)
+    directory = os.path.join(top_spec.submodule_search_locations[0],
                              *subpackages)
     finder = importlib.machinery.FileFinder(
         directory, (importlib.machinery.ExtensionFileLoader,

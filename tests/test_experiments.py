@@ -123,11 +123,14 @@ def test_validate_spec_rejects_bad_values():
         replace(default_spec("fig3"), group_size=(1, 1)),
         # One slot of one trial would hold more slot-links than a chunk.
         replace(default_spec("fig4"), group_size=(2, 2**15 + 1)),
+        # fig6's reference run of each cell grows with the hop count.
+        replace(default_spec("fig6"), group_size=(2, 18)),
     ]:
         with pytest.raises(ConfigError):
             validate_spec(bad)
     validate_spec(replace(default_spec("fig5"), group_size=(515,)))
     validate_spec(replace(default_spec("fig4"), group_size=(2**15,)))
+    validate_spec(replace(default_spec("fig6"), group_size=(2, 4, 16)))
 
 
 @pytest.mark.parametrize("receivers", [2**15 + 1, 10**12])

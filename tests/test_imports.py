@@ -5,8 +5,11 @@ compiled modules its experiment's registry entry names
 (`Experiment.modules`) with `stochastic.load_compiled`, which imports
 neither `scipy.integrate` nor `scipy.special`, and the sweep that follows
 loads no further one, so their load time falls in set-up, never in the
-sweep.  Each check runs in a fresh interpreter: this one has loaded scipy
-already.
+sweep.  Only QUADPACK brings scipy's package `__init__` with it, through
+the `scipy._lib._ccallback` its C code imports at its first call; an
+experiment without QUADPACK (fig1, fig5, fig6) loads its compiled
+modules alone.  Each check runs in a fresh interpreter: this one has
+loaded scipy already.
 """
 
 import functools
@@ -76,6 +79,9 @@ def test_validation_loads_exactly_the_declared_modules(name):
     assert tuple(loaded) == _loaded_by(modules)
     # The compiled modules alone, not the packages that hold them.
     assert not {"scipy.integrate", "scipy.special"} & set(loaded)
+    if "scipy.integrate._quadpack" not in modules:
+        # Not even scipy's own `__init__`: only QUADPACK needs it.
+        assert loaded == sorted(modules)
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -99,7 +105,8 @@ def test_sweep_loads_no_scipy_module_beyond_validation(name):
 
 def test_public_scipy_imports_reuse_the_loaded_modules():
     # Validation registers each module under its real name, so importing
-    # its package afterwards finds the same module and still works.
+    # its package afterwards finds the same module and still works:
+    # after scipy's `__init__` has run (fig2 validated first) ...
     same_erfc, same_quadpack, half = _fresh(
         "import json, sys\n"
         "from ehnet.experiments import load_spec\n"
@@ -115,6 +122,21 @@ def test_public_scipy_imports_reuse_the_loaded_modules():
     )
     assert same_erfc and same_quadpack
     assert half == 0.5
+    # ... and before it, with the ufuncs loaded while no scipy package
+    # was imported.
+    alone, same_erfc, value = _fresh(
+        "import json, sys\n"
+        "from ehnet.experiments import load_spec\n"
+        f"load_spec({_config('fig5')!r})\n"
+        "alone = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "ufuncs = sys.modules['scipy.special._special_ufuncs']\n"
+        "import scipy.special\n"
+        "print(json.dumps([alone, scipy.special.erfc is ufuncs.erfc,\n"
+        "    float(scipy.special.erfc(1.0))]))\n"
+    )
+    assert alone == ["scipy.special._special_ufuncs"]
+    assert same_erfc
+    assert value == pytest.approx(math.erfc(1.0), rel=1e-15)
 
 
 def test_library_functions_import_scipy_themselves():

@@ -473,7 +473,10 @@ def test_shipped_threshold_quadratures_are_scipy_quad_bit_for_bit(
 
 @pytest.mark.parametrize("name", ["scipy.integrate._no_such_module",
                                   # a pure-Python module is not compiled
-                                  "scipy.integrate._quadpack_py"])
+                                  "scipy.integrate._quadpack_py",
+                                  # no such package, or no package at all
+                                  "no_such_package._ufuncs",
+                                  "math._ufuncs"])
 def test_load_compiled_refuses_what_is_not_a_compiled_module(name):
     before = sys.modules.pop(name, None)
     try:
