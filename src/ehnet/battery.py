@@ -13,11 +13,12 @@ the next slot.  Overflow past the capacity is discarded silently.
 Slots have unit length, so per-slot energy and average power coincide and
 the two words are used interchangeably.
 
-One buffer, with one link or many, runs as a walk over running sums of
-its nonzero requests, exact bit for bit (see `trajectory` and
-`_single_link`); many single-link buffers side by side, each with its own
-capacity, step across the lanes.  The scalar recursion that tests compare
-both against is in `tests/oracles.py`.
+One buffer, with one link or many, runs as a walk over running sums,
+exact bit for bit (see `trajectory` and `_single_link`): over its slots
+when no slot asks on more than one link, else over one sub-slot per
+nonzero request.  Many single-link buffers side by side, each with its
+own capacity, step across the lanes.  The scalar recursion that tests
+compare both against is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -139,14 +140,18 @@ def trajectory(
     (``extract_many`` then ``deposit``), bit for bit, and each lane gets
     the result of its own 1-D call.
 
-    One buffer runs as one walk (`_single_link`) over sub-slots: one per
-    nonzero request, in slot and link order, or one asking 0.0 for a slot
-    without any.  Each slot banks its harvest on its last sub-slot, whose
-    level is the slot's, and 0.0 on the others.  That is the slot loop
-    bit for bit: a zero request of either sign is granted as itself and
-    draws nothing, since a level is never -0.0 (the start is normalised
-    and ``x - x`` is +0.0); so asking or banking 0.0 leaves a level as it
-    is, and a sub-slot that banks 0.0 never clips.
+    One buffer runs as one walk (`_single_link`).  When no slot has more
+    than one nonzero request, as for a single link or fig4's broadcast
+    transmitter, the walk runs over the slots themselves: each asks its
+    one request, or 0.0 if it has none, and banks its harvest.  Otherwise
+    it runs over sub-slots: one per nonzero request, in slot and link
+    order, or one asking 0.0 for a slot without any.  Each slot banks its
+    harvest on its last sub-slot, whose level is the slot's, and 0.0 on
+    the others.  Both are the slot loop bit for bit: a zero request of
+    either sign is granted as itself and draws nothing, since a level is
+    never -0.0 (the start is normalised and ``x - x`` is +0.0); so asking
+    or banking 0.0 leaves a level as it is, and a sub-slot that banks 0.0
+    never clips.
     """
     desired = np.asarray(desired, dtype=float)
     harvested = np.asarray(harvested, dtype=float)
@@ -175,23 +180,29 @@ def trajectory(
         if lanes:
             return _lanes(rows, harvested, capacity,
                           np.broadcast_to(start, per_lane))
-        # `asked` lists the nonzero requests in service order; `ends[i]`
-        # is one past slot i's last sub-slot; a request's sub-slot `at`
-        # is its rank plus the number of empty slots up to its own.
+        # `asked` lists the nonzero requests in service order.
         asked = np.flatnonzero(rows != 0.0)
         slot = asked // width
-        counts = np.bincount(slot, minlength=n)
-        ends = np.maximum(counts, 1).cumsum()
-        at = np.arange(len(asked)) + (ends - counts.cumsum())[slot]
+        if (slot[1:] > slot[:-1]).all():
+            # At most one request per slot: each slot is its own sub-slot.
+            at, last, harv = slot, slice(None), harvested
+        else:
+            # `ends[i]` is one past slot i's last sub-slot; a request's
+            # sub-slot `at` is its rank plus the number of empty slots up
+            # to its own.
+            counts = np.bincount(slot, minlength=n)
+            ends = np.maximum(counts, 1).cumsum()
+            at = np.arange(len(asked)) + (ends - counts.cumsum())[slot]
+            last = ends - 1
+            harv = np.zeros(int(ends[-1]))
+            harv[last] = harvested
         actual = rows.copy()
         flat = actual.reshape(-1)
-        want = np.zeros(int(ends[-1]) if n else 0)
+        want = np.zeros(len(harv))
         want[at] = flat[asked]
-        harv = np.zeros_like(want)
-        harv[ends - 1] = harvested
         got, levels = _single_link(want, harv, capacity, float(start))
     flat[asked] = got[at]
-    return actual.reshape(desired.shape), levels[ends - 1]
+    return actual.reshape(desired.shape), levels[last]
 
 
 def _single_link(want: np.ndarray, harv: np.ndarray, capacity: float,

@@ -476,7 +476,18 @@ def _relay_check(spec):
 
 
 def _relay_baseline(spec, point, p):
-    return _relay_reference(spec, point.p_db, point.m)
+    # The destination decodes in the even slots from slot `hops` on, a
+    # share of the run that depends on its length: the reference run's
+    # average is scaled from its own share to the row's.
+    hops = point.m
+    scale = (_delivering_slots(point.n, hops) * BASELINE_N
+             / (point.n * _delivering_slots(BASELINE_N, hops)))
+    return _relay_reference(spec, point.p_db, hops) * scale
+
+
+def _delivering_slots(n: int, hops: int) -> int:
+    """How many of slots 1..n are even and at least `hops` (even)."""
+    return max(0, n // 2 - hops // 2 + 1)
 
 
 @dataclass(frozen=True)
@@ -620,7 +631,10 @@ def closed_form_baseline(spec: SweepSpec, point: GridPoint) -> float:
 
     The relay chain has no closed form; its baseline is the unconstrained
     simulation at `BASELINE_N` slots with a seed derived from the master
-    seed and the (power, hops) cell, so all rows of one cell agree.
+    seed and the (power, hops) cell, whose average is scaled by the share
+    of the row's slots where the destination decodes (even slots from
+    slot `hops` on) over that share in the reference run.  The rows of a
+    cell at even run lengths and 2 hops all get the reference average.
     """
     return _experiment(spec.experiment).baseline(
         spec, point, _db_to_linear(point.p_db))

@@ -119,11 +119,19 @@ class _MultiLink:
 @dataclass(frozen=True)
 class BroadcastSumRateUtility(_MultiLink):
     """Sum rate of one transmitter serving `num_links` receivers:
-    ``log2(1 + sum_k p_k * g_k)``."""
+    ``log2(1 + sum_k p_k * g_k)``.
+
+    Each slot's products are summed by `np.einsum`, which builds no array
+    of them.  A slot with at most two nonzero products, as every slot of
+    fig4's policy (one receiver per slot), gets the rate of
+    ``(p * g).sum(axis=-1)`` bit for bit; with three or more, `einsum`
+    adds them in its own order, and the rate may differ in the last digit.
+    """
 
     def evaluate(self, slots, powers, gains):
-        prod = np.asarray(powers, dtype=float) * np.asarray(gains, dtype=float)
-        return np.log2(1.0 + prod.sum(axis=-1))
+        total = np.einsum("...j,...j->...", np.asarray(powers, dtype=float),
+                          np.asarray(gains, dtype=float))
+        return np.log2(1.0 + total)
 
 
 @dataclass(frozen=True)

@@ -326,8 +326,12 @@ def stepwise(desired, harvested, capacity, initial):
 @settings(max_examples=80, deadline=None)
 def test_long_trajectory_matches_stepwise_primitives(run):
     desired, harvested, capacity, initial = run
-    actual, levels = trajectory(desired, harvested, capacity=capacity,
-                                initial=initial)
+    with mock.patch.object(battery, "_single_link",
+                           wraps=battery._single_link) as walk:
+        actual, levels = trajectory(desired, harvested, capacity=capacity,
+                                    initial=initial)
+    # One request per slot: the walk takes the harvests as given.
+    assert walk.call_args.args[1] is harvested
     got, after = stepwise(desired, harvested, capacity, initial)
     # bit for bit, so a sign of zero or a last-digit change shows
     assert got.tobytes() == actual.tobytes()
@@ -508,11 +512,22 @@ def test_broadcast_trajectory_walks_and_matches_stepwise_primitives(run):
                            wraps=battery._single_link) as walk:
         actual, levels = trajectory(desired, harvested, capacity=capacity,
                                     initial=initial)
+    # The walk runs over the slots themselves, with the harvests as given.
     assert walk.call_count == 1
+    want, harv = walk.call_args.args[:2]
+    assert len(want) == len(desired) and harv is harvested
     got, after = stepwise_many(desired, harvested, capacity, initial)
     # bit for bit, so a sign of zero or a last-digit change shows
     assert got.tobytes() == actual.tobytes()
     assert after.tobytes() == levels.tobytes()
+    # Split after a third of the slots and resumed from the level there.
+    cut = max(1, len(desired) // 3)
+    first, mid = trajectory(desired[:cut], harvested[:cut],
+                            capacity=capacity, initial=initial)
+    rest, end = trajectory(desired[cut:], harvested[cut:], capacity=capacity,
+                           initial=mid[-1])
+    assert np.concatenate([first, rest]).tobytes() == actual.tobytes()
+    assert np.concatenate([mid, end]).tobytes() == levels.tobytes()
 
 
 @st.composite
@@ -548,7 +563,13 @@ def test_long_multilink_trajectory_walks_and_matches_stepwise_primitives(run):
                            wraps=battery._single_link) as walk:
         actual, levels = trajectory(desired, harvested, capacity=capacity,
                                     initial=initial)
+    # One sub-slot per nonzero request, or one for a slot without any;
+    # only a slot that asks twice or more needs more than the slots.
     assert walk.call_count == 1
+    want, harv = walk.call_args.args[:2]
+    asks = np.count_nonzero(desired, axis=1)
+    assert len(want) == np.maximum(asks, 1).sum()
+    assert (harv is harvested) == (asks.max() <= 1)
     got, after = stepwise_many(desired, harvested, capacity, initial)
     # bit for bit, so a sign of zero or a last-digit change shows
     assert got.tobytes() == actual.tobytes()
@@ -569,6 +590,31 @@ def test_broadcast_walk_clips_and_steps():
     assert steps.call_count > 2
     assert (levels == 2.0).any() and (actual < desired).any()
     got, after = stepwise_many(desired, harvested, 2.0, 2.0)
+    assert got.tobytes() == actual.tobytes()
+    assert after.tobytes() == levels.tobytes()
+
+
+def test_one_request_per_slot_walks_the_slots():
+    # 25 links, each slot asking on at most one, a share of the slots on
+    # none, and a share of the zeros -0.0: one walk over the slots, each
+    # slot's request where it has one and 0.0 where not.
+    rng = np.random.default_rng(31)
+    n, links = 700, 25
+    desired = rng.choice([0.0, -0.0], size=(n, links))
+    asking = rng.random(n) < 0.7
+    cols = rng.integers(0, links, n)
+    desired[asking, cols[asking]] = rng.exponential(1.0, int(asking.sum()))
+    harvested = rng.exponential(0.8, n)
+    with mock.patch.object(battery, "_single_link",
+                           wraps=battery._single_link) as walk:
+        actual, levels = trajectory(desired, harvested, capacity=3.0,
+                                    initial=0.0)
+    want, harv = walk.call_args.args[:2]
+    assert want.tolist() == np.where(asking, desired[np.arange(n), cols],
+                                     0.0).tolist()
+    assert harv is harvested
+    assert (actual < desired).any() and (levels == 3.0).any()
+    got, after = stepwise_many(desired, harvested, 3.0, 0.0)
     assert got.tobytes() == actual.tobytes()
     assert after.tobytes() == levels.tobytes()
 

@@ -391,10 +391,27 @@ def test_fig6_baseline_is_reference_run():
     spec = replace(default_spec("fig6"), p_in_db=(0.0,), group_size=(2,))
     pt = point(spec, p_db=0.0, m=2)
     a = closed_form_baseline(spec, pt)
-    b = closed_form_baseline(spec, replace(pt, n=777))  # n plays no role
-    assert a == b
+    # At 2 hops every even run length decodes in half its slots, as the
+    # reference run does; 777 slots decode in 388.
+    assert closed_form_baseline(spec, replace(pt, n=778)) == a
+    b = closed_form_baseline(spec, replace(pt, n=777))
+    assert b == a * (388 * BASELINE_N / (777 * (BASELINE_N // 2)))
     assert 0.0 < a < math.log2(1.0 + 4.0 * 2.0)  # below the per-hop cap
     assert BASELINE_N == 1_000_000
+
+
+def test_fig6_baseline_tracks_the_paired_runs_past_two_hops():
+    # At 4 hops a 100-slot run decodes in 49 even slots, not in half of
+    # them, and a 101-slot run in 49 of 101.  The reference run's average,
+    # unscaled, sat 13.8 and 19.3 standard errors above `non_eh`.
+    spec = replace(default_spec("fig6"), p_in_db=(0.0,), n_slots=(100, 101),
+                   group_size=(4,), trials=2000)
+    rows = run_experiment(spec)
+    for n in (100, 101):
+        (non_eh,) = [r for r in rows if r.n_slots == n and r.mode == "non_eh"]
+        (closed,) = [r for r in rows
+                     if r.n_slots == n and r.mode == "closed_form"]
+        assert abs(closed.u_mean - non_eh.u_mean) < 3.0 * non_eh.u_stderr
 
 
 def test_fig6_reference_runs_once_per_cell(tmp_path, monkeypatch):

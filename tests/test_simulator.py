@@ -982,7 +982,10 @@ def test_broadcast_grants_match_stepwise_primitives():
     with mock.patch.object(battery, "_single_link",
                            wraps=battery._single_link) as walk:
         run_eh(cfg)
-    assert walk.call_count == 2
+    # One entry per slot of each chunk, and the chunk's harvest row read
+    # where it lies.
+    assert [len(c.args[0]) for c in walk.call_args_list] == [1310, 190]
+    assert not any(c.args[1].flags.owndata for c in walk.call_args_list)
     summary, (trace,) = capture(run_eh, cfg)
     assert summary.mismatch_union > 0.0
     assert (trace.levels[t.node] == t.capacity).any()

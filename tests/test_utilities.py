@@ -77,6 +77,27 @@ def test_broadcast_sum_rate_worked_example():
     assert float(val[0]) == pytest.approx(math.log2(5.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("links", [1, 2, 3, 25])
+def test_broadcast_sum_rate_of_up_to_two_products_is_the_plain_sum(links):
+    # Adding zeros is exact and one addition rounds once, in any order:
+    # rows with at most two nonzero products, like fig4's one per slot,
+    # get the rate of `(p * g).sum(axis=-1)` bit for bit.  The zeros are
+    # of either sign.
+    rng = np.random.default_rng(links)
+    n = 20_000
+    powers = rng.choice([0.0, -0.0], size=(n, links))
+    gains = rng.exponential(1.0, (n, links))
+    for _ in range(min(2, links)):
+        on = rng.random(n) < 0.6
+        cols = rng.integers(0, links, n)
+        powers[on, cols[on]] = rng.exponential(3.0, int(on.sum())) * 10.0 ** (
+            rng.integers(-8, 9, int(on.sum())))
+    want = np.log2(1.0 + (powers * gains).sum(axis=-1))
+    got = BroadcastSumRateUtility(links).evaluate(
+        np.arange(1, n + 1), powers, gains)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_mac_ber_worked_example():
     # 2 * (2*1 + 2*1) = 8
     val = MacBpskBerUtility(2).evaluate(
