@@ -44,12 +44,11 @@ def regimes():
                 0, ExponentialProcess(1.0), ConstantPolicy(request)),),
             links=(LinkSpec(0, 1, ExponentialProcess(1.0)),),
             utility=OutageUtility(1.0),
-            seed=7,
         )
-        s = run_eh(cfg)
+        s = run_eh(cfg, [7])
         print(f"{label}: regime={regime}, "
-              f"final level after {n} slots = {s.final_level[0]:9.1f}, "
-              f"mismatch fraction = {s.mismatch_fraction[0]:.4f}")
+              f"final level after {n} slots = {s.final_level[0, 0]:9.1f}, "
+              f"mismatch fraction = {s.mismatch_fraction[0, 0]:.4f}")
     print("an average request below the average intake leaves energy behind:")
     print("the buffer drifts upward forever (absorbing).  matching the intake")
     print("keeps the buffer on a zero-drift walk that still starves sometimes.\n")
@@ -60,18 +59,15 @@ def mismatch_decay():
     print("zero-drift walk, buffer capped at 200x the per-slot intake,")
     print("20 seeds per horizon:")
     for n in (100, 1_000, 10_000):
-        fractions = []
-        for seed in range(20):
-            cfg = SimulationConfig(
-                n_slots=n,
-                transmitters=(TransmitterSpec(
-                    0, ExponentialProcess(1.0), ConstantPolicy(1.0),
-                    capacity=200.0),),
-                links=(LinkSpec(0, 1, ExponentialProcess(1.0)),),
-                utility=OutageUtility(1.0),
-                seed=seed,
-            )
-            fractions.append(run_eh(cfg).mismatch_fraction[0])
+        cfg = SimulationConfig(
+            n_slots=n,
+            transmitters=(TransmitterSpec(
+                0, ExponentialProcess(1.0), ConstantPolicy(1.0),
+                capacity=200.0),),
+            links=(LinkSpec(0, 1, ExponentialProcess(1.0)),),
+            utility=OutageUtility(1.0),
+        )
+        fractions = run_eh(cfg, range(20)).mismatch_fraction[:, 0].tolist()
         mean = sum(fractions) / len(fractions)
         print(f"  n={n:>6}: mean mismatch fraction {mean:.4f} "
               f"(about c/sqrt(n): {mean * math.sqrt(n):.2f}/sqrt(n))")

@@ -24,7 +24,7 @@ def broadcast_receiver_invariance():
         for m in (2, 25):
             pt = [q for q in grid_points(spec)
                   if q.n == 100 and q.p_db == p_db and q.m == m][0]
-            stats = paired_gap(build_config(spec, pt, 0), range(20))
+            stats = paired_gap(build_config(spec, pt), range(20))
             gap = (stats.non_eh_mean - stats.eh_mean) / stats.non_eh_mean * 100
             print(f"{p_db:7.1f} {m:>4} {stats.eh_mean:12.5f} "
                   f"{stats.non_eh_mean:10.5f} {gap:8.4f}")
@@ -42,7 +42,7 @@ def mac_loss_grows_with_senders():
         for m in (1, 2, 5):
             pt = [q for q in grid_points(spec)
                   if q.n == 100 and q.p_db == p_db and q.m == m][0]
-            stats = paired_gap(build_config(spec, pt, 0), range(20))
+            stats = paired_gap(build_config(spec, pt), range(20))
             print(f"{p_db:7.1f} {m:>4} {stats.eh_mean:12.6f} "
                   f"{stats.non_eh_mean:12.6f} "
                   f"{stats.eh_mean / stats.non_eh_mean:10.3f}x")
@@ -52,7 +52,7 @@ def mac_loss_grows_with_senders():
     for m in (1, 2, 5):
         pt = [q for q in grid_points(warm)
               if q.n == 100 and q.p_db == 10.0 and q.m == m][0]
-        stats = paired_gap(build_config(warm, pt, 0), range(20))
+        stats = paired_gap(build_config(warm, pt), range(20))
         print(f"   10.0 {m:>4} ratio = "
               f"{stats.eh_mean / stats.non_eh_mean:.10f}")
     print()

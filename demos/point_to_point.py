@@ -32,7 +32,7 @@ def outage_convergence():
         closed = -math.expm1(-(2.0 ** spec.rate_threshold - 1.0) / p)
         for n in (100, 10_000):
             pt = [q for q in grid_points(spec) if q.n == n and q.p_db == p_db][0]
-            cfg = build_config(spec, pt, seed=0)
+            cfg = build_config(spec, pt)
             stats = paired_gap(cfg, seeds)
             print(f"{p_db:7.1f} {n:>6} {stats.eh_mean:10.5f} "
                   f"{stats.non_eh_mean:10.5f} {closed:10.5f} "
@@ -49,7 +49,7 @@ def cold_start_penalty():
     for p_db in (10.0, 20.0, 30.0):
         for n in (100, 10_000):
             pt = [q for q in grid_points(spec) if q.n == n and q.p_db == p_db][0]
-            cfg = build_config(spec, pt, seed=0)
+            cfg = build_config(spec, pt)
             stats = paired_gap(cfg, seeds)
             print(f"{p_db:7.1f} {n:>6} {stats.eh_mean:10.5f} "
                   f"{stats.non_eh_mean:10.5f} "
@@ -75,7 +75,7 @@ def waterfilling():
     print(f"  expected rate     {rate:.10f}  bits/slot")
     spec = default_spec("fig2")
     pt = [q for q in grid_points(spec) if q.n == 10_000 and q.p_db == 0.0][0]
-    stats = paired_gap(build_config(spec, pt, 0), range(20))
+    stats = paired_gap(build_config(spec, pt), range(20))
     print(f"  simulated, n=1e4: eh {stats.eh_mean:.6f} vs non-eh "
           f"{stats.non_eh_mean:.6f} (gap {stats.gap_mean:+.2e})")
     print("the adaptive policy waits for good slots, yet its battery almost")

@@ -18,20 +18,20 @@ from ehnet.simulator import run_eh
 from ehnet.stochastic import Stream
 
 
-def per_slot(cfg):
+def per_slot(cfg, seed):
     """Each node's harvests, the granted powers and the delivered rate, slot
-    by slot.  A run keeps only averages, but every node draws from its own
-    streams and steps its own battery, so the public pieces give the run's
-    per-slot values bit for bit."""
+    by slot, on run seed `seed`.  A run keeps only averages, but every node
+    draws from its own streams and steps its own battery, so the public
+    pieces give the run's per-slot values bit for bit."""
     n = cfg.n_slots
     slots = np.arange(1, n + 1)
     gains = np.column_stack([
-        link.fading.sample(Stream(cfg.seed, (1, link.tx, link.rx)), n)
+        link.fading.sample(Stream(seed, (1, link.tx, link.rx)), n)
         for link in cfg.links])
     harvest, actual = {}, np.empty_like(gains)
     for t in cfg.transmitters:
         cols = [c for c, link in enumerate(cfg.links) if link.tx == t.node]
-        harvest[t.node] = t.harvest.sample(Stream(cfg.seed, (0, t.node, 0)), n)
+        harvest[t.node] = t.harvest.sample(Stream(seed, (0, t.node, 0)), n)
         desired = t.policy.desired_powers(slots, gains[:, cols])
         actual[:, cols], _ = trajectory(desired, harvest[t.node],
                                         capacity=t.capacity,
@@ -50,8 +50,8 @@ def schedule_picture():
     print("=== who talks when ===")
     spec = default_spec("fig6")
     pt = [q for q in grid_points(spec) if q.n == 100 and q.p_db == 10.0][0]
-    cfg = build_config(spec, pt, seed=0)
-    slots, _, actual, utility = per_slot(cfg)
+    cfg = build_config(spec, pt)
+    slots, _, actual, utility = per_slot(cfg, 0)
     show = 12
     print("slot:        " + " ".join(f"{s:>2}" for s in slots[:show]))
     for col, link in enumerate(cfg.links):
@@ -81,7 +81,7 @@ def convergence():
         for n in (100, 10_000):
             pt = [q for q in grid_points(spec)
                   if q.n == n and q.p_db == p_db][0]
-            stats = paired_gap(build_config(spec, pt, 0), range(10))
+            stats = paired_gap(build_config(spec, pt), range(10))
             gap = (stats.non_eh_mean - stats.eh_mean) / stats.non_eh_mean * 100
             print(f"{p_db:7.1f} {n:>6} {stats.eh_mean:10.5f} "
                   f"{stats.non_eh_mean:10.5f} {gap:8.4f}")
@@ -94,11 +94,11 @@ def absorbing_buffers_grow():
     print("=== the throttled relays really do hoard energy ===")
     spec = default_spec("fig6")
     pt = [q for q in grid_points(spec) if q.n == 10_000 and q.p_db == 10.0][0]
-    cfg = build_config(spec, pt, seed=0)
-    summary = run_eh(cfg)
-    _, harvest, actual, _ = per_slot(cfg)
+    cfg = build_config(spec, pt)
+    summary = run_eh(cfg, [0])
+    _, harvest, actual, _ = per_slot(cfg, 0)
     n = cfg.n_slots
-    for t in cfg.transmitters:
+    for i, t in enumerate(cfg.transmitters):
         cols = [c for c, link in enumerate(cfg.links) if link.tx == t.node]
         avg_in = math.fsum(harvest[t.node].tolist()) / n
         avg_out = math.fsum(actual[:, cols].ravel().tolist()) / n
@@ -106,7 +106,7 @@ def absorbing_buffers_grow():
         print(f"  node {t.node}: avg in {avg_in:7.3f}, "
               f"avg out {avg_out:7.3f}, "
               f"drift {drift:+7.3f}/slot, final level "
-              f"{summary.final_level[t.node]:12.1f}")
+              f"{summary.final_level[0, i]:12.1f}")
     print("front-half nodes break even; back-half nodes bank half their")
     print("intake every slot until the cap stops them.\n")
 

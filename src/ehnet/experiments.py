@@ -13,14 +13,16 @@ Each experiment is one `EXPERIMENTS` entry: its title, what its group-size
 axis counts (receivers for the broadcast sweep, transmitters for the
 multi-access sweep, hops for the relay chain, unused elsewhere), its
 default grid, functions that build its network and its baseline at a
-grid point, the compiled scipy modules its sweep uses, and `check`, the
-rules of grids that only it cannot run (fig1's `rate_threshold` < 1024,
-fig5's `group_size` < 516, fig6's even hop counts up to 16).  Where the
-group-size axis is unused, `group_size` must be ``(1,)``; no
-`group_size` may exceed `simulator.CHUNK_SLOT_LINKS` (2**15).  `ehnet
-validate` computes every point's baseline, as a sweep does before its
-first trial (`_baselines`); fig6's is a `BASELINE_N`-slot reference run
-per (power, hops) cell, whose cost grows with the hop count.
+grid point, the compiled scipy modules its sweep uses, the model knobs
+it reads, and `check`, the rules of grids that only it cannot run (fig1's
+`rate_threshold` < 1024, fig5's `group_size` < 516, fig6's even hop
+counts up to 16).  Where the group-size axis is unused, `group_size`
+must be ``(1,)``, and a model knob the experiment does not read must
+keep its `SweepSpec` default; no `group_size` may exceed
+`simulator.CHUNK_SLOT_LINKS` (2**15).  `ehnet validate` computes every
+point's baseline, as a sweep does before its first trial (`_baselines`);
+fig6's is a `BASELINE_N`-slot reference run per (power, hops) cell, whose
+cost grows with the hop count.
 
 Shipped defaults start every battery full (`initial_fill` 1.0).  At the
 default `b_max_ratio` of 200 that banks 200 slots of mean harvest, which a
@@ -122,6 +124,13 @@ class SweepSpec:
     rate_threshold: float = 1.0
     amplifier_epsilon: float = 1.0
     circuit_power_db: float | None = None
+
+
+# The model knobs, each read by some experiments only (`Experiment.reads`),
+# and their defaults, which the others keep.
+_KNOB_DEFAULTS = {f.name: f.default for f in fields(SweepSpec)
+                  if f.name in ("rate_threshold", "amplifier_epsilon",
+                                "circuit_power_db")}
 
 
 def _as_int(value, name: str) -> int:
@@ -242,6 +251,12 @@ def validate_spec(spec: SweepSpec) -> None:
         raise ConfigError(
             f"{spec.experiment} has no group-size axis: group_size must be "
             f"[1], got {list(spec.group_size)}")
+    for name, default in _KNOB_DEFAULTS.items():
+        value = getattr(spec, name)
+        if name not in experiment.reads and value != default:
+            raise ConfigError(
+                f"{spec.experiment} does not read {name}: it must be "
+                f"{json.dumps(default)}, got {json.dumps(value)}")
     for name in experiment.modules:
         load_compiled(name)
 
@@ -476,18 +491,13 @@ def _relay_check(spec):
 
 
 def _relay_baseline(spec, point, p):
-    # The destination decodes in the even slots from slot `hops` on, a
-    # share of the run that depends on its length: the reference run's
-    # average is scaled from its own share to the row's.
-    hops = point.m
-    scale = (_delivering_slots(point.n, hops) * BASELINE_N
-             / (point.n * _delivering_slots(BASELINE_N, hops)))
-    return _relay_reference(spec, point.p_db, hops) * scale
-
-
-def _delivering_slots(n: int, hops: int) -> int:
-    """How many of slots 1..n are even and at least `hops` (even)."""
-    return max(0, n // 2 - hops // 2 + 1)
+    # The destination decodes in a share of the run that depends on its
+    # length: the reference run's average is scaled from its own share to
+    # the row's.
+    chain = ChainRateUtility(point.m)
+    scale = (chain.decoding_slots(point.n) * BASELINE_N
+             / (point.n * chain.decoding_slots(BASELINE_N)))
+    return _relay_reference(spec, point.p_db, point.m) * scale
 
 
 @dataclass(frozen=True)
@@ -511,9 +521,11 @@ class Experiment:
     scipy's package ``__init__``, through the ``scipy._lib._ccallback``
     that QUADPACK imports at its first call and `load_compiled` imports
     with it; the others (fig1, fig5, fig6) load their modules alone.
-    `check(spec)`, run after the checks every sweep shares, raises
-    `ConfigError` for grids that only this experiment cannot run.  A
-    `group_axis` of ``"unused"`` makes `validate_spec` refuse any
+    `reads` names the model knobs of `SweepSpec` that its network or
+    baseline reads; `validate_spec` refuses any other knob away from its
+    default.  `check(spec)`, run after the checks every sweep shares,
+    raises `ConfigError` for grids that only this experiment cannot run.
+    A `group_axis` of ``"unused"`` makes `validate_spec` refuse any
     `group_size` but ``(1,)``.
     """
 
@@ -523,6 +535,7 @@ class Experiment:
     network: Callable
     baseline: Callable
     modules: tuple[str, ...]
+    reads: tuple[str, ...]
     check: Callable = lambda spec: None
 
 
@@ -535,6 +548,7 @@ EXPERIMENTS = {
         network=_outage_network,
         baseline=_outage_baseline,
         modules=(),
+        reads=("rate_threshold",),
         check=_outage_check,
     ),
     "fig2": Experiment(
@@ -546,6 +560,7 @@ EXPERIMENTS = {
         baseline=_waterfill_baseline,
         modules=("scipy.integrate._quadpack",
                  "scipy.special._special_ufuncs"),
+        reads=("amplifier_epsilon", "circuit_power_db"),
     ),
     "fig3": Experiment(
         title="water-filling rate with amplifier slope and circuit draw",
@@ -561,6 +576,7 @@ EXPERIMENTS = {
         baseline=_waterfill_baseline,
         modules=("scipy.integrate._quadpack",
                  "scipy.special._special_ufuncs"),
+        reads=("amplifier_epsilon", "circuit_power_db"),
     ),
     "fig4": Experiment(
         title="opportunistic broadcast sum rate vs receiver count",
@@ -570,6 +586,7 @@ EXPERIMENTS = {
         network=_broadcast_network,
         baseline=_broadcast_baseline,
         modules=("scipy.integrate._quadpack",),
+        reads=(),
     ),
     "fig5": Experiment(
         title="multi-access BPSK error rate vs transmitter count",
@@ -579,6 +596,7 @@ EXPERIMENTS = {
         network=_mac_network,
         baseline=_mac_baseline,
         modules=("scipy.special._special_ufuncs",),
+        reads=(),
         check=_mac_check,
     ),
     "fig6": Experiment(
@@ -589,6 +607,7 @@ EXPERIMENTS = {
         network=_relay_network,
         baseline=_relay_baseline,
         modules=(),
+        reads=(),
         check=_relay_check,
     ),
 }
@@ -606,8 +625,8 @@ def default_spec(experiment: str) -> SweepSpec:
                      **_experiment(experiment).defaults)
 
 
-def build_config(spec: SweepSpec, point: GridPoint, seed: int) -> SimulationConfig:
-    """Materialize the network for one grid point and one run seed."""
+def build_config(spec: SweepSpec, point: GridPoint) -> SimulationConfig:
+    """Materialize the network for one grid point."""
     p = _db_to_linear(point.p_db)
     if point.ratio is None:
         capacity, initial = math.inf, 0.0
@@ -623,7 +642,7 @@ def build_config(spec: SweepSpec, point: GridPoint, seed: int) -> SimulationConf
     transmitters, links, utility = _experiment(spec.experiment).network(
         spec, point, p, node)
     return SimulationConfig(n_slots=point.n, transmitters=transmitters,
-                            links=links, utility=utility, seed=seed)
+                            links=links, utility=utility)
 
 
 def closed_form_baseline(spec: SweepSpec, point: GridPoint) -> float:
@@ -659,7 +678,8 @@ def _relay_reference(spec: SweepSpec, p_db: float, hops: int) -> float:
     seed = seed_states([spec.seed], [key], 1)[0, 0].item()
     ref_point = GridPoint(index=-1, p_db=p_db, n=BASELINE_N, ratio=None,
                           m=hops)
-    return run_non_eh(build_config(spec, ref_point, seed)).avg_utility
+    return float(run_non_eh(build_config(spec, ref_point),
+                            [seed]).avg_utility[0])
 
 
 # ---------------------------------------------------------------------------
@@ -699,16 +719,16 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 def paired_gap(config: SimulationConfig, seeds) -> GapStatistics:
     """Run both systems on each seed of `seeds` and summarize them.
 
-    `config`'s own seed is not used.  One `run_eh` call yields both
-    averages of every seed, as the columns of its `Trials`."""
-    trials = run_eh(config, seeds=seeds)
+    One `run_eh` call yields both averages of every seed, as the columns
+    of its `Trials`."""
+    trials = run_eh(config, seeds)
     eh, non_eh = trials.avg_utility, trials.non_eh_utility
     return GapStatistics(
         *_mean_stderr((eh - non_eh).tolist()),
         *_mean_stderr(eh.tolist()),
         *_mean_stderr(non_eh.tolist()),
-        mismatch_mean=math.fsum(trials.mismatch_union.tolist()) / len(trials),
-        n_pairs=len(trials),
+        mismatch_mean=math.fsum(trials.mismatch_union.tolist()) / len(eh),
+        n_pairs=len(eh),
     )
 
 
@@ -731,8 +751,7 @@ CSV_FIELDS = tuple(f.name for f in fields(CsvRow))
 def _point_rows(spec: SweepSpec, point: GridPoint,
                 baseline: float) -> list[CsvRow]:
     seeds = _trial_seeds(spec.seed, point.index, range(spec.trials))
-    # The trials differ only in their seed: one network for all of them.
-    stats = paired_gap(build_config(spec, point, seeds[0]), seeds)
+    stats = paired_gap(build_config(spec, point), seeds)
     common = dict(
         experiment_id=spec.experiment,
         p_in_db=point.p_db,

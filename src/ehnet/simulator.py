@@ -15,9 +15,9 @@ seedwise pairing of the two isolates the effect of the battery alone.
 `run_eh` evaluates that pairing itself: from one set of draws it reports
 both its own average utility and the reference system's.
 
-Given several seeds, `run_eh` runs one trial per seed on the same network
-and returns a `Trials`, which keeps each summary field as one array over
-the trials.  Trials run side by side in groups.  A chunk's draws are one
+Both take the run seeds, run one trial per seed on the same network and
+return a `Trials`, which keeps each result as one array over the trials.
+Trials run side by side in groups.  A chunk's draws are one
 (keys, trials, slots) block: the harvests in transmitter order, then the
 fadings in link order.  Consecutive stream keys whose processes compare
 equal (fig4's 25 fadings, fig5's senders' harvests) form a run, which may
@@ -30,7 +30,7 @@ through time in chunks, carrying battery levels, delay lines, running
 counts and exact partial sums of the utilities from one chunk to the
 next, so a call holds about `CHUNK_SLOT_LINKS` slot-links of per-slot
 arrays however long or wide its runs are, and no result keeps any.  Each
-trial's summary equals that of a run on its seed alone, bit for bit: each
+trial's entries equal those of a run on its seed alone, bit for bit: each
 lane draws what its key's and seed's stream would alone, streams continue
 across chunks, the battery resumes from the levels it returned, and
 policies and utilities act slot by slot.
@@ -44,7 +44,6 @@ including ones where the utility is structurally zero.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from itertools import groupby
 
@@ -57,7 +56,6 @@ __all__ = [
     "ConfigError",
     "LinkSpec",
     "NumericsError",
-    "RunSummary",
     "SimulationConfig",
     "TransmitterSpec",
     "Trials",
@@ -120,11 +118,9 @@ class SimulationConfig:
     transmitters: tuple[TransmitterSpec, ...]
     links: tuple[LinkSpec, ...]
     utility: object
-    seed: int = 0
 
     def validate(self) -> None:
         check_count("n_slots", self.n_slots, error=ConfigError)
-        check_count("seed", self.seed, 0, error=ConfigError)
         nodes = [t.node for t in self.transmitters]
         for node in nodes:
             check_count("transmitter node", node, 0, error=ConfigError)
@@ -178,37 +174,21 @@ class SimulationConfig:
             )
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """What the walk computed for one run, and no per-slot arrays.  Keys of
-    the per-node maps are node ids.
-
-    `non_eh_utility` is the average utility of the reference system, where
-    every request is granted, on the same draws; for `run_non_eh` it equals
-    `avg_utility`.  `mismatch_fraction` counts slots where a node's granted
-    power differed from its requested power on any link; `mismatch_union`
-    counts slots where that happened anywhere in the network.
-    """
-
-    n_slots: int
-    avg_utility: float
-    non_eh_utility: float
-    mismatch_fraction: dict[int, float]
-    mismatch_union: float
-    final_level: dict[int, float]
-
-
-@dataclass(eq=False, repr=False)
-class Trials(Sequence):
-    """The results of one `run_eh` call on several seeds, kept as columns
-    with one entry per seed, in seed order.
+@dataclass(eq=False)
+class Trials:
+    """The results of one run call, kept as columns with one entry per
+    seed, in seed order, and no per-slot arrays.
 
     `avg_utility`, `non_eh_utility` and `mismatch_union` are (trials,)
     float arrays; `mismatch_fraction` and `final_level` are (trials, nodes)
     arrays whose columns follow `nodes`, the transmitters in config order.
-    `len`, indexing and iteration give each seed's `RunSummary`, built on
-    access, equal bit for bit to the run on that seed alone.  Two `Trials`
-    are equal only when they are the same object."""
+    `non_eh_utility` is the average utility of the reference system,
+    where every request is granted, on the same draws; for `run_non_eh`
+    it equals `avg_utility`.  `mismatch_fraction` counts slots where a
+    node's granted power differed from its requested power on any link;
+    `mismatch_union` counts slots where that happened anywhere in the
+    network.  Two `Trials` are equal only when they are the same
+    object."""
 
     n_slots: int
     nodes: tuple[int, ...]
@@ -217,29 +197,6 @@ class Trials(Sequence):
     mismatch_fraction: np.ndarray
     mismatch_union: np.ndarray
     final_level: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.avg_utility)
-
-    def __getitem__(self, index):
-        at = range(len(self))[index]
-        if isinstance(at, range):
-            return [self._result(j) for j in at]
-        return self._result(at)
-
-    def __repr__(self) -> str:
-        return f"Trials(n_slots={self.n_slots}, trials={len(self)})"
-
-    def _result(self, j: int) -> RunSummary:
-        return RunSummary(
-            n_slots=self.n_slots,
-            avg_utility=float(self.avg_utility[j]),
-            non_eh_utility=float(self.non_eh_utility[j]),
-            mismatch_fraction=dict(zip(self.nodes,
-                                       self.mismatch_fraction[j].tolist())),
-            mismatch_union=float(self.mismatch_union[j]),
-            final_level=dict(zip(self.nodes, self.final_level[j].tolist())),
-        )
 
 
 def _joined(parts: list[Trials]) -> Trials:
@@ -548,13 +505,15 @@ def _run(config: SimulationConfig, seeds, with_battery: bool) -> Trials:
     its seed alone.  `CHUNK_SLOT_LINKS // (n_slots * links)` trials, at
     least one, run side by side at a time (see `_walk`).  A seed that is
     not an integer, or is a bool, raises `TypeError`: none is rounded or
-    parsed."""
+    parsed.  No seed at all is a `ValueError`, a negative one a
+    `ConfigError`."""
     config.validate()
     seeds = list(seeds)
     if not all(map(is_integer, seeds)):
         raise TypeError("every seed must be an integer other than a bool")
     if not seeds:
         raise ValueError("need at least one seed")
+    check_count("seed", min(seeds), 0, error=ConfigError)
     step = max(1, CHUNK_SLOT_LINKS // (config.n_slots * len(config.links)))
     keys, labels, runs = _draw_runs(config)
     # Key-major: each key, then each trial's row for that key.
@@ -649,23 +608,17 @@ def _walk(config: SimulationConfig, streams, runs, labels,
                   misses.T / n, union / n, levels.T)
 
 
-def run_eh(config: SimulationConfig, *, seeds=None):
-    """Simulate with the battery in the loop.  Returns a `RunSummary`
-    whose `non_eh_utility` is the reference system's average on the same
-    draws.
-
-    With `seeds`, integers, runs one trial per seed on `config`'s network
-    and returns their `Trials`, whose entry j equals
-    ``run_eh(replace(config, seed=seeds[j]))`` bit for bit.
+def run_eh(config: SimulationConfig, seeds) -> Trials:
+    """Simulate with the battery in the loop, one trial per seed of
+    `seeds`, integers.  The `Trials`' `non_eh_utility` is the reference
+    system's average on the same draws.
 
     A run keeps no per-slot arrays: a node's follow from its own streams,
     policy and `battery.trajectory` (README, "Library")."""
-    if seeds is None:
-        return _run(config, [config.seed], True)[0]
     return _run(config, seeds, True)
 
 
-def run_non_eh(config: SimulationConfig):
-    """Simulate the reference system: same draws, every request granted,
-    battery untouched."""
-    return _run(config, [config.seed], False)[0]
+def run_non_eh(config: SimulationConfig, seeds) -> Trials:
+    """Simulate the reference system, one trial per seed of `seeds`: same
+    draws, every request granted, battery untouched."""
+    return _run(config, seeds, False)

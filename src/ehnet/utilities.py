@@ -169,3 +169,8 @@ class ChainRateUtility(_MultiLink):
             rate = np.log2(1.0 + snr)
         eligible = alive & (slots >= self.num_links) & (slots % 2 == 0)
         return np.where(eligible, rate, 0.0)
+
+    def decoding_slots(self, n: int) -> int:
+        """How many of slots 1..n the destination decodes in: the even
+        ones from slot `num_links` on, as `evaluate`'s mask has them."""
+        return max(0, n // 2 - (self.num_links - 1) // 2)

@@ -1,7 +1,7 @@
 """What the tests compare the simulator's array code against: the scalar
 battery recursion, one Python float per step and one step per request;
-`reference_run`, a whole run slot by slot on it; and
-`constant_request_means`, the exact expected `eh` row of a single link
+`reference_run`, a whole run slot by slot on it; `bits`, which compares
+runs' results bit for bit; and `constant_request_means`, the exact expected `eh` row of a single link
 with a constant request, from the battery level's law.
 
 Within one slot a node draws ``min(desired, level)`` for each of its
@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ehnet.simulator import RunSummary
+from ehnet.simulator import Trials
 from ehnet.stochastic import Stream
 
 
@@ -95,10 +95,23 @@ def deposit(state: BatteryState, harvested: float) -> BatteryState:
     return BatteryState(level, state.capacity)
 
 
-def reference_run(config, seed: int, with_battery: bool = True) -> RunSummary:
-    """The summary of `config`'s run on `seed`, slot by slot in plain
-    Python, sharing no code with `ehnet.simulator`'s walk: `run_eh` (or
-    `run_non_eh` without the battery) should give it bit for bit.
+def bits(trials: Trials) -> list:
+    """Every column of `trials` with its shape and its bytes, so that a
+    sign of zero or a last-digit change shows."""
+    out = []
+    for f in fields(Trials):
+        value = getattr(trials, f.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        out.append((f.name, value))
+    return out
+
+
+def reference_run(config, seed: int, with_battery: bool = True) -> Trials:
+    """The one-trial `Trials` of `config`'s run on `seed`, slot by slot in
+    plain Python, sharing no code with `ehnet.simulator`'s walk: `run_eh`
+    (or `run_non_eh` without the battery) on ``[seed]`` should give it bit
+    for bit.
 
     Each stream key draws one value per slot from its own `Stream`.  Per
     slot, in transmitter order, each node asks its policy for one row,
@@ -158,13 +171,15 @@ def reference_run(config, seed: int, with_battery: bool = True) -> RunSummary:
         u_eh.append(utility(slot, delayed, 2))
 
     n = config.n_slots
-    return RunSummary(
+    nodes = tuple(t.node for t in config.transmitters)
+    return Trials(
         n_slots=n,
-        avg_utility=math.fsum(u_eh) / n,
-        non_eh_utility=math.fsum(u_non_eh) / n,
-        mismatch_fraction={node: count / n for node, count in misses.items()},
-        mismatch_union=union / n,
-        final_level={node: state.level for node, state in states.items()},
+        nodes=nodes,
+        avg_utility=np.array([math.fsum(u_eh) / n]),
+        non_eh_utility=np.array([math.fsum(u_non_eh) / n]),
+        mismatch_fraction=np.array([[misses[node] / n for node in nodes]]),
+        mismatch_union=np.array([union / n]),
+        final_level=np.array([[states[node].level for node in nodes]]),
     )
 
 

@@ -150,16 +150,16 @@ def test_criterion_1_conservation(capsys):
             transmitters=tuple(txs),
             links=tuple(links),
             utility=BroadcastSumRateUtility(len(links)),
-            seed=int(rng.integers(0, 2 ** 31)),
         )
-        summary, (trace,) = capture(run_eh, cfg)
+        seed = int(rng.integers(0, 2 ** 31))
+        summary, (trace,) = capture(run_eh, cfg, [seed])
         cols = {t.node: [] for t in txs}
         for col, link in enumerate(cfg.links):
             cols[link.tx].append(col)
-        for t in txs:
+        for i, t in enumerate(txs):
             banked = t.initial_level + math.fsum(trace.harvest[t.node].tolist())
             spent = math.fsum(trace.actual[:, cols[t.node]].ravel().tolist())
-            rel = abs(banked - (spent + summary.final_level[t.node]))
+            rel = abs(banked - (spent + summary.final_level[0, i]))
             rel /= max(abs(banked), 1.0)
             worst = max(worst, rel)
     dt = time.perf_counter() - t0
@@ -174,18 +174,15 @@ def test_criterion_2_mismatch_decay(capsys):
     t0 = time.perf_counter()
     means = {}
     for n in (100, 10_000):
-        vals = []
-        for seed in range(20):
-            cfg = SimulationConfig(
-                n_slots=n,
-                transmitters=(TransmitterSpec(
-                    0, ExponentialProcess(1.0), ConstantPolicy(1.0),
-                    capacity=200.0),),
-                links=(LinkSpec(0, 1, ExponentialProcess(1.0)),),
-                utility=OutageUtility(1.0),
-                seed=seed,
-            )
-            vals.append(run_eh(cfg).mismatch_fraction[0])
+        cfg = SimulationConfig(
+            n_slots=n,
+            transmitters=(TransmitterSpec(
+                0, ExponentialProcess(1.0), ConstantPolicy(1.0),
+                capacity=200.0),),
+            links=(LinkSpec(0, 1, ExponentialProcess(1.0)),),
+            utility=OutageUtility(1.0),
+        )
+        vals = run_eh(cfg, range(20)).mismatch_fraction[:, 0].tolist()
         means[n] = math.fsum(vals) / len(vals)
     dt = time.perf_counter() - t0
     ok = means[10_000] < means[100] and means[10_000] < 0.05 and dt < 30.0
@@ -255,7 +252,7 @@ def test_fig1_eh_rows_match_the_exact_battery_law(point):
     # `constant_request_means` computes without Monte Carlo
     spec = FIG1_EMPTY
     seeds = [trial_seed(spec.seed, point.index, t) for t in range(spec.trials)]
-    trials = run_eh(build_config(spec, point, seeds[0]), seeds=seeds)
+    trials = run_eh(build_config(spec, point), seeds)
     p = 10.0 ** (point.p_db / 10.0)
     theta = 2.0 ** spec.rate_threshold - 1.0
 
@@ -300,10 +297,10 @@ def test_criterion_4_waterfilling_oracle(capsys, fig2_run):
     rate_q = expectation_quadrature(
         lambda g: math.log2(g / lam1), exponential_pdf(1.0), lower=lam1)
     point = one_point(spec, n=10_000, p_db=0.0)
-    cfg = replace(build_config(spec, point, 12345), n_slots=1_000_000)
-    summary, (trace,) = capture(run_non_eh, cfg)
+    cfg = replace(build_config(spec, point), n_slots=1_000_000)
+    summary, (trace,) = capture(run_non_eh, cfg, [12345])
     se = float(np.std(trace.utility, ddof=1)) / math.sqrt(len(trace.utility))
-    z = abs(summary.avg_utility - rate_q) / se
+    z = abs(summary.avg_utility[0] - rate_q) / se
 
     # battery-limited run within 5% of the unconstrained one at n=1e4
     worst_gap = 0.0
@@ -315,8 +312,9 @@ def test_criterion_4_waterfilling_oracle(capsys, fig2_run):
     ok = worst_resid < 1e-8 and z < 3.0 and worst_gap < 0.05 and dt < 120.0
     report(capsys, 4, "water-filling oracle", ok,
            f"solver residual {worst_resid:.2e} (limit 1e-8); n=1e6 rate "
-           f"{summary.avg_utility:.6f} vs quadrature {rate_q:.6f}, z={z:.2f} "
-           f"(limit 3); n=1e4 worst gap {worst_gap:.4f} (limit 0.05); "
+           f"{summary.avg_utility[0]:.6f} vs quadrature {rate_q:.6f}, "
+           f"z={z:.2f} (limit 3); n=1e4 worst gap {worst_gap:.4f} "
+           f"(limit 0.05); "
            f"{dt:.1f}s (limit 120s)")
 
 
@@ -357,11 +355,11 @@ def test_criterion_7_mac_ber(capsys, fig5_run):
 
     # single-sender reference run against the diversity closed form
     point = one_point(spec, n=10_000, p_db=0.0, m=1)
-    cfg = replace(build_config(spec, point, 999), n_slots=1_000_000)
-    summary, (trace,) = capture(run_non_eh, cfg)
+    cfg = replace(build_config(spec, point), n_slots=1_000_000)
+    summary, (trace,) = capture(run_non_eh, cfg, [999])
     se = float(np.std(trace.utility, ddof=1)) / math.sqrt(len(trace.utility))
     closed = rayleigh_bpsk_ber(1.0, branches=1)
-    z = abs(summary.avg_utility - closed) / se
+    z = abs(summary.avg_utility[0] - closed) / se
 
     # battery-limited error rate within 5% at the long horizon, all M
     worst_gap = 0.0
@@ -382,7 +380,7 @@ def test_criterion_7_mac_ber(capsys, fig5_run):
     dt = dt_sweep + (time.perf_counter() - t0)
     ok = z < 3.0 and worst_gap < 0.05 and mono and dt < 180.0
     report(capsys, 7, "multi-access error rate", ok,
-           f"n=1e6 ber {summary.avg_utility:.6f} vs closed {closed:.6f}, "
+           f"n=1e6 ber {summary.avg_utility[0]:.6f} vs closed {closed:.6f}, "
            f"z={z:.2f} (limit 3); n=1e4 worst gap {worst_gap:.4f} "
            f"(limit 0.05); n=1e2 loss non-decreasing in M: {mono}; "
            f"{dt:.1f}s (limit 180s)")
@@ -403,8 +401,7 @@ def test_criterion_8_relay_chain(capsys, fig6_run):
     for point in grid_points(spec):
         seeds = [trial_seed(spec.seed, point.index, trial)
                  for trial in range(spec.trials)]
-        _, traces = capture(run_eh, build_config(spec, point, seeds[0]),
-                            seeds=seeds)
+        _, traces = capture(run_eh, build_config(spec, point), seeds)
         for trace in traces:
             runs += 1
             if np.any(trace.actual[:-1] * trace.actual[1:] != 0.0):

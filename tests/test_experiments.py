@@ -160,6 +160,56 @@ def test_cli_rejects_group_sizes_where_the_axis_is_unused(tmp_path, capsys):
     assert not out.exists()
 
 
+# Model knobs away from their defaults, for experiments that do not read
+# them: each would run the same sweep as without the key.
+UNREAD_KNOBS = [
+    ("fig1", {"amplifier_epsilon": 2.0}, "amplifier_epsilon: it must be 1.0, "
+     "got 2.0"),
+    ("fig1", {"circuit_power_db": -25.0}, "circuit_power_db: it must be "
+     "null, got -25.0"),
+    ("fig2", {"rate_threshold": 2.0}, "rate_threshold: it must be 1.0, got "
+     "2.0"),
+    ("fig3", {"rate_threshold": 0.5}, "rate_threshold: it must be 1.0, got "
+     "0.5"),
+    # The first unread knob is named, in `SweepSpec` order.
+    ("fig4", {"amplifier_epsilon": 7.0, "rate_threshold": 9.0,
+              "circuit_power_db": 3.0}, "rate_threshold: it must be 1.0, got "
+     "9.0"),
+    ("fig5", {"circuit_power_db": 0.0}, "circuit_power_db: it must be null, "
+     "got 0.0"),
+    ("fig6", {"amplifier_epsilon": 1.5}, "amplifier_epsilon: it must be 1.0, "
+     "got 1.5"),
+]
+
+
+@pytest.mark.parametrize("experiment, knobs, message", UNREAD_KNOBS,
+                         ids=[f"{e}-{'-'.join(k)}" for e, k, _ in UNREAD_KNOBS])
+def test_cli_refuses_model_knobs_the_experiment_does_not_read(
+        tmp_path, capsys, experiment, knobs, message):
+    group = [2] if experiment in ("fig4", "fig5", "fig6") else [1]
+    path = write_config(tmp_path, experiment=experiment, p_in_db=[0.0],
+                        n_slots=[100], group_size=group, trials=3, **knobs)
+    out = tmp_path / "x.csv"
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(out)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {experiment} does not read {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, knobs", [
+    ("fig1", {"rate_threshold": 2.0}),
+    ("fig2", {"amplifier_epsilon": 2.0, "circuit_power_db": -25.0}),
+    ("fig3", {"amplifier_epsilon": 1.0, "circuit_power_db": None}),
+    ("fig4", {"rate_threshold": 1.0, "amplifier_epsilon": 1.0,
+              "circuit_power_db": None}),
+], ids=["fig1", "fig2", "fig3", "fig4_defaults"])
+def test_model_knobs_an_experiment_reads_or_leaves_at_default_pass(
+        experiment, knobs):
+    validate_spec(replace(default_spec(experiment), **knobs))
+
+
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_shipped_configs_are_the_registry_defaults(name):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -250,19 +300,18 @@ def point(spec, **kwargs):
 
 def test_build_fig1_geometry():
     spec = default_spec("fig1")
-    cfg = build_config(spec, point(spec, p_db=10.0), seed=3)
+    cfg = build_config(spec, point(spec, p_db=10.0))
     (tx,) = cfg.transmitters
     assert tx.harvest.mean == pytest.approx(10.0)
     assert isinstance(tx.policy, ConstantPolicy)
     assert tx.policy.power == pytest.approx(10.0)
     assert tx.capacity == pytest.approx(2000.0)  # 200x the average intake
     assert tx.initial_level == pytest.approx(2000.0)  # shipped specs start full
-    assert cfg.seed == 3
 
 
 def test_build_fig1_unbounded_battery_via_null_ratio():
     spec = default_spec("fig1")
-    cfg = build_config(spec, point(spec, ratio=None), seed=0)
+    cfg = build_config(spec, point(spec, ratio=None))
     (tx,) = cfg.transmitters
     assert tx.capacity == math.inf
     assert tx.initial_level == 0.0
@@ -270,17 +319,17 @@ def test_build_fig1_unbounded_battery_via_null_ratio():
 
 def test_build_fig3_silent_below_circuit_floor():
     spec = default_spec("fig3")  # circuit draw at -25 dB
-    cfg = build_config(spec, point(spec, p_db=-30.0), seed=0)
+    cfg = build_config(spec, point(spec, p_db=-30.0))
     policy = cfg.transmitters[0].policy
     assert isinstance(policy, ConstantPolicy)
     assert policy.power == 0.0
-    cfg = build_config(spec, point(spec, p_db=-20.0), seed=0)
+    cfg = build_config(spec, point(spec, p_db=-20.0))
     assert isinstance(cfg.transmitters[0].policy, WaterfillPolicy)
 
 
 def test_build_fig4_star_topology():
     spec = default_spec("fig4")
-    cfg = build_config(spec, point(spec, m=25), seed=0)
+    cfg = build_config(spec, point(spec, m=25))
     assert len(cfg.links) == 25
     assert isinstance(cfg.transmitters[0].policy, MaxGainBroadcastPolicy)
     assert cfg.transmitters[0].policy.num_links == 25
@@ -289,7 +338,7 @@ def test_build_fig4_star_topology():
 
 def test_build_fig5_many_senders_one_sink():
     spec = default_spec("fig5")
-    cfg = build_config(spec, point(spec, m=5), seed=0)
+    cfg = build_config(spec, point(spec, m=5))
     assert len(cfg.transmitters) == 5
     assert len(cfg.links) == 5
     assert len({l.rx for l in cfg.links}) == 1
@@ -297,7 +346,7 @@ def test_build_fig5_many_senders_one_sink():
 
 def test_build_fig6_chain_schedule_and_delays():
     spec = default_spec("fig6")
-    cfg = build_config(spec, point(spec, p_db=0.0, m=4), seed=0)
+    cfg = build_config(spec, point(spec, p_db=0.0, m=4))
     assert len(cfg.transmitters) == 4
     # hop k delivers k's transmission hops-k slots later
     assert [l.delay for l in cfg.links] == [3, 2, 1, 0]
@@ -414,15 +463,52 @@ def test_fig6_baseline_tracks_the_paired_runs_past_two_hops():
         assert abs(closed.u_mean - non_eh.u_mean) < 3.0 * non_eh.u_stderr
 
 
+# Battery sizes, as multiples of the mean harvest, that every trial of the
+# pathwise test runs at on the same seeds.
+PATHWISE_RATIOS = (2.0, 5.0, 20.0, 200.0)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_each_trial_is_monotone_in_the_battery_size(experiment):
+    # On the same draws, a larger battery that starts full (fig1-fig3) or
+    # empty (fig4-fig6) holds at least as much energy in every slot, so it
+    # grants at least as much: each trial's outage (fig1) and error rate
+    # (fig5) can only fall with the size, and each rate only rise.  The
+    # reference system has no battery, so its averages do not move.
+    base = default_spec(experiment)
+    spec = replace(base, p_in_db=base.p_in_db[::3], n_slots=(2000,),
+                   b_max_ratio=PATHWISE_RATIOS[:1],
+                   group_size=(1,) if experiment in ("fig1", "fig2", "fig3")
+                   else (2,),
+                   initial_fill=1.0 if experiment in ("fig1", "fig2", "fig3")
+                   else 0.0)
+    sign = -1.0 if experiment in ("fig1", "fig5") else 1.0
+    seeds = range(30)
+    steps = strict = 0
+    for point in grid_points(spec):
+        runs = [ehnet.simulator.run_eh(
+            build_config(spec, replace(point, ratio=r)), seeds)
+            for r in PATHWISE_RATIOS]
+        for smaller, larger in zip(runs, runs[1:]):
+            change = sign * (larger.avg_utility - smaller.avg_utility)
+            assert (change >= 0.0).all(), (point, change.min())
+            assert (larger.non_eh_utility.tobytes()
+                    == smaller.non_eh_utility.tobytes())
+            steps += len(change)
+            strict += int((change > 0.0).sum())
+    # The battery binds: most steps change the trial's average.
+    assert strict > steps // 2
+
+
 def test_fig6_reference_runs_once_per_cell(tmp_path, monkeypatch):
     spec = spec_from_dict({"experiment": "fig6", "p_in_db": [0.0, 5.0],
                            "n_slots": [20, 40], "trials": 2})
     calls = []
     real = ehnet.experiments.run_non_eh
 
-    def counting(config, **kwargs):
+    def counting(config, seeds):
         calls.append(config.n_slots)
-        return real(config, **kwargs)
+        return real(config, seeds)
 
     monkeypatch.setattr(ehnet.experiments, "run_non_eh", counting)
     ehnet.experiments._relay_reference.cache_clear()
@@ -637,9 +723,9 @@ def test_point_rows_batch_trials_by_slot_links(monkeypatch):
     calls, groups = [], []
     run_eh = ehnet.experiments.run_eh
 
-    def counting_run_eh(config, *, seeds):
+    def counting_run_eh(config, seeds):
         calls.append((config.n_slots, len(seeds)))
-        return run_eh(config, seeds=seeds)
+        return run_eh(config, seeds)
 
     def counting_walk(config, streams, *args):
         # One `Stream` per process run, each with one lane per key and
@@ -677,15 +763,12 @@ def test_fig5_sweep_seeds_and_summarises_each_point_as_arrays(monkeypatch):
     # per trial or per stream cannot creep back unseen: per grid point one
     # `seed_states` call for the trial seeds and one inside its `run_eh`,
     # one PCG64 per trial per stream key (fig5's m senders each have a
-    # harvest key and a fading key), and no `RunSummary` at all, since
-    # `paired_gap` reads the columns of `Trials` and fig5's baseline is a
-    # closed form.
+    # harvest key and a fading key).
     spec = spec_from_dict({"experiment": "fig5", "p_in_db": [0.0, 10.0],
                            "n_slots": [100], "group_size": [1, 2],
                            "trials": 30})
     points = grid_points(spec)
-    counts = dict.fromkeys(["seed_states", "run_eh", "PCG64", "RunSummary"],
-                           0)
+    counts = dict.fromkeys(["seed_states", "run_eh", "PCG64"], 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -701,16 +784,12 @@ def test_fig5_sweep_seeds_and_summarises_each_point_as_arrays(monkeypatch):
                         counting("run_eh", ehnet.experiments.run_eh))
     monkeypatch.setattr(np.random, "PCG64",
                         counting("PCG64", np.random.PCG64))
-    summary = ehnet.simulator.RunSummary
-    monkeypatch.setattr(summary, "__init__",
-                        counting("RunSummary", summary.__init__))
     rows = run_experiment(spec)
     assert len(rows) == 3 * len(points)
     assert counts == {
         "seed_states": 2 * len(points),
         "run_eh": len(points),
         "PCG64": sum(spec.trials * 2 * point.m for point in points),
-        "RunSummary": 0,
     }
 
 
@@ -1050,7 +1129,7 @@ def test_cli_validate_computes_every_baseline_and_runs_no_trial(
     assert trials == []
     assert [point for _, point in baselines] == grid_points(
         load_spec(cfg))
-    assert [config.n_slots for config, in references] == [BASELINE_N] * 2
+    assert [config.n_slots for config, _ in references] == [BASELINE_N] * 2
 
 
 def test_cli_threshold_solver_failure_is_a_numerical_failure(

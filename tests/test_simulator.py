@@ -38,9 +38,9 @@ from ehnet.simulator import (
     ConfigError,
     LinkSpec,
     NumericsError,
-    RunSummary,
     SimulationConfig,
     TransmitterSpec,
+    Trials,
     run_eh,
     run_non_eh,
 )
@@ -55,6 +55,7 @@ from ehnet.utilities import (
 )
 from oracles import (
     BatteryState,
+    bits,
     deposit,
     extract,
     extract_many,
@@ -63,7 +64,7 @@ from oracles import (
 from walk_capture import capture
 
 
-def single_link_config(n=100, power=1.0, harvest_mean=1.0, seed=0, **tx_kwargs):
+def single_link_config(n=100, power=1.0, harvest_mean=1.0, **tx_kwargs):
     return SimulationConfig(
         n_slots=n,
         transmitters=(
@@ -76,8 +77,20 @@ def single_link_config(n=100, power=1.0, harvest_mean=1.0, seed=0, **tx_kwargs):
         ),
         links=(LinkSpec(tx=0, rx=1, fading=ExponentialProcess(1.0)),),
         utility=OutageUtility(1.0),
-        seed=seed,
     )
+
+
+def joined(parts):
+    """The trials of `parts`, one after another, as one `Trials`."""
+    return simulator._joined(list(parts))
+
+
+def per_trial(trials):
+    """Each trial of `trials` as a one-trial `Trials`, in seed order."""
+    return [replace(trials, **{
+        f.name: getattr(trials, f.name)[j:j + 1] for f in fields(Trials)
+        if isinstance(getattr(trials, f.name), np.ndarray)})
+        for j in range(len(trials.avg_utility))]
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +170,9 @@ def test_unbounded_buffer_may_start_at_inf():
     # `validate` takes the start levels `trajectory` takes: inf only in an
     # unbounded buffer, where an overflowed level goes; it grants every
     # request.
-    summary = run_eh(single_link_config(n=50, initial_level=math.inf))
-    assert summary.mismatch_union == 0.0
-    assert summary.avg_utility == summary.non_eh_utility
+    summary = run_eh(single_link_config(n=50, initial_level=math.inf), [0])
+    assert summary.mismatch_union[0] == 0.0
+    assert summary.avg_utility[0] == summary.non_eh_utility[0]
     with pytest.raises(ConfigError) as err:
         single_link_config(capacity=5.0, initial_level=math.inf).validate()
     assert str(err.value) == "node 0: battery level must be finite"
@@ -196,19 +209,22 @@ def test_validation_wants_each_transmitters_links_together():
     replace(cfg, links=(link(0, 2), link(0, 3), link(1, 2))).validate()
 
 
-@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "3", None, -1,
-                                  True],
-                         ids=["fraction", "float", "numpy_float", "string",
-                              "none", "negative", "bool"])
-def test_validation_wants_a_nonnegative_integer_seed(seed):
-    cfg = replace(single_link_config(), seed=seed)
-    with pytest.raises(ConfigError) as err:
-        cfg.validate()
-    assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
-    with pytest.raises(ConfigError):
-        run_eh(cfg)
+@pytest.mark.parametrize("seed, error", [
+    (1.5, TypeError), (2.0, TypeError), (np.float64(3.0), TypeError),
+    ("3", TypeError), (None, TypeError), (-1, ConfigError), (True, TypeError),
+], ids=["fraction", "float", "numpy_float", "string", "none", "negative",
+        "bool"])
+def test_validation_wants_a_nonnegative_integer_seed(seed, error):
+    # Both runs check their seeds before drawing: a negative integer is a
+    # `ConfigError` that names it, anything else but an integer a
+    # `TypeError`.
+    for run in (run_eh, run_non_eh):
+        with pytest.raises(error) as err:
+            run(single_link_config(), [0, seed])
+    if error is ConfigError:
+        assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
     for good in (0, np.int64(7), np.uint64(2**64 - 1), 2**100):
-        replace(single_link_config(), seed=good).validate()
+        run_eh(single_link_config(n=1), [good])
 
 
 @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "3", None, True],
@@ -220,9 +236,9 @@ def test_batch_seeds_that_are_not_integers_raise(seed):
     cfg = single_link_config()
     with pytest.raises(TypeError):
         run_eh(cfg, seeds=[0, seed])
-    want = [run_eh(replace(cfg, seed=s)) for s in (0, 1, 2)]
-    assert list(run_eh(cfg, seeds=np.arange(3))) == want
-    assert list(run_eh(cfg, seeds=range(3))) == want
+    want = bits(joined(run_eh(cfg, [s]) for s in (0, 1, 2)))
+    assert bits(run_eh(cfg, np.arange(3))) == want
+    assert bits(run_eh(cfg, range(3))) == want
 
 
 class _UncheckedLinksPolicy:
@@ -239,7 +255,7 @@ class _UncheckedLinksPolicy:
 def _run_with_policy_links(num_links):
     cfg = single_link_config(n=10)
     tx = replace(cfg.transmitters[0], policy=_UncheckedLinksPolicy(num_links))
-    return run_eh(replace(cfg, transmitters=(tx,)))
+    return run_eh(replace(cfg, transmitters=(tx,)), [0])
 
 
 def _solve(target):
@@ -370,7 +386,7 @@ def test_model_fields_refuse_bools_and_fractions(build, bad, field, error,
 
 def test_run_rejects_invalid_config_before_sampling():
     with pytest.raises(ConfigError):
-        run_eh(single_link_config(n=0))
+        run_eh(single_link_config(n=0), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +394,21 @@ def test_run_rejects_invalid_config_before_sampling():
 
 
 def test_same_seed_same_summary():
-    cfg = single_link_config(n=2000, seed=7)
-    assert run_eh(cfg) == run_eh(cfg)
-    assert run_non_eh(cfg) == run_non_eh(cfg)
+    cfg = single_link_config(n=2000)
+    assert bits(run_eh(cfg, [7])) == bits(run_eh(cfg, [7]))
+    assert bits(run_non_eh(cfg, [7])) == bits(run_non_eh(cfg, [7]))
 
 
 def test_different_seed_different_draws():
-    _, (ta,) = capture(run_eh, single_link_config(n=500, seed=1))
-    _, (tb,) = capture(run_eh, single_link_config(n=500, seed=2))
+    _, (ta,) = capture(run_eh, single_link_config(n=500), [1])
+    _, (tb,) = capture(run_eh, single_link_config(n=500), [2])
     assert not np.array_equal(ta.gains, tb.gains)
     assert not np.array_equal(ta.harvest[0], tb.harvest[0])
 
 
 def test_adding_a_node_leaves_existing_draws_alone():
-    base = single_link_config(n=300, seed=11)
-    _, (t1,) = capture(run_eh, base)
+    base = single_link_config(n=300)
+    _, (t1,) = capture(run_eh, base, [11])
 
     bigger = replace(
         base,
@@ -412,7 +428,7 @@ def test_adding_a_node_leaves_existing_draws_alone():
         def evaluate(self, slots, powers, gains):
             return powers.sum(axis=1)
     bigger = replace(bigger, utility=SumPower())
-    _, (t2,) = capture(run_eh, bigger)
+    _, (t2,) = capture(run_eh, bigger, [11])
 
     assert np.array_equal(t1.harvest[0], t2.harvest[0])
     assert np.array_equal(t1.gains[:, 0], t2.gains[:, 0])
@@ -420,8 +436,8 @@ def test_adding_a_node_leaves_existing_draws_alone():
 
 def test_prefix_causality():
     # a longer horizon replays the same history slot for slot
-    _, (short,) = capture(run_eh, single_link_config(n=200, seed=3))
-    _, (long,) = capture(run_eh, single_link_config(n=500, seed=3))
+    _, (short,) = capture(run_eh, single_link_config(n=200), [3])
+    _, (long,) = capture(run_eh, single_link_config(n=500), [3])
     assert np.array_equal(short.harvest[0], long.harvest[0][:200])
     assert np.array_equal(short.gains, long.gains[:200])
     assert np.array_equal(short.actual, long.actual[:200])
@@ -434,31 +450,32 @@ def test_prefix_causality():
 
 
 def test_non_eh_grants_every_request():
-    cfg = single_link_config(n=1000, power=5.0, harvest_mean=0.1, seed=5)
-    summary, (trace,) = capture(run_non_eh, cfg)
+    cfg = single_link_config(n=1000, power=5.0, harvest_mean=0.1)
+    summary, (trace,) = capture(run_non_eh, cfg, [5])
     assert np.array_equal(trace.actual, trace.desired)
-    assert summary.mismatch_fraction == {0: 0.0}
-    assert summary.mismatch_union == 0.0
-    assert summary.final_level == {0: 0.0}
+    assert summary.mismatch_fraction.tolist() == [[0.0]]
+    assert summary.mismatch_union.tolist() == [0.0]
+    assert summary.final_level.tolist() == [[0.0]]
     assert math.fsum(trace.actual[:, 0].tolist()) / cfg.n_slots == 5.0
 
 
 def test_non_eh_shares_draws_with_eh():
-    cfg = single_link_config(n=1000, seed=9)
-    _, (te,) = capture(run_eh, cfg)
-    _, (tn,) = capture(run_non_eh, cfg)
+    cfg = single_link_config(n=1000)
+    _, (te,) = capture(run_eh, cfg, [9])
+    _, (tn,) = capture(run_non_eh, cfg, [9])
     assert np.array_equal(te.harvest[0], tn.harvest[0])
     assert np.array_equal(te.gains, tn.gains)
     assert np.array_equal(te.desired, tn.desired)
 
 
 def test_eh_never_beats_requests_and_conserves_energy():
-    cfg = single_link_config(n=5000, power=1.5, seed=13)
-    summary, (trace,) = capture(run_eh, cfg)
+    cfg = single_link_config(n=5000, power=1.5)
+    summary, (trace,) = capture(run_eh, cfg, [13])
     assert np.all(trace.actual <= trace.desired)
     banked = math.fsum(trace.harvest[0].tolist())
     spent = math.fsum(trace.actual.ravel().tolist())
-    assert banked == pytest.approx(spent + summary.final_level[0], rel=1e-12)
+    assert banked == pytest.approx(spent + summary.final_level[0, 0],
+                                   rel=1e-12)
 
 
 def test_zero_harvest_cold_start_never_transmits():
@@ -468,22 +485,22 @@ def test_zero_harvest_cold_start_never_transmits():
         transmitters=(replace(cfg.transmitters[0],
                               harvest=ConstantProcess(0.0)),),
     )
-    summary, (trace,) = capture(run_eh, cfg)
+    summary, (trace,) = capture(run_eh, cfg, [0])
     assert np.all(trace.actual == 0.0)
-    assert summary.mismatch_fraction[0] == 1.0  # every slot wants power
+    assert summary.mismatch_fraction[0, 0] == 1.0  # every slot wants power
 
 
 def test_capacity_clip_loses_energy():
-    cfg = single_link_config(n=2000, power=0.0, seed=17, capacity=0.5)
+    cfg = single_link_config(n=2000, power=0.0, capacity=0.5)
     cfg = replace(
         cfg,
         transmitters=(replace(cfg.transmitters[0],
                               policy=ConstantPolicy(0.0)),),
     )
-    summary, (trace,) = capture(run_eh, cfg)
+    summary, (trace,) = capture(run_eh, cfg, [17])
     banked = math.fsum(trace.harvest[0].tolist())
-    assert summary.final_level[0] == 0.5
-    assert banked > summary.final_level[0]  # overflow was discarded
+    assert summary.final_level[0, 0] == 0.5
+    assert banked > summary.final_level[0, 0]  # overflow was discarded
 
 
 # ---------------------------------------------------------------------------
@@ -507,31 +524,31 @@ def chain_config(n=40):
             LinkSpec(tx=1, rx=2, fading=relay_gain, delay=1),
         ),
         utility=ChainRateUtility(2),
-        seed=0,
     )
 
 
 def test_chain_worked_example_average():
     n = 40
-    summary = run_eh(chain_config(n))
+    summary = run_eh(chain_config(n), [0])
     # destination slots 4, 6, ..., 40 deliver log2(1 + 100/21); slot 2 is
     # dead because the source's feeding slot 0 precedes the run
     per_delivery = math.log2(1.0 + 100.0 / 21.0)
     expected = ((n - 2) / 2) / n * per_delivery
-    assert summary.avg_utility == pytest.approx(expected, rel=1e-12)
+    assert summary.avg_utility[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_chain_worked_example_mismatch_bookkeeping():
-    summary = run_eh(chain_config(40))
+    summary = run_eh(chain_config(40), [0])
+    assert summary.nodes == (0, 1)
     # only the relay's very first request (slot 1, empty battery) fails
-    assert summary.mismatch_fraction == {0: 0.0, 1: 1.0 / 40.0}
-    assert summary.mismatch_union == 1.0 / 40.0
+    assert summary.mismatch_fraction.tolist() == [[0.0, 1.0 / 40.0]]
+    assert summary.mismatch_union.tolist() == [1.0 / 40.0]
     # source spends 1.0 in each of 20 even slots; relay in 19 odd slots
-    assert summary.final_level == {0: 20.0, 1: 21.0}
+    assert summary.final_level.tolist() == [[20.0, 21.0]]
 
 
 def test_chain_half_duplex_no_simultaneous_hops():
-    _, (trace,) = capture(run_eh, chain_config(40))
+    _, (trace,) = capture(run_eh, chain_config(40), [0])
     overlap = trace.actual[:, 0] * trace.actual[:, 1]
     assert np.all(overlap == 0.0)
 
@@ -553,37 +570,26 @@ def sweep_config(experiment, starved, group=None):
         group_size=(group or PAIRING_GROUP.get(experiment, 1),),
         initial_fill=0.0 if starved else 1.0,
     )
-    return build_config(spec, grid_points(spec)[0], seed=31)
+    return build_config(spec, grid_points(spec)[0])
 
 
 @pytest.mark.parametrize("starved", [True, False], ids=["mismatch", "no_mismatch"])
 @pytest.mark.parametrize("experiment", [f"fig{k}" for k in range(1, 7)])
 def test_run_eh_pairs_with_reference_run(experiment, starved):
     cfg = sweep_config(experiment, starved)
-    summary, (trace,) = capture(run_eh, cfg)
-    ref_summary, (ref_trace,) = capture(run_non_eh, cfg)
-    assert (summary.mismatch_union > 0.0) == starved
-    assert summary.non_eh_utility == ref_summary.avg_utility
-    assert ref_summary.non_eh_utility == ref_summary.avg_utility
+    summary, (trace,) = capture(run_eh, cfg, [31])
+    ref_summary, (ref_trace,) = capture(run_non_eh, cfg, [31])
+    assert (summary.mismatch_union[0] > 0.0) == starved
+    assert summary.non_eh_utility[0] == ref_summary.avg_utility[0]
+    assert ref_summary.non_eh_utility[0] == ref_summary.avg_utility[0]
     n = cfg.n_slots
-    assert summary.avg_utility == math.fsum(trace.utility.tolist()) / n
+    assert summary.avg_utility[0] == math.fsum(trace.utility.tolist()) / n
     if not starved:
         assert np.array_equal(trace.utility, ref_trace.utility)
 
 
 # ---------------------------------------------------------------------------
 # trial batches
-
-
-def summary_bits(summary):
-    """Every number of a summary as bytes, so a sign of zero or a
-    last-digit change shows."""
-    fields = [summary.n_slots, summary.avg_utility, summary.non_eh_utility,
-              summary.mismatch_union]
-    for per_node in (summary.mismatch_fraction, summary.final_level):
-        fields += [(node, value) for node, value in per_node.items()]
-    return np.array([v for f in fields for v in np.ravel(f)],
-                    dtype=float).tobytes()
 
 
 def trace_bits(trace):
@@ -594,11 +600,11 @@ def trace_bits(trace):
     return [np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays]
 
 
-def traced(run, cfg, **kwargs):
-    """Each trial's summary with its walk's per-slot record, in seed
-    order."""
-    results, walks = capture(run, cfg, **kwargs)
-    return list(zip(results if "seeds" in kwargs else [results], walks))
+def traced(run, cfg, seeds):
+    """Each trial's one-trial `Trials` with its walk's per-slot record, in
+    seed order."""
+    results, walks = capture(run, cfg, seeds)
+    return list(zip(per_trial(results), walks))
 
 
 def group_size(cfg):
@@ -619,14 +625,13 @@ def test_batched_trials_equal_separate_runs(experiment, starved, monkeypatch):
     # loop, and enough seeds for three groups
     for size in (1, 2, VECTOR_LANES + 1, 2 * step + 1):
         seeds = list(range(100, 100 + size))
-        results = traced(run_eh, cfg, seeds=seeds)
+        results = traced(run_eh, cfg, seeds)
         assert len(results) == size
         for seed, (summary, trace) in zip(seeds, results):
-            ((alone, alone_trace),) = traced(run_eh, replace(cfg, seed=seed))
-            assert summary == alone
-            assert summary_bits(summary) == summary_bits(alone)
+            ((alone, alone_trace),) = traced(run_eh, cfg, [seed])
+            assert bits(summary) == bits(alone)
             assert trace_bits(trace) == trace_bits(alone_trace)
-        assert any(s.mismatch_union > 0.0 for s, _ in results) == starved
+        assert any(s.mismatch_union[0] > 0.0 for s, _ in results) == starved
 
 
 def test_batch_mixing_trials_with_and_without_mismatch():
@@ -635,11 +640,9 @@ def test_batch_mixing_trials_with_and_without_mismatch():
     # mismatch too.
     cfg = single_link_config(n=40, power=1.0, capacity=4.0, initial_level=4.0)
     seeds = list(range(2 * VECTOR_LANES))
-    summaries = run_eh(cfg, seeds=seeds)
-    assert 0 < sum(s.mismatch_union > 0.0 for s in summaries) < len(seeds)
-    for seed, summary in zip(seeds, summaries):
-        alone = run_eh(replace(cfg, seed=seed))
-        assert summary_bits(summary) == summary_bits(alone)
+    trials = run_eh(cfg, seeds)
+    assert 0 < (trials.mismatch_union > 0.0).sum() < len(seeds)
+    assert bits(trials) == bits(joined(run_eh(cfg, [seed]) for seed in seeds))
 
 
 def test_batch_delay_lines_restart_at_each_trial():
@@ -649,16 +652,19 @@ def test_batch_delay_lines_restart_at_each_trial():
     cfg = replace(single_link_config(n=30, power=4.0, initial_level=1e3),
                   links=(LinkSpec(0, 1, ExponentialProcess(1.0), delay=3),))
     seeds = list(range(VECTOR_LANES + 1))
-    for seed, summary in zip(seeds, run_eh(cfg, seeds=seeds)):
-        assert summary_bits(summary) == summary_bits(
-            run_eh(replace(cfg, seed=seed)))
+    assert bits(run_eh(cfg, seeds)) == bits(
+        joined(run_eh(cfg, [seed]) for seed in seeds))
 
 
-def test_batch_without_seeds_is_the_config_seed():
-    cfg = single_link_config(seed=7)
-    assert list(run_eh(cfg, seeds=[7])) == [run_eh(cfg)]
-    with pytest.raises(ValueError):
-        run_eh(cfg, seeds=[])
+def test_a_run_needs_at_least_one_seed():
+    # A config holds no seed: each run names its own, one trial each.
+    cfg = single_link_config()
+    for run in (run_eh, run_non_eh):
+        with pytest.raises(TypeError):
+            run(cfg)
+        with pytest.raises(ValueError):
+            run(cfg, seeds=[])
+    assert bits(run_eh(cfg, seeds=[7])) == bits(run_eh(cfg, [7]))
 
 
 # ---------------------------------------------------------------------------
@@ -671,15 +677,12 @@ UNCHUNKED = 2 ** 40
 def assert_same_runs(got, want):
     assert len(got) == len(want)
     for (summary, trace), (summary0, trace0) in zip(got, want):
-        assert summary == summary0
-        assert summary_bits(summary) == summary_bits(summary0)
+        assert bits(summary) == bits(summary0)
         assert trace_bits(trace) == trace_bits(trace0)
 
 
 def eh_and_reference(cfg, seeds):
-    return traced(run_eh, cfg, seeds=seeds) + [
-        pair for seed in seeds
-        for pair in traced(run_non_eh, replace(cfg, seed=seed))]
+    return traced(run_eh, cfg, seeds) + traced(run_non_eh, cfg, seeds)
 
 
 # Every bundled network, and a 4-hop chain whose delays of up to 3 slots
@@ -712,8 +715,8 @@ def test_lanes_resume_from_their_own_levels_across_chunks(monkeypatch):
     cfg = single_link_config(n=40, power=1.0, capacity=4.0, initial_level=4.0)
     seeds = list(range(2 * VECTOR_LANES))
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
-    want = traced(run_eh, cfg, seeds=seeds)
-    assert 0 < sum(s.mismatch_union > 0.0 for s, _ in want) < len(seeds)
+    want = traced(run_eh, cfg, seeds)
+    assert 0 < sum(s.mismatch_union[0] > 0.0 for s, _ in want) < len(seeds)
     walk = simulator._walk
     for budget in (7, 333):
         def walk_in_chunks(*args):
@@ -724,14 +727,14 @@ def test_lanes_resume_from_their_own_levels_across_chunks(monkeypatch):
                 monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
 
         monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
-        assert_same_runs(traced(run_eh, cfg, seeds=seeds), want)
+        assert_same_runs(traced(run_eh, cfg, seeds), want)
 
 
 # ---------------------------------------------------------------------------
 # a network of mixed node kinds
 
 
-def mixed_network(n=40, seed=0, policy=None):
+def mixed_network(n=40, policy=None):
     """No bundled network mixes node kinds, so this one does: node 0 has
     one link and an unbounded buffer that starts empty and fills well
     past node 2's size; node 1 broadcasts to two receivers; node 2 has
@@ -754,7 +757,6 @@ def mixed_network(n=40, seed=0, policy=None):
                LinkSpec(1, 12, ExponentialProcess(1.0), delay=1),
                LinkSpec(2, 13, ExponentialProcess(2.0))),
         utility=BroadcastSumRateUtility(4),
-        seed=seed,
     )
 
 
@@ -782,14 +784,13 @@ def test_mixed_network_batched_equals_alone(trials, monkeypatch):
     cfg = mixed_network()
     seeds = list(range(200, 200 + trials))
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
-    alone = [eh_and_reference(replace(cfg, seed=seed), [seed])
-             for seed in seeds]
+    alone = [eh_and_reference(cfg, [seed]) for seed in seeds]
     want = [eh for eh, _ in alone] + [reference for _, reference in alone]
     got = eh_and_reference(cfg, seeds)
     assert_same_runs(got, want)
     for summary, trace in got[:trials]:
         assert_grants_match_stepwise_primitives(cfg, trace)
-        assert summary.mismatch_fraction[2] > 0.0  # node 2 runs dry
+        assert summary.mismatch_fraction[0, 2] > 0.0  # node 2 runs dry
         assert (trace.levels[2] == 3.0).any()  # and clips at its size
         assert trace.levels[0].max() > 3.0  # node 0 fills past it
     # Budgets of 1 and 7 slot-links walk one trial at a time in 1-slot
@@ -810,7 +811,7 @@ def test_mixed_network_batched_equals_alone(trials, monkeypatch):
 
         monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
         monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
-        assert_same_runs(traced(run_eh, cfg, seeds=seeds), want[:trials])
+        assert_same_runs(traced(run_eh, cfg, seeds), want[:trials])
         monkeypatch.setattr(simulator, "_walk", walk)
 
 
@@ -872,7 +873,7 @@ def test_fig5_senders_step_in_one_call_per_group(monkeypatch):
     # last group's 25 lanes step together too.
     spec = replace(default_spec("fig5"), p_in_db=(10.0,), n_slots=(100,),
                    group_size=(5,))
-    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    cfg = build_config(spec, grid_points(spec)[0])
     chunks = spy_battery(monkeypatch)
     run_eh(cfg, seeds=range(200))
     capacity = cfg.transmitters[0].capacity
@@ -885,7 +886,7 @@ def test_fig5_senders_step_in_one_call_per_group(monkeypatch):
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf],
                          ids=["negative", "nan", "inf"])
-@pytest.mark.parametrize("seeds", [None, list(range(VECTOR_LANES))],
+@pytest.mark.parametrize("seeds", [[0], list(range(VECTOR_LANES))],
                          ids=["alone", "group"])
 def test_bad_request_of_one_node_names_it(seeds, value):
     class Bad:
@@ -904,8 +905,7 @@ def test_bad_request_of_one_node_names_it(seeds, value):
 
 
 # An unbounded single-link run whose harvest sum overflows a float.
-OVERFLOWING_RUN = single_link_config(n=400, power=1.0, harvest_mean=1e306,
-                                     seed=3)
+OVERFLOWING_RUN = single_link_config(n=400, power=1.0, harvest_mean=1e306)
 
 
 def test_unbounded_level_that_overflows_resumes_in_the_next_chunk(
@@ -914,19 +914,19 @@ def test_unbounded_level_that_overflows_resumes_in_the_next_chunk(
     # a few hundred slots; later chunks resume from inf.
     cfg = OVERFLOWING_RUN
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
-    want = traced(run_eh, cfg)
-    assert math.isinf(want[0][0].final_level[0])
+    want = traced(run_eh, cfg, [3])
+    assert math.isinf(want[0][0].final_level[0, 0])
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 7)
-    assert_same_runs(traced(run_eh, cfg), want)
+    assert_same_runs(traced(run_eh, cfg, [3]), want)
 
 
 def test_summary_of_an_overflowing_run_prints_and_compares():
-    # The harvest of this run sums past the float range, and its summary
+    # The harvest of this run sums past the float range, and its `Trials`
     # holds only what the walk computed, so printing or comparing it runs
     # nothing and sums nothing.
-    summary = run_eh(OVERFLOWING_RUN)
-    assert repr(summary).startswith("RunSummary(n_slots=400, ")
-    assert summary == run_eh(OVERFLOWING_RUN)
+    trials = run_eh(OVERFLOWING_RUN, [3])
+    assert repr(trials).startswith("Trials(n_slots=400, nodes=(0,), ")
+    assert bits(trials) == bits(run_eh(OVERFLOWING_RUN, [3]))
 
 
 def test_batch_equality_example_runs_each_trial_once(monkeypatch):
@@ -938,7 +938,6 @@ def test_batch_equality_example_runs_each_trial_once(monkeypatch):
                                       capacity=200.0),),
         links=(LinkSpec(tx=0, rx=1, fading=ExponentialProcess(1.0)),),
         utility=OutageUtility(1.0),
-        seed=42,
     )
     runs = []
     run = simulator._run
@@ -948,8 +947,9 @@ def test_batch_equality_example_runs_each_trial_once(monkeypatch):
         return run(*args)
 
     monkeypatch.setattr(simulator, "_run", counting_run)
-    trials = run_eh(cfg, seeds=[1, 2, 3])
-    assert list(trials) == [run_eh(replace(cfg, seed=s)) for s in (1, 2, 3)]
+    trials = run_eh(cfg, [1, 2, 3])
+    for j, s in enumerate((1, 2, 3)):
+        assert trials.avg_utility[j] == run_eh(cfg, [s]).avg_utility[0]
     assert runs == [[1, 2, 3], [1], [2], [3]]
 
 
@@ -958,9 +958,9 @@ def test_eight_hop_chain_grants_match_stepwise_primitives():
     # bytes, which numpy 2.4's `negative` misread in the single-link walk.
     spec = replace(default_spec("fig6"), p_in_db=(0.0,), n_slots=(300,),
                    b_max_ratio=(5.0,), group_size=(8,), initial_fill=0.0)
-    cfg = build_config(spec, grid_points(spec)[0], seed=5)
-    summary, (trace,) = capture(run_eh, cfg)
-    assert summary.mismatch_union > 0.0
+    cfg = build_config(spec, grid_points(spec)[0])
+    summary, (trace,) = capture(run_eh, cfg, [5])
+    assert summary.mismatch_union[0] > 0.0
     for col, t in enumerate(cfg.transmitters):
         state = BatteryState(t.initial_level, t.capacity)
         for i in range(cfg.n_slots):
@@ -977,17 +977,17 @@ def test_broadcast_grants_match_stepwise_primitives():
     # fills up and resumes across the chunk boundary.
     spec = replace(default_spec("fig4"), p_in_db=(5.0,), n_slots=(1500,),
                    b_max_ratio=(5.0,), group_size=(25,), initial_fill=0.0)
-    cfg = build_config(spec, grid_points(spec)[0], seed=9)
+    cfg = build_config(spec, grid_points(spec)[0])
     (t,) = cfg.transmitters
     with mock.patch.object(battery, "_single_link",
                            wraps=battery._single_link) as walk:
-        run_eh(cfg)
+        run_eh(cfg, [9])
     # One entry per slot of each chunk, and the chunk's harvest row read
     # where it lies.
     assert [len(c.args[0]) for c in walk.call_args_list] == [1310, 190]
     assert not any(c.args[1].flags.owndata for c in walk.call_args_list)
-    summary, (trace,) = capture(run_eh, cfg)
-    assert summary.mismatch_union > 0.0
+    summary, (trace,) = capture(run_eh, cfg, [9])
+    assert summary.mismatch_union[0] > 0.0
     assert (trace.levels[t.node] == t.capacity).any()
     state = BatteryState(t.initial_level, t.capacity)
     for i in range(cfg.n_slots):
@@ -998,16 +998,15 @@ def test_broadcast_grants_match_stepwise_primitives():
                 == trace.levels[t.node][i].tobytes())
 
 
-def per_node_recipe(cfg, t):
+def per_node_recipe(cfg, seed, t):
     """README's per-node recipe: node `t`'s harvests, grants and levels
-    from its own streams, its policy and `battery.trajectory`."""
+    on `seed` from its own streams, its policy and `battery.trajectory`."""
     n = cfg.n_slots
     links = [link for link in cfg.links if link.tx == t.node]
     gains = np.column_stack([
-        link.fading.sample(stochastic.Stream(cfg.seed, (1, link.tx, link.rx)),
-                           n)
+        link.fading.sample(stochastic.Stream(seed, (1, link.tx, link.rx)), n)
         for link in links])
-    harvest = t.harvest.sample(stochastic.Stream(cfg.seed, (0, t.node, 0)), n)
+    harvest = t.harvest.sample(stochastic.Stream(seed, (0, t.node, 0)), n)
     desired = t.policy.desired_powers(np.arange(1, n + 1), gains)
     actual, levels = battery.trajectory(desired, harvest, capacity=t.capacity,
                                         initial=t.initial_level)
@@ -1021,15 +1020,14 @@ def test_per_node_recipe_equals_the_walk(experiment, group):
     # senders of both trials step as 10 lanes of one call.
     spec = replace(default_spec(experiment), p_in_db=(5.0,), n_slots=(1500,),
                    b_max_ratio=(5.0,), group_size=(group,), initial_fill=0.0)
-    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    cfg = build_config(spec, grid_points(spec)[0])
     seeds = [21, 22]
-    trials, walks = capture(run_eh, cfg, seeds=seeds)
-    assert all(summary.mismatch_union > 0.0 for summary in trials)
+    trials, walks = capture(run_eh, cfg, seeds)
+    assert (trials.mismatch_union > 0.0).all()
     for seed, walk in zip(seeds, walks):
         for t in cfg.transmitters:
             cols = [c for c, link in enumerate(cfg.links) if link.tx == t.node]
-            harvest, actual, levels = per_node_recipe(replace(cfg, seed=seed),
-                                                      t)
+            harvest, actual, levels = per_node_recipe(cfg, seed, t)
             assert harvest.tobytes() == walk.harvest[t.node].tobytes()
             assert actual.tobytes() == walk.actual[:, cols].tobytes()
             assert levels.tobytes() == walk.levels[t.node].tobytes()
@@ -1039,7 +1037,7 @@ def test_walk_chunk_sizes_follow_the_budget(monkeypatch):
     # One 5000-slot trial on 25 links fills 2^15 slot-links in 1310 slots.
     spec = replace(default_spec("fig4"), p_in_db=(10.0,), n_slots=(5000,),
                    group_size=(25,))
-    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    cfg = build_config(spec, grid_points(spec)[0])
     sizes = []
     sample = simulator._sample_chunk
 
@@ -1065,7 +1063,7 @@ def test_one_stream_per_process_run_per_trial_group(monkeypatch):
     # per key per group (10 x 4) or per key per trial.
     spec = replace(default_spec("fig5"), p_in_db=(10.0,), n_slots=(100,),
                    group_size=(5,))
-    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    cfg = build_config(spec, grid_points(spec)[0])
     assert len(cfg.transmitters) == len(cfg.links) == 5
     built = []
     init = stochastic.Stream.__init__
@@ -1084,7 +1082,7 @@ def test_one_sample_call_per_process_run_per_chunk(monkeypatch):
     # fading process: each chunk makes 2 `sample` calls, not 26.
     spec = replace(default_spec("fig4"), p_in_db=(10.0,), n_slots=(3000,),
                    group_size=(25,))
-    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    cfg = build_config(spec, grid_points(spec)[0])
     calls = []
     sample = ExponentialProcess.sample
 
@@ -1097,10 +1095,10 @@ def test_one_sample_call_per_process_run_per_chunk(monkeypatch):
     chunk = [((1, 1), 1310), ((25, 1), 1310)]
     assert calls == (chunk * 2 + [((1, 1), 380), ((25, 1), 380)]) * 2
     monkeypatch.setattr(ExponentialProcess, "sample", sample)
-    assert list(trials) == [run_eh(replace(cfg, seed=s)) for s in (1, 2)]
+    assert bits(trials) == bits(joined(run_eh(cfg, [s]) for s in (1, 2)))
 
 
-def alternating_network(n=60, seed=0):
+def alternating_network(n=60):
     """Five single-link senders whose harvest means run 1, 1, 1, 0.5, 0.5
     and fading means 1, 1, 2, 2, 1, then a broadcaster with the senders'
     last harvest mean and fading means 1, 2: harvest runs of 3 nodes and
@@ -1119,7 +1117,7 @@ def alternating_network(n=60, seed=0):
         LinkSpec(6, 11, ExponentialProcess(1.0)),
         LinkSpec(6, 12, ExponentialProcess(2.0), delay=1))
     return SimulationConfig(n_slots=n, transmitters=transmitters, links=links,
-                            utility=BroadcastSumRateUtility(7), seed=seed)
+                            utility=BroadcastSumRateUtility(7))
 
 
 def assert_draws_of_own_streams(cfg, seed, trace):
@@ -1149,11 +1147,10 @@ def test_alternating_processes_draw_in_runs_equal_to_separate_streams(
     seeds = [30, 31, 32, 33]
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
     want = eh_and_reference(cfg, seeds)
-    assert any(summary.mismatch_union > 0.0 for summary, _ in want)
+    assert any(summary.mismatch_union[0] > 0.0 for summary, _ in want)
     for seed, (_, trace) in zip(seeds * 2, want):
         assert_draws_of_own_streams(cfg, seed, trace)
-    alone = [eh_and_reference(replace(cfg, seed=seed), [seed])
-             for seed in seeds]
+    alone = [eh_and_reference(cfg, [seed]) for seed in seeds]
     assert_same_runs(want, [eh for eh, _ in alone] + [ref for _, ref in alone])
     # One trial at a time in chunks of 1, 7 and 47 slots; then all four
     # side by side, as grouped unchunked, in chunks of 333 // (4 * 7) = 11.
@@ -1194,11 +1191,11 @@ def test_a_run_crosses_from_the_harvests_into_the_fadings(monkeypatch):
 
     monkeypatch.setattr(ExponentialProcess, "sample", counting_sample)
     seeds = [4, 5]
-    trials = run_eh(cfg, seeds=seeds)
+    run_eh(cfg, seeds)
     assert calls == [((2, 2), 50)]
     monkeypatch.setattr(ExponentialProcess, "sample", sample)
-    trials, traces = capture(run_eh, cfg, seeds=seeds)
-    assert any(summary.mismatch_union > 0.0 for summary in trials)
+    trials, traces = capture(run_eh, cfg, seeds)
+    assert (trials.mismatch_union > 0.0).any()
     for seed, trace in zip(seeds, traces):
         assert_draws_of_own_streams(cfg, seed, trace)
     # A bad fading in the run is named as the link's.
@@ -1207,7 +1204,7 @@ def test_a_run_crosses_from_the_harvests_into_the_fadings(monkeypatch):
                                              harvest=process),),
                   links=(replace(cfg.links[0], fading=process),))
     with pytest.raises(NumericsError) as err:
-        run_eh(cfg)
+        run_eh(cfg, [0])
     assert str(err.value) == ("fading process for link 0->1 drew a negative "
                               "or non-finite gain")
     assert process.shapes == [(2, 1)]
@@ -1233,23 +1230,21 @@ REFERENCE_NETWORKS = {
 def test_runs_equal_the_slot_by_slot_reference_run(network, monkeypatch):
     cfg = REFERENCE_NETWORKS[network]()
     seeds = [100, 101, 102]
-    want = [reference_run(cfg, seed) for seed in seeds]
-    want_non_eh = [reference_run(cfg, seed, with_battery=False)
-                   for seed in seeds]
-    assert any(s.mismatch_union > 0.0 for s in want) == (
+    want = joined(reference_run(cfg, seed) for seed in seeds)
+    want_non_eh = joined(reference_run(cfg, seed, with_battery=False)
+                         for seed in seeds)
+    assert (want.mismatch_union > 0.0).any() == (
         not network.endswith("full"))
 
     def check(got, want=want):
-        assert list(got) == want
-        assert list(map(summary_bits, got)) == list(map(summary_bits, want))
+        assert bits(got) == bits(want)
 
     # 1-slot chunks, 7 // links slots, and 333 slot-links: one trial at a
     # time in short chunks, or several side by side
     for budget in (1, 7, 333, UNCHUNKED):
         monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", budget)
-        check(run_eh(cfg, seeds=seeds))
-        check([run_non_eh(replace(cfg, seed=seed)) for seed in seeds],
-              want_non_eh)
+        check(run_eh(cfg, seeds))
+        check(run_non_eh(cfg, seeds), want_non_eh)
     # All three side by side, as grouped unchunked, in chunks of 1 slot
     # and of 333 // (3 * links) slots: lanes resume mid-run.
     walk = simulator._walk
@@ -1262,7 +1257,7 @@ def test_runs_equal_the_slot_by_slot_reference_run(network, monkeypatch):
                 monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", UNCHUNKED)
 
         monkeypatch.setattr(simulator, "_walk", walk_in_chunks)
-        check(run_eh(cfg, seeds=seeds))
+        check(run_eh(cfg, seeds))
     monkeypatch.setattr(simulator, "_walk", walk)
 
 
@@ -1335,15 +1330,12 @@ def random_network(draw):
 def test_random_networks_equal_the_slot_by_slot_reference_run(cfg, seeds,
                                                               budget):
     with mock.patch.object(simulator, "CHUNK_SLOT_LINKS", budget):
-        got = run_eh(cfg, seeds=seeds)
-        got_non_eh = [run_non_eh(replace(cfg, seed=seed)) for seed in seeds]
-    want = [reference_run(cfg, seed) for seed in seeds]
-    assert list(got) == want
-    assert list(map(summary_bits, got)) == list(map(summary_bits, want))
-    want = [reference_run(cfg, seed, with_battery=False) for seed in seeds]
-    assert got_non_eh == want
-    assert (list(map(summary_bits, got_non_eh))
-            == list(map(summary_bits, want)))
+        got = run_eh(cfg, seeds)
+        got_non_eh = run_non_eh(cfg, seeds)
+    assert bits(got) == bits(joined(reference_run(cfg, seed)
+                                    for seed in seeds))
+    assert bits(got_non_eh) == bits(joined(
+        reference_run(cfg, seed, with_battery=False) for seed in seeds))
 
 
 # A starved network, one that mixes node kinds, and a relay chain.
@@ -1358,47 +1350,37 @@ def test_trials_entry_j_is_the_run_on_seed_j(network, traces, monkeypatch):
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 2 ** 10)
     cfg = REFERENCE_NETWORKS[network]()
     seeds = list(range(100, 100 + 2 * group_size(cfg) + 1))
-    trials = run_eh(cfg, seeds=seeds)
-    assert isinstance(trials, simulator.Trials) and len(trials) == len(seeds)
-    summaries = [run_eh(replace(cfg, seed=seed)) for seed in seeds]
+    trials = run_eh(cfg, seeds)
+    assert isinstance(trials, Trials)
+    alone = [run_eh(cfg, [seed]) for seed in seeds]
     if traces:
-        for (got, trace), seed in zip(traced(run_eh, cfg, seeds=seeds),
-                                      seeds):
-            ((want, want_trace),) = traced(run_eh, replace(cfg, seed=seed))
+        for (got, trace), seed in zip(traced(run_eh, cfg, seeds), seeds):
+            ((want, want_trace),) = traced(run_eh, cfg, [seed])
             assert trace_bits(trace) == trace_bits(want_trace)
-            assert summary_bits(got) == summary_bits(want)
-    for j, want in enumerate(summaries):
-        got = trials[j]
-        assert got == want
-        assert summary_bits(got) == summary_bits(want)
-    # Iteration, negative indices and slices give the same summaries.
-    assert list(trials) == summaries
-    assert trials[-1] == summaries[-1]
-    assert trials[1:4] == summaries[1:4]
-    with pytest.raises(IndexError):
-        trials[len(seeds)]
-    # The columns are the summaries' fields, per node in config order.
+            assert bits(got) == bits(want)
+    # Entry j of every column is the run on seed j alone, per node in
+    # config order.
     assert trials.nodes == tuple(t.node for t in cfg.transmitters)
-    for column in ("avg_utility", "non_eh_utility", "mismatch_union"):
-        assert getattr(trials, column).tolist() == [
-            getattr(s, column) for s in summaries]
-    for column in ("mismatch_fraction", "final_level"):
-        assert getattr(trials, column).tolist() == [
-            list(getattr(s, column).values()) for s in summaries]
-    assert any(s.mismatch_union > 0.0 for s in summaries)
+    for got, want in zip(per_trial(trials), alone):
+        assert bits(got) == bits(want)
+    assert bits(trials) == bits(joined(alone))
+    assert (trials.mismatch_union > 0.0).any()
 
 
 def test_trials_hold_a_column_per_summary_field_and_compare_by_identity():
     cfg = REFERENCE_NETWORKS["mixed"]()
     trials = run_eh(cfg, seeds=[1, 2])
-    summary = [f.name for f in fields(RunSummary)]
-    assert [f.name for f in fields(trials)] == [summary[0], "nodes",
-                                                *summary[1:]]
+    assert [f.name for f in fields(trials)] == [
+        "n_slots", "nodes", "avg_utility", "non_eh_utility",
+        "mismatch_fraction", "mismatch_union", "final_level"]
+    assert [np.shape(getattr(trials, f.name)) for f in fields(trials)[2:]] == [
+        (2,), (2,), (2, 3), (2,), (2, 3)]
     # Equal columns do not make equal results: a generated `__eq__` would
     # compare arrays, whose truth value is ambiguous.
     again = run_eh(cfg, seeds=[1, 2])
     assert trials == trials and trials != again and len({trials, again}) == 2
-    assert repr(trials) == f"Trials(n_slots={cfg.n_slots}, trials=2)"
+    assert repr(trials).startswith(
+        f"Trials(n_slots={cfg.n_slots}, nodes=(0, 1, 2), avg_utility=array(")
 
 
 class WrongShape:
@@ -1412,7 +1394,7 @@ class WrongShape:
         return np.ones(self.shape(stream.shape, n))
 
 
-@pytest.mark.parametrize("seeds", [None, [0, 1, 2]], ids=["alone", "group"])
+@pytest.mark.parametrize("seeds", [[0], [0, 1, 2]], ids=["alone", "group"])
 @pytest.mark.parametrize("shape", [lambda lanes, n: lanes + (n + 1,),
                                    lambda lanes, n: (n,)],
                          ids=["long", "one_lane"])
@@ -1445,7 +1427,8 @@ class Drawing:
 
 
 @pytest.mark.parametrize("run", [
-    run_eh, lambda cfg: run_eh(cfg, seeds=[0, 1, 2]), run_non_eh,
+    partial(run_eh, seeds=[0]), partial(run_eh, seeds=[0, 1, 2]),
+    partial(run_non_eh, seeds=[0]),
 ], ids=["alone", "group", "non_eh"])
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf],
                          ids=["negative", "nan", "inf"])
@@ -1490,7 +1473,7 @@ def test_bad_draw_in_a_run_names_its_key(role, value):
     # role draws one block, whose second key is bad.
     spec = replace(default_spec("fig5"), p_in_db=(0.0,), n_slots=(20,),
                    group_size=(3,))
-    cfg = build_config(spec, grid_points(spec)[0], seed=1)
+    cfg = build_config(spec, grid_points(spec)[0])
     process = BadKey(1, value)
     if role == "harvest":
         cfg = replace(cfg, transmitters=tuple(
@@ -1512,17 +1495,17 @@ def test_long_wide_run_holds_bounded_memory():
     # a time, and the summary keeps only floats.
     spec = replace(default_spec("fig4"), p_in_db=(10.0,), n_slots=(10**5,),
                    group_size=(25,))
-    cfg = build_config(spec, grid_points(spec)[0], seed=7)
+    cfg = build_config(spec, grid_points(spec)[0])
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        summary = run_eh(cfg)
+        summary = run_eh(cfg, [7])
         gc.collect()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert summary.mismatch_union >= 0.0
+    assert summary.mismatch_union[0] >= 0.0
     assert peak - before < 16 * 2**20
     assert kept - before < 2**20
 
@@ -1531,16 +1514,16 @@ def test_million_slot_run_holds_no_whole_run_rows():
     # Each trial's utilities go into exact partial sums chunk by chunk.
     # Summed by `math.fsum` over whole-run rows, this run held two 8 MB
     # rows of utilities and their `tolist()`, and peaked at 47 MB.
-    cfg = single_link_config(n=10**6, power=1.0, harvest_mean=1.0, seed=4)
+    cfg = single_link_config(n=10**6, power=1.0, harvest_mean=1.0)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        summary = run_eh(cfg)
+        summary = run_eh(cfg, [4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert summary.mismatch_union > 0.0  # both systems' sums are kept
+    assert summary.mismatch_union[0] > 0.0  # both systems' sums are kept
     assert peak - before < 6 * 2**20
 
 
@@ -1626,11 +1609,11 @@ def test_utility_that_returns_a_view_sums_what_it_returned():
     # are held until the last one.
     spec = replace(default_spec("fig4"), p_in_db=(10.0,), n_slots=(5000,),
                    group_size=(25,))
-    cfg = replace(build_config(spec, grid_points(spec)[0], seed=3),
+    cfg = replace(build_config(spec, grid_points(spec)[0]),
                   utility=FirstGain())
-    summary, (trace,) = capture(run_eh, cfg)
+    summary, (trace,) = capture(run_eh, cfg, [3])
     want = math.fsum(trace.gains[:, 0].tolist()) / 5000
-    assert summary.avg_utility == summary.non_eh_utility == want
+    assert summary.avg_utility[0] == summary.non_eh_utility[0] == want
     assert math.fsum(trace.utility.tolist()) / 5000 == want
 
 
@@ -1650,10 +1633,11 @@ def test_utilities_near_the_float_maximum_average_exactly(monkeypatch):
     cfg = replace(single_link_config(n=401, power=1.0, harvest_mean=0.5),
                   utility=SlotUtility(1.5e308, -1.5e308))
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 7)
-    summary, (trace,) = capture(run_eh, cfg)
-    assert summary.mismatch_union > 0.0
-    assert summary.avg_utility == math.fsum(trace.utility.tolist()) / 401
-    assert summary.avg_utility == summary.non_eh_utility == 1.5e308 / 401
+    summary, (trace,) = capture(run_eh, cfg, [0])
+    assert summary.mismatch_union[0] > 0.0
+    assert summary.avg_utility[0] == math.fsum(trace.utility.tolist()) / 401
+    assert (summary.avg_utility[0] == summary.non_eh_utility[0]
+            == 1.5e308 / 401)
 
 
 def test_utilities_summed_past_the_float_range_raise_numerics_error():
@@ -1661,18 +1645,19 @@ def test_utilities_summed_past_the_float_range_raise_numerics_error():
     with pytest.raises(OverflowError):
         math.fsum([1e308] * 400)
     with pytest.raises(NumericsError) as err:
-        run_eh(cfg)
+        run_eh(cfg, [0])
     assert "\n" not in str(err.value)
 
 
-def test_summary_fields_are_python_floats():
-    summary = run_eh(chain_config(40))
-    assert summary.mismatch_union > 0.0
-    values = [summary.avg_utility, summary.non_eh_utility,
-              summary.mismatch_union, *summary.mismatch_fraction.values(),
-              *summary.final_level.values()]
-    assert all(type(v) is float for v in values)
-    assert "np.float64" not in repr(summary)
+def test_trial_columns_are_float_arrays():
+    trials = run_eh(chain_config(40), [0, 1])
+    assert trials.mismatch_union[0] > 0.0
+    assert type(trials.n_slots) is int
+    assert all(type(node) is int for node in trials.nodes)
+    for column in (trials.avg_utility, trials.non_eh_utility,
+                   trials.mismatch_union, trials.mismatch_fraction,
+                   trials.final_level):
+        assert type(column) is np.ndarray and column.dtype == np.float64
 
 
 @pytest.mark.parametrize("initial", [-0.0, 3], ids=["minus_zero", "int"])
@@ -1681,10 +1666,10 @@ def test_final_levels_are_nonnegative_floats_in_both_systems(initial):
     # level is the start level, as a float that `run_eh` would start from.
     cfg = single_link_config(n=20, initial_level=initial)
     for run in (run_eh, run_non_eh):
-        (level,) = run(cfg).final_level.values()
-        assert type(level) is float
+        ((level,),) = run(cfg, [0]).final_level
+        assert level.dtype == np.float64
         assert math.copysign(1.0, level) == 1.0
-    assert run_non_eh(cfg).final_level == {0: float(initial)}
+    assert run_non_eh(cfg, [0]).final_level.tolist() == [[float(initial)]]
 
 
 def test_paired_gap_zero_for_abundant_battery():
@@ -1712,7 +1697,7 @@ def test_paired_gap_statistics_equal_those_of_separate_runs():
     cfg = single_link_config(n=100, power=1.0, capacity=4.0, initial_level=4.0)
     seeds = list(range(100))
     stats = paired_gap(cfg, seeds)
-    runs = [run_eh(replace(cfg, seed=seed)) for seed in seeds]
+    runs = [run_eh(cfg, [seed]) for seed in seeds]
 
     def mean_stderr(values):
         k = len(values)
@@ -1720,14 +1705,14 @@ def test_paired_gap_statistics_equal_those_of_separate_runs():
         var = math.fsum((v - mean) ** 2 for v in values) / (k - 1)
         return mean, math.sqrt(var / k)
 
-    ehs = [run.avg_utility for run in runs]
-    nons = [run.non_eh_utility for run in runs]
+    ehs = [float(run.avg_utility[0]) for run in runs]
+    nons = [float(run.non_eh_utility[0]) for run in runs]
     assert (stats.eh_mean, stats.eh_stderr) == mean_stderr(ehs)
     assert (stats.non_eh_mean, stats.non_eh_stderr) == mean_stderr(nons)
     assert (stats.gap_mean, stats.gap_stderr) == mean_stderr(
         [eh - non for eh, non in zip(ehs, nons)])
     assert stats.mismatch_mean == math.fsum(
-        run.mismatch_union for run in runs) / len(runs)
+        float(run.mismatch_union[0]) for run in runs) / len(runs)
     assert stats.n_pairs == len(seeds)
     assert stats.mismatch_mean > 0.0 and stats.gap_stderr > 0.0
 
@@ -1740,14 +1725,14 @@ def test_paired_gap_reduces_the_per_seed_summaries_bit_for_bit(network,
     monkeypatch.setattr(simulator, "CHUNK_SLOT_LINKS", 2 ** 10)
     cfg = REFERENCE_NETWORKS[network]()
     seeds = list(range(100, 100 + 2 * group_size(cfg) + 1))
-    runs = [run_eh(replace(cfg, seed=seed)) for seed in seeds]
-    ehs = [run.avg_utility for run in runs]
-    nons = [run.non_eh_utility for run in runs]
+    runs = [run_eh(cfg, [seed]) for seed in seeds]
+    ehs = [float(run.avg_utility[0]) for run in runs]
+    nons = [float(run.non_eh_utility[0]) for run in runs]
     want = GapStatistics(
         *_mean_stderr([eh - non for eh, non in zip(ehs, nons)]),
         *_mean_stderr(ehs),
         *_mean_stderr(nons),
-        mismatch_mean=math.fsum(run.mismatch_union for run in runs)
+        mismatch_mean=math.fsum(float(run.mismatch_union[0]) for run in runs)
         / len(runs),
         n_pairs=len(seeds),
     )
@@ -1763,7 +1748,7 @@ def test_paired_gap_requires_seeds():
 
 def test_waterfill_runs_end_to_end():
     cfg = replace(
-        single_link_config(n=500, seed=21),
+        single_link_config(n=500),
         transmitters=(
             TransmitterSpec(
                 node=0,
@@ -1772,5 +1757,5 @@ def test_waterfill_runs_end_to_end():
             ),
         ),
     )
-    summary = run_eh(cfg)
-    assert 0.0 <= summary.avg_utility <= 1.0
+    summary = run_eh(cfg, [21])
+    assert 0.0 <= summary.avg_utility[0] <= 1.0

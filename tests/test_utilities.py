@@ -138,6 +138,18 @@ def test_chain_rate_zero_before_pipeline_fills():
     assert float(val[0]) > 0.0
 
 
+@pytest.mark.parametrize("hops", range(1, 7))
+def test_chain_decoding_slots_count_the_slots_evaluate_decodes_in(hops):
+    # With every hop powered, the slots of 1..n with a nonzero rate are
+    # the ones `decoding_slots(n)` counts, odd hop counts included.
+    chain = ChainRateUtility(hops)
+    slots = np.arange(1, 41)
+    val = chain.evaluate(slots, np.full((40, hops), 10.0),
+                         np.ones((40, hops)))
+    for n in range(0, 41):
+        assert chain.decoding_slots(n) == int((val[:n] > 0.0).sum())
+
+
 def test_chain_rate_dead_hop_kills_slot():
     val = ChainRateUtility(2).evaluate(
         np.array([4]), np.array([[10.0, 0.0]]), np.ones((1, 2)))

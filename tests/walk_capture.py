@@ -1,11 +1,11 @@
 """Per-slot records of a run, read from the walk's own calls.
 
-`capture(run, config, **kwargs)` runs ``run(config, **kwargs)``, where
-`run` is `run_eh` or `run_non_eh`, once as it is and once on a copy of
+`capture(run, config, seeds)` runs ``run(config, seeds)``, where `run`
+is `run_eh` or `run_non_eh`, once as it is and once on a copy of
 `config` whose harvest and fading processes, policies and utility are
 wrapped in recorders, with `ehnet.battery.trajectory` wrapped for the
-call.  It checks that the two results are equal bit for bit, and returns
-the run's result with one `Walk` per trial, in seed order:
+call.  It checks that the two `Trials` are equal bit for bit, and returns
+the run's `Trials` with one `Walk` per trial, in seed order:
 
 - the harvests and gains are what the processes drew, per stream key
   (`Stream.key`) and seed (`Stream.seed`);
@@ -24,13 +24,14 @@ Nothing is added to `ehnet`: the recorders pass every call through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from ehnet import battery, simulator
 from ehnet.simulator import run_eh
+from oracles import bits
 
 @dataclass(frozen=True)
 class Walk:
@@ -138,17 +139,6 @@ def _wrapped(config, log: _Log):
         utility=_Utility(config.utility, log))
 
 
-def _bits(result):
-    """A result as something that compares equal only bit for bit: the
-    columns' bytes of a `Trials`, or the repr of a `RunSummary`, whose
-    Python floats print exactly, signs of zero included."""
-    if isinstance(result, simulator.Trials):
-        values = (getattr(result, f.name) for f in fields(result))
-        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v
-                     for v in values)
-    return repr(result)
-
-
 def _drawn(log: _Log, key, seeds) -> np.ndarray:
     """The (trials, n) draws of `key`, after checking that its streams
     drew for `seeds`, in order."""
@@ -205,10 +195,11 @@ def _battery_calls(config, chunk: _Chunk, columns):
     return want, harv, got, lev
 
 
-def capture(run, config, **kwargs):
-    """``run(config, **kwargs)`` and one `Walk` per trial, in seed order,
+def capture(run, config, seeds):
+    """``run(config, seeds)`` and one `Walk` per trial, in seed order,
     read from the walk's own calls (see the module docstring)."""
-    want = run(config, **kwargs)
+    seeds = list(seeds)
+    want = run(config, seeds)
     log = _Log()
     inner = battery.trajectory
 
@@ -225,12 +216,12 @@ def capture(run, config, **kwargs):
     assert [span[1:] for span in simulator._draw_runs(wrapped)[2]] == spans
     battery.trajectory = trajectory
     try:
-        got = run(wrapped, **kwargs)
+        got = run(wrapped, seeds)
     finally:
         battery.trajectory = inner
-    assert _bits(got) == _bits(want)
+    assert bits(got) == bits(want)
 
-    seeds = [int(s) for s in kwargs.get("seeds", [config.seed])]
+    seeds = [int(s) for s in seeds]
     chunks = log.chunks
     columns = [[c for c, link in enumerate(config.links) if link.tx == t.node]
                for t in config.transmitters]
