@@ -41,6 +41,11 @@ def check_start(levels, capacity) -> None:
     range is reported first, with its own capacity; then a capacity.  A
     bool, a string or any other non-number, alone, in an array or in a
     list, is refused first."""
+    # Plain floats that fit, as every run's multi-link buffers pass them:
+    # NaN fails a comparison, so it takes the full checks below.
+    if (type(levels) is float and type(capacity) is float
+            and capacity > 0.0 and 0.0 <= levels <= capacity):
+        return
     for name, value in (("level", levels), ("capacity", capacity)):
         # A list's items one by one: `np.asarray` makes [1.0, True] floats.
         for item in value if isinstance(value, (list, tuple)) else (value,):
@@ -71,6 +76,20 @@ def check_start(levels, capacity) -> None:
         raise ValueError(f"battery capacity must be > 0, got {capacity}")
     if level > capacity:
         raise ValueError(f"battery level {level} exceeds capacity {capacity}")
+
+
+def lone_entries(rows: np.ndarray):
+    """Each row's largest entry, or 0.0, when no row of the 2-D `rows` has
+    two or more nonzero entries; else None.  That largest is nonzero only
+    if some entry is, so equal counts of nonzero entries mean every row
+    has as many as it: none or one.  For entries >= 0 it is the row's one
+    nonzero entry, or a zero.  A `max` across the links reads `rows` in
+    any memory order alike, and bool counts are several times faster
+    than `count_nonzero` of floats."""
+    top = rows.max(axis=1, initial=0.0)
+    if np.count_nonzero(rows != 0.0) == np.count_nonzero(top != 0.0):
+        return top
+    return None
 
 
 def finite_nonnegative(x: np.ndarray) -> bool:
@@ -143,15 +162,19 @@ def trajectory(
     One buffer runs as one walk (`_single_link`).  When no slot has more
     than one nonzero request, as for a single link or fig4's broadcast
     transmitter, the walk runs over the slots themselves: each asks its
-    one request, or 0.0 if it has none, and banks its harvest.  Otherwise
-    it runs over sub-slots: one per nonzero request, in slot and link
-    order, or one asking 0.0 for a slot without any.  Each slot banks its
-    harvest on its last sub-slot, whose level is the slot's, and 0.0 on
-    the others.  Both are the slot loop bit for bit: a zero request of
-    either sign is granted as itself and draws nothing, since a level is
-    never -0.0 (the start is normalised and ``x - x`` is +0.0); so asking
-    or banking 0.0 leaves a level as it is, and a sub-slot that banks 0.0
-    never clips.
+    largest request, reduced across the links and so read in any memory
+    order, which is its one nonzero request or a zero, and banks its
+    harvest.  Each link is then granted the smaller of the slot's grant
+    and its own request: the request itself wherever the slot's request
+    is granted in full or is zero, and the walk's grant where it clips.
+    Otherwise the walk runs over sub-slots: one per nonzero request, in
+    slot and link order, or one asking 0.0 for a slot without any.  Each
+    slot banks its harvest on its last sub-slot, whose level is the
+    slot's, and 0.0 on the others.  Both are the slot loop bit for bit: a
+    zero request of either sign is granted as itself and draws nothing,
+    since a level is never -0.0 (the start is normalised and ``x - x`` is
+    +0.0); so asking or banking 0.0 leaves a level as it is, and a
+    sub-slot that banks 0.0 never clips.
     """
     desired = np.asarray(desired, dtype=float)
     harvested = np.asarray(harvested, dtype=float)
@@ -180,22 +203,25 @@ def trajectory(
         if lanes:
             return _lanes(rows, harvested, capacity,
                           np.broadcast_to(start, per_lane))
-        # `asked` lists the nonzero requests in service order.
+        top = lone_entries(rows)
+        if top is not None:
+            got, levels = _single_link(top, harvested, capacity,
+                                       float(start))
+            # `minimum` returns its second argument on a tie: a full grant
+            # is the request itself, and a zero request keeps its sign.
+            return (np.minimum(got[:, None], rows).reshape(desired.shape),
+                    levels)
+        # `asked` lists the nonzero requests in service order; `ends[i]`
+        # is one past slot i's last sub-slot, and a request's sub-slot
+        # `at` is its rank plus the number of empty slots up to its own.
         asked = np.flatnonzero(rows != 0.0)
         slot = asked // width
-        if (slot[1:] > slot[:-1]).all():
-            # At most one request per slot: each slot is its own sub-slot.
-            at, last, harv = slot, slice(None), harvested
-        else:
-            # `ends[i]` is one past slot i's last sub-slot; a request's
-            # sub-slot `at` is its rank plus the number of empty slots up
-            # to its own.
-            counts = np.bincount(slot, minlength=n)
-            ends = np.maximum(counts, 1).cumsum()
-            at = np.arange(len(asked)) + (ends - counts.cumsum())[slot]
-            last = ends - 1
-            harv = np.zeros(int(ends[-1]))
-            harv[last] = harvested
+        counts = np.bincount(slot, minlength=n)
+        ends = np.maximum(counts, 1).cumsum()
+        at = np.arange(len(asked)) + (ends - counts.cumsum())[slot]
+        last = ends - 1
+        harv = np.zeros(int(ends[-1]))
+        harv[last] = harvested
         actual = rows.copy()
         flat = actual.reshape(-1)
         want = np.zeros(len(harv))

@@ -130,7 +130,7 @@ class MaxGainBroadcastPolicy:
 
     The receiver with the largest gain (lowest index on ties) gets
     `request(gain)` if its gain reaches the threshold `lam`; everyone
-    else, and every slot whose best gain falls short, gets zero.
+    else, and every slot whose best gain falls short, gets +0.0.
     """
 
     lam: float
@@ -167,13 +167,27 @@ class MaxGainBroadcastPolicy:
         return 0.5 * width * float(np.sum(tail / g * weights))
 
     def desired_powers(self, slots: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        """One row of requests per slot, laid out as `gains` is.
+
+        Each row's largest gain comes from a `max` across the links, and
+        the request goes where a gain equals it; only rows where that is
+        not exactly one link (a tie, or a NaN gain) are searched for
+        their first maximum.  So no step depends on the memory order of
+        `gains`, and on a link-major array the `max` runs down contiguous
+        columns."""
         g = np.asarray(gains, dtype=float).reshape(len(slots), self.num_links)
-        winner = np.argmax(g, axis=1)  # first maximum wins ties
-        best = g[np.arange(len(slots)), winner]
+        best = g.max(axis=1)
         with np.errstate(divide="ignore"):
             power = np.where(best >= self.lam, self.request(best), 0.0)
-        out = np.zeros_like(g)
-        out[np.arange(len(slots)), winner] = power
+        won = g == best[:, None]
+        # A NaN row matches nowhere, so a tie elsewhere may hide in the count.
+        if np.count_nonzero(won) != len(g) or np.isnan(best).any():
+            rows = np.flatnonzero(np.count_nonzero(won, axis=1) != 1)
+            won[rows] = False
+            won[rows, np.argmax(g[rows], axis=1)] = True  # first maximum
+        # 1.0 * power is the power and 0.0 * power is +0.0: power >= 0.
+        out = won.astype(float)
+        out *= power[:, None]
         return out
 
 

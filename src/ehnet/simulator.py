@@ -23,17 +23,20 @@ fadings in link order.  Consecutive stream keys whose processes compare
 equal (fig4's 25 fadings, fig5's senders' harvests) form a run, which may
 cross from the harvests into the fadings, and each run draws its rows of
 the block for all the group's trials in one `sample` call, one lane per
-key and trial.  The policies and the utility see all the group's slots
-stacked, and the single-link batteries of all the group's nodes and
-trials step together, one lane each with its own capacity.  A group walks
-through time in chunks, carrying battery levels, delay lines, running
-counts and exact partial sums of the utilities from one chunk to the
-next, so a call holds about `CHUNK_SLOT_LINKS` slot-links of per-slot
-arrays however long or wide its runs are, and no result keeps any.  Each
-trial's entries equal those of a run on its seed alone, bit for bit: each
-lane draws what its key's and seed's stream would alone, streams continue
-across chunks, the battery resumes from the levels it returned, and
-policies and utilities act slot by slot.
+key and trial.  The policies see all the group's slots stacked, as
+(rows, links) views of the block, link-major as drawn: each link's
+column is contiguous.  The requests, grants and mismatch flags are laid
+out alike, and so is what the utility gets where no delay line shifts
+it.  The single-link batteries of all the group's nodes and trials step
+together, one lane each with its own capacity.  A group walks through
+time in chunks, carrying battery levels, delay lines, running counts and
+exact partial sums of the utilities from one chunk to the next, so a
+call holds about `CHUNK_SLOT_LINKS` slot-links of per-slot arrays
+however long or wide its runs are, and no result keeps any.  Each
+trial's entries equal those of a run on its seed alone, bit for bit:
+each lane draws what its key's and seed's stream would alone, streams
+continue across chunks, the battery resumes from the levels it
+returned, and policies and utilities act slot by slot.
 
 An average over slots is the exact sum of its values, rounded once, as
 `math.fsum` over the whole run would give it (see `_ExactSums`); a sum past
@@ -324,7 +327,8 @@ class _Scratch:
     """Arrays one call reuses from chunk to chunk and from group to group,
     so their pages stay mapped.  `take(name, shape)` returns an array of
     `shape` with stale contents, a view of the previous one of that name
-    when it is large enough."""
+    when it is large enough; `per_link` returns one laid out as the
+    gains are."""
 
     def __init__(self):
         self._flat: dict = {}
@@ -335,6 +339,10 @@ class _Scratch:
         if flat is None or flat.size < size:
             flat = self._flat[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
+
+    def per_link(self, name, like: np.ndarray, dtype=float) -> np.ndarray:
+        """A (rows, links) array shaped like `like`, link-major."""
+        return self.take(name, like.shape[::-1], dtype).T
 
 
 def _draw_runs(config: SimulationConfig):
@@ -363,10 +371,9 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
     """The next `m` draws of every trial from `streams`, one `Stream` per
     span of `runs`, each holding all the span's keys for all the group's
     trials: one (keys, trials, m) block, harvests first (see `_draw_runs`).
-    Returns the harvests, a (nodes, trials, m) view of the block; the
-    gains of all trials stacked trial-major, one transposed copy of the
-    fading rows as a (trials * m, links) array; and those rows' memory as
-    an array of that shape, which the chunk's requests may overwrite.
+    Returns the harvests, a (nodes, trials, m) view of the block, and the
+    gains of all trials stacked trial-major, a (trials * m, links) view
+    of the fading rows: link-major, each link's column contiguous.
 
     Each run's process draws and transforms its rows in one `sample`
     call.  Draws must be finite and >= 0: `battery.finite_nonnegative`
@@ -388,9 +395,7 @@ def _sample_chunk(config: SimulationConfig, streams, m: int,
         name, what = labels[int(np.argmin(good.reshape(len(block), -1)
                                           .all(1)))]
         raise NumericsError(f"{name} drew a negative or non-finite {what}")
-    gains = scratch.take("gains", (k * m, width))
-    gains.reshape(k, m, width)[:] = block[nodes:].transpose(1, 2, 0)
-    return block[:nodes], gains, block[nodes:].reshape(k * m, width)
+    return block[:nodes], block[nodes:].reshape(width, k * m).T
 
 
 def _desired_matrix(config: SimulationConfig, slots, gains, columns,
@@ -469,9 +474,9 @@ def _battery(config: SimulationConfig, desired, harvest, columns,
     All single-link nodes step in one `trajectory` call, one lane per
     trial per node, node-major, each lane with its node's capacity.  They
     read their harvests from `harvest` and their requests from `desired`
-    as views where the nodes, and their columns, are consecutive, so a
-    lone such node copies nothing; several copy their requests into one
-    block.  A multi-link node runs one call per trial."""
+    as views where the nodes, and their columns, are consecutive, so they
+    copy nothing: in the link-major layout each lane's requests are one
+    contiguous column.  A multi-link node runs one call per trial."""
     k = levels.shape[1]
     m = len(desired) // k
     txs = config.transmitters
@@ -495,7 +500,7 @@ def _battery(config: SimulationConfig, desired, harvest, columns,
             rows = slice(j * m, (j + 1) * m)
             actual[rows, cols], lev = battery.trajectory(
                 desired[rows, cols], harvest[i, j], capacity=t.capacity,
-                initial=levels[i, j])
+                initial=float(levels[i, j]))
             levels[i, j] = lev[-1]
     return actual
 
@@ -563,21 +568,21 @@ def _walk(config: SimulationConfig, streams, runs, labels,
         slots = scratch.take("slots", (k, m), int)
         slots[:] = np.arange(start + 1, stop + 1)
         slots = slots.ravel()
-        harvest, gains, fadings = _sample_chunk(config, streams, m, scratch,
-                                                runs, labels)
-        # The requests overwrite the fading draws, copied into `gains`.
-        desired = _desired_matrix(config, slots, gains, columns, fadings)
+        harvest, gains = _sample_chunk(config, streams, m, scratch, runs,
+                                       labels)
+        desired = _desired_matrix(config, slots, gains, columns,
+                                  scratch.per_link("desired", gains))
         delayed_g, past_gains = _delayed(config, past_gains, gains)
         delayed_d, next_desired = _delayed(config, past_desired, desired)
         u_non_eh = u_eh = _utility(config, slots, delayed_d,
                                    delayed_g).reshape(k, m)
         if with_battery:
             actual = _battery(config, desired, harvest, columns, levels,
-                              scratch.take("actual", gains.shape))
+                              scratch.per_link("actual", gains))
             # min(level, request) grants the request exactly when it
             # fits, so bitwise inequality is the mismatch test.
             miss = np.not_equal(actual, desired,
-                                out=scratch.take("miss", gains.shape, bool))
+                                out=scratch.per_link("miss", gains, bool))
             missed = bool(miss.any())
             if missed:
                 hit = np.zeros((k, m), dtype=bool)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .battery import lone_entries
 from .policies import AmplifierModel
 from .stochastic import check_count, check_real, load_compiled
 
@@ -126,12 +127,20 @@ class BroadcastSumRateUtility(_MultiLink):
     fig4's policy (one receiver per slot), gets the rate of
     ``(p * g).sum(axis=-1)`` bit for bit; with three or more, `einsum`
     adds them in its own order, and the rate may differ in the last digit.
+    That order is the one of C-ordered rows, whatever the layout of the
+    arrays: where some slot has two or more nonzero powers, arrays in
+    another layout are summed from C-ordered copies.  Where none has,
+    each sum is its one product, or a zero, in any order, and nothing is
+    copied.
     """
 
     def evaluate(self, slots, powers, gains):
-        total = np.einsum("...j,...j->...", np.asarray(powers, dtype=float),
-                          np.asarray(gains, dtype=float))
-        return np.log2(1.0 + total)
+        p = np.asarray(powers, dtype=float)
+        g = np.asarray(gains, dtype=float)
+        if not (p.flags.c_contiguous and g.flags.c_contiguous
+                or lone_entries(p) is not None):
+            p, g = np.ascontiguousarray(p), np.ascontiguousarray(g)
+        return np.log2(1.0 + np.einsum("...j,...j->...", p, g))
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,11 @@ class MacBpskBerUtility(_MultiLink):
     at one receiver: ``Q(sqrt(2 * sum_k g_k * p_k))``."""
 
     def evaluate(self, slots, powers, gains):
-        prod = np.asarray(powers, dtype=float) * np.asarray(gains, dtype=float)
+        # numpy sums a contiguous run of 8 or more values pairwise and a
+        # strided one in order, so the products are made C-ordered: each
+        # row sums in the same order whatever the layout of the arrays.
+        prod = np.multiply(np.asarray(powers, dtype=float),
+                           np.asarray(gains, dtype=float), order="C")
         return qfunc(np.sqrt(2.0 * prod.sum(axis=-1)))
 
 

@@ -1,8 +1,9 @@
 """What the tests compare the simulator's array code against: the scalar
 battery recursion, one Python float per step and one step per request;
 `reference_run`, a whole run slot by slot on it; `bits`, which compares
-runs' results bit for bit; and `constant_request_means`, the exact expected `eh` row of a single link
-with a constant request, from the battery level's law.
+runs' results bit for bit; `constant_request_means`, the exact expected
+`eh` row of a single link with a constant request, from the battery
+level's law; and `max_gain_requests`, fig4's broadcast policy row by row.
 
 Within one slot a node draws ``min(desired, level)`` for each of its
 requests in link order, then banks the slot's harvest, clipping at the
@@ -104,6 +105,20 @@ def bits(trials: Trials) -> list:
         if isinstance(value, np.ndarray):
             value = (value.dtype.str, value.shape, value.tobytes())
         out.append((f.name, value))
+    return out
+
+
+def max_gain_requests(gains: np.ndarray, lam: float) -> np.ndarray:
+    """`MaxGainBroadcastPolicy`'s requests for the (slots, links) `gains`,
+    one row at a time: `np.argmax` picks the receiver, the first one on a
+    tie, which gets ``1/lam - 1/gain`` in Python floats if its gain
+    reaches `lam`; every other entry is +0.0."""
+    out = np.zeros(gains.shape)
+    for i, row in enumerate(gains):
+        j = int(np.argmax(row))
+        best = float(row[j])
+        if best >= lam:
+            out[i, j] = 1.0 / lam - 1.0 / best
     return out
 
 

@@ -158,6 +158,40 @@ def state_error(level, capacity):
     return str(info.value)
 
 
+def start_outcome(level, capacity):
+    """`check_start`'s message for a start, or None where it passes."""
+    try:
+        battery.check_start(level, capacity)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+EDGE_FLOATS = [-math.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, 2.0,
+               1.7976931348623157e308, math.inf, math.nan]
+
+
+def test_plain_float_starts_end_as_numpy_float_starts_do():
+    # Plain floats that fit return at once; numpy floats take every check.
+    # Both end alike for every pair, NaN and infinities included, and a
+    # refusal is BatteryState's one line.
+    passed = 0
+    for level in EDGE_FLOATS:
+        for capacity in EDGE_FLOATS:
+            want = start_outcome(np.float64(level), np.float64(capacity))
+            assert start_outcome(level, capacity) == want, (level, capacity)
+            if want is None:
+                passed += 1
+            else:
+                assert want == state_error(level, capacity)
+    assert passed == 25
+    # A bool is no plain float: it is refused, not taken for 1.0.
+    assert start_outcome(True, 2.0) == (
+        "battery level must be a number, got True")
+    assert start_outcome(1.0, True) == (
+        "battery capacity must be a number, got True")
+
+
 @pytest.mark.parametrize("level, capacity", [
     (-1.0, 5.0), (math.nan, 5.0), (math.inf, 5.0), (6.0, 5.0),
     (-1.0, math.inf), (math.nan, math.inf), (1.0, 0.0), (1.0, math.nan),
@@ -483,6 +517,18 @@ def stepwise_many(desired, harvested, capacity, initial):
     return np.array(got).reshape(desired.shape), np.array(after)
 
 
+def assert_layout_free(desired, harvested, capacity, initial, actual,
+                       levels):
+    """The requests as a read-only link-major view, as the simulator
+    hands them over, give `actual` and `levels` bit for bit."""
+    view = np.ascontiguousarray(desired.T).T
+    view.setflags(write=False)
+    got, after = trajectory(view, harvested, capacity=capacity,
+                            initial=initial)
+    assert np.ascontiguousarray(got).tobytes() == actual.tobytes()
+    assert after.tobytes() == levels.tobytes()
+
+
 @st.composite
 def random_broadcast_run(draw):
     """A broadcast transmitter's buffer: at most one nonzero request per
@@ -520,6 +566,7 @@ def test_broadcast_trajectory_walks_and_matches_stepwise_primitives(run):
     # bit for bit, so a sign of zero or a last-digit change shows
     assert got.tobytes() == actual.tobytes()
     assert after.tobytes() == levels.tobytes()
+    assert_layout_free(desired, harvested, capacity, initial, actual, levels)
     # Split after a third of the slots and resumed from the level there.
     cut = max(1, len(desired) // 3)
     first, mid = trajectory(desired[:cut], harvested[:cut],
@@ -574,6 +621,7 @@ def test_long_multilink_trajectory_walks_and_matches_stepwise_primitives(run):
     # bit for bit, so a sign of zero or a last-digit change shows
     assert got.tobytes() == actual.tobytes()
     assert after.tobytes() == levels.tobytes()
+    assert_layout_free(desired, harvested, capacity, initial, actual, levels)
 
 
 def test_broadcast_walk_clips_and_steps():

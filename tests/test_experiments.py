@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import asdict, replace
@@ -687,6 +689,26 @@ def test_small_sweep_csv_is_byte_identical(experiment, initial_fill, want,
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
+# SHA-256 of a fig5 sweep whose groups of 8 and 25 senders sum 8 or more
+# products per slot, where numpy adds a contiguous row pairwise and a
+# strided one in order: the MAC utility's sums must keep the order of
+# C-ordered rows whatever the layout the simulator hands it.
+WIDE_GROUP_FIG5 = {
+    "experiment": "fig5", "p_in_db": [0.0, 10.0], "n_slots": [100, 2000],
+    "b_max_ratio": [200.0], "group_size": [8, 25], "trials": 20, "seed": 3,
+    "initial_fill": 0.0, "rate_threshold": 1.0, "amplifier_epsilon": 1.0,
+    "circuit_power_db": None}
+WIDE_GROUP_FIG5_SHA256 = (
+    "9851d965a2c8aa180f85b01a39de6d8111f1278c4f5a12281d6fef77eabf383e")
+
+
+def test_wide_group_fig5_csv_is_byte_identical(tmp_path):
+    path = tmp_path / "fig5.csv"
+    write_csv(run_experiment(spec_from_dict(WIDE_GROUP_FIG5)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        WIDE_GROUP_FIG5_SHA256)
+
+
 # SHA-256 of fig1 sweeps at 100 slots under master seeds of three and five
 # uint32 words, pinned with one SeedSequence per stream and trial seed.
 # Ten trials take the batch hash for both; three take SeedSequence alone.
@@ -833,6 +855,25 @@ def test_cli_list_experiments(capsys):
     for name in EXPERIMENTS:
         assert name in out
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_SHA256
+
+
+def test_python_m_ehnet_is_the_cli_from_a_checkout(tmp_path, capsys):
+    # `python -m ehnet` with only `src` on the path, nothing installed,
+    # prints what `main` prints and exits with its code.
+    assert main(["list-experiments"]) == 0
+    listing = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(
+        os.path.dirname(ehnet.cli.__file__))}
+    done = subprocess.run([sys.executable, "-m", "ehnet", "list-experiments"],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=env, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (0, listing, "")
+    done = subprocess.run(
+        [sys.executable, "-m", "ehnet", "validate", "--config",
+         str(tmp_path / "missing.json")],
+        capture_output=True, text=True, cwd=tmp_path, env=env, check=False)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("config error: ")
 
 
 def test_cli_validate_ok_and_bad(tmp_path, capsys):

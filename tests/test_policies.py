@@ -25,6 +25,7 @@ from ehnet.stochastic import (
     exponential_pdf,
     max_exponential_pdf,
 )
+from oracles import max_gain_requests
 
 # bisection on the fixed bracket for a unit budget, ideal amplifier,
 # unit-mean fading; re-derived offline with an independent root finder
@@ -37,6 +38,19 @@ def slots(n):
 
 def ideal_waterfill(lam):
     return WaterfillPolicy(AmplifierModel(), lam)
+
+
+def layouts(values):
+    """`values` as a read-only C-ordered array and as a read-only
+    link-major view, each link's column contiguous, as the simulator
+    hands them over; a write into either raises."""
+    values = np.asarray(values, dtype=float)
+    c, f = np.ascontiguousarray(values), np.ascontiguousarray(values.T).T
+    for a in (c, f):
+        a.setflags(write=False)
+    assert f.flags.f_contiguous and (values.shape[1] == 1
+                                     or not f.flags.c_contiguous)
+    return c, f
 
 
 def solve_waterfill(target):
@@ -89,6 +103,80 @@ def test_broadcast_tie_goes_to_lowest_index():
     assert out[0, 0] == pytest.approx(1.5, rel=1e-15)
     assert out[0, 1] == 0.0
     assert out[0, 2] == 0.0
+
+
+# Rows of gains with ties among the largest, at lam = 0.5: at non-first
+# columns, exactly at lam, below it, among all links, and untied rows
+# mixed in, some exactly at lam.
+TIED_GAINS = {
+    4: [[1.0, 3.0, 3.0, 2.0],
+        [0.2, 0.7, 0.1, 0.7],
+        [0.4, 0.9, 0.2, 0.1],
+        [0.5, 0.5, 0.1, 0.0],
+        [0.3, 0.1, 0.3, 0.3],
+        [0.1, 0.2, 0.5, 0.3],
+        [2.0, 2.0, 2.0, 2.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.25]],
+}
+
+
+def _tied_rows_of_25():
+    rng = np.random.default_rng(25)
+    rows = rng.uniform(0.0, 1.0, (8, 25))
+    rows[0, [7, 19]] = 1.5  # a tie of two among 25
+    rows[1, [3, 24]] = 1.5
+    rows[2] *= 0.4  # untied, below lam
+    rows[3, [0, 12]] = 2.0  # a tie at the first column and a later one
+    rows[4] = np.minimum(rows[4], 0.45)
+    rows[4, [5, 6]] = 0.5  # a tie exactly at lam
+    rows[5] = np.minimum(rows[5], 0.2)
+    rows[5, [10, 11, 20]] = 0.3  # a tie of three below lam
+    rows[6, 9] = 0.5  # untied, exactly at lam, the rest below
+    rows[6, np.arange(25) != 9] *= 0.45
+    rows[7, 13] = 3.0  # untied
+    return rows.tolist()
+
+
+TIED_GAINS[25] = _tied_rows_of_25()
+
+
+@pytest.mark.parametrize("links", sorted(TIED_GAINS))
+def test_broadcast_ties_go_to_the_first_maximum_bit_for_bit(links):
+    gains = np.array(TIED_GAINS[links])
+    want = max_gain_requests(gains, 0.5)
+    p = MaxGainBroadcastPolicy(lam=0.5, num_links=links)
+    for g in layouts(gains):
+        got = p.desired_powers(slots(len(gains)), g)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # bytes in C order, so a sign of zero shows
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    # A gain exactly at lam asks for 0.0: only the rows above it ask.
+    assert np.count_nonzero(want) == {4: 5, 25: 4}[links]
+
+
+@pytest.mark.parametrize("links", [1, 2, 5, 8, 9, 25])
+def test_policies_give_the_same_bits_in_either_layout(links):
+    # Every shipped policy that drives `links` links, on the same gains as
+    # a C-ordered array and as a link-major view; neither is written to.
+    rng = np.random.default_rng(links)
+    n = 400
+    gains = rng.exponential(1.0, (n, links))
+    gains[::3] = np.round(gains[::3], 1)  # ties, and gains at lam
+    gains[::11] = 0.0
+    policies = [ConstantPolicy(1.5, num_links=links),
+                MaxGainBroadcastPolicy(lam=0.8, num_links=links)]
+    if links == 1:
+        policies += [
+            WaterfillPolicy(AmplifierModel(epsilon=2.0, circuit_power=0.1),
+                            lam=0.8),
+            AlternatingRelayPolicy(node_parity=1, active_power=2.0)]
+    for policy in policies:
+        c, f = (policy.desired_powers(slots(n), g) for g in layouts(gains))
+        assert c.dtype == f.dtype == np.float64
+        assert c.shape == f.shape == (n, links)
+        assert (np.ascontiguousarray(c).tobytes()
+                == np.ascontiguousarray(f).tobytes()), policy
 
 
 def test_broadcast_silent_when_best_gain_below_threshold():

@@ -98,6 +98,55 @@ def test_broadcast_sum_rate_of_up_to_two_products_is_the_plain_sum(links):
     assert got.tobytes() == want.tobytes()
 
 
+def link_major(values):
+    """A read-only link-major view of `values`, as the simulator hands its
+    arrays over: each link's column contiguous."""
+    out = np.ascontiguousarray(np.asarray(values, dtype=float).T).T
+    out.setflags(write=False)
+    return out
+
+
+def utilities_of_width(links):
+    """Every shipped utility that reads `links` link columns."""
+    out = [BroadcastSumRateUtility(links), MacBpskBerUtility(links),
+           ChainRateUtility(links)]
+    if links == 1:
+        out += [OutageUtility(1.0),
+                AmplifierRateUtility(AmplifierModel(2.0, 0.1))]
+    return out
+
+
+@pytest.mark.parametrize("links", [1, 2, 5, 8, 9, 25])
+@pytest.mark.parametrize("powers_on", ["every", "one", "two"],
+                         ids=["dense", "one_per_slot", "two_per_slot"])
+def test_utilities_give_the_same_bits_in_either_layout(links, powers_on):
+    # The same powers and gains as C-ordered arrays and as link-major
+    # views; neither is written to.  numpy sums a contiguous run of 8 or
+    # more values pairwise and a strided one in order, so a utility that
+    # reduced the views as they lie would differ in the last digit.
+    rng = np.random.default_rng(links)
+    n = 600
+    gains = rng.exponential(1.0, (n, links))
+    if powers_on == "every":
+        powers = rng.exponential(2.0, (n, links))
+    else:
+        powers = rng.choice([0.0, -0.0], size=(n, links))
+        for _ in range(1 if powers_on == "one" else 2):
+            on = rng.random(n) < 0.7
+            cols = rng.integers(0, links, n)
+            powers[on, cols[on]] = rng.exponential(2.0, int(on.sum()))
+    slots = np.arange(1, n + 1)
+    c_powers = np.ascontiguousarray(powers)
+    c_gains = np.ascontiguousarray(gains)
+    for a in (c_powers, c_gains):
+        a.setflags(write=False)
+    for utility in utilities_of_width(links):
+        want = utility.evaluate(slots, c_powers, c_gains)
+        got = utility.evaluate(slots, link_major(powers), link_major(gains))
+        assert got.dtype == want.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes(), utility
+
+
 def test_mac_ber_worked_example():
     # 2 * (2*1 + 2*1) = 8
     val = MacBpskBerUtility(2).evaluate(
